@@ -74,7 +74,8 @@ pub enum Size {
 pub struct Inputs {
     /// The data graph in `t/v/e` text.
     pub graph_text: String,
-    /// The data graph's persisted index (`index_io` format).
+    /// The data graph's persisted index (`index_io` format); empty unless
+    /// asked for, since only runs that load an index hold one.
     pub index_bytes: Vec<u8>,
     /// Distinct query bodies (`t/v/e` text), cycled by the closed query loop.
     pub queries: Vec<String>,
@@ -105,8 +106,9 @@ fn mix(seed: u64, stream: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Generates the inputs of `workload` for `seed`.
-pub fn generate(workload: Workload, seed: u64, size: Size) -> Inputs {
+/// Generates the inputs of `workload` for `seed`, with the index bytes when
+/// `with_index`.
+pub fn generate(workload: Workload, seed: u64, size: Size, with_index: bool) -> Inputs {
     let smoke = size == Size::Smoke;
     let delta_batches = if smoke { 40 } else { 200 };
     let graph = match workload {
@@ -161,7 +163,11 @@ pub fn generate(workload: Workload, seed: u64, size: Size) -> Inputs {
         .collect::<Vec<_>>();
     Inputs {
         graph_text: graph_to_string(&graph),
-        index_bytes: write_index_bytes(&PreparedData::new(graph)),
+        index_bytes: if with_index {
+            write_index_bytes(&PreparedData::new(graph))
+        } else {
+            Vec::new()
+        },
         queries: queries.iter().map(graph_to_string).collect(),
         standing: standing.iter().map(graph_to_string).collect(),
         deltas,

@@ -2,8 +2,7 @@
 //! the GuP-versus-DAF correctness gate, and the traffic: a closed query loop
 //! over a `Session`, then a closed delta loop over a `ContinuousMatcher`.
 
-use crate::measure::{enough_setup_rounds, Samples};
-use crate::trace::Tracer;
+use crate::measure::{repeat_setup, Samples};
 use gup::session::{Engine, Session};
 use gup_graph::io::parse_graph;
 use gup_graph::{Graph, GraphDelta, PreparedData};
@@ -27,22 +26,12 @@ pub struct LoopStats {
     pub new_matches: u64,
 }
 
-/// Parses the data-graph text and prepares the index, timing each round,
-/// until [`enough_setup_rounds`]; returns the last index and the round times.
+/// Parses the data-graph text and prepares the index, in [`repeat_setup`]
+/// rounds; returns the last index and the round times.
 pub fn setup(graph_text: &str) -> (Arc<PreparedData>, Samples) {
-    let mut times = Samples::default();
-    let mut prepared = None;
-    while !enough_setup_rounds(&times) {
-        drop(prepared.take());
-        let t = Instant::now();
-        let graph = parse_graph(graph_text).expect("generated graph text parses");
-        prepared = Some(PreparedData::new(graph));
-        times.push(t.elapsed());
-    }
-    (
-        Arc::new(prepared.expect("at least one set-up round")),
-        times,
-    )
+    let (prepared, times) = repeat_setup(|| parse_graph(graph_text).map(PreparedData::new))
+        .expect("generated graph text parses");
+    (Arc::new(prepared), times)
 }
 
 /// Parses generated query bodies through the program's own parser.
@@ -105,6 +94,12 @@ pub struct Plan {
 /// Share of the budget spent on queries; the delta phase gets the rest.
 const QUERY_SHARE: f64 = 0.75;
 
+/// The traffic alternates between its query and delta phases this many
+/// times, so that the samples of both span the whole run: the host's speed
+/// drifts within seconds, and a delta phase held only at the end of a run
+/// measured the host of those seconds.
+const ROUNDS: u32 = 4;
+
 /// What the library traffic saw.
 #[derive(Debug, Default)]
 pub struct Traffic {
@@ -114,14 +109,15 @@ pub struct Traffic {
     pub pass_rates: Samples,
 }
 
-/// Runs the library workloads' traffic on one thread, in two phases. The
-/// query phase makes whole passes over `queries`, each query through
-/// `Session::query(..).limit(limit).count_stats()` (a closed loop); a count
-/// other than `expected` is a correctness mismatch, an error or
-/// `hit_time_limit` result a failure. The delta phase applies the cyclic
+/// Runs the library workloads' traffic on one thread, in [`ROUNDS`] rounds
+/// of two phases. The query phase makes whole passes over `queries`, each
+/// query through `Session::query(..).limit(limit).count_stats()` (a closed
+/// loop); a count other than `expected` is a correctness mismatch, an error
+/// or `hit_time_limit` result a failure. The delta phase applies the cyclic
 /// delta script through a `ContinuousMatcher` holding `standing`, a closed
-/// loop in which each batch is due when the previous one completed. Each
-/// phase runs for its share of the budget and then until its sample minimum,
+/// loop in which each batch is due when the previous one completed; the
+/// script carries on from round to round. Each phase runs for its share of
+/// the round; in the last round, on until the run has its sample minimum,
 /// up to twice its share.
 #[allow(clippy::too_many_arguments)]
 pub fn traffic(
@@ -133,22 +129,56 @@ pub fn traffic(
     deltas: &[Vec<GraphDelta>],
     plan: &Plan,
     mismatches: &mut Vec<String>,
-    mut tracer: Option<&mut Tracer>,
 ) -> Traffic {
     let mut out = Traffic::default();
-    let share = plan.budget.mul_f64(QUERY_SHARE);
+    let mut matcher = ContinuousMatcher::new(session.clone());
+    for q in standing {
+        matcher.register(q).expect("standing queries are valid");
+    }
+    let mut script = deltas.iter().cycle();
+    let query_share = plan.budget.mul_f64(QUERY_SHARE) / ROUNDS;
+    let delta_share = plan.budget / ROUNDS - query_share;
+    for round in 1..=ROUNDS {
+        let last = round == ROUNDS;
+        let (min_queries, min_deltas) = if last {
+            (plan.min_queries, plan.min_deltas)
+        } else {
+            (0, 0)
+        };
+        query_phase(
+            session,
+            queries,
+            expected,
+            limit,
+            query_share,
+            min_queries,
+            &mut out,
+            mismatches,
+        );
+        delta_phase(&mut matcher, &mut script, delta_share, min_deltas, &mut out);
+    }
+    out
+}
+
+/// One query phase of [`traffic`]: whole passes over `queries`.
+#[allow(clippy::too_many_arguments)]
+fn query_phase(
+    session: &Session,
+    queries: &[Graph],
+    expected: &[u64],
+    limit: u64,
+    share: Duration,
+    min_samples: usize,
+    out: &mut Traffic,
+    mismatches: &mut Vec<String>,
+) {
     let start = Instant::now();
     loop {
         let pass_start = Instant::now();
         let mut completed = 0u64;
         for (qi, q) in queries.iter().enumerate() {
-            let run = || session.query(q).limit(limit).count_stats();
-            let request = out.queries.attempted;
             let sent = Instant::now();
-            let result = match tracer.as_deref_mut() {
-                Some(tr) => tr.span("session.query", None, request, run),
-                None => run(),
-            };
+            let result = session.query(q).limit(limit).count_stats();
             out.queries.latencies.push(sent.elapsed());
             out.queries.attempted += 1;
             match result {
@@ -166,38 +196,40 @@ pub fn traffic(
         }
         out.pass_rates
             .push_value(completed as f64 / pass_start.elapsed().as_secs_f64());
-        if phase_done(start, share, out.queries.latencies.len(), plan.min_queries) {
+        if phase_done(start, share, out.queries.latencies.len(), min_samples) {
             break;
         }
     }
-    out.queries.elapsed = start.elapsed();
+    out.queries.elapsed += start.elapsed();
+}
 
-    let mut matcher = ContinuousMatcher::new(session.clone());
-    for q in standing {
-        matcher.register(q).expect("standing queries are valid");
-    }
-    let share = plan.budget - share;
+/// One delta phase of [`traffic`]: batches from `script`, each due when the
+/// previous one completed.
+fn delta_phase<'a>(
+    matcher: &mut ContinuousMatcher,
+    script: &mut impl Iterator<Item = &'a Vec<GraphDelta>>,
+    share: Duration,
+    min_samples: usize,
+    out: &mut Traffic,
+) {
     let start = Instant::now();
     let mut due = start;
-    for (k, batch) in deltas.iter().cycle().enumerate() {
-        if phase_done(start, share, out.deltas.latencies.len(), plan.min_deltas) {
+    let deltas = &mut out.deltas;
+    while !phase_done(start, share, deltas.latencies.len(), min_samples) {
+        let Some(batch) = script.next() else {
             break;
-        }
-        out.deltas.late.push(Instant::now() - due);
-        let result = match tracer.as_deref_mut() {
-            Some(tr) => tr.span("stream.apply", None, k as u64, || matcher.apply(batch)),
-            None => matcher.apply(batch),
         };
+        deltas.late.push(Instant::now() - due);
+        let result = matcher.apply(batch);
         let done = Instant::now();
-        out.deltas.latencies.push(done - due);
+        deltas.latencies.push(done - due);
         due = done;
-        out.deltas.attempted += 1;
+        deltas.attempted += 1;
         match result {
-            Ok(report) => out.deltas.new_matches += report.total_new_matches(),
-            Err(_) => out.deltas.failed += 1,
+            Ok(report) => deltas.new_matches += report.total_new_matches(),
+            Err(_) => deltas.failed += 1,
         }
     }
-    out
 }
 
 /// `true` once a phase has run for `share` and collected `min_samples`, or

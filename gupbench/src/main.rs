@@ -44,6 +44,10 @@ const DELTA_MIN_SAMPLES: usize = 100;
 /// Delta batches replayed by the traced run's layer and wire probes.
 const PROBE_DELTAS: usize = 40;
 
+/// Queries whose probes the traced run times both traced and untraced, for
+/// the tracing overhead.
+const OVERHEAD_QUERIES: usize = 64;
+
 struct Args {
     workload: String,
     seed: u64,
@@ -167,9 +171,9 @@ fn run_all(argv: &[String]) -> ExitCode {
     }
 }
 
-fn generate(workload: Workload, args: &Args) -> Inputs {
+fn generate(workload: Workload, args: &Args, with_index: bool) -> Inputs {
     let t = Instant::now();
-    let inputs = inputs::generate(workload, args.seed, args.size);
+    let inputs = inputs::generate(workload, args.seed, args.size, with_index);
     eprintln!(
         "gupbench: {} seed {}: generated {} bytes of graph text, {} index bytes, {} queries, {} delta batches in {:.2?}",
         workload.name(),
@@ -185,14 +189,15 @@ fn generate(workload: Workload, args: &Args) -> Inputs {
 
 /// The end-to-end run (`--trace 0`).
 fn measured(workload: Workload, args: &Args) -> io::Result<Report> {
-    let inputs = generate(workload, args);
+    let inputs = generate(workload, args, workload == Workload::ServeStream);
+    // `peak_rss_mb` counts from here, and is read when the traffic ends,
+    // before the serve-stream check loads a second copy of the index.
+    measure::reset_peak_rss();
     let budget = Duration::from_secs(args.seconds);
     let limit = workload.limit();
     let queries = library::parse_queries(&inputs.queries);
     let standing = library::parse_queries(&inputs.standing);
     let mut report = Report::default();
-    // `peak_rss_mb` is read when the traffic ends, before the serve-stream
-    // check loads a second copy of the index.
     let (traffic, setup, rss) = match workload {
         Workload::PointLarge | Workload::SearchHard => {
             measure::pin_to_current_cpu();
@@ -218,13 +223,12 @@ fn measured(workload: Workload, args: &Args) -> io::Result<Report> {
                 &deltas,
                 &plan,
                 &mut report.mismatches,
-                None,
             );
             (traffic, setup, peak_rss_mb())
         }
         Workload::ServeStream => {
             let (server, setup) = serve::start(&inputs.index_bytes, true)?;
-            let run = serve::stream(server.addr(), &inputs, 0, limit, budget, None)?;
+            let run = serve::stream(server.addr(), &inputs, limit, budget)?;
             let rss = peak_rss_mb();
             let mut client = Client::connect(server.addr())?;
             let (counts, _) = serve::wire_counts(&mut client, &inputs.queries, limit)?;
@@ -255,6 +259,13 @@ fn measured(workload: Workload, args: &Args) -> io::Result<Report> {
     report.attempted = q.attempted + d.attempted;
     report.failed = q.failed + d.failed;
     describe(&traffic);
+    eprintln!(
+        "gupbench: set-up {} timed rounds after a warm-up round: p10 {:.4} s, median {:.4} s, p90 {:.4} s",
+        setup.len(),
+        setup.percentile(10.0) / 1e6,
+        setup.median() / 1e6,
+        setup.percentile(90.0) / 1e6
+    );
     report.metric("queries_per_s", traffic.pass_rates.median(), "1/s");
     report.metric("query_p50_us", q.latencies.median(), "us");
     report.metric(
@@ -315,7 +326,7 @@ fn ratio(num: f64, den: f64) -> f64 {
 
 /// The traced run (`--trace 1`): per-layer metrics plus the tracing overhead.
 fn traced(workload: Workload, args: &Args) -> io::Result<Report> {
-    let inputs = generate(workload, args);
+    let inputs = generate(workload, args, true);
     let budget = Duration::from_secs(args.seconds);
     let limit = workload.limit();
     let queries = library::parse_queries(&inputs.queries);
@@ -331,66 +342,50 @@ fn traced(workload: Workload, args: &Args) -> io::Result<Report> {
     let session = Session::from_prepared(Arc::new(PreparedData::new(graph)));
     let expected = library::reference_counts(&session, &queries, limit, &mut report.mismatches);
 
-    // The workload's own traffic, once untraced and once with spans around
-    // every operation: the difference is the tracing overhead.
-    let (plain, spanned, cache) = match workload {
+    // The workload's own traffic, untraced, for the cache counters, the
+    // generator's lateness and the failed share.
+    let (traffic, cache) = match workload {
         Workload::PointLarge | Workload::SearchHard => {
             let deltas = library::parse_deltas(&inputs.deltas);
             let plan = library::Plan {
-                budget: budget / 3,
+                budget: budget / 2,
                 min_queries: 0,
                 min_deltas: 0,
             };
-            let mut run = |tracer| {
-                library::traffic(
-                    &session,
-                    &queries,
-                    &expected,
-                    limit,
-                    &standing,
-                    &deltas,
-                    &plan,
-                    &mut report.mismatches,
-                    tracer,
-                )
-            };
-            let plain = run(None);
-            let spanned = run(Some(&mut tr));
+            let traffic = library::traffic(
+                &session,
+                &queries,
+                &expected,
+                limit,
+                &standing,
+                &deltas,
+                &plan,
+                &mut report.mismatches,
+            );
             let c = session.counters().snapshot();
             let lookups = (c.cache_hits + c.cache_misses) as f64;
             let cache = (
                 ratio(c.cache_hits as f64, lookups),
                 c.cache_invalidations as f64,
             );
-            (plain, spanned, cache)
+            (traffic, cache)
         }
         Workload::ServeStream => {
             let (server, _) = serve::start(&inputs.index_bytes, false)?;
-            let first = serve::stream(server.addr(), &inputs, 0, limit, budget / 3, None)?;
-            let second = serve::stream(
-                server.addr(),
-                &inputs,
-                first.sent,
-                limit,
-                budget / 3,
-                Some(&mut tr),
-            )?;
+            let run = serve::stream(server.addr(), &inputs, limit, budget / 2)?;
             server.stop()?;
-            let field = |key| serve::field(&second.stats, key).unwrap_or(0) as f64;
+            let field = |key| serve::field(&run.stats, key).unwrap_or(0) as f64;
             let lookups = field("cache-hits") + field("cache-misses");
             let cache = (
                 ratio(field("cache-hits"), lookups),
                 field("cache-invalidations"),
             );
-            (first.traffic, second.traffic, cache)
+            (run.traffic, cache)
         }
     };
-    for t in [&plain, &spanned] {
-        report.attempted += t.queries.attempted + t.deltas.attempted;
-        report.failed += t.queries.failed + t.deltas.failed;
-    }
-    let late = &spanned.deltas.late;
-    let (plain, spanned) = (&plain.queries, &spanned.queries);
+    report.attempted += traffic.queries.attempted + traffic.deltas.attempted;
+    report.failed += traffic.queries.failed + traffic.deltas.failed;
+    let late = &traffic.deltas.late;
 
     // Layer probes over the same inputs.
     let probe_deltas = &inputs.deltas[..PROBE_DELTAS.min(inputs.deltas.len())];
@@ -404,6 +399,8 @@ fn traced(workload: Workload, args: &Args) -> io::Result<Report> {
         &mut tr,
         &mut report.mismatches,
     );
+    let overhead_queries = OVERHEAD_QUERIES.min(queries.len());
+    let overhead = layers::tracing_overhead(&session, &queries, limit, overhead_queries);
     layers::delta_layers(session.prepared(), &standing, probe_deltas, &mut tr);
     drop(session);
 
@@ -429,14 +426,9 @@ fn traced(workload: Workload, args: &Args) -> io::Result<Report> {
     serve::compare("wire probe", &wire, &lib, &mut report.mismatches);
     report.attempted += (wire.counts.len() + probes) as u64;
 
-    let overhead = ratio(spanned.latencies.mean(), plain.latencies.mean()) - 1.0;
     eprintln!(
-        "gupbench: tracing overhead {:+.2}% (mean per query: untraced {:.1} us over {}, traced {:.1} us over {})",
-        overhead * 100.0,
-        plain.latencies.mean(),
-        plain.latencies.len(),
-        spanned.latencies.mean(),
-        spanned.latencies.len()
+        "gupbench: tracing overhead {:+.2}% (the query probes of {overhead_queries} queries, traced against untraced, interleaved A B B A per query)",
+        overhead * 100.0
     );
     eprintln!("gupbench: self time per span (traced run)");
     eprintln!(

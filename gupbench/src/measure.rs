@@ -2,10 +2,10 @@
 //! JSON result the benchmark prints last.
 
 use std::fmt::Write as _;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Samples of one quantity: latencies in µs, unless pushed raw with
-/// [`Samples::push_us`] (e.g. rates).
+/// [`Samples::push_value`] (e.g. rates).
 #[derive(Clone, Debug, Default)]
 pub struct Samples(Vec<f64>);
 
@@ -20,18 +20,6 @@ impl Samples {
 
     pub fn len(&self) -> usize {
         self.0.len()
-    }
-
-    pub fn sum(&self) -> f64 {
-        self.0.iter().sum()
-    }
-
-    pub fn mean(&self) -> f64 {
-        if self.0.is_empty() {
-            0.0
-        } else {
-            self.sum() / self.0.len() as f64
-        }
     }
 
     /// Nearest-rank percentile `p` in `[0, 100]` (0 when empty).
@@ -78,10 +66,31 @@ impl Samples {
     }
 }
 
-/// Set-up is repeated and reported as a median: at least 3 rounds, more
-/// while they total under half a second, at most 50.
-pub fn enough_setup_rounds(times: &Samples) -> bool {
-    times.len() >= 50 || (times.len() >= 3 && times.sum() >= 500_000.0)
+/// Timed set-up rounds: at least this many, and more until
+/// [`SETUP_MIN_TIME`] has passed, up to [`SETUP_MAX_ROUNDS`].
+const SETUP_MIN_ROUNDS: usize = 5;
+const SETUP_MIN_TIME: Duration = Duration::from_secs(4);
+const SETUP_MAX_ROUNDS: usize = 1000;
+
+/// Runs the program's set-up `round` repeatedly and returns the last result
+/// with the time of every timed round; `setup_s` is their median. A first,
+/// untimed round warms the allocator and the page tables. Rounds then run
+/// for a fixed span of time rather than a fixed count, so a moment of host
+/// stall moves few of them. Each round's result is dropped before the next
+/// round starts.
+pub fn repeat_setup<T, E>(mut round: impl FnMut() -> Result<T, E>) -> Result<(T, Samples), E> {
+    let mut last = round()?;
+    let mut times = Samples::default();
+    let start = Instant::now();
+    while times.len() < SETUP_MIN_ROUNDS
+        || (start.elapsed() < SETUP_MIN_TIME && times.len() < SETUP_MAX_ROUNDS)
+    {
+        drop(last);
+        let t = Instant::now();
+        last = round()?;
+        times.push(t.elapsed());
+    }
+    Ok((last, times))
 }
 
 /// Pins the calling thread to the CPU it runs on. A single-threaded workload
@@ -108,6 +117,23 @@ pub fn pin_to_current_cpu() {
     // SAFETY: `mask` is a live, initialized buffer of exactly the size passed,
     // the call only reads it, and pid 0 names the calling thread.
     let _ = unsafe { sched_setaffinity(0, std::mem::size_of_val(&mask), mask.as_ptr()) };
+}
+
+/// Returns the heap memory input generation freed to the system, then resets
+/// the process's resident-set high-water mark to its current resident set,
+/// so that [`peak_rss_mb`] counts the program's memory (and the generated
+/// inputs it holds), not the generator's. Best effort: where the kernel
+/// refuses the reset, the high-water mark still includes the generator's
+/// peak.
+pub fn reset_peak_rss() {
+    extern "C" {
+        fn malloc_trim(pad: usize) -> i32;
+    }
+    // SAFETY: `malloc_trim` takes no pointers; it only hands free heap pages
+    // back to the system.
+    unsafe { malloc_trim(0) };
+    // Writing "5" to `clear_refs` resets this process's `VmHWM` (Linux 4.0+).
+    let _ = std::fs::write("/proc/self/clear_refs", "5");
 }
 
 /// The process's resident-set high-water mark (`VmHWM`) in MiB.

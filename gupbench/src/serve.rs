@@ -5,8 +5,7 @@
 
 use crate::inputs::Inputs;
 use crate::library::{LoopStats, Traffic};
-use crate::measure::{enough_setup_rounds, Samples};
-use crate::trace::Tracer;
+use crate::measure::{repeat_setup, Samples};
 use gup::session::Session;
 use gup_graph::index_io::load_index_bytes;
 use gup_graph::{Graph, GraphDelta};
@@ -130,28 +129,26 @@ pub struct Running {
 }
 
 /// Loads the index from `bytes` and binds a 1-worker server over it with the
-/// default result cache, timing each round (the set-up cost), once or until
-/// [`enough_setup_rounds`]; the last server is started.
+/// default result cache (the set-up cost), then starts it. With `repeat`, in
+/// [`repeat_setup`] rounds whose times are returned; the last server runs.
 pub fn start(bytes: &[u8], repeat: bool) -> io::Result<(Running, Samples)> {
-    let mut times = Samples::default();
-    let mut server = None;
-    while server.is_none() || (repeat && !enough_setup_rounds(&times)) {
-        drop(server.take());
-        let t = Instant::now();
+    let round = || {
         let prepared = load_index_bytes(bytes).map_err(io::Error::other)?;
         let config = ServerConfig {
             workers: 1,
             ..ServerConfig::default()
         };
-        let bound = Server::bind(
+        Server::bind(
             "127.0.0.1:0",
             config,
             Session::from_prepared(Arc::new(prepared)),
-        )?;
-        times.push(t.elapsed());
-        server = Some(bound);
-    }
-    let server = server.expect("at least one set-up round");
+        )
+    };
+    let (server, times) = if repeat {
+        repeat_setup(round)?
+    } else {
+        (round()?, Samples::default())
+    };
     let addr = server.local_addr();
     let thread = std::thread::spawn(move || server.run());
     Ok((Running { addr, thread }, times))
@@ -178,7 +175,7 @@ impl Running {
 #[derive(Default)]
 pub struct StreamRun {
     pub traffic: Traffic,
-    /// Position in the cyclic delta script after the last batch sent.
+    /// Batches of the cyclic delta script sent, from its start.
     pub sent: usize,
     /// `stats` reply after the traffic ended.
     pub stats: String,
@@ -186,40 +183,27 @@ pub struct StreamRun {
 
 /// Drives serve-stream traffic for `budget`. Connection R runs the closed
 /// query loop over the inputs' queries; connection W watches the standing
-/// queries and sends the cyclic delta script, from position `first_delta`,
-/// on a fixed 20/s schedule, each batch timed from its due time. Spans go to
-/// `tracer` when one is given.
+/// queries and sends the cyclic delta script from its start on a fixed 20/s
+/// schedule, each batch timed from its due time.
 pub fn stream(
     addr: SocketAddr,
     inputs: &Inputs,
-    first_delta: usize,
     limit: u64,
     budget: Duration,
-    mut tracer: Option<&mut Tracer>,
 ) -> io::Result<StreamRun> {
-    let epoch = tracer.as_ref().map(|t| t.epoch());
     let (ready, watching) = mpsc::channel::<()>();
     std::thread::scope(|scope| {
-        let writer =
-            scope.spawn(move || delta_stream(addr, inputs, first_delta, budget, ready, epoch));
+        let writer = scope.spawn(move || delta_stream(addr, inputs, budget, ready));
         let mut r = Client::connect(addr)?;
         // An error here means the delta connection failed before it started.
         watching
             .recv()
             .map_err(|_| io::Error::other("delta connection failed to start"))?;
-        let (queries, pass_rates) = query_stream(
-            &mut r,
-            &inputs.queries,
-            &query_header(limit),
-            budget,
-            tracer.as_deref_mut(),
-        )?;
-        let (deltas, sent, writer_trace) = writer
+        let (queries, pass_rates) =
+            query_stream(&mut r, &inputs.queries, &query_header(limit), budget)?;
+        let (deltas, sent) = writer
             .join()
             .map_err(|_| io::Error::other("delta thread panicked"))??;
-        if let (Some(tr), Some(w)) = (tracer, writer_trace) {
-            tr.absorb(w);
-        }
         Ok(StreamRun {
             traffic: Traffic {
                 queries,
@@ -239,7 +223,6 @@ fn query_stream(
     queries: &[String],
     header: &str,
     budget: Duration,
-    mut tracer: Option<&mut Tracer>,
 ) -> io::Result<(LoopStats, Samples)> {
     let mut out = LoopStats::default();
     let mut pass_rates = Samples::default();
@@ -255,10 +238,7 @@ fn query_stream(
         }
         let body = &queries[qi];
         let t = Instant::now();
-        let reply = match tracer.as_deref_mut() {
-            Some(tr) => tr.span("wire.query", None, i, || r.query(header, body))?,
-            None => r.query(header, body)?,
-        };
+        let reply = r.query(header, body)?;
         out.latencies.push(t.elapsed());
         out.attempted += 1;
         if reply_count(&reply).is_none() {
@@ -284,21 +264,18 @@ fn query_stream(
 fn delta_stream(
     addr: SocketAddr,
     inputs: &Inputs,
-    first: usize,
     budget: Duration,
     ready: mpsc::Sender<()>,
-    epoch: Option<Instant>,
-) -> io::Result<(LoopStats, usize, Option<Tracer>)> {
+) -> io::Result<(LoopStats, usize)> {
     let mut w = Client::connect(addr)?;
     for body in &inputs.standing {
         w.watch(body)?;
     }
-    let mut trace = epoch.map(Tracer::new);
     let _ = ready.send(());
     let mut out = LoopStats::default();
     let start = Instant::now();
-    let mut sent = first;
-    for (j, body) in inputs.deltas.iter().cycle().skip(first).enumerate() {
+    let mut sent = 0;
+    for (j, body) in inputs.deltas.iter().cycle().enumerate() {
         let due = start + DELTA_GAP * j as u32;
         if due >= start + budget {
             break;
@@ -307,10 +284,7 @@ fn delta_stream(
             std::thread::sleep(wait);
         }
         out.late.push(Instant::now().saturating_duration_since(due));
-        let (reply, pushed) = match trace.as_mut() {
-            Some(tr) => tr.span("wire.delta", None, j as u64, || w.delta(body))?,
-            None => w.delta(body)?,
-        };
+        let (reply, pushed) = w.delta(body)?;
         out.latencies.push(Instant::now() - due);
         out.attempted += 1;
         if !reply.starts_with("ok delta") {
@@ -319,7 +293,7 @@ fn delta_stream(
         out.new_matches += pushed;
         sent += 1;
     }
-    Ok((out, sent, trace))
+    Ok((out, sent))
 }
 
 /// Sends every query once on `client` and returns the counts (`None` for a

@@ -32,6 +32,8 @@ struct Count {
 
 pub struct Tracer {
     epoch: Instant,
+    /// `false` for a tracer that records nothing (see [`Tracer::off`]).
+    on: bool,
     spans: Vec<Span>,
     counts: Vec<Count>,
 }
@@ -40,14 +42,20 @@ impl Tracer {
     pub fn new(epoch: Instant) -> Self {
         Tracer {
             epoch,
+            on: true,
             spans: Vec::new(),
             counts: Vec::new(),
         }
     }
 
-    /// The instant span times are measured from.
-    pub fn epoch(&self) -> Instant {
-        self.epoch
+    /// A tracer that records nothing: spans only run their closure. The same
+    /// probe code run with it is the untraced baseline that the tracing
+    /// overhead is measured against.
+    pub fn off() -> Self {
+        Tracer {
+            on: false,
+            ..Tracer::new(Instant::now())
+        }
     }
 
     fn now_ns(&self) -> u64 {
@@ -55,6 +63,9 @@ impl Tracer {
     }
 
     pub fn start(&mut self, name: &'static str, parent: Option<SpanId>, request: u64) -> SpanId {
+        if !self.on {
+            return SpanId(usize::MAX);
+        }
         let start_ns = self.now_ns();
         self.spans.push(Span {
             name,
@@ -67,6 +78,9 @@ impl Tracer {
     }
 
     pub fn end(&mut self, span: SpanId) {
+        if !self.on {
+            return;
+        }
         self.spans[span.0].end_ns = self.now_ns();
     }
 
@@ -78,6 +92,9 @@ impl Tracer {
         request: u64,
         f: impl FnOnce() -> T,
     ) -> T {
+        if !self.on {
+            return f();
+        }
         let id = self.start(name, parent, request);
         let out = f();
         self.end(id);
@@ -85,22 +102,14 @@ impl Tracer {
     }
 
     pub fn count(&mut self, name: &'static str, request: u64, value: f64) {
+        if !self.on {
+            return;
+        }
         self.counts.push(Count {
             name,
             request,
             value,
         });
-    }
-
-    /// Appends another tracer's records (spans of a second thread sharing the
-    /// same epoch).
-    pub fn absorb(&mut self, other: Tracer) {
-        let offset = self.spans.len();
-        self.spans.extend(other.spans.into_iter().map(|mut s| {
-            s.parent = s.parent.map(|p| p + offset);
-            s
-        }));
-        self.counts.extend(other.counts);
     }
 
     fn duration_ns(&self, i: usize) -> u64 {
@@ -185,5 +194,16 @@ mod tests {
         assert!(child_us >= 5000.0);
         assert!(root_us < child_us);
         assert_eq!(t.durations_us("root").len(), 1);
+    }
+
+    #[test]
+    fn an_off_tracer_runs_spans_and_records_nothing() {
+        let mut t = Tracer::off();
+        let root = t.start("root", None, 1);
+        assert_eq!(t.span("child", Some(root), 1, || 41 + 1), 42);
+        t.count("n", 1, 3.0);
+        t.end(root);
+        assert!(t.self_times().is_empty());
+        assert_eq!(t.count_total("n"), (0.0, 0));
     }
 }

@@ -60,7 +60,6 @@ impl BaselineKind {
         match self {
             // GraphQL performs its own local filtering but no DAG-DP refinement.
             BaselineKind::GqlStyle => FilterConfig {
-                use_nlf: true,
                 refinement_passes: 0,
             },
             _ => FilterConfig::default(),
@@ -124,37 +123,30 @@ impl std::fmt::Display for BaselineError {
 impl std::error::Error for BaselineError {}
 
 impl<const W: usize> BacktrackingBaseline<W> {
-    /// Builds the baseline matcher for `query` against `data`. Legacy one-shot
-    /// adapter: borrows `data` directly (no clone, no index build) and shares
-    /// everything after the initial filter pass with
-    /// [`BacktrackingBaseline::with_prepared`].
+    /// Builds the baseline matcher for `query` against `data`: prepares a private
+    /// index of `data` and builds through [`BacktrackingBaseline::with_prepared`].
     pub fn new(query: &Graph, data: &Graph, kind: BaselineKind) -> Result<Self, BaselineError> {
-        let validated = Self::validated_for_width(query)?;
-        let space = CandidateSpace::build(query, data, &kind.filter_config());
-        Ok(Self::from_parts(query, validated, space, kind))
+        Self::with_prepared(query, &PreparedData::from_graph(data), kind, None)
     }
 
     /// Builds the baseline matcher for `query` against a prepared data graph (the
     /// candidate space's NLF pass runs against the precomputed signature arena).
+    /// The candidate filter pass honors `deadline`: once it expires, construction
+    /// aborts with [`BaselineError::FilterTimeout`] instead of grinding through the
+    /// remaining filter work.
     pub fn with_prepared(
-        query: &Graph,
-        prepared: &PreparedData,
-        kind: BaselineKind,
-    ) -> Result<Self, BaselineError> {
-        Self::with_prepared_deadline(query, prepared, kind, None)
-    }
-
-    /// Like [`BacktrackingBaseline::with_prepared`], but the candidate filter pass
-    /// honors `deadline`: once it expires, construction aborts with
-    /// [`BaselineError::FilterTimeout`] instead of grinding through the remaining
-    /// filter work.
-    pub fn with_prepared_deadline(
         query: &Graph,
         prepared: &PreparedData,
         kind: BaselineKind,
         deadline: Option<Instant>,
     ) -> Result<Self, BaselineError> {
-        let validated = Self::validated_for_width(query)?;
+        // Global validation plus this width's capacity check
+        // (`QueryGraph::check_width`, the shared rule): a query wider than `64 * W`
+        // is a typed `TooLarge` error, never a wrapped bitmask.
+        let validated = QueryGraph::new(query.clone()).map_err(BaselineError::InvalidQuery)?;
+        validated
+            .check_width::<W>()
+            .map_err(BaselineError::InvalidQuery)?;
         let space = CandidateSpace::build_prepared_deadline(
             query,
             prepared,
@@ -162,27 +154,6 @@ impl<const W: usize> BacktrackingBaseline<W> {
             deadline,
         )
         .map_err(|_| BaselineError::FilterTimeout)?;
-        Ok(Self::from_parts(query, validated, space, kind))
-    }
-
-    /// Global validation plus this width's capacity check
-    /// (`QueryGraph::check_width`, the shared rule): a query wider than `64 * W`
-    /// is a typed `TooLarge` error, never a wrapped bitmask.
-    fn validated_for_width(query: &Graph) -> Result<QueryGraph, BaselineError> {
-        let validated = QueryGraph::new(query.clone()).map_err(BaselineError::InvalidQuery)?;
-        validated
-            .check_width::<W>()
-            .map_err(BaselineError::InvalidQuery)?;
-        Ok(validated)
-    }
-
-    /// Everything after the initial candidate filter, shared by both constructors.
-    fn from_parts(
-        query: &Graph,
-        validated: QueryGraph,
-        space: CandidateSpace,
-        kind: BaselineKind,
-    ) -> Self {
         let order = gup_order::compute_order(query, &space.candidate_sizes(), kind.ordering())
             .expect("validated queries are connected, so an order always exists");
         let ordered = validated
@@ -208,14 +179,14 @@ impl<const W: usize> BacktrackingBaseline<W> {
             }
             ancestors[i] = set;
         }
-        BacktrackingBaseline {
+        Ok(BacktrackingBaseline {
             kind,
             space,
             forward,
             ancestors,
             original_id: order,
             query_vertices: n,
-        }
+        })
     }
 
     /// The baseline family of this instance.

@@ -12,7 +12,7 @@
 
 use gup_graph::deadline::DeadlineSampler;
 use gup_graph::sink::{CollectAll, CountOnly, EmbeddingSink, SinkControl};
-use gup_graph::{Graph, PreparedData, VertexId};
+use gup_graph::{Graph, VertexId};
 use std::time::Instant;
 
 /// The shared sampling cadence (re-exported so existing oracle callers keep
@@ -41,29 +41,6 @@ pub fn count(query: &Graph, data: &Graph) -> u64 {
     let mut sink = CountOnly::new();
     enumerate_with_sink(query, data, &mut sink);
     sink.count()
-}
-
-/// Prepared-data counterpart of [`enumerate_with_sink`]: the oracle needs no index,
-/// so this simply enumerates over the prepared graph — it exists so that every
-/// engine in the workspace, oracle included, can be driven off one shared
-/// [`PreparedData`].
-pub fn enumerate_with_sink_prepared(
-    query: &Graph,
-    prepared: &PreparedData,
-    sink: &mut dyn EmbeddingSink,
-) {
-    enumerate_with_sink(query, prepared.graph(), sink);
-}
-
-/// Deadline-aware prepared-data enumeration: see
-/// [`enumerate_with_sink_deadline`]. Returns `true` when the deadline fired.
-pub fn enumerate_with_sink_prepared_deadline(
-    query: &Graph,
-    prepared: &PreparedData,
-    sink: &mut dyn EmbeddingSink,
-    deadline: Option<Instant>,
-) -> bool {
-    enumerate_with_sink_deadline(query, prepared.graph(), sink, deadline)
 }
 
 /// Streams every embedding of `query` in `data` into `sink` (original query-vertex

@@ -31,30 +31,17 @@ pub struct JoinBaseline {
 }
 
 impl JoinBaseline {
-    /// Builds the join baseline for `query` against `data`. Returns `None` if the
-    /// query is not usable (empty / disconnected / too large). Legacy one-shot
-    /// adapter: borrows `data` directly (no clone, no index build) and shares
-    /// everything after the initial filter pass with
-    /// [`JoinBaseline::with_prepared`].
+    /// Builds the join baseline for `query` against `data`: prepares a private
+    /// index of `data` and builds through [`JoinBaseline::with_prepared`]. Returns
+    /// `None` if the query is not usable (empty / disconnected / too large).
     pub fn new(query: &Graph, data: &Graph, order: OrderingStrategy) -> Option<Self> {
-        let validated = QueryGraph::new(query.clone()).ok()?;
-        let space = CandidateSpace::build(query, data, &FilterConfig::default());
-        Some(Self::from_parts(query, validated, space, order))
+        Self::with_prepared(query, &PreparedData::from_graph(data), order, None).ok()
     }
 
-    /// Builds the join baseline for `query` against a prepared data graph.
+    /// Builds the join baseline for `query` against a prepared data graph. The
+    /// candidate filter pass honors `deadline`: once it expires, construction
+    /// aborts with [`BaselineError::FilterTimeout`].
     pub fn with_prepared(
-        query: &Graph,
-        prepared: &PreparedData,
-        order: OrderingStrategy,
-    ) -> Result<Self, BaselineError> {
-        Self::with_prepared_deadline(query, prepared, order, None)
-    }
-
-    /// Like [`JoinBaseline::with_prepared`], but the candidate filter pass honors
-    /// `deadline`: once it expires, construction aborts with
-    /// [`BaselineError::FilterTimeout`].
-    pub fn with_prepared_deadline(
         query: &Graph,
         prepared: &PreparedData,
         order: OrderingStrategy,
@@ -68,16 +55,6 @@ impl JoinBaseline {
             deadline,
         )
         .map_err(|_| BaselineError::FilterTimeout)?;
-        Ok(Self::from_parts(query, validated, space, order))
-    }
-
-    /// Everything after the initial candidate filter, shared by both constructors.
-    fn from_parts(
-        query: &Graph,
-        validated: QueryGraph,
-        space: CandidateSpace,
-        order: OrderingStrategy,
-    ) -> Self {
         let order = gup_order::compute_order(query, &space.candidate_sizes(), order)
             .expect("validated queries are connected, so an order always exists");
         // The join enumerator never touches the bitset views, so it always uses the
@@ -91,12 +68,12 @@ impl JoinBaseline {
         let backward = (0..n)
             .map(|i| ordered.backward_neighbors(i).to_vec())
             .collect();
-        JoinBaseline {
+        Ok(JoinBaseline {
             space,
             query_vertices: n,
             backward,
             original_id: order,
-        }
+        })
     }
 
     /// Runs the join and reports embeddings / intermediate-result counts. Thin

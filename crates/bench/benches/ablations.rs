@@ -2,7 +2,7 @@
 //! reservation size limit and each guard family affect the search on a fixed query.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gup::{GupConfig, GupMatcher, PruningFeatures, SearchLimits};
+use gup::{GupConfig, GupMatcher, PreparedData, PruningFeatures, SearchLimits};
 use gup_workloads::{generate_query_set, Dataset, QueryClass, QuerySetSpec};
 use std::time::Duration;
 
@@ -27,6 +27,8 @@ fn bench_feature_ablation(c: &mut Criterion) {
     };
     let queries = generate_query_set(&data, spec, 1, 11);
     let Some(query) = queries.first() else { return };
+    // Prepared outside the measured region, so no sample times a graph clone.
+    let prepared = PreparedData::new(data);
     let mut group = c.benchmark_group("feature_ablation_16D");
     group.sample_size(15);
     for features in [
@@ -42,7 +44,7 @@ fn bench_feature_ablation(c: &mut Criterion) {
             |b, q| {
                 let cfg = config_with(features, Some(3));
                 b.iter(|| {
-                    GupMatcher::<1>::new(q, &data, cfg.clone())
+                    GupMatcher::<1>::with_prepared(q, &prepared, cfg.clone())
                         .unwrap()
                         .run()
                         .embedding_count()
@@ -61,6 +63,7 @@ fn bench_reservation_size(c: &mut Criterion) {
     };
     let queries = generate_query_set(&data, spec, 1, 13);
     let Some(query) = queries.first() else { return };
+    let prepared = PreparedData::new(data);
     let mut group = c.benchmark_group("reservation_size_16S");
     group.sample_size(15);
     for (label, r) in [
@@ -73,7 +76,7 @@ fn bench_reservation_size(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(label), query, |b, q| {
             let cfg = config_with(PruningFeatures::RESERVATION_ONLY, r);
             b.iter(|| {
-                GupMatcher::<1>::new(q, &data, cfg.clone())
+                GupMatcher::<1>::with_prepared(q, &prepared, cfg.clone())
                     .unwrap()
                     .run()
                     .embedding_count()

@@ -1,25 +1,19 @@
-//! Query-set throughput: one shared `PreparedData` session versus cold per-query
-//! construction, on Yeast-analogue query sets — the criterion-grade counterpart of
-//! the batch-mode numbers in EXPERIMENTS.md ("Prepared-session reference numbers").
+//! Query-set throughput of one shared `PreparedData` session on Yeast-analogue
+//! query sets — the criterion-grade counterpart of the batch-mode numbers in
+//! EXPERIMENTS.md ("Prepared-session reference numbers"). The signature index is
+//! built once outside the measured region; each iteration (`prepared`) runs the
+//! whole query set through `Session::run_batch`.
 //!
-//! * `cold` — the legacy one-shot path (`GupMatcher::new` per query): borrows the
-//!   data graph and re-runs the neighbor-rescan NLF filter for every query, exactly
-//!   as every caller did before the session redesign (minus its per-candidate
-//!   allocation, which is fixed on both paths).
-//! * `prepared` — the session path: the signature index is built once outside the
-//!   measured region; each iteration runs the whole query set through
-//!   `Session::run_batch`.
-//!
-//! Two instances: the plain Yeast analogue (71 labels — filtering is cheap, so the
-//! two paths are close) and a **hard-mode** variant with labels coarsened to 4
+//! Three instances: the plain Yeast analogue (71 labels — filtering is cheap), a
+//! **hard-mode** variant with labels coarsened to 4
 //! (`gup_workloads::coarsen_labels`, same trick as the Figure-10 experiment), where
 //! candidate sets per label are large and the NLF pass dominates — the regime the
-//! signature arena exists for.
+//! signature arena exists for — and one 128-vertex query on the two-word bitset
+//! path.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gup::session::Session;
-use gup::sink::CountOnly;
-use gup::{GupConfig, GupMatcher, SearchLimits};
+use gup::{GupConfig, SearchLimits};
 use gup_graph::Graph;
 use gup_workloads::{
     coarsen_labels, embed_in_host, generate_query_set, large_connected_query, Dataset,
@@ -31,9 +25,8 @@ fn query_set_config(embedding_limit: u64) -> GupConfig {
     GupConfig {
         limits: SearchLimits {
             // Embedding caps alone bound the work: a time limit would be hoisted
-            // into ONE deadline shared by the whole batch on the prepared arm while
-            // the cold arm restarts its budget per query — unequal budgets would
-            // let truncation masquerade as speedup on a slow machine.
+            // into ONE deadline shared by the whole batch, so on a slow machine
+            // truncation could masquerade as throughput.
             max_embeddings: Some(embedding_limit),
             ..SearchLimits::UNLIMITED
         },
@@ -41,36 +34,18 @@ fn query_set_config(embedding_limit: u64) -> GupConfig {
     }
 }
 
-/// `W` is the query-vertex bitset word count the cold arm dispatches at
-/// (`Session::run_batch` picks its own width per query): 1 for ≤64-vertex
-/// queries, 2 for the 128-vertex case.
-fn bench_instance<const W: usize>(
+fn bench_instance(
     c: &mut Criterion,
     group_name: &str,
     data: &Graph,
     queries: &[Graph],
     embedding_limit: u64,
 ) {
-    let config = query_set_config(embedding_limit);
     let mut group = c.benchmark_group(group_name);
     group.sample_size(10);
     group.measurement_time(Duration::from_secs(5));
 
-    group.bench_function(BenchmarkId::from_parameter("cold"), |b| {
-        b.iter(|| {
-            let mut total = 0u64;
-            for query in queries {
-                let mut sink = CountOnly::new();
-                GupMatcher::<W>::new(query, data, config.clone())
-                    .unwrap()
-                    .run_with_sink(&mut sink);
-                total += sink.count();
-            }
-            total
-        });
-    });
-
-    let session = Session::new(data.clone()).with_defaults(config.clone());
+    let session = Session::new(data.clone()).with_defaults(query_set_config(embedding_limit));
     group.bench_function(BenchmarkId::from_parameter("prepared"), |b| {
         b.iter(|| session.run_batch(queries).total_embeddings());
     });
@@ -89,7 +64,7 @@ fn bench_session_throughput(c: &mut Criterion) {
         !queries.is_empty(),
         "workload generator produced no queries"
     );
-    bench_instance::<1>(c, "query_set_8S", &data, &queries, 100_000);
+    bench_instance(c, "query_set_8S", &data, &queries, 100_000);
 
     // Hard mode: few labels → large per-label candidate sets → the NLF filter is
     // the hot path. A paper-style answer cap (the "first 1000 matches" serving
@@ -97,7 +72,7 @@ fn bench_session_throughput(c: &mut Criterion) {
     // amortizes.
     let coarse_data = coarsen_labels(&data, 4);
     let coarse_queries: Vec<Graph> = queries.iter().map(|q| coarsen_labels(q, 4)).collect();
-    bench_instance::<1>(
+    bench_instance(
         c,
         "query_set_8S_coarse4",
         &coarse_data,
@@ -107,8 +82,7 @@ fn bench_session_throughput(c: &mut Criterion) {
 
     // 128-vertex query: the two-word (Qv128) bitset path, a planted occurrence
     // in a decoy-padded host. One query is the whole "set" — what the session
-    // amortizes here is the signature index over the host graph, which the cold
-    // path rebuilds on every iteration.
+    // amortizes here is the signature index over the host graph.
     let spec = LargeQuerySpec {
         vertices: 128,
         labels: 8,
@@ -117,7 +91,7 @@ fn bench_session_throughput(c: &mut Criterion) {
     };
     let big_query = large_connected_query(&spec);
     let host = embed_in_host(&big_query, 4096, 2026);
-    bench_instance::<2>(
+    bench_instance(
         c,
         "query_128v",
         &host,

@@ -371,13 +371,10 @@ pub fn table3(config: &SuiteConfig) -> String {
     out
 }
 
-/// **Figure 10** — parallel scalability of three schedulers:
+/// **Figure 10** — parallel scalability of two schedulers:
 ///
 /// * **work-stealing** — the current driver (`gup::parallel`): recursive frame
 ///   splitting, one persistent engine (and guard store) per worker;
-/// * **legacy root-split** — the repository's previous driver, frozen here as a
-///   comparator: workers dynamically claim one root candidate at a time and build a
-///   **fresh engine per claim**, throwing away all accumulated nogood guards;
 /// * **DAF-style static** — one contiguous root chunk per thread, no re-balancing
 ///   (the scheduling the paper attributes to DAF, §4.3.4).
 ///
@@ -385,9 +382,8 @@ pub fn table3(config: &SuiteConfig) -> String {
 /// labels make every query microsecond-trivial at laptop scale, see
 /// `gup_workloads::coarsen_labels`) with seed-pinned 10-vertex sparse queries and a
 /// paper-style per-query time limit. Reports, per thread count: average wall-clock
-/// per query for each scheduler, the average and mean per-query speedup of
-/// work-stealing over the legacy driver, and the steal/split counters of the
-/// work-stealing runs.
+/// per query for each scheduler and the steal/split counters of the work-stealing
+/// runs.
 pub fn fig10(config: &SuiteConfig, max_threads: usize) -> String {
     let data = gup_workloads::coarsen_labels(&config.data_graph(Dataset::Yeast), 5);
     let spec = QuerySetSpec {
@@ -462,13 +458,12 @@ pub fn fig10(config: &SuiteConfig, max_threads: usize) -> String {
     thread_counts.retain(|&t| t <= max_threads.max(1));
     writeln!(
         out,
-        "{:<18} {:>8} {:>14} {:>10} {:>11} {:>8} {:>8}",
-        "scheduler", "threads", "avg time [ms]", "vs legacy", "mean/query", "splits", "steals"
+        "{:<18} {:>8} {:>14} {:>8} {:>8}",
+        "scheduler", "threads", "avg time [ms]", "splits", "steals"
     )
     .unwrap();
     for &threads in &thread_counts {
         let mut stealing_ms = Vec::new();
-        let mut legacy_ms = Vec::new();
         let mut static_ms = Vec::new();
         let (mut splits, mut steals) = (0u64, 0u64);
         for query in &kept {
@@ -477,7 +472,7 @@ pub fn fig10(config: &SuiteConfig, max_threads: usize) -> String {
                 continue;
             };
             // Best of two runs per scheduler, to damp scheduling noise evenly.
-            let mut best = [f64::INFINITY; 3];
+            let mut best = [f64::INFINITY; 2];
             for rep in 0..2 {
                 let start = Instant::now();
                 let result = matcher.run_parallel(threads);
@@ -490,42 +485,21 @@ pub fn fig10(config: &SuiteConfig, max_threads: usize) -> String {
                 }
 
                 let start = Instant::now();
-                run_legacy_root_split(&matcher, threads);
-                best[1] = best[1].min(start.elapsed().as_secs_f64() * 1000.0);
-
-                let start = Instant::now();
                 run_static_partition(&matcher, threads);
-                best[2] = best[2].min(start.elapsed().as_secs_f64() * 1000.0);
+                best[1] = best[1].min(start.elapsed().as_secs_f64() * 1000.0);
             }
             stealing_ms.push(best[0]);
-            legacy_ms.push(best[1]);
-            static_ms.push(best[2]);
+            static_ms.push(best[1]);
         }
         let avg = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
-        let mean_ratio = stealing_ms
-            .iter()
-            .zip(&legacy_ms)
-            .map(|(s, l)| l / s.max(1e-9))
-            .sum::<f64>()
-            / stealing_ms.len().max(1) as f64;
         writeln!(
             out,
-            "{:<18} {:>8} {:>14.2} {:>10.2} {:>11.2} {:>8} {:>8}",
+            "{:<18} {:>8} {:>14.2} {:>8} {:>8}",
             "work-stealing",
             threads,
             avg(&stealing_ms),
-            avg(&legacy_ms) / avg(&stealing_ms).max(1e-9),
-            mean_ratio,
             splits,
             steals
-        )
-        .unwrap();
-        writeln!(
-            out,
-            "{:<18} {:>8} {:>14.2}",
-            "legacy root-split",
-            threads,
-            avg(&legacy_ms)
         )
         .unwrap();
         writeln!(
@@ -538,58 +512,6 @@ pub fn fig10(config: &SuiteConfig, max_threads: usize) -> String {
         .unwrap();
     }
     out
-}
-
-/// The repository's previous parallel driver, frozen as the Figure-10 comparator:
-/// dynamic root-candidate claiming through a shared cursor, with a **fresh engine
-/// (and fresh, empty nogood-guard stores) per claimed root candidate** and an
-/// always-shared embedding counter. Every cost the work-stealing rewrite removed is
-/// preserved here on purpose.
-fn run_legacy_root_split(matcher: &GupMatcher, threads: usize) -> u64 {
-    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-    use std::sync::{Arc, Mutex};
-    let gcs = matcher.gcs();
-    let config = matcher.config();
-    let root_candidates = gcs.space().candidates(0).len();
-    if root_candidates == 0 {
-        return 0;
-    }
-    let cursor = AtomicUsize::new(0);
-    let shared = Arc::new(AtomicU64::new(0));
-    let total = Mutex::new(0u64);
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(root_candidates).max(1) {
-            let cursor = &cursor;
-            let total = &total;
-            let shared = Arc::clone(&shared);
-            let config = config.clone();
-            scope.spawn(move || {
-                let mut local = 0u64;
-                loop {
-                    // Relaxed: work distribution needs only the fetch_add's
-                    // atomicity — each index is handed out exactly once, and no
-                    // other memory rides on the cursor.
-                    let next = cursor.fetch_add(1, Ordering::Relaxed);
-                    if next >= root_candidates {
-                        break;
-                    }
-                    if let Some(max) = config.limits.max_embeddings {
-                        // Relaxed: advisory early exit; the limit is enforced by
-                        // the shared reservation counter inside the engines.
-                        if shared.load(Ordering::Relaxed) >= max {
-                            break;
-                        }
-                    }
-                    let mut engine = gup::SearchEngine::new(gcs, &config);
-                    engine.restrict_root(next, next + 1);
-                    engine.share_embedding_counter(Arc::clone(&shared));
-                    local += engine.run().stats.embeddings;
-                }
-                *total.lock().unwrap() += local;
-            });
-        }
-    });
-    total.into_inner().unwrap()
 }
 
 /// Static root partition: split `C(u_0)` into `threads` contiguous chunks and give one

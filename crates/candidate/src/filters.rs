@@ -6,16 +6,11 @@
 //!   `l`, `v` must have at least as many label-`l` neighbors as `u` does. The paper's
 //!   running example removes `v13` from `C(u0)` this way (§2.1).
 //!
-//! The NLF test comes in two flavors:
-//!
-//! * the **prepared** path ([`nlf_candidates_prepared`]) compares the query vertex's
-//!   sparse [`NlfProfile`] against the signature arena a [`PreparedData`] built once
-//!   for the data graph — no neighbor rescans, no per-candidate allocation, and a
-//!   per-label max-NLF bound that rejects unsatisfiable query vertices before any
-//!   candidate is scanned;
-//! * the **legacy** path ([`nlf_candidates`]) rescans data-side neighbor lists but
-//!   reuses one scratch buffer across all candidates of a query vertex (it used to
-//!   allocate a fresh `Vec` per candidate).
+//! NLF ([`nlf_candidates_prepared`]) compares the query vertex's sparse
+//! [`NlfProfile`] against the signature arena a [`PreparedData`] built once for the
+//! data graph: no neighbor rescans, no per-candidate allocation, and a per-label
+//! max-NLF bound that rejects unsatisfiable query vertices before any candidate is
+//! scanned.
 
 use gup_graph::deadline::{DeadlineExceeded, DeadlineSampler};
 use gup_graph::{Graph, Label, PreparedData, VertexId};
@@ -48,78 +43,9 @@ pub fn ldf_candidates_sampled(
     Ok(out)
 }
 
-/// Returns `true` if data vertex `v` passes the NLF test against query vertex `u`:
-/// for every label, `v` has at least as many neighbors with that label as `u`.
-pub fn nlf_filter(query: &Graph, data: &Graph, u: VertexId, v: VertexId) -> bool {
-    // Query graphs are tiny, so recomputing the query profile per call would be cheap,
-    // but callers that filter many data vertices should use `nlf_candidates` (or the
-    // prepared-path equivalents, which never rescan neighbors at all).
-    let q_profile = query.neighborhood_label_frequency(u);
-    let mut scratch = Vec::with_capacity(q_profile.len());
-    nlf_filter_with_scratch(&q_profile, data, v, &mut scratch)
-}
-
-/// The legacy NLF test against a dense query profile. `scratch` is a caller-owned
-/// buffer reused across candidates: after its first use it never reallocates, so
-/// filtering `n` candidates performs zero per-candidate heap allocation.
-fn nlf_filter_with_scratch(
-    q_profile: &[u32],
-    data: &Graph,
-    v: VertexId,
-    scratch: &mut Vec<u32>,
-) -> bool {
-    // Count data-side neighbor labels lazily, bailing out as soon as the query's
-    // requirements are all met (labels are dense).
-    let mut deficit: usize = q_profile.iter().map(|&c| c as usize).sum();
-    if deficit == 0 {
-        return true;
-    }
-    scratch.clear();
-    scratch.extend_from_slice(q_profile);
-    for &w in data.neighbors(v) {
-        let l = data.label(w) as usize;
-        if l < scratch.len() && scratch[l] > 0 {
-            scratch[l] -= 1;
-            deficit -= 1;
-            if deficit == 0 {
-                return true;
-            }
-        }
-    }
-    false
-}
-
-/// Computes the LDF+NLF candidate set of query vertex `u` (sorted by data-vertex id).
-pub fn nlf_candidates(query: &Graph, data: &Graph, u: VertexId) -> Vec<VertexId> {
-    nlf_candidates_sampled(query, data, u, &mut DeadlineSampler::new(None))
-        .expect("a sampler without a deadline never expires")
-}
-
-/// Deadline-aware [`nlf_candidates`]: `sampler` ticks once per candidate examined
-/// (each examination scans one neighbor list), keeping the overshoot past a tight
-/// budget bounded by a constant amount of work.
-pub fn nlf_candidates_sampled(
-    query: &Graph,
-    data: &Graph,
-    u: VertexId,
-    sampler: &mut DeadlineSampler,
-) -> Result<Vec<VertexId>, DeadlineExceeded> {
-    let q_profile = query.neighborhood_label_frequency(u);
-    let mut scratch = Vec::with_capacity(q_profile.len());
-    let mut out = Vec::new();
-    for v in ldf_candidates_sampled(query, data, u, sampler)? {
-        sampler.tick()?;
-        if nlf_filter_with_scratch(&q_profile, data, v, &mut scratch) {
-            out.push(v);
-        }
-    }
-    Ok(out)
-}
-
 /// A query vertex's NLF requirements in sparse form: parallel label/count slices,
 /// labels sorted ascending and distinct. Built once per query vertex and compared
-/// against the data graph's precomputed signature arena — the prepared-path
-/// counterpart of the dense profile the legacy filter rescans neighbors for.
+/// against the data graph's precomputed signature arena.
 #[derive(Clone, Debug, Default)]
 pub struct NlfProfile {
     labels: Vec<Label>,
@@ -167,19 +93,16 @@ impl NlfProfile {
     }
 }
 
-/// The NLF test on the prepared path: an allocation-free signature comparison
-/// between the query vertex's sparse profile and data vertex `v`'s precomputed
-/// signature.
+/// The NLF test: an allocation-free signature comparison between the query
+/// vertex's sparse profile and data vertex `v`'s precomputed signature.
 #[inline]
 pub fn nlf_filter_prepared(profile: &NlfProfile, prepared: &PreparedData, v: VertexId) -> bool {
     prepared.signature_covers(v, &profile.labels, &profile.counts)
 }
 
 /// Computes the LDF+NLF candidate set of query vertex `u` against a prepared data
-/// graph (sorted by data-vertex id). Produces exactly the same set as
-/// [`nlf_candidates`] on the underlying graph, but compares precomputed signatures
-/// instead of rescanning neighbor lists, and short-circuits to empty when the
-/// max-NLF bound proves no candidate can exist.
+/// graph (sorted by data-vertex id), short-circuiting to empty when the max-NLF
+/// bound proves no candidate can exist.
 pub fn nlf_candidates_prepared(
     query: &Graph,
     prepared: &PreparedData,
@@ -226,6 +149,25 @@ mod tests {
         gup_graph::fixtures::paper_example()
     }
 
+    /// LDF+NLF candidates of `u`, with `data` prepared on the spot.
+    fn nlf(query: &Graph, data: &Graph, u: VertexId) -> Vec<VertexId> {
+        nlf_candidates_prepared(query, &PreparedData::from_graph(data), u)
+    }
+
+    /// NLF by definition: for every label, `v` has at least as many neighbors with
+    /// that label as `u` does. Counts neighbor labels directly.
+    fn nlf_by_definition(query: &Graph, data: &Graph, u: VertexId, v: VertexId) -> bool {
+        let labels = query.label_count().max(data.label_count());
+        let mut need = vec![0i64; labels];
+        for &w in query.neighbors(u) {
+            need[query.label(w) as usize] += 1;
+        }
+        for &w in data.neighbors(v) {
+            need[data.label(w) as usize] -= 1;
+        }
+        need.iter().all(|&n| n <= 0)
+    }
+
     #[test]
     fn ldf_matches_labels_and_degree() {
         let (query, data) = figure1();
@@ -249,7 +191,7 @@ mod tests {
     fn nlf_removes_vertices_missing_neighbor_labels() {
         let (query, data) = figure1();
         // Paper §2.1: v13 is removed from C(u0) because it has no label-B neighbor.
-        let with_nlf = nlf_candidates(&query, &data, 0);
+        let with_nlf = nlf(&query, &data, 0);
         assert!(!with_nlf.contains(&13));
         assert!(with_nlf.contains(&0));
         assert!(with_nlf.contains(&1));
@@ -258,8 +200,10 @@ mod tests {
     #[test]
     fn nlf_filter_individual() {
         let (query, data) = figure1();
-        assert!(nlf_filter(&query, &data, 0, 0));
-        assert!(!nlf_filter(&query, &data, 0, 13));
+        let prepared = PreparedData::from_graph(&data);
+        let profile = NlfProfile::of(&query, 0);
+        assert!(nlf_filter_prepared(&profile, &prepared, 0));
+        assert!(!nlf_filter_prepared(&profile, &prepared, 13));
     }
 
     #[test]
@@ -267,7 +211,7 @@ mod tests {
         let query = graph_from_edges(&[4], &[]);
         let data = graph_from_edges(&[4, 4], &[(0, 1)]);
         // No neighbor requirements at all.
-        assert_eq!(nlf_candidates(&query, &data, 0), vec![0, 1]);
+        assert_eq!(nlf(&query, &data, 0), vec![0, 1]);
     }
 
     #[test]
@@ -276,12 +220,12 @@ mod tests {
         let query = graph_from_edges(&[0, 1, 1], &[(0, 1), (0, 2)]);
         // v0 has two label-1 neighbors, v3 has only one (v4).
         let data = graph_from_edges(&[0, 1, 1, 0, 1], &[(0, 1), (0, 2), (3, 4), (3, 1)]);
-        let c = nlf_candidates(&query, &data, 0);
+        let c = nlf(&query, &data, 0);
         assert_eq!(c, vec![0, 3]); // v3 has neighbors v4(label1) and v1(label1): passes
 
         // Remove one of v3's label-1 neighbors and it must fail.
         let data2 = graph_from_edges(&[0, 1, 1, 0, 1], &[(0, 1), (0, 2), (3, 4)]);
-        let c2 = nlf_candidates(&query, &data2, 0);
+        let c2 = nlf(&query, &data2, 0);
         assert_eq!(c2, vec![0]);
     }
 
@@ -289,7 +233,7 @@ mod tests {
     fn candidates_are_sorted() {
         let (query, data) = figure1();
         for u in query.vertices() {
-            let c = nlf_candidates(&query, &data, u);
+            let c = nlf(&query, &data, u);
             let mut sorted = c.clone();
             sorted.sort_unstable();
             assert_eq!(c, sorted);
@@ -301,30 +245,32 @@ mod tests {
         let query = graph_from_edges(&[9], &[]);
         let data = graph_from_edges(&[0, 1], &[(0, 1)]);
         assert!(ldf_candidates(&query, &data, 0).is_empty());
-        assert!(nlf_candidates(&query, &data, 0).is_empty());
+        assert!(nlf(&query, &data, 0).is_empty());
     }
 
     #[test]
-    fn prepared_path_agrees_with_legacy_on_every_query_vertex() {
+    fn signature_filter_agrees_with_the_nlf_definition() {
         let (query, data) = figure1();
-        let prepared = gup_graph::PreparedData::from_graph(&data);
-        for u in query.vertices() {
-            assert_eq!(
-                nlf_candidates(&query, &data, u),
-                nlf_candidates_prepared(&query, &prepared, u),
-                "query vertex {u}"
-            );
-        }
-        // Individual filter agreement too.
+        let prepared = PreparedData::from_graph(&data);
         for u in query.vertices() {
             let profile = NlfProfile::of(&query, u);
             for v in data.vertices() {
                 assert_eq!(
-                    nlf_filter(&query, &data, u, v),
+                    nlf_by_definition(&query, &data, u, v),
                     nlf_filter_prepared(&profile, &prepared, v),
                     "u={u} v={v}"
                 );
             }
+            // The candidate set is LDF filtered by that same definition.
+            let expected: Vec<VertexId> = ldf_candidates(&query, &data, u)
+                .into_iter()
+                .filter(|&v| nlf_by_definition(&query, &data, u, v))
+                .collect();
+            assert_eq!(
+                nlf_candidates_prepared(&query, &prepared, u),
+                expected,
+                "u={u}"
+            );
         }
     }
 
@@ -338,10 +284,9 @@ mod tests {
         let profile = NlfProfile::of(&query, 0);
         assert!(profile.unsatisfiable_in(&prepared));
         assert!(nlf_candidates_prepared(&query, &prepared, 0).is_empty());
-        assert_eq!(
-            nlf_candidates(&query, &data, 0),
-            nlf_candidates_prepared(&query, &prepared, 0)
-        );
+        assert!(data
+            .vertices()
+            .all(|v| !nlf_by_definition(&query, &data, 0, v)));
     }
 
     #[test]

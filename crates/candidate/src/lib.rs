@@ -9,7 +9,8 @@
 //! provides that substrate:
 //!
 //! * [`filters`] — the classic per-vertex filters: label-and-degree filtering (LDF,
-//!   Ullmann) and neighborhood label frequency filtering (NLF).
+//!   Ullmann) and neighborhood label frequency filtering (NLF) against a prepared
+//!   data graph's signature arena.
 //! * [`dag`] — a query DAG (BFS-rooted at the most selective query vertex), the shape
 //!   over which the dynamic-programming refinement runs.
 //! * [`space`] — [`CandidateSpace`]: candidate-vertex sets `C(u_i)` for every query
@@ -18,12 +19,14 @@
 //!
 //! ```
 //! use gup_graph::builder::graph_from_edges;
+//! use gup_graph::PreparedData;
 //! use gup_candidate::{CandidateSpace, FilterConfig};
 //!
 //! // Data: a labeled square with a diagonal; query: a labeled triangle.
 //! let data = graph_from_edges(&[0, 1, 0, 1], &[(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]);
 //! let query = graph_from_edges(&[0, 1, 0], &[(0, 1), (1, 2), (2, 0)]);
-//! let cs = CandidateSpace::build(&query, &data, &FilterConfig::default());
+//! let prepared = PreparedData::new(data);
+//! let cs = CandidateSpace::build_prepared(&query, &prepared, &FilterConfig::default());
 //! assert!(!cs.any_empty());
 //! // Query vertex 1 (label 1) can only be data vertex 1 or 3.
 //! assert_eq!(cs.candidates(1), &[1, 3]);
@@ -35,9 +38,8 @@ pub mod space;
 
 pub use dag::QueryDag;
 pub use filters::{
-    ldf_candidates, ldf_candidates_sampled, nlf_candidates, nlf_candidates_prepared,
-    nlf_candidates_prepared_sampled, nlf_candidates_sampled, nlf_filter, nlf_filter_prepared,
-    NlfProfile,
+    ldf_candidates, ldf_candidates_sampled, nlf_candidates_prepared,
+    nlf_candidates_prepared_sampled, nlf_filter_prepared, NlfProfile,
 };
 pub use gup_graph::deadline::{DeadlineExceeded, DeadlineSampler};
 pub use space::{CandidateSpace, FilterConfig};

@@ -1,9 +1,11 @@
 //! The candidate space: candidate-vertex sets plus candidate edges.
 //!
 //! This is the auxiliary structure (a *CS* in DAF's terminology, §2.1/§3.1 of the GuP
-//! paper) that backtracking runs over. Construction:
+//! paper) that backtracking runs over. Construction, always against a prepared data
+//! graph:
 //!
-//! 1. initial candidates via LDF + NLF,
+//! 1. initial candidates via LDF + NLF (a signature comparison against the
+//!    [`PreparedData`] arena),
 //! 2. DAG-graph-DP-style refinement: alternating bottom-up / top-down passes over a
 //!    query DAG remove candidates that cannot be extended towards every DAG child
 //!    (resp. parent),
@@ -13,9 +15,7 @@
 //!    hot loop.
 
 use crate::dag::QueryDag;
-use crate::filters::{
-    ldf_candidates_sampled, nlf_candidates_prepared_sampled, nlf_candidates_sampled,
-};
+use crate::filters::nlf_candidates_prepared_sampled;
 use gup_graph::deadline::{DeadlineExceeded, DeadlineSampler};
 use gup_graph::{Graph, PreparedData, VertexId};
 use std::time::Instant;
@@ -23,8 +23,6 @@ use std::time::Instant;
 /// Configuration of the candidate-space construction.
 #[derive(Clone, Debug)]
 pub struct FilterConfig {
-    /// Apply the NLF filter on top of LDF for the initial candidate sets.
-    pub use_nlf: bool,
     /// Number of refinement passes over the query DAG (each pass = one bottom-up and
     /// one top-down sweep). DAF/VEQ use a small constant; 3 is the common default.
     pub refinement_passes: usize,
@@ -33,7 +31,6 @@ pub struct FilterConfig {
 impl Default for FilterConfig {
     fn default() -> Self {
         FilterConfig {
-            use_nlf: true,
             refinement_passes: 3,
         }
     }
@@ -46,8 +43,8 @@ type EdgeAdjacency = (Vec<Vec<u32>>, Vec<Vec<u32>>);
 /// Candidate-vertex sets and candidate edges for a (query, data) pair.
 ///
 /// Query vertices are indexed by their id in the query graph passed to
-/// [`CandidateSpace::build`]; use [`CandidateSpace::permuted`] to re-index the space
-/// into a matching order.
+/// [`CandidateSpace::build_prepared`]; use [`CandidateSpace::permuted`] to re-index
+/// the space into a matching order.
 #[derive(Clone, Debug)]
 pub struct CandidateSpace {
     query_vertex_count: usize,
@@ -65,56 +62,18 @@ pub struct CandidateSpace {
 }
 
 impl CandidateSpace {
-    /// Builds the candidate space for `query` against `data`.
-    ///
-    /// The per-vertex filters rescan data-side neighbor lists (with one reused
-    /// scratch buffer); batched workloads should prepare the data graph once and use
-    /// [`CandidateSpace::build_prepared`], whose NLF pass is a signature comparison
-    /// against the precomputed arena. Both constructors produce identical spaces.
-    pub fn build(query: &Graph, data: &Graph, config: &FilterConfig) -> Self {
-        Self::build_deadline(query, data, config, None)
-            .expect("construction without a deadline cannot time out")
-    }
-
-    /// Deadline-aware [`CandidateSpace::build`]: the whole construction — initial
-    /// per-vertex filters, DAG-DP refinement, and candidate-edge materialization —
-    /// samples `deadline` at a work-bounded cadence
-    /// ([`gup_graph::deadline::DEADLINE_CHECK_INTERVAL`] small work units per clock
-    /// read) and returns the typed [`DeadlineExceeded`] instead of overrunning a
-    /// tight budget before the search even starts.
-    pub fn build_deadline(
-        query: &Graph,
-        data: &Graph,
-        config: &FilterConfig,
-        deadline: Option<Instant>,
-    ) -> Result<Self, DeadlineExceeded> {
-        let n = query.vertex_count();
-        let mut sampler = DeadlineSampler::new(deadline);
-        sampler.check()?;
-        // Step 1: per-vertex filters (legacy neighbor-rescan path).
-        let mut candidates: Vec<Vec<VertexId>> = Vec::with_capacity(n);
-        for u in 0..n as VertexId {
-            candidates.push(if config.use_nlf {
-                nlf_candidates_sampled(query, data, u, &mut sampler)?
-            } else {
-                ldf_candidates_sampled(query, data, u, &mut sampler)?
-            });
-        }
-        Self::finish(query, data, config, candidates, sampler)
-    }
-
-    /// Builds the candidate space for `query` against a prepared data graph: the
-    /// initial NLF pass compares precomputed signatures instead of rescanning
-    /// neighbor lists (and rejects unsatisfiable query vertices via the max-NLF
-    /// bound); refinement and candidate-edge materialization are shared with
-    /// [`CandidateSpace::build`].
+    /// Builds the candidate space for `query` against a prepared data graph.
     pub fn build_prepared(query: &Graph, prepared: &PreparedData, config: &FilterConfig) -> Self {
         Self::build_prepared_deadline(query, prepared, config, None)
             .expect("construction without a deadline cannot time out")
     }
 
-    /// Deadline-aware [`CandidateSpace::build_prepared`]; see
-    /// [`CandidateSpace::build_deadline`] for the sampling contract.
+    /// Deadline-aware [`CandidateSpace::build_prepared`]: the whole construction —
+    /// initial per-vertex filters, DAG-DP refinement, and candidate-edge
+    /// materialization — samples `deadline` at a work-bounded cadence
+    /// ([`gup_graph::deadline::DEADLINE_CHECK_INTERVAL`] small work units per clock
+    /// read) and returns the typed [`DeadlineExceeded`] instead of overrunning a
+    /// tight budget before the search even starts.
     pub fn build_prepared_deadline(
         query: &Graph,
         prepared: &PreparedData,
@@ -125,28 +84,17 @@ impl CandidateSpace {
         let data = prepared.graph();
         let mut sampler = DeadlineSampler::new(deadline);
         sampler.check()?;
+        // Step 1: per-vertex filters.
         let mut candidates: Vec<Vec<VertexId>> = Vec::with_capacity(n);
         for u in 0..n as VertexId {
-            candidates.push(if config.use_nlf {
-                nlf_candidates_prepared_sampled(query, prepared, u, &mut sampler)?
-            } else {
-                ldf_candidates_sampled(query, data, u, &mut sampler)?
-            });
+            candidates.push(nlf_candidates_prepared_sampled(
+                query,
+                prepared,
+                u,
+                &mut sampler,
+            )?);
         }
-        Self::finish(query, data, config, candidates, sampler)
-    }
 
-    /// Steps 2 and 3, shared by both constructors: DAG-graph-DP refinement of the
-    /// initial candidate sets, then candidate-edge materialization. Continues the
-    /// constructor's deadline sampling through both phases.
-    fn finish(
-        query: &Graph,
-        data: &Graph,
-        config: &FilterConfig,
-        mut candidates: Vec<Vec<VertexId>>,
-        mut sampler: DeadlineSampler,
-    ) -> Result<Self, DeadlineExceeded> {
-        let n = query.vertex_count();
         // Step 2: DAG-graph-DP refinement.
         if n > 1 && config.refinement_passes > 0 {
             let sizes: Vec<usize> = candidates.iter().map(Vec::len).collect();
@@ -154,7 +102,6 @@ impl CandidateSpace {
             let mut membership = Membership::new(data.vertex_count(), &candidates);
             for _ in 0..config.refinement_passes {
                 let changed_up = refine_pass(
-                    query,
                     data,
                     &dag,
                     &mut candidates,
@@ -163,7 +110,6 @@ impl CandidateSpace {
                     &mut sampler,
                 )?;
                 let changed_down = refine_pass(
-                    query,
                     data,
                     &dag,
                     &mut candidates,
@@ -188,9 +134,8 @@ impl CandidateSpace {
         for (eid, &(a, b)) in edges.iter().enumerate() {
             edge_lookup[a * n + b] = eid as u32 + 1;
             edge_lookup[b * n + a] = eid as u32 + 1;
-            // Index of each data vertex within candidates[b] / candidates[a].
+            // Index of each data vertex within candidates[b].
             let index_b = index_map(data.vertex_count(), &candidates[b]);
-            let index_a = index_map(data.vertex_count(), &candidates[a]);
             let mut forward: Vec<Vec<u32>> = vec![Vec::new(); candidates[a].len()];
             let mut backward: Vec<Vec<u32>> = vec![Vec::new(); candidates[b].len()];
             for (ia, &va) in candidates[a].iter().enumerate() {
@@ -202,7 +147,6 @@ impl CandidateSpace {
                     }
                 }
             }
-            let _ = index_a;
             for list in backward.iter_mut() {
                 list.sort_unstable();
             }
@@ -418,7 +362,6 @@ impl Membership {
 /// each pair scans one neighbor list — so a refinement pass over a large candidate
 /// set observes a tight deadline mid-sweep.
 fn refine_pass(
-    _query: &Graph,
     data: &Graph,
     dag: &QueryDag,
     candidates: &mut [Vec<VertexId>],
@@ -477,9 +420,14 @@ mod tests {
         graph_from_edges(&[0, 1, 0, 1, 1], &[(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
     }
 
+    /// Builds the candidate space with `data` prepared on the spot.
+    fn build(query: &Graph, data: &Graph, config: &FilterConfig) -> CandidateSpace {
+        CandidateSpace::build_prepared(query, &PreparedData::from_graph(data), config)
+    }
+
     #[test]
     fn build_produces_expected_candidates() {
-        let cs = CandidateSpace::build(&triangle_query(), &square_data(), &FilterConfig::default());
+        let cs = build(&triangle_query(), &square_data(), &FilterConfig::default());
         assert_eq!(cs.query_vertex_count(), 3);
         assert_eq!(cs.candidates(0), &[0, 2]);
         assert_eq!(cs.candidates(2), &[0, 2]);
@@ -491,38 +439,10 @@ mod tests {
     }
 
     #[test]
-    fn without_refinement_more_candidates_survive() {
-        let cfg = FilterConfig {
-            use_nlf: false,
-            refinement_passes: 0,
-        };
-        let cs = CandidateSpace::build(&triangle_query(), &square_data(), &cfg);
-        // LDF alone keeps v1 and v3 for query vertex 1 (both label 1, degree 2).
-        assert_eq!(cs.candidates(1), &[1, 3]);
-    }
-
-    #[test]
-    fn nlf_tightens_initial_candidates() {
-        let no_nlf = FilterConfig {
-            use_nlf: false,
-            refinement_passes: 0,
-        };
-        let with_nlf = FilterConfig {
-            use_nlf: true,
-            refinement_passes: 0,
-        };
-        let q = triangle_query();
-        let d = square_data();
-        let a = CandidateSpace::build(&q, &d, &no_nlf);
-        let b = CandidateSpace::build(&q, &d, &with_nlf);
-        assert!(b.total_candidates() <= a.total_candidates());
-    }
-
-    #[test]
     fn adjacency_lists_are_consistent_with_data_edges() {
         let q = triangle_query();
         let d = square_data();
-        let cs = CandidateSpace::build(&q, &d, &FilterConfig::default());
+        let cs = build(&q, &d, &FilterConfig::default());
         for (a, b) in q.edges() {
             let (a, b) = (a as usize, b as usize);
             for (ia, &va) in cs.candidates(a).iter().enumerate() {
@@ -547,13 +467,13 @@ mod tests {
         // Path query 0-1-2: vertices 0 and 2 are not adjacent.
         let q = graph_from_edges(&[0, 1, 0], &[(0, 1), (1, 2)]);
         let d = square_data();
-        let cs = CandidateSpace::build(&q, &d, &FilterConfig::default());
+        let cs = build(&q, &d, &FilterConfig::default());
         let _ = cs.adjacent_candidates(0, 0, 2);
     }
 
     #[test]
     fn candidate_index_lookup() {
-        let cs = CandidateSpace::build(&triangle_query(), &square_data(), &FilterConfig::default());
+        let cs = build(&triangle_query(), &square_data(), &FilterConfig::default());
         assert_eq!(cs.candidate_index(0, 2), Some(1));
         assert_eq!(cs.candidate_index(0, 3), None);
     }
@@ -562,47 +482,49 @@ mod tests {
     fn empty_candidate_set_detected() {
         // Query label 9 does not exist in the data.
         let q = graph_from_edges(&[9, 1], &[(0, 1)]);
-        let cs = CandidateSpace::build(&q, &square_data(), &FilterConfig::default());
+        let cs = build(&q, &square_data(), &FilterConfig::default());
         assert!(cs.any_empty());
         assert_eq!(cs.candidates(0), &[] as &[u32]);
     }
 
     #[test]
     fn refinement_prunes_unextendable_candidates() {
-        // Query: path A-B-C. Data: one complete A-B-C chain (v0-v1-v2), plus an
-        // A-B-A chain (v3-v4-v5) whose middle vertex has no C neighbor. LDF alone keeps
-        // v4 as a candidate of the middle query vertex; DAG refinement removes it (and
-        // then cascades to v3, v5).
-        let q = graph_from_edges(&[0, 1, 2], &[(0, 1), (1, 2)]);
-        let d = graph_from_edges(&[0, 1, 2, 0, 1, 0], &[(0, 1), (1, 2), (3, 4), (4, 5)]);
-        let unrefined = CandidateSpace::build(
+        // Query: path A-B-C-D. Data: one complete A-B-C-D chain (v0-v1-v2-v3), plus
+        // an A-B-C stub (v4-v5-v6) whose C vertex has no D neighbor. NLF keeps v5 as
+        // a candidate of the B query vertex (it has an A and a C neighbor) but drops
+        // v6; DAG refinement then removes v5, which has no surviving C neighbor.
+        let q = graph_from_edges(&[0, 1, 2, 3], &[(0, 1), (1, 2), (2, 3)]);
+        let d = graph_from_edges(
+            &[0, 1, 2, 3, 0, 1, 2],
+            &[(0, 1), (1, 2), (2, 3), (4, 5), (5, 6)],
+        );
+        let unrefined = build(
             &q,
             &d,
             &FilterConfig {
-                use_nlf: false,
                 refinement_passes: 0,
             },
         );
-        assert_eq!(unrefined.candidates(1), &[1, 4]);
-        assert_eq!(unrefined.candidates(0), &[0, 3, 5]);
-        let refined = CandidateSpace::build(
+        assert_eq!(unrefined.candidates(1), &[1, 5]);
+        assert_eq!(unrefined.candidates(2), &[2]);
+        let refined = build(
             &q,
             &d,
             &FilterConfig {
-                use_nlf: false,
                 refinement_passes: 3,
             },
         );
         assert_eq!(refined.candidates(1), &[1]);
         assert_eq!(refined.candidates(0), &[0]);
         assert_eq!(refined.candidates(2), &[2]);
+        assert_eq!(refined.candidates(3), &[3]);
     }
 
     #[test]
     fn permuted_space_reindexes_consistently() {
         let q = triangle_query();
         let d = square_data();
-        let cs = CandidateSpace::build(&q, &d, &FilterConfig::default());
+        let cs = build(&q, &d, &FilterConfig::default());
         let order = [2u32, 0, 1];
         let p = cs.permuted(&order);
         // New vertex 0 is old vertex 2.
@@ -623,49 +545,22 @@ mod tests {
     }
 
     #[test]
-    fn build_prepared_equals_build() {
-        let cases = [
-            (triangle_query(), square_data()),
-            gup_graph::fixtures::paper_example(),
-        ];
-        for (q, d) in &cases {
-            let prepared = gup_graph::PreparedData::from_graph(d);
-            for use_nlf in [false, true] {
-                for passes in [0, 3] {
-                    let cfg = FilterConfig {
-                        use_nlf,
-                        refinement_passes: passes,
-                    };
-                    let a = CandidateSpace::build(q, d, &cfg);
-                    let b = CandidateSpace::build_prepared(q, &prepared, &cfg);
-                    for u in 0..a.query_vertex_count() {
-                        assert_eq!(a.candidates(u), b.candidates(u), "nlf={use_nlf} u={u}");
-                    }
-                    assert_eq!(a.total_candidate_edges(), b.total_candidate_edges());
-                }
-            }
-        }
-    }
-
-    #[test]
     fn expired_deadline_aborts_construction() {
         let q = triangle_query();
-        let d = square_data();
         let cfg = FilterConfig::default();
         let past = Some(Instant::now() - std::time::Duration::from_millis(1));
-        assert!(CandidateSpace::build_deadline(&q, &d, &cfg, past).is_err());
-        let prepared = gup_graph::PreparedData::from_graph(&d);
+        let prepared = PreparedData::from_graph(&square_data());
         assert!(CandidateSpace::build_prepared_deadline(&q, &prepared, &cfg, past).is_err());
     }
 
     #[test]
     fn generous_deadline_changes_nothing() {
         let q = triangle_query();
-        let d = square_data();
         let cfg = FilterConfig::default();
         let future = Some(Instant::now() + std::time::Duration::from_secs(3600));
-        let a = CandidateSpace::build(&q, &d, &cfg);
-        let b = CandidateSpace::build_deadline(&q, &d, &cfg, future).unwrap();
+        let prepared = PreparedData::from_graph(&square_data());
+        let a = CandidateSpace::build_prepared(&q, &prepared, &cfg);
+        let b = CandidateSpace::build_prepared_deadline(&q, &prepared, &cfg, future).unwrap();
         for u in 0..a.query_vertex_count() {
             assert_eq!(a.candidates(u), b.candidates(u));
         }
@@ -674,14 +569,14 @@ mod tests {
 
     #[test]
     fn heap_bytes_positive() {
-        let cs = CandidateSpace::build(&triangle_query(), &square_data(), &FilterConfig::default());
+        let cs = build(&triangle_query(), &square_data(), &FilterConfig::default());
         assert!(cs.heap_bytes() > 0);
     }
 
     #[test]
     fn paper_figure1_candidate_space() {
         let (q, d) = gup_graph::fixtures::paper_example();
-        let cs = CandidateSpace::build(&q, &d, &FilterConfig::default());
+        let cs = build(&q, &d, &FilterConfig::default());
         // v13 must not be a candidate of u0 (NLF, §2.1 of the paper).
         assert!(!cs.candidates(0).contains(&13));
         assert!(!cs.any_empty());

@@ -91,9 +91,6 @@ pub struct SearchLimits {
     pub max_embeddings: Option<u64>,
     /// Stop after this wall-clock duration (`None` = unlimited).
     pub time_limit: Option<Duration>,
-    /// Stop after this many recursive calls (`None` = unlimited). A robustness valve
-    /// for tests and CI; the paper uses only the two limits above.
-    pub max_recursions: Option<u64>,
     /// Absolute deadline. When set it takes precedence over `time_limit`; the
     /// parallel driver hoists `time_limit` into a deadline once so that per-worker
     /// engines reused across many tasks share one clock instead of restarting their
@@ -106,18 +103,8 @@ impl SearchLimits {
     pub const UNLIMITED: SearchLimits = SearchLimits {
         max_embeddings: None,
         time_limit: None,
-        max_recursions: None,
         deadline: None,
     };
-
-    /// The paper's defaults: 10^5 embeddings, one hour per query.
-    pub fn paper_defaults() -> Self {
-        SearchLimits {
-            max_embeddings: Some(100_000),
-            time_limit: Some(Duration::from_secs(3600)),
-            ..SearchLimits::UNLIMITED
-        }
-    }
 
     /// The absolute deadline of a search starting now: `deadline` when set,
     /// otherwise now + `time_limit`.
@@ -136,32 +123,6 @@ impl Default for SearchLimits {
     }
 }
 
-/// Knobs of the work-stealing parallel driver (§3.5.2 of the paper: recursive
-/// subtree splitting with work stealing).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ParallelConfig {
-    /// Only search frames at depth `< max_split_depth` may be split off and donated
-    /// to idle workers. Shallow frames make the biggest tasks; deep splits produce
-    /// tiny tasks whose replay overhead outweighs the balancing benefit.
-    pub max_split_depth: usize,
-    /// Steal granularity: a frame is only split when at least this many unexplored
-    /// sibling candidates remain in it (half of them are donated).
-    pub min_split_candidates: usize,
-    /// Number of root-level chunks seeded per worker before the search starts; work
-    /// stealing rebalances from there.
-    pub seed_chunks_per_worker: usize,
-}
-
-impl Default for ParallelConfig {
-    fn default() -> Self {
-        ParallelConfig {
-            max_split_depth: 32,
-            min_split_candidates: 2,
-            seed_chunks_per_worker: 4,
-        }
-    }
-}
-
 /// Full configuration of a GuP matcher instance.
 #[derive(Clone, Debug)]
 pub struct GupConfig {
@@ -176,8 +137,6 @@ pub struct GupConfig {
     pub features: PruningFeatures,
     /// Early-termination limits.
     pub limits: SearchLimits,
-    /// Work-stealing knobs of the parallel driver.
-    pub parallel: ParallelConfig,
     /// Whether found embeddings are materialized (`true`) or only counted (`false`).
     pub collect_embeddings: bool,
 }
@@ -190,7 +149,6 @@ impl Default for GupConfig {
             reservation_size_limit: Some(3),
             features: PruningFeatures::ALL,
             limits: SearchLimits::default(),
-            parallel: ParallelConfig::default(),
             collect_embeddings: false,
         }
     }
@@ -244,8 +202,6 @@ mod tests {
         assert_eq!(cfg.features, PruningFeatures::ALL);
         assert_eq!(cfg.limits.max_embeddings, Some(100_000));
         assert!(!cfg.collect_embeddings);
-        let paper = SearchLimits::paper_defaults();
-        assert_eq!(paper.time_limit, Some(Duration::from_secs(3600)));
     }
 
     #[test]
@@ -273,13 +229,5 @@ mod tests {
             ..SearchLimits::UNLIMITED
         };
         assert_eq!(hoisted.effective_deadline(), Some(fixed));
-    }
-
-    #[test]
-    fn parallel_defaults_are_sane() {
-        let p = ParallelConfig::default();
-        assert!(p.min_split_candidates >= 2);
-        assert!(p.max_split_depth > 0);
-        assert!(p.seed_chunks_per_worker >= 1);
     }
 }

@@ -63,35 +63,26 @@ pub struct Gcs<const W: usize = 1> {
 }
 
 impl<const W: usize> Gcs<W> {
-    /// Builds the GCS for `query` against `data` under `config`. Legacy one-shot
-    /// adapter: shares every step with [`Gcs::build_prepared`] except the initial
-    /// filter pass, which runs the borrow-based scratch-buffer variant so that a
-    /// single query never pays a data-graph clone or index build. Batched callers
-    /// should prepare once ([`PreparedData`]) and share it across queries; both
-    /// paths produce identical spaces (pinned by `tests/session.rs`).
-    pub fn build(query: &Graph, data: &Graph, config: &GupConfig) -> Result<Self, GupError> {
-        let validated = Self::validated_for_width(query)?;
-        // The filter pass honors the hoisted absolute deadline (when one is set) at
-        // a work-bounded cadence, so a tight budget cannot be blown before the
-        // search starts. `time_limit` alone is not hoisted here: its clock has
-        // always started at the search, and the session layer (which owns the
-        // end-to-end budget) hoists it into `deadline` before building.
-        let space =
-            CandidateSpace::build_deadline(query, data, &config.filter, config.limits.deadline)
-                .map_err(|_| GupError::FilterTimeout)?;
-        Self::assemble(query, validated, data.vertex_count(), space, config)
-    }
-
     /// Builds the GCS for `query` against a prepared data graph under `config`:
     /// candidate filtering (against the precomputed signature arena), matching-order
     /// optimization, re-indexing of the candidate space into the order, and
-    /// reservation-guard generation.
+    /// reservation-guard generation. The filter pass honors the hoisted absolute
+    /// deadline (`config.limits.deadline`, when one is set) at a work-bounded
+    /// cadence, so a tight budget cannot be blown before the search starts.
+    /// `time_limit` alone is not hoisted here: its clock has always started at the
+    /// search, and the session layer (which owns the end-to-end budget) hoists it
+    /// into `deadline` before building.
     pub fn build_prepared(
         query: &Graph,
         prepared: &PreparedData,
         config: &GupConfig,
     ) -> Result<Self, GupError> {
-        let validated = Self::validated_for_width(query)?;
+        // Global validation plus this width's bitset capacity check: a query wider
+        // than `64 * W` is a typed `TooLarge` error (with the width's own limit)
+        // rather than a panic deeper in the bitmask arithmetic. The session layer
+        // dispatches to a sufficient width before ever reaching this check.
+        let validated = QueryGraph::new(query.clone())?;
+        validated.check_width::<W>()?;
         let space = CandidateSpace::build_prepared_deadline(
             query,
             prepared,
@@ -99,39 +90,9 @@ impl<const W: usize> Gcs<W> {
             config.limits.deadline,
         )
         .map_err(|_| GupError::FilterTimeout)?;
-        Self::assemble(
-            query,
-            validated,
-            prepared.graph().vertex_count(),
-            space,
-            config,
-        )
-    }
-
-    /// Validates `query` both globally ([`QueryGraph::new`]) and against this
-    /// instantiation's bitset capacity ([`QueryGraph::check_width`]), so a query
-    /// wider than `64 * W` is a typed [`QueryGraphError::TooLarge`] (with the
-    /// width's own limit) rather than a panic deeper in the bitmask arithmetic.
-    /// The session layer dispatches to a sufficient width before ever reaching
-    /// this check.
-    fn validated_for_width(query: &Graph) -> Result<QueryGraph, GupError> {
-        let validated = QueryGraph::new(query.clone())?;
-        validated.check_width::<W>()?;
-        Ok(validated)
-    }
-
-    /// Everything after query validation and the initial candidate filter, shared by
-    /// both constructors: matching-order optimization, re-indexing into the order,
-    /// and reservation-guard generation.
-    fn assemble(
-        query: &Graph,
-        validated: QueryGraph,
-        data_vertex_count: usize,
-        space: CandidateSpace,
-        config: &GupConfig,
-    ) -> Result<Self, GupError> {
+        let data_vertex_count = prepared.graph().vertex_count();
         let order = gup_order::compute_order(query, &space.candidate_sizes(), config.ordering)
-            // gup-lint: allow(panic_freedom) QueryGraph validation has already rejected disconnected queries on every path into assemble
+            // gup-lint: allow(panic_freedom) QueryGraph validation above has already rejected disconnected queries
             .expect("validated queries are connected, so an order always exists");
         let ordered = validated
             .with_order::<W>(&order)
@@ -261,9 +222,13 @@ mod tests {
     use crate::config::{GupConfig, PruningFeatures};
     use gup_graph::fixtures;
 
+    fn build(query: &Graph, data: &Graph, config: &GupConfig) -> Result<Gcs, GupError> {
+        Gcs::<1>::build_prepared(query, &PreparedData::from_graph(data), config)
+    }
+
     fn paper_gcs(config: &GupConfig) -> Gcs {
         let (q, d) = fixtures::paper_example();
-        Gcs::<1>::build(&q, &d, config).unwrap()
+        build(&q, &d, config).unwrap()
     }
 
     #[test]
@@ -282,7 +247,7 @@ mod tests {
     fn build_rejects_invalid_queries() {
         let (_q, d) = fixtures::paper_example();
         let disconnected = gup_graph::builder::graph_from_edges(&[0, 0, 0, 0], &[(0, 1), (2, 3)]);
-        let err = Gcs::<1>::build(&disconnected, &d, &GupConfig::default()).unwrap_err();
+        let err = build(&disconnected, &d, &GupConfig::default()).unwrap_err();
         assert!(matches!(
             err,
             GupError::InvalidQuery(QueryGraphError::Disconnected)
@@ -324,7 +289,7 @@ mod tests {
         let (_q, d) = fixtures::paper_example();
         // A query label that the data graph does not contain.
         let q = gup_graph::builder::graph_from_edges(&[9, 9], &[(0, 1)]);
-        let gcs = Gcs::<1>::build(&q, &d, &GupConfig::default()).unwrap();
+        let gcs = build(&q, &d, &GupConfig::default()).unwrap();
         assert!(gcs.is_empty());
     }
 

@@ -27,7 +27,8 @@
 //!
 //! The front door is the prepared-data session model ([`session`]): the data graph
 //! is indexed **once** and every query — through any engine family — reuses that
-//! index. One-shot helpers remain as thin adapters.
+//! index. The one-shot helpers prepare a private index per call and run the same
+//! path.
 //!
 //! ```
 //! use gup::session::{Engine, Session};
@@ -49,7 +50,7 @@
 //!     .unwrap();
 //! assert_eq!(outcome.embeddings.len(), 2);
 //!
-//! // One-shot adapter: same machinery, no per-call clone or index build.
+//! // One-shot helper: prepares `data` for this call only, then the same path.
 //! let result = find_embeddings(&query, &data).unwrap();
 //! assert!(result.embedding_count() >= 1);
 //! ```
@@ -103,7 +104,7 @@ pub mod stats;
 /// everything, or a callback — decides how much work is done and what is allocated.
 pub use gup_graph::sink;
 
-pub use config::{GupConfig, ParallelConfig, PruningFeatures, SearchLimits};
+pub use config::{GupConfig, PruningFeatures, SearchLimits};
 pub use gcs::{Gcs, GupError};
 pub use guards::{NogoodRef, ReservationGuard};
 pub use gup_graph::{PreparedData, QVSet, Qv128, Qv256, Qv64, MAX_QUERY_VERTICES};

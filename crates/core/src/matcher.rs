@@ -42,24 +42,16 @@ pub struct GupMatcher<const W: usize = 1> {
 }
 
 impl<const W: usize> GupMatcher<W> {
-    /// Builds the matcher (GCS construction + reservation-guard generation) for
-    /// `query` against `data`. Legacy one-shot adapter: borrows `data` directly (no
-    /// clone, no index build — the filter pass rescans neighbors with a reused
-    /// scratch buffer) and shares everything downstream with
-    /// [`GupMatcher::with_prepared`]. Batched workloads should prepare once — see
-    /// [`crate::session`].
+    /// Builds the matcher for `query` against `data`: prepares a private index of
+    /// `data` and builds through [`GupMatcher::with_prepared`]. Batched workloads
+    /// should prepare once — see [`crate::session`].
     pub fn new(query: &Graph, data: &Graph, config: GupConfig) -> Result<Self, GupError> {
-        let gcs = Gcs::build(query, data, &config)?;
-        Ok(GupMatcher {
-            gcs,
-            config,
-            prepared_index_bytes: 0,
-        })
+        Self::with_prepared(query, &PreparedData::from_graph(data), config)
     }
 
-    /// Builds the matcher for `query` against a prepared data graph: candidate
-    /// filtering runs against the precomputed signature arena, and nothing
-    /// per-data-graph is rebuilt.
+    /// Builds the matcher (GCS construction + reservation-guard generation) for
+    /// `query` against a prepared data graph: candidate filtering runs against the
+    /// precomputed signature arena, and nothing per-data-graph is rebuilt.
     pub fn with_prepared(
         query: &Graph,
         prepared: &PreparedData,

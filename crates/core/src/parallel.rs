@@ -187,7 +187,7 @@ pub fn run_parallel_with_sink<const W: usize>(
     let buffer_embeddings = sink.wants_embeddings();
 
     let coordinator = Coordinator::new(workers);
-    coordinator.seed(seed_tasks(root_candidates, workers, &config));
+    coordinator.seed(seed_tasks(root_candidates, workers));
     // The shared counter exists to enforce the global embedding limit; without a
     // limit every worker counts purely locally — one atomic RMW per embedding on a
     // single cache line would otherwise dominate enumeration-heavy runs.
@@ -250,11 +250,13 @@ struct WorkerResult {
     embeddings: Vec<Vec<VertexId>>,
 }
 
+/// Number of root-level chunks seeded per worker before the search starts.
+const SEED_CHUNKS_PER_WORKER: usize = 4;
+
 /// Splits the root candidate range into a few contiguous chunks per worker. Work
 /// stealing rebalances from there, so the exact chunking only affects startup.
-fn seed_tasks(root_candidates: usize, workers: usize, config: &GupConfig) -> Vec<SearchTask> {
-    let per_worker = config.parallel.seed_chunks_per_worker.max(1);
-    let chunks = root_candidates.min(workers * per_worker);
+fn seed_tasks(root_candidates: usize, workers: usize) -> Vec<SearchTask> {
+    let chunks = root_candidates.min(workers * SEED_CHUNKS_PER_WORKER);
     let chunk = root_candidates.div_ceil(chunks);
     (0..chunks)
         .map(|i| {
@@ -293,8 +295,6 @@ fn worker_loop<const W: usize>(
         hungry: Arc::clone(&coordinator.hungry),
         queued: Arc::clone(&coordinator.queued),
         sink: Arc::clone(&coordinator.deques[me]),
-        max_split_depth: config.parallel.max_split_depth,
-        min_split_candidates: config.parallel.min_split_candidates,
     });
 
     let mut idle_spins = 0u32;
@@ -369,7 +369,8 @@ mod tests {
     use gup_graph::generate::{power_law_graph, PowerLawConfig};
 
     fn build(query: &gup_graph::Graph, data: &gup_graph::Graph, cfg: &GupConfig) -> Gcs {
-        Gcs::<1>::build(query, data, cfg).unwrap()
+        let prepared = gup_graph::PreparedData::from_graph(data);
+        Gcs::<1>::build_prepared(query, &prepared, cfg).unwrap()
     }
 
     #[test]

@@ -214,11 +214,12 @@ mod tests {
     use super::*;
     use gup_candidate::{CandidateSpace, FilterConfig};
     use gup_graph::fixtures::paper_example;
-    use gup_graph::QueryGraph;
+    use gup_graph::{PreparedData, QueryGraph};
 
     fn paper_setup() -> (OrderedQuery, CandidateSpace, usize) {
         let (q, d) = paper_example();
-        let cs = CandidateSpace::build(&q, &d, &FilterConfig::default());
+        let prepared = PreparedData::from_graph(&d);
+        let cs = CandidateSpace::build_prepared(&q, &prepared, &FilterConfig::default());
         let query = QueryGraph::new(q).unwrap();
         // Identity order: the paper's own numbering u0..u4 is already connected.
         let order: Vec<u32> = (0..query.vertex_count() as u32).collect();

@@ -76,11 +76,16 @@ pub struct SplitHandle {
     /// The owning worker's deque; donated frames are pushed to its back, thieves
     /// steal from its front (shallowest frame first).
     pub sink: Arc<Mutex<VecDeque<SearchTask>>>,
-    /// Frames at depth `>= max_split_depth` are never donated.
-    pub max_split_depth: usize,
-    /// Minimum unexplored siblings a frame needs before it may be split.
-    pub min_split_candidates: usize,
 }
+
+/// Only search frames at depth `< MAX_SPLIT_DEPTH` may be split off and donated to
+/// idle workers. Shallow frames make the biggest tasks; deep splits produce tiny
+/// tasks whose replay overhead outweighs the balancing benefit.
+const MAX_SPLIT_DEPTH: usize = 32;
+
+/// Steal granularity: a frame is only split when at least this many unexplored
+/// sibling candidates remain in it (half of them are donated).
+const MIN_SPLIT_CANDIDATES: usize = 2;
 
 /// Result of exploring one extension / partial embedding.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -545,10 +550,10 @@ impl<'a, const W: usize> SearchEngine<'a, W> {
     }
 
     /// When idle workers outnumber queued tasks, splits the shallowest splittable
-    /// active frame (depth `task_base..min(depth, max_split_depth)`) and donates the
+    /// active frame (depth `task_base..min(depth, MAX_SPLIT_DEPTH)`) and donates the
     /// unexplored half of its sibling range as a new task.
     fn maybe_donate(&mut self, depth: usize) {
-        let (hungry, queued, min_split, max_split) = match &self.split {
+        let (hungry, queued) = match &self.split {
             Some(s) => (
                 // Relaxed: scheduling hints only. A stale read can at worst delay
                 // or skip one donation; task hand-off itself is published by the
@@ -556,20 +561,18 @@ impl<'a, const W: usize> SearchEngine<'a, W> {
                 // gates worker shutdown.
                 s.hungry.load(Ordering::Relaxed),
                 s.queued.load(Ordering::Relaxed),
-                s.min_split_candidates.max(2),
-                s.max_split_depth,
             ),
             None => return,
         };
         if hungry <= queued {
             return;
         }
-        for d in self.task_base..depth.min(max_split) {
+        for d in self.task_base..depth.min(MAX_SPLIT_DEPTH) {
             let pos = self.frame_pos[d];
             let hi = self.frame_hi[d];
             // Candidates after the one whose subtree is currently being explored.
             let rest = hi.saturating_sub(pos + 1);
-            if rest < min_split {
+            if rest < MIN_SPLIT_CANDIDATES {
                 continue;
             }
             let give = rest - rest / 2;
@@ -821,12 +824,6 @@ impl<'a, const W: usize> SearchEngine<'a, W> {
             self.stats.hit_embedding_limit = true;
             return true;
         }
-        if let Some(max) = self.limits.max_recursions {
-            if self.stats.recursions >= max {
-                self.stats.hit_recursion_limit = true;
-                return true;
-            }
-        }
         // One clock read per DEADLINE_CHECK_INTERVAL recursions, via the shared
         // work-bounded sampler (sticky once expired — correct for an absolute
         // deadline that outlives individual tasks of a reused engine).
@@ -846,8 +843,13 @@ mod tests {
     use gup_graph::builder::graph_from_edges;
     use gup_graph::fixtures;
 
+    fn build(query: &gup_graph::Graph, data: &gup_graph::Graph, config: &GupConfig) -> Gcs {
+        let prepared = gup_graph::PreparedData::from_graph(data);
+        Gcs::<1>::build_prepared(query, &prepared, config).unwrap()
+    }
+
     fn run(query: &gup_graph::Graph, data: &gup_graph::Graph, config: &GupConfig) -> SearchOutcome {
-        let gcs = Gcs::<1>::build(query, data, config).unwrap();
+        let gcs = build(query, data, config);
         SearchEngine::new(&gcs, config).run()
     }
 
@@ -856,7 +858,7 @@ mod tests {
         let (q, d) = fixtures::paper_example();
         let mut cfg = GupConfig::collecting();
         cfg.limits = SearchLimits::UNLIMITED;
-        let gcs = Gcs::<1>::build(&q, &d, &cfg).unwrap();
+        let gcs = build(&q, &d, &cfg);
         let outcome = SearchEngine::new(&gcs, &cfg).run();
         assert!(outcome.stats.embeddings >= 1);
         // Every reported embedding must satisfy all three isomorphism constraints.
@@ -1015,33 +1017,6 @@ mod tests {
     }
 
     #[test]
-    fn recursion_limit_stops_the_search() {
-        let q = fixtures::path(3, 0);
-        let d = graph_from_edges(
-            &[0; 8],
-            &[
-                (0, 1),
-                (1, 2),
-                (2, 3),
-                (3, 4),
-                (4, 5),
-                (5, 6),
-                (6, 7),
-                (7, 0),
-            ],
-        );
-        let cfg = GupConfig {
-            limits: SearchLimits {
-                max_recursions: Some(2),
-                ..SearchLimits::UNLIMITED
-            },
-            ..GupConfig::default()
-        };
-        let outcome = run(&q, &d, &cfg);
-        assert!(outcome.stats.hit_recursion_limit);
-    }
-
-    #[test]
     fn no_embeddings_when_labels_do_not_match() {
         let q = graph_from_edges(&[7, 7], &[(0, 1)]);
         let (_pq, d) = fixtures::paper_example();
@@ -1075,7 +1050,7 @@ mod tests {
             collect_embeddings: true,
             ..GupConfig::default()
         };
-        let gcs = Gcs::<1>::build(&q, &d, &cfg).unwrap();
+        let gcs = build(&q, &d, &cfg);
         let root_candidates = gcs.space().candidates(0).len();
         let mut total = 0u64;
         for i in 0..root_candidates {

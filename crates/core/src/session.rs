@@ -20,10 +20,10 @@
 //!   timed-out results bypassed, [`Session::invalidate_cache`] on data change) —
 //!   the serving front-end's answer to the same query arriving twice.
 //!
-//! Every engine family runs against the same shared `PreparedData`; the legacy
-//! `(query, data)` constructors elsewhere in the workspace are thin adapters that
-//! share everything downstream of the initial filter pass (which they run against
-//! the borrowed graph, so one-shot callers never pay a clone or an index build).
+//! Every engine family runs against the same shared `PreparedData`. Each engine has
+//! one constructor that runs the candidate filter, and it takes a `PreparedData`;
+//! the `(query, data)` constructors elsewhere in the workspace only prepare a
+//! private index and call it.
 //!
 //! Queries of up to 256 vertices are accepted: each request is dispatched to the
 //! narrowest monomorphized query-vertex bitset width that fits
@@ -639,9 +639,9 @@ impl<'s, 'q> QueryRequest<'s, 'q> {
 
     /// Shared implementation of the cacheable finishers: look up the memo,
     /// else run and (for complete results) populate it. Results truncated by a
-    /// wall-clock or recursion budget are engine- and budget-dependent, so
-    /// they are never stored; hits still feed the regular query counters so
-    /// front-end totals stay meaningful.
+    /// wall-clock budget are engine- and budget-dependent, so they are never
+    /// stored; hits still feed the regular query counters so front-end totals
+    /// stay meaningful.
     fn finish_cached(
         self,
         mode: CacheMode,
@@ -677,7 +677,7 @@ impl<'s, 'q> QueryRequest<'s, 'q> {
             }
         };
         if let Some(key) = key {
-            if !outcome.0.hit_time_limit && !outcome.0.hit_recursion_limit {
+            if !outcome.0.hit_time_limit {
                 session.cache.lock().insert(
                     key,
                     CachedResult {
@@ -775,7 +775,7 @@ fn dispatch_inner(
                 _ => BaselineKind::Plain,
             };
             crate::with_qv_width!(query.vertex_count(), W, {
-                let matcher = match BacktrackingBaseline::<W>::with_prepared_deadline(
+                let matcher = match BacktrackingBaseline::<W>::with_prepared(
                     query,
                     prepared,
                     kind,
@@ -790,7 +790,7 @@ fn dispatch_inner(
             })
         }
         Engine::Join => {
-            let matcher = match JoinBaseline::with_prepared_deadline(
+            let matcher = match JoinBaseline::with_prepared(
                 query,
                 prepared,
                 OrderingStrategy::GqlStyle,
@@ -822,9 +822,9 @@ fn dispatch_inner(
             // The deadline is threaded into the enumeration itself (sampled every
             // `brute_force::DEADLINE_CHECK_INTERVAL` steps), so a zero-match query
             // — whose sink is never called — still observes the budget.
-            let expired = brute_force::enumerate_with_sink_prepared_deadline(
+            let expired = brute_force::enumerate_with_sink_deadline(
                 query,
-                prepared,
+                prepared.graph(),
                 &mut limited,
                 deadline,
             );
@@ -884,7 +884,7 @@ fn stats_from_baseline(result: &BaselineResult) -> SearchStats {
 /// that do not implement the limit themselves (the brute-force oracle). The
 /// deadline here fires between reported embeddings; the stretch-of-search-finding-
 /// nothing case is covered by the deadline threaded into the enumeration itself
-/// ([`brute_force::enumerate_with_sink_prepared_deadline`]).
+/// ([`brute_force::enumerate_with_sink_deadline`]).
 struct LimitSink<'a> {
     inner: &'a mut dyn EmbeddingSink,
     reported: u64,
@@ -1027,7 +1027,7 @@ pub struct QueryReport {
     /// point of the session model).
     pub elapsed: Duration,
     /// The session's one-time preparation cost divided by the batch size: add it to
-    /// `elapsed` to compare against a cold `(query, data)` run honestly.
+    /// `elapsed` to compare against a one-shot `(query, data)` run honestly.
     pub prep_amortized: Duration,
 }
 

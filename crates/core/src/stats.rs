@@ -47,8 +47,6 @@ pub struct SearchStats {
     pub hit_embedding_limit: bool,
     /// `true` if the search stopped because of the time limit.
     pub hit_time_limit: bool,
-    /// `true` if the search stopped because of the recursion limit.
-    pub hit_recursion_limit: bool,
     /// `true` if the search stopped because an [`EmbeddingSink`] returned
     /// [`SinkControl::Stop`] (e.g. a satisfied `FirstK` or a callback that found what
     /// it was looking for).
@@ -61,10 +59,7 @@ pub struct SearchStats {
 impl SearchStats {
     /// `true` if any early-termination condition fired (a limit or a sink stop).
     pub fn terminated_early(&self) -> bool {
-        self.hit_embedding_limit
-            || self.hit_time_limit
-            || self.hit_recursion_limit
-            || self.stopped_by_sink
+        self.hit_embedding_limit || self.hit_time_limit || self.stopped_by_sink
     }
 
     /// Fraction of local candidates that guards filtered out (0.0 when none were seen).
@@ -118,7 +113,6 @@ impl SearchStats {
         self.tasks_stolen += other.tasks_stolen;
         self.hit_embedding_limit |= other.hit_embedding_limit;
         self.hit_time_limit |= other.hit_time_limit;
-        self.hit_recursion_limit |= other.hit_recursion_limit;
         self.stopped_by_sink |= other.stopped_by_sink;
     }
 }
@@ -136,10 +130,9 @@ pub struct MemoryReport {
     /// Bytes used by nogood guards on edges.
     pub nogood_edge_bytes: usize,
     /// Bytes used by the prepared data-graph index (the NLF signature arena and
-    /// statistics a session builds once and amortizes over its queries). Zero when
-    /// the matcher was built through a legacy entry point that did not retain the
-    /// index. Accounted separately from [`MemoryReport::total_bytes`], which keeps
-    /// the paper's Table-3 meaning (per-query GCS + guards).
+    /// statistics a session builds once and amortizes over its queries). Accounted
+    /// separately from [`MemoryReport::total_bytes`], which keeps the paper's
+    /// Table-3 meaning (per-query GCS + guards).
     pub prepared_index_bytes: usize,
 }
 

@@ -204,9 +204,9 @@ impl PreparedData {
         )
     }
 
-    /// Convenience for legacy `(query, data)` entry points: clones `graph` and
-    /// prepares it. One-shot callers pay the clone; batched callers should build a
-    /// `PreparedData` once and share it.
+    /// Convenience for the one-shot `(query, data)` entry points: clones `graph`
+    /// and prepares it. One-shot callers pay the clone; batched callers should
+    /// build a `PreparedData` once and share it.
     pub fn from_graph(graph: &Graph) -> Self {
         PreparedData::new(graph.clone())
     }

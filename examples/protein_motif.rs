@@ -12,7 +12,7 @@
 use gup::{GupConfig, GupMatcher, SearchLimits};
 use gup_baselines::{BacktrackingBaseline, BaselineKind, BaselineLimits};
 use gup_graph::builder::graph_from_edges;
-use gup_graph::Graph;
+use gup_graph::{Graph, PreparedData};
 use gup_workloads::Dataset;
 use std::time::{Duration, Instant};
 
@@ -51,6 +51,8 @@ fn main() {
         ),
     ];
 
+    // Index the data graph once; every motif and engine below reuses it.
+    let prepared = PreparedData::new(data);
     for (name, query) in &motifs {
         println!("\n=== motif: {name} ===");
         let limits = SearchLimits {
@@ -63,7 +65,7 @@ fn main() {
             ..GupConfig::default()
         };
         let start = Instant::now();
-        match GupMatcher::<1>::new(query, &data, cfg) {
+        match GupMatcher::<1>::with_prepared(query, &prepared, cfg) {
             Ok(matcher) => {
                 let result = matcher.run();
                 println!(
@@ -77,7 +79,12 @@ fn main() {
             Err(e) => println!("  GuP     : query rejected ({e})"),
         }
         let start = Instant::now();
-        match BacktrackingBaseline::<1>::new(query, &data, BaselineKind::DafFailingSet) {
+        match BacktrackingBaseline::<1>::with_prepared(
+            query,
+            &prepared,
+            BaselineKind::DafFailingSet,
+            None,
+        ) {
             Ok(matcher) => {
                 let r = matcher.run(BaselineLimits {
                     max_embeddings: Some(100_000),

@@ -17,7 +17,7 @@ use gup::{Gcs, GupConfig, GupError};
 use gup_graph::builder::graph_from_edges;
 use gup_graph::fixtures;
 use gup_graph::generate::{power_law_graph, PowerLawConfig};
-use gup_graph::Graph;
+use gup_graph::{Graph, PreparedData};
 use std::time::{Duration, Instant};
 
 /// A data graph and query engineered so that brute force grinds for a long time
@@ -173,15 +173,18 @@ fn filter_grinder() -> (Graph, Graph) {
 }
 
 /// The filter-pass deadline hole, pinned shut at the lowest level: a deadline
-/// that expires mid-filter aborts `Gcs::build` with `FilterTimeout` instead of
-/// completing the candidate space long after the budget is gone.
+/// that expires mid-filter aborts `Gcs::build_prepared` with `FilterTimeout`
+/// instead of completing the candidate space long after the budget is gone. The
+/// data graph is prepared before the budget starts, so the budget covers only
+/// the filter pass.
 #[test]
 fn gcs_build_aborts_when_the_deadline_expires_mid_filter() {
     let (query, data) = filter_grinder();
+    let prepared = PreparedData::new(data);
     let mut config = GupConfig::default();
     config.limits.deadline = Some(Instant::now() + Duration::from_millis(2));
     let start = Instant::now();
-    let err = Gcs::<1>::build(&query, &data, &config)
+    let err = Gcs::<1>::build_prepared(&query, &prepared, &config)
         .expect_err("a 2 ms budget cannot cover this filter pass");
     let elapsed = start.elapsed();
     assert!(matches!(err, GupError::FilterTimeout), "{err:?}");

@@ -1,14 +1,9 @@
 //! Allocation accounting for the candidate-filter hot path: NLF filtering must not
 //! allocate **per candidate**.
 //!
-//! Before the prepared-data redesign, `nlf_filter_with_profile` cloned the query's
-//! dense label profile (`q_profile.to_vec()`) for every data vertex it tested — one
-//! heap allocation per candidate. Both current paths eliminate that:
-//!
-//! * the legacy path reuses one scratch buffer across all candidates of a query
-//!   vertex, and
-//! * the prepared path compares precomputed signatures and allocates nothing per
-//!   candidate at all.
+//! The NLF filter compares the query vertex's profile against precomputed
+//! signatures, so it needs no per-candidate buffer; cloning a label profile per
+//! tested data vertex would be one heap allocation per candidate.
 //!
 //! A thread-local counting `#[global_allocator]` (same pattern as
 //! `tests/sink_alloc.rs`) pins this: filtering 10× the candidates may only grow the
@@ -16,7 +11,7 @@
 //! never linearly. This file holds exactly these tests so the allocator hook cannot
 //! interfere with unrelated suites.
 
-use gup_candidate::filters::{nlf_candidates, nlf_candidates_prepared};
+use gup_candidate::filters::nlf_candidates_prepared;
 use gup_graph::builder::graph_from_edges;
 use gup_graph::{Graph, PreparedData};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -73,40 +68,12 @@ fn filter_instance(n: usize) -> (Graph, Graph) {
     (query, graph_from_edges(&labels, &edges))
 }
 
-fn legacy_filter_allocations(n: usize) -> (u64, usize) {
-    let (query, data) = filter_instance(n);
-    let before = allocations();
-    let candidates = nlf_candidates(&query, &data, 0);
-    (allocations() - before, candidates.len())
-}
-
 fn prepared_filter_allocations(n: usize) -> (u64, usize) {
     let (query, data) = filter_instance(n);
     let prepared = PreparedData::new(data);
     let before = allocations();
     let candidates = nlf_candidates_prepared(&query, &prepared, 0);
     (allocations() - before, candidates.len())
-}
-
-#[test]
-fn legacy_nlf_filtering_does_not_allocate_per_candidate() {
-    let _ = legacy_filter_allocations(8); // warm up lazily-initialized runtime state
-
-    let (small_allocs, small_count) = legacy_filter_allocations(400);
-    let (large_allocs, large_count) = legacy_filter_allocations(4000);
-    assert_eq!(small_count, 400);
-    assert_eq!(large_count, 4000);
-    // 10× the candidates may only add the output/LDF vectors' geometric-growth
-    // reallocations — a handful, never ~3600 like the old per-candidate clone.
-    assert!(
-        large_allocs <= small_allocs + 16,
-        "legacy NLF filtering allocations scaled with the candidate count: \
-         {small_allocs} for 400 candidates vs {large_allocs} for 4000"
-    );
-    assert!(
-        large_allocs < 64,
-        "legacy NLF filtering made {large_allocs} allocations for 4000 candidates"
-    );
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //! text I/O round trips feeding the matcher. These tests exercise the crates together
 //! the way the benchmark harness and the examples do.
 
-use gup::{GupConfig, GupMatcher, SearchLimits};
+use gup::{GupConfig, GupMatcher, PreparedData, SearchLimits};
 use gup_candidate::{CandidateSpace, FilterConfig};
 use gup_graph::io::{graph_to_string, parse_graph};
 use gup_workloads::{generate_query_set, Dataset, QueryClass, QuerySetSpec};
@@ -71,8 +71,9 @@ fn candidate_space_contains_every_embedding() {
         2,
         5,
     );
+    let prepared = PreparedData::from_graph(&data);
     for q in &queries {
-        let cs = CandidateSpace::build(q, &data, &FilterConfig::default());
+        let cs = CandidateSpace::build_prepared(q, &prepared, &FilterConfig::default());
         let found = gup::find_embeddings(q, &data).unwrap();
         for emb in &found.embeddings {
             for (u, &v) in emb.iter().enumerate() {

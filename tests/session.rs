@@ -1,17 +1,13 @@
-//! Session-API integration suite: the prepared-data path must be observationally
-//! identical to the cold `(query, data)` path for **every** engine family and every
-//! `PruningFeatures` combination, and one `Arc<PreparedData>` must serve concurrent
-//! queries from many threads with schedule-independent counts.
+//! Session-API integration suite: every engine family and every `PruningFeatures`
+//! combination must report the golden counts through one shared `PreparedData`,
+//! and one `Arc<PreparedData>` must serve concurrent queries from many threads with
+//! schedule-independent counts.
 
 use gup::session::{Engine, Session};
 use gup::sink::{CountOnly, FirstK};
 use gup::{GupConfig, GupMatcher, PreparedData, PruningFeatures, SearchLimits};
-use gup_baselines::{
-    brute_force, BacktrackingBaseline, BaselineKind, BaselineLimits, JoinBaseline,
-};
 use gup_graph::fixtures::{clique4, paper_example, path, square_with_diagonal, triangle_query};
 use gup_graph::Graph;
-use gup_order::OrderingStrategy;
 use std::sync::Arc;
 
 /// The golden fixture instances (same counts as `tests/golden_counts.rs`).
@@ -45,11 +41,11 @@ fn all_feature_combinations() -> Vec<PruningFeatures> {
 }
 
 /// Every engine family, driven through one shared `PreparedData` per fixture, must
-/// report the golden counts — and agree with its own cold (legacy) constructor.
+/// report the golden counts.
 #[test]
 fn session_engines_match_cold_runs_on_goldens() {
     for (name, query, data, expected) in golden_instances() {
-        let session = Session::new(data.clone());
+        let session = Session::new(data);
         for engine in Engine::ALL {
             let prepared_count = session
                 .query(&query)
@@ -63,51 +59,16 @@ fn session_engines_match_cold_runs_on_goldens() {
                 "{name}: engine {} disagrees with golden count",
                 engine.name()
             );
-            // Cold path: the legacy per-engine entry point on the raw graphs.
-            let cold_count = match engine {
-                Engine::Gup => GupMatcher::<1>::new(
-                    &query,
-                    &data,
-                    GupConfig {
-                        limits: SearchLimits::UNLIMITED,
-                        ..GupConfig::default()
-                    },
-                )
-                .unwrap()
-                .count(),
-                Engine::Plain | Engine::Daf | Engine::Gql | Engine::Ri => {
-                    let kind = match engine {
-                        Engine::Plain => BaselineKind::Plain,
-                        Engine::Daf => BaselineKind::DafFailingSet,
-                        Engine::Gql => BaselineKind::GqlStyle,
-                        _ => BaselineKind::RiStyle,
-                    };
-                    BacktrackingBaseline::<1>::new(&query, &data, kind)
-                        .unwrap()
-                        .run(BaselineLimits::UNLIMITED)
-                        .embeddings
-                }
-                Engine::Join => JoinBaseline::new(&query, &data, OrderingStrategy::GqlStyle)
-                    .unwrap()
-                    .count(),
-                Engine::BruteForce => brute_force::count(&query, &data),
-            };
-            assert_eq!(
-                prepared_count,
-                cold_count,
-                "{name}: engine {} prepared != cold",
-                engine.name()
-            );
         }
     }
 }
 
-/// GuP through the session must match the cold matcher under *each of the 16*
+/// GuP through the session must report the golden counts under *each of the 16*
 /// feature combinations, sequentially and in parallel.
 #[test]
 fn session_gup_matches_cold_under_every_feature_combination() {
     for (name, query, data, expected) in golden_instances() {
-        let session = Session::new(data.clone());
+        let session = Session::new(data);
         for features in all_feature_combinations() {
             let prepared = session
                 .query(&query)

@@ -15,13 +15,12 @@
 //! * [`BaselineKind::RiStyle`] — RI-flavoured ordering (maximize backward
 //!   connectivity), plain backtracking.
 
-use crate::{BaselineLimits, BaselineResult};
 use gup_candidate::{CandidateSpace, FilterConfig};
+use gup_graph::budget::{SearchLimits, SearchStats};
 use gup_graph::deadline::DeadlineSampler;
 use gup_graph::sink::{min_limit, CountOnly, EmbeddingSink, SinkControl};
 use gup_graph::{Graph, PreparedData, QVSet, QueryGraph, VertexId};
 use gup_order::OrderingStrategy;
-use std::time::Instant;
 
 /// The baseline families.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -80,13 +79,15 @@ impl BaselineKind {
     }
 }
 
-/// A baseline matcher instance (candidate space + order, built once per query),
-/// generic over the query-vertex bitset width `W` of its failing sets (the session
-/// layer auto-dispatches to the narrowest width that fits the query; `W = 1` is
-/// the ≤64-vertex fast path).
+/// A baseline matcher instance (candidate space + order + budget, built once per
+/// query), generic over the query-vertex bitset width `W` of its failing sets (the
+/// session layer auto-dispatches to the narrowest width that fits the query; `W = 1`
+/// is the ≤64-vertex fast path).
 #[derive(Debug)]
 pub struct BacktrackingBaseline<const W: usize = 1> {
     kind: BaselineKind,
+    /// The budget of the filter pass and of every run (one shared deadline).
+    limits: SearchLimits,
     space: CandidateSpace,
     /// Forward neighbors of each (re-ordered) query vertex.
     forward: Vec<Vec<usize>>,
@@ -123,22 +124,25 @@ impl std::fmt::Display for BaselineError {
 impl std::error::Error for BaselineError {}
 
 impl<const W: usize> BacktrackingBaseline<W> {
-    /// Builds the baseline matcher for `query` against `data`: prepares a private
-    /// index of `data` and builds through [`BacktrackingBaseline::with_prepared`].
+    /// Builds the baseline matcher for `query` against `data` with no limits:
+    /// prepares a private index of `data` and builds through
+    /// [`BacktrackingBaseline::with_prepared`].
     pub fn new(query: &Graph, data: &Graph, kind: BaselineKind) -> Result<Self, BaselineError> {
-        Self::with_prepared(query, &PreparedData::from_graph(data), kind, None)
+        let prepared = PreparedData::from_graph(data);
+        Self::with_prepared(query, &prepared, kind, SearchLimits::UNLIMITED)
     }
 
     /// Builds the baseline matcher for `query` against a prepared data graph (the
-    /// candidate space's NLF pass runs against the precomputed signature arena).
-    /// The candidate filter pass honors `deadline`: once it expires, construction
-    /// aborts with [`BaselineError::FilterTimeout`] instead of grinding through the
-    /// remaining filter work.
+    /// candidate space's NLF pass runs against the precomputed signature arena)
+    /// under `limits`, which also bound every later run. The candidate filter pass
+    /// honors `limits.deadline`: once it expires, construction aborts with
+    /// [`BaselineError::FilterTimeout`] instead of grinding through the remaining
+    /// filter work.
     pub fn with_prepared(
         query: &Graph,
         prepared: &PreparedData,
         kind: BaselineKind,
-        deadline: Option<Instant>,
+        limits: SearchLimits,
     ) -> Result<Self, BaselineError> {
         // Global validation plus this width's capacity check
         // (`QueryGraph::check_width`, the shared rule): a query wider than `64 * W`
@@ -151,7 +155,7 @@ impl<const W: usize> BacktrackingBaseline<W> {
             query,
             prepared,
             &kind.filter_config(),
-            deadline,
+            limits.deadline,
         )
         .map_err(|_| BaselineError::FilterTimeout)?;
         let order = gup_order::compute_order(query, &space.candidate_sizes(), kind.ordering())
@@ -181,6 +185,7 @@ impl<const W: usize> BacktrackingBaseline<W> {
         }
         Ok(BacktrackingBaseline {
             kind,
+            limits,
             space,
             forward,
             ancestors,
@@ -194,29 +199,26 @@ impl<const W: usize> BacktrackingBaseline<W> {
         self.kind
     }
 
-    /// Runs the search under the given limits, counting embeddings without
+    /// Runs the search under the matcher's limits, counting embeddings without
     /// materializing any. Thin adapter over
     /// [`BacktrackingBaseline::run_with_sink`].
-    pub fn run(&self, limits: BaselineLimits) -> BaselineResult {
-        self.run_with_sink(limits, &mut CountOnly::new())
+    pub fn run(&self) -> SearchStats {
+        self.run_with_sink(&mut CountOnly::new())
     }
 
     /// Runs the search, streaming every embedding into `sink` over the *original*
     /// query-vertex ids — the same [`EmbeddingSink`] protocol GuP uses, so the two
     /// families can be driven through identical output layers in differential tests.
     /// The sink's capacity is folded into the embedding limit; a
-    /// [`SinkControl::Stop`] terminates the run (`BaselineResult::stopped_by_sink`).
-    pub fn run_with_sink(
-        &self,
-        mut limits: BaselineLimits,
-        sink: &mut dyn EmbeddingSink,
-    ) -> BaselineResult {
-        limits.max_embeddings = min_limit(limits.max_embeddings, sink.capacity());
+    /// [`SinkControl::Stop`] terminates the run (`SearchStats::stopped_by_sink`).
+    pub fn run_with_sink(&self, sink: &mut dyn EmbeddingSink) -> SearchStats {
+        let capacity = sink.capacity();
+        let cap = min_limit(self.limits.max_embeddings, capacity);
         let mut state = RunState {
             baseline: self,
-            limits,
-            sampler: DeadlineSampler::starting_now(limits.time_limit),
-            result: BaselineResult::default(),
+            cap,
+            sampler: DeadlineSampler::new(self.limits.deadline),
+            stats: SearchStats::default(),
             assignment: vec![0; self.query_vertices],
             owner: vec![None; self.data_vertex_upper_bound()],
             cand_stack: (0..self.query_vertices)
@@ -225,10 +227,11 @@ impl<const W: usize> BacktrackingBaseline<W> {
             sink,
             scratch: vec![0; self.query_vertices],
         };
-        if !self.space.any_empty() && self.query_vertices > 0 && limits.max_embeddings != Some(0) {
+        if !self.space.any_empty() && self.query_vertices > 0 && cap != Some(0) {
             let _ = state.backtrack(0);
         }
-        state.result
+        state.stats.settle_cap(self.limits.max_embeddings, capacity);
+        state.stats
     }
 
     fn data_vertex_upper_bound(&self) -> usize {
@@ -248,9 +251,10 @@ enum Outcome<const W: usize> {
 
 struct RunState<'a, 's, const W: usize> {
     baseline: &'a BacktrackingBaseline<W>,
-    limits: BaselineLimits,
+    /// The embedding limit folded with the sink's capacity.
+    cap: Option<u64>,
     sampler: DeadlineSampler,
-    result: BaselineResult,
+    stats: SearchStats,
     assignment: Vec<u32>,
     /// `u16` (not `u8`): the widest supported queries have up to 256 vertices.
     owner: Vec<Option<u16>>,
@@ -265,7 +269,7 @@ impl<'a, 's, const W: usize> RunState<'a, 's, W> {
     fn backtrack(&mut self, k: usize) -> Outcome<W> {
         let n = self.baseline.query_vertices;
         if k == n {
-            self.result.embeddings += 1;
+            self.stats.embeddings += 1;
             if self.sink.wants_embeddings() {
                 for (j, &cj) in self.assignment.iter().enumerate() {
                     self.scratch[self.baseline.original_id[j] as usize] =
@@ -273,20 +277,17 @@ impl<'a, 's, const W: usize> RunState<'a, 's, W> {
                 }
             }
             if self.sink.report(&self.scratch) == SinkControl::Stop {
-                self.result.stopped_by_sink = true;
+                self.stats.stopped_by_sink = true;
                 return Outcome::Aborted;
             }
-            if let Some(max) = self.limits.max_embeddings {
-                if self.result.embeddings >= max {
-                    self.result.hit_embedding_limit = true;
-                    return Outcome::Aborted;
-                }
+            if self.cap.is_some_and(|cap| self.stats.embeddings >= cap) {
+                return Outcome::Aborted;
             }
             return Outcome::FoundSome;
         }
-        self.result.recursions += 1;
+        self.stats.recursions += 1;
         if self.sampler.tick().is_err() {
-            self.result.hit_time_limit = true;
+            self.stats.hit_time_limit = true;
             return Outcome::Aborted;
         }
 
@@ -368,7 +369,7 @@ impl<'a, 's, const W: usize> RunState<'a, 's, W> {
         if found_any {
             return Outcome::FoundSome;
         }
-        self.result.futile_recursions += 1;
+        self.stats.futile_recursions += 1;
         if !failing_sets {
             return Outcome::Deadend(QVSet::EMPTY);
         }
@@ -407,7 +408,7 @@ mod tests {
         let expected = brute_force::count(query, data);
         for kind in BaselineKind::ALL {
             let m = BacktrackingBaseline::<1>::new(query, data, kind).unwrap();
-            let r = m.run(BaselineLimits::UNLIMITED);
+            let r = m.run();
             assert_eq!(
                 r.embeddings, expected,
                 "kind {kind:?} disagrees with brute force"
@@ -451,10 +452,10 @@ mod tests {
         let (q, d) = fixtures::paper_example();
         let plain = BacktrackingBaseline::<1>::new(&q, &d, BaselineKind::Plain)
             .unwrap()
-            .run(BaselineLimits::UNLIMITED);
+            .run();
         let daf = BacktrackingBaseline::<1>::new(&q, &d, BaselineKind::DafFailingSet)
             .unwrap()
-            .run(BaselineLimits::UNLIMITED);
+            .run();
         assert_eq!(plain.embeddings, daf.embeddings);
         assert!(daf.recursions > 0);
     }
@@ -475,11 +476,14 @@ mod tests {
                 (7, 0),
             ],
         );
-        let m = BacktrackingBaseline::<1>::new(&q, &d, BaselineKind::Plain).unwrap();
-        let r = m.run(BaselineLimits {
+        let limits = SearchLimits {
             max_embeddings: Some(3),
-            time_limit: None,
-        });
+            ..SearchLimits::UNLIMITED
+        };
+        let prepared = PreparedData::from_graph(&d);
+        let m =
+            BacktrackingBaseline::<1>::with_prepared(&q, &prepared, BaselineKind::Plain, limits);
+        let r = m.unwrap().run();
         assert_eq!(r.embeddings, 3);
         assert!(r.hit_embedding_limit);
         assert!(r.terminated_early());
@@ -508,7 +512,7 @@ mod tests {
         let d = graph_from_edges(&[0, 1, 0, 1, 0], &[(0, 1), (1, 2), (2, 3), (3, 4)]);
         for kind in BaselineKind::ALL {
             let m = BacktrackingBaseline::<1>::new(&q, &d, kind).unwrap();
-            assert_eq!(m.run(BaselineLimits::UNLIMITED).embeddings, 0);
+            assert_eq!(m.run().embeddings, 0);
         }
     }
 }

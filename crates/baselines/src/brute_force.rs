@@ -5,22 +5,17 @@
 //! simplicity makes it easy to audit — every other engine in the workspace is tested
 //! against it on small instances.
 //!
-//! The enumeration is deadline-aware: [`enumerate_with_sink_deadline`] samples the
-//! clock every [`DEADLINE_CHECK_INTERVAL`] recursion steps, so even a zero-match
-//! adversarial query (whose sink is never called) observes a wall-clock budget —
-//! previously the deadline was only enforceable *between reported embeddings*.
+//! The budgeted entry, [`run_with_sink`], samples the deadline through the shared
+//! work-bounded [`DeadlineSampler`] (one clock read per
+//! [`DEADLINE_CHECK_INTERVAL`] candidate examinations) **inside** the search, so even
+//! a zero-match adversarial query (whose sink is never called) observes the budget.
+//!
+//! [`DEADLINE_CHECK_INTERVAL`]: gup_graph::deadline::DEADLINE_CHECK_INTERVAL
 
+use gup_graph::budget::{SearchLimits, SearchStats};
 use gup_graph::deadline::DeadlineSampler;
-use gup_graph::sink::{CollectAll, CountOnly, EmbeddingSink, SinkControl};
+use gup_graph::sink::{min_limit, CollectAll, CountOnly, EmbeddingSink, SinkControl};
 use gup_graph::{Graph, VertexId};
-use std::time::Instant;
-
-/// The shared sampling cadence (re-exported so existing oracle callers keep
-/// their name for it): one clock read per this many candidate examinations.
-/// Counting per *candidate* rather than per recursion keeps the gap between
-/// clock checks independent of the data-graph size (a single recursion scans
-/// every data vertex).
-pub use gup_graph::deadline::DEADLINE_CHECK_INTERVAL;
 
 /// Enumerates every embedding of `query` in `data` and returns them sorted (each
 /// embedding is the vector `emb[u] = data vertex assigned to query vertex u`).
@@ -46,39 +41,40 @@ pub fn count(query: &Graph, data: &Graph) -> u64 {
 /// Streams every embedding of `query` in `data` into `sink` (original query-vertex
 /// numbering, in the oracle's deterministic enumeration order — *not* sorted). A
 /// [`SinkControl::Stop`] terminates the enumeration immediately, which makes
-/// `FirstK` exact against this oracle too.
+/// `FirstK` exact against this oracle too. [`run_with_sink`] without limits.
 pub fn enumerate_with_sink(query: &Graph, data: &Graph, sink: &mut dyn EmbeddingSink) {
-    enumerate_with_sink_deadline(query, data, sink, None);
+    run_with_sink(query, data, SearchLimits::UNLIMITED, sink);
 }
 
-/// Deadline-aware enumeration: like [`enumerate_with_sink`], but additionally stops
-/// as soon as `deadline` has passed, checking the clock every
-/// [`DEADLINE_CHECK_INTERVAL`] candidate examinations **inside** the search — a
-/// stretch that reports nothing (a zero-match query) is interrupted all the same.
-/// Returns `true` when the enumeration was cut short by the deadline.
-pub fn enumerate_with_sink_deadline(
+/// The budgeted enumeration: streams embeddings into `sink` like
+/// [`enumerate_with_sink`] until the embedding cap (`limits.max_embeddings` folded
+/// with the sink's capacity) is reached, the sink stops, or `limits.deadline`
+/// passes — the deadline is sampled inside the search, so a stretch that reports
+/// nothing (a zero-match query) is interrupted all the same. Reports the shared
+/// [`SearchStats`] record (embeddings and the termination flags).
+pub fn run_with_sink(
     query: &Graph,
     data: &Graph,
+    limits: SearchLimits,
     sink: &mut dyn EmbeddingSink,
-    deadline: Option<Instant>,
-) -> bool {
-    let n = query.vertex_count();
-    if n == 0 {
-        return false;
-    }
+) -> SearchStats {
+    let capacity = sink.capacity();
     let mut search = Search {
         query,
         data,
-        assignment: vec![u32::MAX; n],
+        assignment: vec![u32::MAX; query.vertex_count()],
         used: vec![false; data.vertex_count()],
-        sampler: DeadlineSampler::new(deadline),
+        cap: min_limit(limits.max_embeddings, capacity),
+        sampler: DeadlineSampler::new(limits.deadline),
+        stats: SearchStats::default(),
     };
     // An already-expired deadline stops the enumeration before any work.
-    if search.sampler.check().is_err() {
-        return true;
+    if query.vertex_count() > 0 && search.cap != Some(0) && search.sampler.check().is_ok() {
+        let _ = search.recurse(0, sink);
     }
-    let _ = search.recurse(0, sink);
-    search.sampler.expired()
+    search.stats.hit_time_limit = search.sampler.expired();
+    search.stats.settle_cap(limits.max_embeddings, capacity);
+    search.stats
 }
 
 struct Search<'a> {
@@ -86,13 +82,17 @@ struct Search<'a> {
     data: &'a Graph,
     assignment: Vec<VertexId>,
     used: Vec<bool>,
+    cap: Option<u64>,
     sampler: DeadlineSampler,
+    stats: SearchStats,
 }
 
 impl Search<'_> {
-    /// Samples the deadline through the shared work-bounded
-    /// [`DeadlineSampler`]: one clock read per [`DEADLINE_CHECK_INTERVAL`]
-    /// candidate examinations, sticky once expired.
+    /// Samples the deadline through the shared work-bounded [`DeadlineSampler`]:
+    /// one clock read per `DEADLINE_CHECK_INTERVAL` candidate examinations, sticky
+    /// once expired. Counting per *candidate* rather than per recursion keeps the
+    /// gap between clock checks independent of the data-graph size (a single
+    /// recursion scans every data vertex).
     fn deadline_hit(&mut self) -> bool {
         self.sampler.tick().is_err()
     }
@@ -102,7 +102,15 @@ impl Search<'_> {
             if self.deadline_hit() {
                 return SinkControl::Stop;
             }
-            return sink.report(&self.assignment);
+            self.stats.embeddings += 1;
+            if sink.report(&self.assignment) == SinkControl::Stop {
+                self.stats.stopped_by_sink = true;
+                return SinkControl::Stop;
+            }
+            if self.cap.is_some_and(|cap| self.stats.embeddings >= cap) {
+                return SinkControl::Stop;
+            }
+            return SinkControl::Continue;
         }
         for v in self.data.vertices() {
             if self.deadline_hit() {
@@ -137,7 +145,7 @@ mod tests {
     use super::*;
     use gup_graph::builder::graph_from_edges;
     use gup_graph::fixtures;
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn triangle_in_square_has_four_embeddings() {
@@ -201,22 +209,24 @@ mod tests {
     fn expired_deadline_stops_before_any_work() {
         let (q, d) = fixtures::paper_example();
         let mut sink = CountOnly::new();
-        let expired = enumerate_with_sink_deadline(
-            &q,
-            &d,
-            &mut sink,
-            Some(Instant::now() - Duration::from_millis(1)),
-        );
-        assert!(expired);
+        let limits = SearchLimits {
+            deadline: Some(Instant::now() - Duration::from_millis(1)),
+            ..SearchLimits::UNLIMITED
+        };
+        let stats = run_with_sink(&q, &d, limits, &mut sink);
+        assert!(stats.hit_time_limit);
         assert_eq!(sink.count(), 0);
+        assert_eq!(stats.embeddings, 0);
     }
 
     #[test]
     fn absent_deadline_never_reports_expiry() {
         let (q, d) = fixtures::paper_example();
         let mut sink = CountOnly::new();
-        assert!(!enumerate_with_sink_deadline(&q, &d, &mut sink, None));
+        let stats = run_with_sink(&q, &d, SearchLimits::UNLIMITED, &mut sink);
+        assert!(!stats.terminated_early());
         assert_eq!(sink.count(), 4);
+        assert_eq!(stats.embeddings, 4);
     }
 
     /// The regression this module exists to pin: a **zero-match** query (the sink is
@@ -244,12 +254,18 @@ mod tests {
             &[0, 0, 0, 0, 0, 0, 0, 9],
             &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7)],
         );
-        let deadline = Instant::now() + Duration::from_millis(50);
+        let limits = SearchLimits {
+            deadline: Some(Instant::now() + Duration::from_millis(50)),
+            ..SearchLimits::UNLIMITED
+        };
         let start = Instant::now();
         let mut sink = CountOnly::new();
-        let expired = enumerate_with_sink_deadline(&query, &data, &mut sink, Some(deadline));
+        let stats = run_with_sink(&query, &data, limits, &mut sink);
         let elapsed = start.elapsed();
-        assert!(expired, "deadline must fire inside the zero-match search");
+        assert!(
+            stats.hit_time_limit,
+            "deadline must fire inside the zero-match search"
+        );
         assert_eq!(sink.count(), 0);
         assert!(
             elapsed < Duration::from_secs(1),

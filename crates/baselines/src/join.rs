@@ -9,16 +9,17 @@
 //! backtracking engines.
 
 use crate::backtracking::BaselineError;
-use crate::{BaselineLimits, BaselineResult};
 use gup_candidate::{CandidateSpace, FilterConfig};
+use gup_graph::budget::{SearchLimits, SearchStats};
 use gup_graph::deadline::DeadlineSampler;
 use gup_graph::sink::{min_limit, CountOnly, EmbeddingSink, SinkControl};
 use gup_graph::{Graph, PreparedData, QueryGraph, VertexId};
 use gup_order::OrderingStrategy;
-use std::time::Instant;
 
 /// The join-based baseline matcher.
 pub struct JoinBaseline {
+    /// The budget of the filter pass and of every run (one shared deadline).
+    limits: SearchLimits,
     space: CandidateSpace,
     /// Query vertices in join (matching) order; vertex `i` of the permuted space.
     query_vertices: usize,
@@ -31,28 +32,31 @@ pub struct JoinBaseline {
 }
 
 impl JoinBaseline {
-    /// Builds the join baseline for `query` against `data`: prepares a private
-    /// index of `data` and builds through [`JoinBaseline::with_prepared`]. Returns
-    /// `None` if the query is not usable (empty / disconnected / too large).
+    /// Builds the join baseline for `query` against `data` with no limits:
+    /// prepares a private index of `data` and builds through
+    /// [`JoinBaseline::with_prepared`]. Returns `None` if the query is not usable
+    /// (empty / disconnected / too large).
     pub fn new(query: &Graph, data: &Graph, order: OrderingStrategy) -> Option<Self> {
-        Self::with_prepared(query, &PreparedData::from_graph(data), order, None).ok()
+        let prepared = PreparedData::from_graph(data);
+        Self::with_prepared(query, &prepared, order, SearchLimits::UNLIMITED).ok()
     }
 
-    /// Builds the join baseline for `query` against a prepared data graph. The
-    /// candidate filter pass honors `deadline`: once it expires, construction
-    /// aborts with [`BaselineError::FilterTimeout`].
+    /// Builds the join baseline for `query` against a prepared data graph under
+    /// `limits`, which also bound every later run. The candidate filter pass honors
+    /// `limits.deadline`: once it expires, construction aborts with
+    /// [`BaselineError::FilterTimeout`].
     pub fn with_prepared(
         query: &Graph,
         prepared: &PreparedData,
         order: OrderingStrategy,
-        deadline: Option<Instant>,
+        limits: SearchLimits,
     ) -> Result<Self, BaselineError> {
         let validated = QueryGraph::new(query.clone()).map_err(BaselineError::InvalidQuery)?;
         let space = CandidateSpace::build_prepared_deadline(
             query,
             prepared,
             &FilterConfig::default(),
-            deadline,
+            limits.deadline,
         )
         .map_err(|_| BaselineError::FilterTimeout)?;
         let order = gup_order::compute_order(query, &space.candidate_sizes(), order)
@@ -69,6 +73,7 @@ impl JoinBaseline {
             .map(|i| ordered.backward_neighbors(i).to_vec())
             .collect();
         Ok(JoinBaseline {
+            limits,
             space,
             query_vertices: n,
             backward,
@@ -76,26 +81,30 @@ impl JoinBaseline {
         })
     }
 
-    /// Runs the join and reports embeddings / intermediate-result counts. Thin
-    /// adapter over [`JoinBaseline::run_with_sink`].
-    pub fn run(&self, limits: BaselineLimits) -> BaselineResult {
-        self.run_with_sink(limits, &mut CountOnly::new())
+    /// Runs the join under the matcher's limits and reports embeddings /
+    /// intermediate-result counts. Thin adapter over [`JoinBaseline::run_with_sink`].
+    pub fn run(&self) -> SearchStats {
+        self.run_with_sink(&mut CountOnly::new())
     }
 
     /// Runs the join, streaming every complete binding into `sink` as an embedding
     /// over the *original* query-vertex ids (the shared [`EmbeddingSink`] protocol).
     /// The sink's capacity is folded into the embedding limit; a
     /// [`SinkControl::Stop`] ends the run.
-    pub fn run_with_sink(
-        &self,
-        mut limits: BaselineLimits,
-        sink: &mut dyn EmbeddingSink,
-    ) -> BaselineResult {
-        limits.max_embeddings = min_limit(limits.max_embeddings, sink.capacity());
-        let mut result = BaselineResult::default();
-        let mut sampler = DeadlineSampler::starting_now(limits.time_limit);
+    pub fn run_with_sink(&self, sink: &mut dyn EmbeddingSink) -> SearchStats {
+        let capacity = sink.capacity();
+        let mut stats = self.join(min_limit(self.limits.max_embeddings, capacity), sink);
+        stats.settle_cap(self.limits.max_embeddings, capacity);
+        stats
+    }
+
+    /// The join itself, stopping once `cap` embeddings were reported; the cap flags
+    /// are settled by [`JoinBaseline::run_with_sink`].
+    fn join(&self, cap: Option<u64>, sink: &mut dyn EmbeddingSink) -> SearchStats {
+        let mut result = SearchStats::default();
+        let mut sampler = DeadlineSampler::new(self.limits.deadline);
         let n = self.query_vertices;
-        if n == 0 || self.space.any_empty() || limits.max_embeddings == Some(0) {
+        if n == 0 || self.space.any_empty() || cap == Some(0) {
             return result;
         }
         let mut scratch: Vec<VertexId> = vec![0; n];
@@ -113,11 +122,8 @@ impl JoinBaseline {
                     result.stopped_by_sink = true;
                     return result;
                 }
-                if let Some(max) = limits.max_embeddings {
-                    if result.embeddings >= max {
-                        result.hit_embedding_limit = true;
-                        return result;
-                    }
+                if cap.is_some_and(|cap| result.embeddings >= cap) {
+                    return result;
                 }
             }
             return result;
@@ -162,11 +168,8 @@ impl JoinBaseline {
                             result.stopped_by_sink = true;
                             break 'bindings;
                         }
-                        if let Some(max) = limits.max_embeddings {
-                            if result.embeddings >= max {
-                                result.hit_embedding_limit = true;
-                                break 'bindings;
-                            }
+                        if cap.is_some_and(|cap| result.embeddings >= cap) {
+                            break 'bindings;
                         }
                     } else {
                         let mut extended = binding.clone();
@@ -207,9 +210,10 @@ impl JoinBaseline {
         sink.report(scratch)
     }
 
-    /// Counts all embeddings (through a [`CountOnly`] sink). Intended for tests.
+    /// Counts the embeddings under the matcher's limits (through a [`CountOnly`]
+    /// sink). Intended for tests.
     pub fn count(&self) -> u64 {
-        self.run(BaselineLimits::UNLIMITED).embeddings
+        self.run().embeddings
     }
 
     /// Number of query vertices.
@@ -271,7 +275,7 @@ mod tests {
     fn join_counts_intermediate_results() {
         let (q, d) = fixtures::paper_example();
         let join = JoinBaseline::new(&q, &d, OrderingStrategy::GqlStyle).unwrap();
-        let r = join.run(BaselineLimits::UNLIMITED);
+        let r = join.run();
         assert!(r.recursions >= r.embeddings);
         assert!(r.recursions > 0);
     }
@@ -292,11 +296,14 @@ mod tests {
                 (7, 0),
             ],
         );
-        let join = JoinBaseline::new(&q, &d, OrderingStrategy::GqlStyle).unwrap();
-        let r = join.run(BaselineLimits {
+        let limits = SearchLimits {
             max_embeddings: Some(5),
-            time_limit: None,
-        });
+            ..SearchLimits::UNLIMITED
+        };
+        let prepared = PreparedData::from_graph(&d);
+        let join =
+            JoinBaseline::with_prepared(&q, &prepared, OrderingStrategy::GqlStyle, limits).unwrap();
+        let r = join.run();
         assert_eq!(r.embeddings, 5);
         assert!(r.hit_embedding_limit);
     }

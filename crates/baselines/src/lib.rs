@@ -12,12 +12,19 @@
 //! * [`join`] — an edge-at-a-time join enumerator standing in for the join-based
 //!   RapidMatch.
 //!
-//! All engines report the same [`BaselineResult`] record (embeddings, recursions /
-//! intermediate results, early-termination flags) so the benchmark harness can compare
-//! them with GuP on equal terms, and every engine streams its embeddings through the
-//! workspace-wide [`EmbeddingSink`] trait (`run_with_sink` /
-//! [`brute_force::enumerate_with_sink`]) — the same output layer GuP uses — so
+//! Every engine takes GuP's budget, [`SearchLimits`] (an embedding cap and an
+//! absolute deadline), and reports GuP's record, [`SearchStats`] (embeddings,
+//! recursions / intermediate results, early-termination flags), so the benchmark
+//! harness compares them with GuP on equal terms. The backtracking and join engines
+//! take their budget at construction — the candidate filter pass and every later run
+//! share its deadline, so a matcher reused across runs shares one deadline; build a
+//! fresh one per run when each run needs its own time budget. Every engine streams
+//! its embeddings through the workspace-wide [`EmbeddingSink`] trait (`run_with_sink`
+//! / [`brute_force::run_with_sink`]) — the same output layer GuP uses — so
 //! metamorphic and differential tests can drive all engines through identical sinks.
+//!
+//! [`SearchLimits`]: gup_graph::budget::SearchLimits
+//! [`SearchStats`]: gup_graph::budget::SearchStats
 
 pub mod backtracking;
 pub mod brute_force;
@@ -28,78 +35,3 @@ pub use gup_graph::sink::{
     CallbackSink, CollectAll, CountOnly, EmbeddingSink, FirstK, SinkControl,
 };
 pub use join::JoinBaseline;
-
-use std::time::Duration;
-
-/// Early-termination limits shared by all baseline engines (mirrors
-/// `gup::SearchLimits` without depending on the `gup` crate).
-#[derive(Clone, Copy, Debug)]
-pub struct BaselineLimits {
-    /// Stop after this many embeddings (`None` = unlimited).
-    pub max_embeddings: Option<u64>,
-    /// Stop after this wall-clock duration (`None` = unlimited).
-    pub time_limit: Option<Duration>,
-}
-
-impl BaselineLimits {
-    /// No limits.
-    pub const UNLIMITED: BaselineLimits = BaselineLimits {
-        max_embeddings: None,
-        time_limit: None,
-    };
-}
-
-impl Default for BaselineLimits {
-    fn default() -> Self {
-        BaselineLimits {
-            max_embeddings: Some(100_000),
-            time_limit: None,
-        }
-    }
-}
-
-/// Result record produced by every baseline engine.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct BaselineResult {
-    /// Number of embeddings found (capped by the limit).
-    pub embeddings: u64,
-    /// Number of recursive calls (backtracking engines) or intermediate partial
-    /// bindings materialized (join engine).
-    pub recursions: u64,
-    /// Number of recursive calls that led to a deadend.
-    pub futile_recursions: u64,
-    /// `true` if the embedding cap stopped the run.
-    pub hit_embedding_limit: bool,
-    /// `true` if the time limit stopped the run.
-    pub hit_time_limit: bool,
-    /// `true` if the sink returned [`SinkControl::Stop`] and ended the run.
-    pub stopped_by_sink: bool,
-}
-
-impl BaselineResult {
-    /// `true` if any early-termination condition fired (a limit or a sink stop).
-    pub fn terminated_early(&self) -> bool {
-        self.hit_embedding_limit || self.hit_time_limit || self.stopped_by_sink
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn limits_defaults() {
-        let d = BaselineLimits::default();
-        assert_eq!(d.max_embeddings, Some(100_000));
-        assert!(d.time_limit.is_none());
-        assert!(BaselineLimits::UNLIMITED.max_embeddings.is_none());
-    }
-
-    #[test]
-    fn result_termination_flag() {
-        let mut r = BaselineResult::default();
-        assert!(!r.terminated_early());
-        r.hit_time_limit = true;
-        assert!(r.terminated_early());
-    }
-}

@@ -3,17 +3,19 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gup::{GupConfig, GupMatcher, PreparedData, PruningFeatures, SearchLimits};
+use gup_graph::deadline::deadline_after;
 use gup_workloads::{generate_query_set, Dataset, QueryClass, QuerySetSpec};
 use std::time::Duration;
 
+/// The configuration of one sample: its 2 s deadline starts when it is built, so
+/// build it inside `b.iter`.
 fn config_with(features: PruningFeatures, r: Option<usize>) -> GupConfig {
     GupConfig {
         features,
         reservation_size_limit: r,
         limits: SearchLimits {
             max_embeddings: Some(100_000),
-            time_limit: Some(Duration::from_secs(2)),
-            ..SearchLimits::UNLIMITED
+            deadline: Some(deadline_after(Duration::from_secs(2))),
         },
         ..GupConfig::default()
     }
@@ -42,9 +44,8 @@ fn bench_feature_ablation(c: &mut Criterion) {
             BenchmarkId::from_parameter(features.label()),
             query,
             |b, q| {
-                let cfg = config_with(features, Some(3));
                 b.iter(|| {
-                    GupMatcher::<1>::with_prepared(q, &prepared, cfg.clone())
+                    GupMatcher::<1>::with_prepared(q, &prepared, config_with(features, Some(3)))
                         .unwrap()
                         .run()
                         .embedding_count()
@@ -74,9 +75,9 @@ fn bench_reservation_size(c: &mut Criterion) {
         ("rinf", None),
     ] {
         group.bench_with_input(BenchmarkId::from_parameter(label), query, |b, q| {
-            let cfg = config_with(PruningFeatures::RESERVATION_ONLY, r);
             b.iter(|| {
-                GupMatcher::<1>::with_prepared(q, &prepared, cfg.clone())
+                let cfg = config_with(PruningFeatures::RESERVATION_ONLY, r);
+                GupMatcher::<1>::with_prepared(q, &prepared, cfg)
                     .unwrap()
                     .run()
                     .embedding_count()

@@ -6,10 +6,27 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gup::sink::{CollectAll, CountOnly};
 use gup::{GupConfig, GupMatcher, PreparedData, SearchLimits};
-use gup_baselines::{BacktrackingBaseline, BaselineKind, BaselineLimits, JoinBaseline};
+use gup_baselines::{BacktrackingBaseline, BaselineKind, JoinBaseline};
+use gup_graph::deadline::deadline_after;
 use gup_order::OrderingStrategy;
 use gup_workloads::{generate_query_set, Dataset, QueryClass, QuerySetSpec};
 use std::time::Duration;
+
+/// The budget of one sample: its 2 s deadline starts when it is built, so build it
+/// inside `b.iter`.
+fn limits() -> SearchLimits {
+    SearchLimits {
+        max_embeddings: Some(100_000),
+        deadline: Some(deadline_after(Duration::from_secs(2))),
+    }
+}
+
+fn gup_config() -> GupConfig {
+    GupConfig {
+        limits: limits(),
+        ..GupConfig::default()
+    }
+}
 
 fn bench_end_to_end(c: &mut Criterion) {
     let data = Dataset::Yeast.generate(0.15).graph;
@@ -25,17 +42,9 @@ fn bench_end_to_end(c: &mut Criterion) {
     group.sample_size(15);
     group.measurement_time(Duration::from_secs(4));
     for (qi, query) in queries.iter().enumerate() {
-        let gup_cfg = GupConfig {
-            limits: SearchLimits {
-                max_embeddings: Some(100_000),
-                time_limit: Some(Duration::from_secs(2)),
-                ..SearchLimits::UNLIMITED
-            },
-            ..GupConfig::default()
-        };
         group.bench_with_input(BenchmarkId::new("GuP", qi), query, |b, q| {
             b.iter(|| {
-                GupMatcher::<1>::with_prepared(q, &prepared, gup_cfg.clone())
+                GupMatcher::<1>::with_prepared(q, &prepared, gup_config())
                     .unwrap()
                     .run()
                     .embedding_count()
@@ -47,7 +56,7 @@ fn bench_end_to_end(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("GuP-count-sink", qi), query, |b, q| {
             b.iter(|| {
                 let mut sink = CountOnly::new();
-                GupMatcher::<1>::with_prepared(q, &prepared, gup_cfg.clone())
+                GupMatcher::<1>::with_prepared(q, &prepared, gup_config())
                     .unwrap()
                     .run_with_sink(&mut sink);
                 sink.count()
@@ -56,31 +65,27 @@ fn bench_end_to_end(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("GuP-collect-sink", qi), query, |b, q| {
             b.iter(|| {
                 let mut sink = CollectAll::new();
-                GupMatcher::<1>::with_prepared(q, &prepared, gup_cfg.clone())
+                GupMatcher::<1>::with_prepared(q, &prepared, gup_config())
                     .unwrap()
                     .run_with_sink(&mut sink);
                 sink.len()
             });
         });
-        let limits = BaselineLimits {
-            max_embeddings: Some(100_000),
-            time_limit: Some(Duration::from_secs(2)),
-        };
         for kind in [BaselineKind::DafFailingSet, BaselineKind::GqlStyle] {
             group.bench_with_input(BenchmarkId::new(kind.name(), qi), query, |b, q| {
                 b.iter(|| {
-                    BacktrackingBaseline::<1>::with_prepared(q, &prepared, kind, None)
+                    BacktrackingBaseline::<1>::with_prepared(q, &prepared, kind, limits())
                         .unwrap()
-                        .run(limits)
+                        .run()
                         .embeddings
                 });
             });
         }
         group.bench_with_input(BenchmarkId::new("RM-join", qi), query, |b, q| {
             b.iter(|| {
-                JoinBaseline::with_prepared(q, &prepared, OrderingStrategy::GqlStyle, None)
+                JoinBaseline::with_prepared(q, &prepared, OrderingStrategy::GqlStyle, limits())
                     .unwrap()
-                    .run(limits)
+                    .run()
                     .embeddings
             });
         });

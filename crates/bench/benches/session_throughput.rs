@@ -24,9 +24,9 @@ use std::time::Duration;
 fn query_set_config(embedding_limit: u64) -> GupConfig {
     GupConfig {
         limits: SearchLimits {
-            // Embedding caps alone bound the work: a time limit would be hoisted
-            // into ONE deadline shared by the whole batch, so on a slow machine
-            // truncation could masquerade as throughput.
+            // Embedding caps alone bound the work: a batch time budget is ONE
+            // deadline shared by the whole batch, so on a slow machine truncation
+            // could masquerade as throughput.
             max_embeddings: Some(embedding_limit),
             ..SearchLimits::UNLIMITED
         },

@@ -13,6 +13,7 @@
 
 use crate::harness::{run_query_set, Method, SetSummary, SuiteConfig};
 use gup::{GupConfig, GupMatcher, PruningFeatures, SearchLimits};
+use gup_graph::deadline::deadline_after;
 use gup_workloads::{Dataset, QuerySetSpec};
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
@@ -339,8 +340,7 @@ pub fn table3(config: &SuiteConfig) -> String {
             let gup_config = GupConfig {
                 limits: SearchLimits {
                     max_embeddings: Some(config.embedding_limit),
-                    time_limit: Some(config.per_query_timeout),
-                    ..SearchLimits::UNLIMITED
+                    deadline: Some(deadline_after(config.per_query_timeout)),
                 },
                 ..GupConfig::default()
             };
@@ -409,33 +409,36 @@ pub fn fig10(config: &SuiteConfig, max_threads: usize) -> String {
         writeln!(out, "no queries could be generated at this scale").unwrap();
         return out;
     }
-    let time_limit = (config.per_query_timeout * 2).max(Duration::from_secs(1));
-    let gup_config = GupConfig {
-        limits: SearchLimits {
-            max_embeddings: None,
-            time_limit: Some(time_limit),
-            ..SearchLimits::UNLIMITED
-        },
-        ..GupConfig::default()
-    };
+    let limit = (config.per_query_timeout * 2).max(Duration::from_secs(1));
     writeln!(
         out,
-        "queries={} per-query time limit={:?} (queries any scheduler times out on are dropped)",
+        "queries={} per-query time limit={:?} (queries the sequential run times out on are dropped)",
         queries.len(),
-        time_limit
+        limit
     )
     .unwrap();
+    // One shared prepared index for every (query, scheduler, thread count) run.
+    let prepared = gup_graph::PreparedData::from_graph(&data);
+    // Every run gets its own time budget: a matcher built with a deadline that
+    // starts right before the run (the GCS build stays outside the timed window).
+    let matcher = |query: &gup_graph::Graph| {
+        let gup_config = GupConfig {
+            limits: SearchLimits {
+                max_embeddings: None,
+                deadline: Some(deadline_after(limit)),
+            },
+            ..GupConfig::default()
+        };
+        GupMatcher::<1>::with_prepared(query, &prepared, gup_config)
+    };
     // Keep only queries where parallel scheduling is non-trivial: the sequential
     // engine needs at least 1 ms (below that, thread startup noise swamps every
     // scheduler) and finishes within the limit (so the averages compare completed
     // runs). The filter is scheduler-neutral — it only looks at the sequential run.
-    // One shared prepared index for every (query, scheduler, thread count) run.
-    let prepared = gup_graph::PreparedData::from_graph(&data);
     let kept: Vec<&gup_graph::Graph> = queries
         .iter()
         .filter(|query| {
-            let Ok(matcher) = GupMatcher::<1>::with_prepared(query, &prepared, gup_config.clone())
-            else {
+            let Ok(matcher) = matcher(query) else {
                 return false;
             };
             let start = Instant::now();
@@ -467,16 +470,18 @@ pub fn fig10(config: &SuiteConfig, max_threads: usize) -> String {
         let mut static_ms = Vec::new();
         let (mut splits, mut steals) = (0u64, 0u64);
         for query in &kept {
-            let Ok(matcher) = GupMatcher::<1>::with_prepared(query, &prepared, gup_config.clone())
-            else {
-                continue;
-            };
             // Best of two runs per scheduler, to damp scheduling noise evenly.
             let mut best = [f64::INFINITY; 2];
             for rep in 0..2 {
+                let stealing = matcher(query).expect("a kept query builds");
                 let start = Instant::now();
-                let result = matcher.run_parallel(threads);
+                let result = stealing.run_parallel(threads);
                 best[0] = best[0].min(start.elapsed().as_secs_f64() * 1000.0);
+                // A truncated run must not be averaged in with completed ones.
+                assert!(
+                    !result.stats.hit_time_limit,
+                    "fig10: a work-stealing run on {threads} threads hit the {limit:?} limit"
+                );
                 // Count steal/split activity from one run only, so the columns
                 // describe a single measured pass, not the sum of both reps.
                 if rep == 0 {
@@ -484,9 +489,14 @@ pub fn fig10(config: &SuiteConfig, max_threads: usize) -> String {
                     steals += result.stats.tasks_stolen;
                 }
 
+                let partitioned = matcher(query).expect("a kept query builds");
                 let start = Instant::now();
-                run_static_partition(&matcher, threads);
+                let timed_out = run_static_partition(&partitioned, threads);
                 best[1] = best[1].min(start.elapsed().as_secs_f64() * 1000.0);
+                assert!(
+                    !timed_out,
+                    "fig10: a static run on {threads} threads hit the {limit:?} limit"
+                );
             }
             stealing_ms.push(best[0]);
             static_ms.push(best[1]);
@@ -516,27 +526,33 @@ pub fn fig10(config: &SuiteConfig, max_threads: usize) -> String {
 
 /// Static root partition: split `C(u_0)` into `threads` contiguous chunks and give one
 /// chunk to each worker (no dynamic re-balancing) — the scheduling strategy the paper
-/// attributes to DAF (§4.3.4).
-fn run_static_partition(matcher: &GupMatcher, threads: usize) {
+/// attributes to DAF (§4.3.4). Returns whether any worker hit the time limit.
+fn run_static_partition(matcher: &GupMatcher, threads: usize) -> bool {
     let gcs = matcher.gcs();
     let config = matcher.config();
     let roots = gcs.space().candidates(0).len();
     if roots == 0 {
-        return;
+        return false;
     }
     let threads = threads.min(roots).max(1);
     let chunk = roots.div_ceil(threads);
     std::thread::scope(|scope| {
-        for t in 0..threads {
-            let lo = t * chunk;
-            let hi = ((t + 1) * chunk).min(roots);
-            scope.spawn(move || {
-                let mut engine = gup::SearchEngine::new(gcs, config);
-                engine.restrict_root(lo, hi);
-                let _ = engine.run();
-            });
-        }
-    });
+        let workers: Vec<_> = (0..threads)
+            .map(|t| {
+                let lo = t * chunk;
+                let hi = ((t + 1) * chunk).min(roots);
+                scope.spawn(move || {
+                    let mut engine = gup::SearchEngine::new(gcs, config);
+                    engine.restrict_root(lo, hi);
+                    engine.run().stats.hit_time_limit
+                })
+            })
+            .collect();
+        // The scope joins any worker `any` leaves unjoined.
+        workers
+            .into_iter()
+            .any(|worker| worker.join().expect("static-partition worker panicked"))
+    })
 }
 
 /// Runs every experiment and concatenates the reports. `max_threads` bounds the

@@ -200,11 +200,12 @@ impl SuiteConfig {
     }
 }
 
-/// The session-level engine and configuration a harness [`Method`] maps to.
+/// The session-level engine and configuration a harness [`Method`] maps to. The
+/// per-query time limit is not part of it: [`run_method`] starts that clock on the
+/// request itself, right before the query runs.
 fn method_request(method: Method, config: &SuiteConfig) -> (Engine, GupConfig) {
     let limits = SearchLimits {
         max_embeddings: Some(config.embedding_limit),
-        time_limit: Some(config.per_query_timeout),
         ..SearchLimits::UNLIMITED
     };
     match method {
@@ -270,6 +271,7 @@ pub fn run_method(
         .query(query)
         .method(engine)
         .config(gup_config)
+        .timeout(config.per_query_timeout)
         .run_with_sink(&mut CountOnly::new())
     {
         Ok(stats) => RunRecord {

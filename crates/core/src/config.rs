@@ -1,8 +1,8 @@
 //! Configuration of the GuP matcher.
 
 use gup_candidate::FilterConfig;
+pub use gup_graph::budget::SearchLimits;
 use gup_order::OrderingStrategy;
-use std::time::{Duration, Instant};
 
 /// Which pruning techniques are enabled. The evaluation's ablation (Fig. 9 of the
 /// paper) toggles these: "Baseline", "R", "R+NV", "R+NV+NE", and "All" (= everything
@@ -82,47 +82,6 @@ impl Default for PruningFeatures {
     }
 }
 
-/// Limits that terminate a search early. Mirrors the paper's termination conditions
-/// (§4.1): a cap on the number of reported embeddings (10^5 in the paper) and a
-/// per-query time limit.
-#[derive(Clone, Copy, Debug)]
-pub struct SearchLimits {
-    /// Stop after this many embeddings have been found (`None` = unlimited).
-    pub max_embeddings: Option<u64>,
-    /// Stop after this wall-clock duration (`None` = unlimited).
-    pub time_limit: Option<Duration>,
-    /// Absolute deadline. When set it takes precedence over `time_limit`; the
-    /// parallel driver hoists `time_limit` into a deadline once so that per-worker
-    /// engines reused across many tasks share one clock instead of restarting their
-    /// time budget per task.
-    pub deadline: Option<Instant>,
-}
-
-impl SearchLimits {
-    /// No limits at all.
-    pub const UNLIMITED: SearchLimits = SearchLimits {
-        max_embeddings: None,
-        time_limit: None,
-        deadline: None,
-    };
-
-    /// The absolute deadline of a search starting now: `deadline` when set,
-    /// otherwise now + `time_limit`.
-    pub fn effective_deadline(&self) -> Option<Instant> {
-        self.deadline
-            .or_else(|| self.time_limit.map(gup_graph::deadline::deadline_after))
-    }
-}
-
-impl Default for SearchLimits {
-    fn default() -> Self {
-        SearchLimits {
-            max_embeddings: Some(100_000),
-            ..SearchLimits::UNLIMITED
-        }
-    }
-}
-
 /// Full configuration of a GuP matcher instance.
 #[derive(Clone, Debug)]
 pub struct GupConfig {
@@ -135,7 +94,11 @@ pub struct GupConfig {
     pub reservation_size_limit: Option<usize>,
     /// Which pruning techniques are active.
     pub features: PruningFeatures,
-    /// Early-termination limits.
+    /// Early-termination limits: the embedding cap (10^5 in the paper, §4.1) and an
+    /// absolute deadline that covers the candidate filter pass as well as the search.
+    /// A matcher reused across runs shares one deadline; build one per run (or use
+    /// the session's `timeout`, which starts the clock per request) when each run
+    /// needs its own time budget.
     pub limits: SearchLimits,
     /// Whether found embeddings are materialized (`true`) or only counted (`false`).
     pub collect_embeddings: bool,
@@ -212,22 +175,5 @@ mod tests {
             Some(7)
         );
         assert_eq!(SearchLimits::UNLIMITED.max_embeddings, None);
-    }
-
-    #[test]
-    fn effective_deadline_prefers_explicit_deadline() {
-        assert!(SearchLimits::UNLIMITED.effective_deadline().is_none());
-        let from_limit = SearchLimits {
-            time_limit: Some(Duration::from_secs(60)),
-            ..SearchLimits::UNLIMITED
-        };
-        assert!(from_limit.effective_deadline().is_some());
-        let fixed = Instant::now() + Duration::from_secs(5);
-        let hoisted = SearchLimits {
-            time_limit: Some(Duration::from_secs(60)),
-            deadline: Some(fixed),
-            ..SearchLimits::UNLIMITED
-        };
-        assert_eq!(hoisted.effective_deadline(), Some(fixed));
     }
 }

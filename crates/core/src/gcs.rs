@@ -29,7 +29,7 @@ pub enum GupError {
     /// silently truncated. The session layer reports this as
     /// `SearchStats::hit_time_limit`, exactly like a deadline that fires in-search.
     ///
-    /// [`SearchLimits::deadline`]: crate::config::SearchLimits::deadline
+    /// [`SearchLimits::deadline`]: crate::SearchLimits::deadline
     FilterTimeout,
 }
 
@@ -66,12 +66,9 @@ impl<const W: usize> Gcs<W> {
     /// Builds the GCS for `query` against a prepared data graph under `config`:
     /// candidate filtering (against the precomputed signature arena), matching-order
     /// optimization, re-indexing of the candidate space into the order, and
-    /// reservation-guard generation. The filter pass honors the hoisted absolute
+    /// reservation-guard generation. The filter pass honors the configured absolute
     /// deadline (`config.limits.deadline`, when one is set) at a work-bounded
     /// cadence, so a tight budget cannot be blown before the search starts.
-    /// `time_limit` alone is not hoisted here: its clock has always started at the
-    /// search, and the session layer (which owns the end-to-end budget) hoists it
-    /// into `deadline` before building.
     pub fn build_prepared(
         query: &Graph,
         prepared: &PreparedData,

@@ -146,12 +146,11 @@ impl<const W: usize> GupMatcher<W> {
 
     /// Runs the search on `threads` worker threads with recursive subtree splitting
     /// and work stealing (§3.5.2). Exact: reports the same embedding count as
-    /// [`GupMatcher::run`]; with `threads <= 1` it *is* the sequential run. The time
-    /// budget, when set, is hoisted into one absolute deadline shared by all
-    /// workers, and the embedding limit is reserved atomically so the merged result
-    /// never overshoots it. Steal/split activity is visible in
-    /// [`SearchStats::tasks_executed`], [`SearchStats::frames_split`], and
-    /// [`SearchStats::tasks_stolen`].
+    /// [`GupMatcher::run`]; with `threads <= 1` it *is* the sequential run. All
+    /// workers sample the configuration's one absolute deadline, and the embedding
+    /// limit is reserved atomically so the merged result never overshoots it.
+    /// Steal/split activity is visible in [`SearchStats::tasks_executed`],
+    /// [`SearchStats::frames_split`], and [`SearchStats::tasks_stolen`].
     pub fn run_parallel(&self, threads: usize) -> MatchResult {
         if threads <= 1 {
             return self.run();
@@ -228,7 +227,7 @@ impl<const W: usize> EmbeddingSink for OriginalIdSink<'_, '_, W> {
 pub fn find_embeddings(query: &Graph, data: &Graph) -> Result<MatchResult, GupError> {
     let config = GupConfig {
         collect_embeddings: true,
-        limits: crate::config::SearchLimits::UNLIMITED,
+        limits: crate::SearchLimits::UNLIMITED,
         ..GupConfig::default()
     };
     crate::with_qv_width!(query.vertex_count(), W, {
@@ -242,7 +241,7 @@ pub fn find_embeddings(query: &Graph, data: &Graph) -> Result<MatchResult, GupEr
 pub fn count_embeddings(query: &Graph, data: &Graph) -> Result<u64, GupError> {
     let config = GupConfig {
         collect_embeddings: false,
-        limits: crate::config::SearchLimits::UNLIMITED,
+        limits: crate::SearchLimits::UNLIMITED,
         ..GupConfig::default()
     };
     crate::with_qv_width!(query.vertex_count(), W, {

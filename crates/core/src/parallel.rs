@@ -23,8 +23,8 @@
 //!
 //! Global termination limits are shared: the embedding budget is one atomic counter
 //! reserved with check-and-increment (no worker can overshoot the limit), and the
-//! time budget is hoisted into one absolute deadline before the workers start, so
-//! engine reuse across tasks cannot restart the clock.
+//! time budget is the configuration's one absolute deadline, which every worker
+//! samples as given — engine reuse across tasks cannot restart the clock.
 //!
 //! Lock discipline: this module's locks rank `deques ≺ sink ≺ slot ≺ cache` in
 //! the `crates/core` manifest (`gup_analysis::rules::LOCK_MANIFESTS`), and
@@ -163,26 +163,22 @@ pub fn run_parallel_with_sink<const W: usize>(
     threads: usize,
     sink: &mut dyn EmbeddingSink,
 ) -> SearchStats {
-    let threads = threads.max(1);
-    if gcs.is_empty() {
-        return SearchStats::default();
-    }
     let user_limit = config.limits.max_embeddings;
     let capacity = sink.capacity();
-    let mut config = config.clone();
-    config.limits.max_embeddings = min_limit(user_limit, capacity);
-    // Hoist the time budget into an absolute deadline shared by every worker, so
-    // per-task engine reuse cannot restart the clock (and all workers agree on it).
-    if config.limits.deadline.is_none() {
-        config.limits.deadline = config.limits.effective_deadline();
+    if gcs.is_empty() {
+        let mut stats = SearchStats::default();
+        stats.settle_cap(user_limit, capacity);
+        return stats;
     }
     // Unlike the old root-splitting driver, a single root candidate is *not* a
     // reason to degrade to one thread: recursive frame splitting parallelizes the
     // subtree below it.
-    let root_candidates = gcs.space().candidates(0).len();
-    if threads == 1 || sink.may_stop() {
-        return SearchEngine::new(gcs, &config).run_with_sink(sink);
+    if threads <= 1 || sink.may_stop() {
+        return SearchEngine::new(gcs, config).run_with_sink(sink);
     }
+    let mut config = config.clone();
+    config.limits.max_embeddings = min_limit(user_limit, capacity);
+    let root_candidates = gcs.space().candidates(0).len();
     let workers = threads;
     let buffer_embeddings = sink.wants_embeddings();
 
@@ -239,7 +235,7 @@ pub fn run_parallel_with_sink<const W: usize>(
             merged.stopped_by_sink = true;
         }
     }
-    merged.attribute_capacity_stop(user_limit, capacity);
+    merged.settle_cap(user_limit, capacity);
     merged
 }
 
@@ -475,15 +471,15 @@ mod tests {
         );
         let cfg = GupConfig {
             limits: SearchLimits {
-                time_limit: Some(Duration::ZERO),
+                deadline: Some(std::time::Instant::now()),
                 ..SearchLimits::UNLIMITED
             },
             ..GupConfig::default()
         };
         let outcome = run_parallel(&gcs, &cfg, 4);
-        // The already-expired budget is hoisted into one absolute deadline before
-        // the workers start; per-task engine reuse must not restart the clock, so
-        // the run aborts long before exhausting the full search.
+        // Every worker samples the one already-expired deadline; per-task engine
+        // reuse must not restart the clock, so the run aborts long before
+        // exhausting the full search.
         assert!(outcome.stats.hit_time_limit);
         assert!(outcome.stats.recursions < full.stats.recursions);
     }

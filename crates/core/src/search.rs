@@ -178,10 +178,9 @@ pub struct SearchEngine<'a, const W: usize = 1> {
     /// check-and-increment counter across all workers of a parallel run. The single
     /// place where the limit is enforced.
     reservation: EmbeddingReservation,
-    /// Work-bounded sampler over the absolute deadline, which is owned by whoever
-    /// constructed the config: hoisted once by the parallel driver (so engine reuse
-    /// cannot restart the time budget per task) or derived from `time_limit` at
-    /// engine construction for sequential runs. Shared with the filter pass and the
+    /// Work-bounded sampler over the configured absolute deadline, which is owned by
+    /// whoever built the config — so engine reuse across the tasks of a parallel run
+    /// cannot restart the time budget. Shared with the filter pass and the
     /// brute-force oracle — one sampling implementation, one cadence.
     sampler: DeadlineSampler,
     /// Restrict the root-level candidates to this slice of positions (used by the
@@ -235,7 +234,7 @@ impl<'a, const W: usize> SearchEngine<'a, W> {
                 DefaultSink::Discard
             },
             reservation: EmbeddingReservation::local(config.limits.max_embeddings),
-            sampler: DeadlineSampler::new(config.limits.effective_deadline()),
+            sampler: DeadlineSampler::new(config.limits.deadline),
             root_slice: None,
             task_base: 0,
             task_candidates: Vec::new(),
@@ -296,13 +295,11 @@ impl<'a, const W: usize> SearchEngine<'a, W> {
     /// Thin adapter over [`SearchEngine::run_with_sink`]: embeddings are collected or
     /// discarded according to `GupConfig::collect_embeddings`.
     pub fn run(mut self) -> SearchOutcome {
-        if !self.gcs.is_empty() {
-            let task = self.root_task();
-            self.run_task(task);
-        }
+        let mut sink = std::mem::replace(&mut self.default_sink, DefaultSink::Discard);
+        let stats = self.run_with_sink(&mut sink);
         SearchOutcome {
-            embeddings: self.default_sink.take_collected(),
-            stats: self.stats,
+            embeddings: sink.take_collected(),
+            stats,
         }
     }
 
@@ -314,29 +311,33 @@ impl<'a, const W: usize> SearchEngine<'a, W> {
     ///
     /// [`GupMatcher::run_with_sink`]: crate::matcher::GupMatcher::run_with_sink
     pub fn run_with_sink(mut self, sink: &mut dyn EmbeddingSink) -> SearchStats {
-        let configured_limit = self.reservation.max();
-        self.reservation.cap(sink.capacity());
-        if !self.gcs.is_empty() {
-            let task = self.root_task();
-            self.run_task_with_sink(task, sink);
-        }
-        self.stats
-            .attribute_capacity_stop(configured_limit, sink.capacity());
+        self.search_all(sink);
         self.stats
     }
 
     /// Runs the search and additionally returns the populated guard stores (used by
     /// the memory-consumption experiment, Table 3).
     pub fn run_with_guards(mut self) -> (SearchOutcome, VertexGuardStore<W>, EdgeGuardStore<W>) {
-        if !self.gcs.is_empty() {
-            let task = self.root_task();
-            self.run_task(task);
-        }
+        let mut sink = std::mem::replace(&mut self.default_sink, DefaultSink::Discard);
+        self.search_all(&mut sink);
         let outcome = SearchOutcome {
-            embeddings: self.default_sink.take_collected(),
-            stats: self.stats.clone(),
+            embeddings: sink.take_collected(),
+            stats: self.stats,
         };
         (outcome, self.nv, self.ne)
+    }
+
+    /// The whole search into `sink`: folds the sink's capacity into the embedding
+    /// limit, runs the root task, and settles the cap flags
+    /// ([`SearchStats::settle_cap`]).
+    fn search_all(&mut self, sink: &mut dyn EmbeddingSink) {
+        let configured_limit = self.reservation.max();
+        self.reservation.cap(sink.capacity());
+        if !self.gcs.is_empty() {
+            let task = self.root_task();
+            self.run_task_with_sink(task, sink);
+        }
+        self.stats.settle_cap(configured_limit, sink.capacity());
     }
 
     /// Executes one task against the engine's built-in sink (collect or discard per

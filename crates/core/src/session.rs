@@ -63,18 +63,15 @@
 //! assert_eq!(report.total_embeddings(), 8);
 //! ```
 
-use crate::config::GupConfig;
+use crate::config::{GupConfig, SearchLimits};
 use crate::gcs::GupError;
 use crate::matcher::GupMatcher;
 use crate::stats::SearchStats;
-use gup_baselines::{
-    brute_force, BacktrackingBaseline, BaselineError, BaselineKind, BaselineLimits, BaselineResult,
-    JoinBaseline,
-};
-use gup_graph::deadline::{deadline_passed, remaining_until, Stopwatch};
+use gup_baselines::{brute_force, BacktrackingBaseline, BaselineError, BaselineKind, JoinBaseline};
+use gup_graph::deadline::{deadline_after, deadline_passed, Stopwatch};
 use gup_graph::delta::{DeltaEffects, DeltaError, GraphDelta};
 use gup_graph::query::QueryGraphError;
-use gup_graph::sink::{min_limit, CollectAll, CountOnly, EmbeddingSink, FirstK, SinkControl};
+use gup_graph::sink::{min_limit, CollectAll, CountOnly, EmbeddingSink, FirstK};
 use gup_graph::{Graph, Label, PreparedData, QueryGraph, VertexId};
 use gup_order::OrderingStrategy;
 use parking_lot::Mutex;
@@ -134,49 +131,24 @@ impl Engine {
     }
 }
 
-/// Errors produced when a session cannot run a query.
+/// Errors produced when a session cannot run a query. A budget that runs out — even
+/// during the candidate filter pass — is not an error: it comes back as
+/// `hit_time_limit` in [`SearchStats`].
 #[derive(Debug)]
 pub enum SessionError {
     /// The query graph is unusable (empty, disconnected, or too large).
     InvalidQuery(QueryGraphError),
-    /// The time budget expired during the candidate filter pass. Session finishers
-    /// intercept this and report it as `hit_time_limit` in [`SearchStats`], so it
-    /// never escapes [`QueryRequest::run`] and friends; the variant exists so the
-    /// conversions from the lower-level engine errors stay total for callers that
-    /// construct engines directly.
-    FilterTimeout,
 }
 
 impl std::fmt::Display for SessionError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SessionError::InvalidQuery(e) => write!(f, "invalid query graph: {e}"),
-            SessionError::FilterTimeout => {
-                write!(f, "time budget expired during the candidate filter pass")
-            }
         }
     }
 }
 
 impl std::error::Error for SessionError {}
-
-impl From<GupError> for SessionError {
-    fn from(e: GupError) -> Self {
-        match e {
-            GupError::InvalidQuery(q) => SessionError::InvalidQuery(q),
-            GupError::FilterTimeout => SessionError::FilterTimeout,
-        }
-    }
-}
-
-impl From<BaselineError> for SessionError {
-    fn from(e: BaselineError) -> Self {
-        match e {
-            BaselineError::InvalidQuery(q) => SessionError::InvalidQuery(q),
-            BaselineError::FilterTimeout => SessionError::FilterTimeout,
-        }
-    }
-}
 
 /// Monotonic counters a session keeps about the queries it has dispatched.
 /// Shared by every clone of the session (clones share one `Arc`), so a serving
@@ -498,11 +470,12 @@ impl Session {
             engine: Engine::Gup,
             config: self.defaults.clone(),
             threads: 1,
+            timeout: None,
         }
     }
 
     /// Runs a query set under the session defaults: every query through the shared
-    /// prepared index, one shared deadline (when a time limit is configured),
+    /// prepared index, one shared deadline (when the defaults carry one),
     /// per-query stats and timing. Equivalent to `self.batch().run(queries)`.
     pub fn run_batch(&self, queries: &[Graph]) -> BatchReport {
         self.batch().run(queries)
@@ -560,22 +533,23 @@ impl<'s, 'q> QueryRequest<'s, 'q> {
 
     /// Removes the embedding and time limits.
     pub fn unlimited(mut self) -> Self {
-        self.config.limits = crate::config::SearchLimits::UNLIMITED;
+        self.config.limits = SearchLimits::UNLIMITED;
         self
     }
 
-    /// Per-query wall-clock limit.
-    pub fn timeout(mut self, limit: Duration) -> Self {
-        self.config.limits.time_limit = Some(limit);
-        self
+    /// Per-query wall-clock limit, starting now: the same as
+    /// `deadline(now + limit)`.
+    pub fn timeout(self, limit: Duration) -> Self {
+        self.deadline(deadline_after(limit))
     }
 
-    /// Absolute per-query deadline. Takes precedence over
-    /// [`QueryRequest::timeout`]; this is the knob for callers that fix the budget
+    /// Absolute per-query deadline — the knob for callers that fix the budget
     /// *before* the query runs (a serving front-end stamps the deadline at
-    /// admission, so time spent queued counts against the request's budget).
+    /// admission, so time spent queued counts against the request's budget). When
+    /// a request sets more than one deadline (this, [`QueryRequest::timeout`], or
+    /// one in the configuration), the earliest wins.
     pub fn deadline(mut self, deadline: Instant) -> Self {
-        self.config.limits.deadline = Some(deadline);
+        self.config.limits.tighten_deadline(deadline);
         self
     }
 
@@ -713,14 +687,14 @@ impl<'s, 'q> QueryRequest<'s, 'q> {
 }
 
 /// Routes one query to its engine family, all against the session's shared
-/// [`PreparedData`]. The engine is monomorphized over the narrowest query-vertex
-/// bitset width that fits the query (≤64 vertices compile to exactly the one-word
-/// fast path), and the time budget is hoisted into one absolute deadline up front:
-/// a budget that is already exhausted — e.g. by an earlier query of a batch —
-/// fails fast with `hit_time_limit` before any filter pass runs. The filter pass
-/// itself samples the hoisted deadline at a work-bounded cadence, so a budget
-/// smaller than the candidate-space build also comes back as `hit_time_limit`
-/// (within roughly one sampling interval) instead of blowing through the budget.
+/// [`PreparedData`] and under the one [`SearchLimits`] every engine takes. The
+/// engine is monomorphized over the narrowest query-vertex bitset width that fits
+/// the query (≤64 vertices compile to exactly the one-word fast path). A deadline
+/// that has already passed — e.g. spent by an earlier query of a batch — fails
+/// fast with `hit_time_limit` before any filter pass runs. The filter pass itself
+/// samples the deadline at a work-bounded cadence, so a budget smaller than the
+/// candidate-space build also comes back as `hit_time_limit` (within roughly one
+/// sampling interval) instead of blowing through the budget.
 fn dispatch(
     session: &Session,
     query: &Graph,
@@ -738,26 +712,23 @@ fn dispatch_inner(
     session: &Session,
     query: &Graph,
     engine: Engine,
-    mut config: GupConfig,
+    config: GupConfig,
     threads: usize,
     sink: &mut dyn EmbeddingSink,
 ) -> Result<SearchStats, SessionError> {
     let prepared: &PreparedData = &session.prepared;
-    // Hoist the budget once so every engine (and every parallel worker) shares the
-    // same clock, then fail fast when nothing of it remains: an expired deadline
-    // must not buy a candidate-space build, a filter pass, or an unlimited run.
-    config.limits.deadline = config.limits.effective_deadline();
-    if let Some(deadline) = config.limits.deadline {
-        if deadline_passed(deadline) {
-            return Ok(timed_out_stats());
-        }
+    let limits = config.limits;
+    // An expired deadline must not buy a candidate-space build, a filter pass, or
+    // an unlimited run.
+    if limits.deadline.is_some_and(deadline_passed) {
+        return Ok(timed_out_stats());
     }
     match engine {
         Engine::Gup => crate::with_qv_width!(query.vertex_count(), W, {
             let matcher = match GupMatcher::<W>::with_prepared(query, prepared, config) {
                 Ok(matcher) => matcher,
                 Err(GupError::FilterTimeout) => return Ok(timed_out_stats()),
-                Err(e) => return Err(e.into()),
+                Err(GupError::InvalidQuery(e)) => return Err(SessionError::InvalidQuery(e)),
             };
             Ok(if threads > 1 {
                 matcher.run_parallel_with_sink(threads, sink)
@@ -775,68 +746,29 @@ fn dispatch_inner(
                 _ => BaselineKind::Plain,
             };
             crate::with_qv_width!(query.vertex_count(), W, {
-                let matcher = match BacktrackingBaseline::<W>::with_prepared(
-                    query,
-                    prepared,
-                    kind,
-                    config.limits.deadline,
-                ) {
-                    Ok(matcher) => matcher,
-                    Err(BaselineError::FilterTimeout) => return Ok(timed_out_stats()),
-                    Err(e) => return Err(e.into()),
-                };
-                let result = matcher.run_with_sink(baseline_limits(&config), sink);
-                Ok(stats_from_baseline(&result))
+                match BacktrackingBaseline::<W>::with_prepared(query, prepared, kind, limits) {
+                    Ok(matcher) => Ok(matcher.run_with_sink(sink)),
+                    Err(e) => baseline_error(e),
+                }
             })
         }
         Engine::Join => {
-            let matcher = match JoinBaseline::with_prepared(
-                query,
-                prepared,
-                OrderingStrategy::GqlStyle,
-                config.limits.deadline,
-            ) {
-                Ok(matcher) => matcher,
-                Err(BaselineError::FilterTimeout) => return Ok(timed_out_stats()),
-                Err(e) => return Err(e.into()),
-            };
-            let result = matcher.run_with_sink(baseline_limits(&config), sink);
-            Ok(stats_from_baseline(&result))
+            let order = OrderingStrategy::GqlStyle;
+            match JoinBaseline::with_prepared(query, prepared, order, limits) {
+                Ok(matcher) => Ok(matcher.run_with_sink(sink)),
+                Err(e) => baseline_error(e),
+            }
         }
         Engine::BruteForce => {
             // Validate up front so the oracle rejects exactly the queries every
             // other engine rejects (it could otherwise enumerate disconnected ones).
             QueryGraph::new(query.clone()).map_err(SessionError::InvalidQuery)?;
-            let configured_limit = config.limits.max_embeddings;
-            let capacity = sink.capacity();
-            let deadline = config.limits.deadline;
-            let mut limited = LimitSink {
-                inner: sink,
-                reported: 0,
-                max: min_limit(configured_limit, capacity),
-                deadline,
-                hit_limit: false,
-                hit_deadline: false,
-                inner_stopped: false,
-            };
-            // The deadline is threaded into the enumeration itself (sampled every
-            // `brute_force::DEADLINE_CHECK_INTERVAL` steps), so a zero-match query
-            // — whose sink is never called — still observes the budget.
-            let expired = brute_force::enumerate_with_sink_deadline(
+            Ok(brute_force::run_with_sink(
                 query,
                 prepared.graph(),
-                &mut limited,
-                deadline,
-            );
-            let mut stats = SearchStats {
-                embeddings: limited.reported,
-                hit_embedding_limit: limited.hit_limit,
-                hit_time_limit: limited.hit_deadline || expired,
-                stopped_by_sink: limited.inner_stopped,
-                ..SearchStats::default()
-            };
-            stats.attribute_capacity_stop(configured_limit, capacity);
-            Ok(stats)
+                limits,
+                sink,
+            ))
         }
     }
 }
@@ -850,79 +782,12 @@ fn timed_out_stats() -> SearchStats {
     }
 }
 
-/// Translates the session's limits into the baseline engines' record. A hoisted
-/// shared deadline (batch mode) becomes the remaining wall-clock budget. An
-/// already-expired deadline never reaches this point — [`dispatch`] fails fast
-/// before constructing an engine — so the saturation to `Duration::ZERO` can only
-/// shave the final scheduling jitter, not silently grant an unlimited run.
-fn baseline_limits(config: &GupConfig) -> BaselineLimits {
-    let time_limit = match config.limits.deadline {
-        Some(deadline) => Some(remaining_until(deadline)),
-        None => config.limits.time_limit,
-    };
-    BaselineLimits {
-        max_embeddings: config.limits.max_embeddings,
-        time_limit,
-    }
-}
-
-/// Lifts a [`BaselineResult`] into the unified [`SearchStats`] record (the counters
-/// the baselines do not track stay zero).
-fn stats_from_baseline(result: &BaselineResult) -> SearchStats {
-    SearchStats {
-        embeddings: result.embeddings,
-        recursions: result.recursions,
-        futile_recursions: result.futile_recursions,
-        hit_embedding_limit: result.hit_embedding_limit,
-        hit_time_limit: result.hit_time_limit,
-        stopped_by_sink: result.stopped_by_sink,
-        ..SearchStats::default()
-    }
-}
-
-/// Enforces an embedding limit and a wall-clock deadline around a sink for engines
-/// that do not implement the limit themselves (the brute-force oracle). The
-/// deadline here fires between reported embeddings; the stretch-of-search-finding-
-/// nothing case is covered by the deadline threaded into the enumeration itself
-/// ([`brute_force::enumerate_with_sink_deadline`]).
-struct LimitSink<'a> {
-    inner: &'a mut dyn EmbeddingSink,
-    reported: u64,
-    max: Option<u64>,
-    deadline: Option<Instant>,
-    hit_limit: bool,
-    hit_deadline: bool,
-    inner_stopped: bool,
-}
-
-impl EmbeddingSink for LimitSink<'_> {
-    fn report(&mut self, embedding: &[VertexId]) -> SinkControl {
-        if let Some(deadline) = self.deadline {
-            if deadline_passed(deadline) {
-                self.hit_deadline = true;
-                return SinkControl::Stop;
-            }
-        }
-        if let Some(max) = self.max {
-            if self.reported >= max {
-                self.hit_limit = true;
-                return SinkControl::Stop;
-            }
-        }
-        self.reported += 1;
-        if self.inner.report(embedding) == SinkControl::Stop {
-            self.inner_stopped = true;
-            return SinkControl::Stop;
-        }
-        if self.max.is_some_and(|max| self.reported >= max) {
-            self.hit_limit = true;
-            return SinkControl::Stop;
-        }
-        SinkControl::Continue
-    }
-
-    fn wants_embeddings(&self) -> bool {
-        self.inner.wants_embeddings()
+/// Maps a baseline construction error onto the session's outcome: a filter-pass
+/// timeout is a timed-out run, an unusable query is the uniform error.
+fn baseline_error(e: BaselineError) -> Result<SearchStats, SessionError> {
+    match e {
+        BaselineError::FilterTimeout => Ok(timed_out_stats()),
+        BaselineError::InvalidQuery(e) => Err(SessionError::InvalidQuery(e)),
     }
 }
 
@@ -933,6 +798,8 @@ pub struct BatchRequest<'s> {
     engine: Engine,
     config: GupConfig,
     threads: usize,
+    /// Budget of the whole batch; its clock starts when [`BatchRequest::run`] does.
+    timeout: Option<Duration>,
 }
 
 impl<'s> BatchRequest<'s> {
@@ -956,14 +823,16 @@ impl<'s> BatchRequest<'s> {
 
     /// Removes the embedding and time limits.
     pub fn unlimited(mut self) -> Self {
-        self.config.limits = crate::config::SearchLimits::UNLIMITED;
+        self.config.limits = SearchLimits::UNLIMITED;
+        self.timeout = None;
         self
     }
 
-    /// Wall-clock budget for the **whole batch**: hoisted into one absolute
-    /// deadline shared by every query (and every parallel worker).
+    /// Wall-clock budget for the **whole batch**: turned into one absolute deadline
+    /// when [`BatchRequest::run`] starts, shared by every query (and every parallel
+    /// worker).
     pub fn timeout(mut self, limit: Duration) -> Self {
-        self.config.limits.time_limit = Some(limit);
+        self.timeout = Some(limit);
         self
     }
 
@@ -979,8 +848,10 @@ impl<'s> BatchRequest<'s> {
     pub fn run(&self, queries: &[Graph]) -> BatchReport {
         let mut config = self.config.clone();
         // One shared deadline: the batch's time budget starts now and is observed by
-        // every query (and inherited by the baselines as remaining wall-clock time).
-        config.limits.deadline = config.limits.effective_deadline();
+        // every query of the batch.
+        if let Some(limit) = self.timeout {
+            config.limits.tighten_deadline(deadline_after(limit));
+        }
         let prep_time = self.session.prep_time();
         let prep_amortized = if queries.is_empty() {
             Duration::ZERO
@@ -1230,24 +1101,25 @@ mod tests {
     fn absolute_deadline_takes_precedence_over_timeout() {
         let (query, data) = fixtures::paper_example();
         let session = Session::new(data);
-        // A generous relative timeout does not resurrect an expired deadline.
-        let stats = session
+        // A generous relative timeout does not resurrect an expired deadline, in
+        // either order: the earliest deadline wins.
+        let past = Instant::now() - Duration::from_millis(1);
+        let timeout_first = session
             .query(&query)
             .unlimited()
             .timeout(Duration::from_secs(3600))
-            .deadline(Instant::now() - Duration::from_millis(1))
+            .deadline(past)
             .run_with_sink(&mut CountOnly::new())
             .unwrap();
-        assert!(stats.hit_time_limit);
-    }
-
-    #[test]
-    fn filter_timeout_error_displays_and_converts() {
-        let err = SessionError::from(GupError::FilterTimeout);
-        assert!(matches!(err, SessionError::FilterTimeout));
-        assert!(format!("{err}").contains("filter pass"));
-        let err = SessionError::from(BaselineError::FilterTimeout);
-        assert!(matches!(err, SessionError::FilterTimeout));
+        assert!(timeout_first.hit_time_limit);
+        let deadline_first = session
+            .query(&query)
+            .unlimited()
+            .deadline(past)
+            .timeout(Duration::from_secs(3600))
+            .run_with_sink(&mut CountOnly::new())
+            .unwrap();
+        assert!(deadline_first.hit_time_limit);
     }
 
     #[test]

@@ -62,13 +62,6 @@ impl DeadlineSampler {
         }
     }
 
-    /// A sampler for a relative budget starting now (`None` = unlimited). The
-    /// single blessed relative→absolute conversion for engines that receive a
-    /// `time_limit` rather than a hoisted deadline.
-    pub fn starting_now(budget: Option<Duration>) -> Self {
-        DeadlineSampler::new(budget.map(deadline_after))
-    }
-
     /// Counts one unit of work and, every [`DEADLINE_CHECK_INTERVAL`] units,
     /// samples the clock. Returns `Err(DeadlineExceeded)` once the deadline has
     /// passed (and keeps returning it — expiry is sticky).
@@ -117,10 +110,11 @@ impl DeadlineSampler {
     }
 }
 
-/// The absolute deadline of a budget starting now. Alongside the sampler, this
-/// is the only place the workspace converts a relative budget to a wall-clock
-/// deadline — admission control, batch hoisting, and the session dispatcher all
-/// route through here (the `clock_discipline` lint keeps it that way).
+/// The absolute deadline of a budget starting now: the only place the workspace
+/// converts a relative budget to a wall-clock deadline. Each budget is converted
+/// once, where its clock starts — serve admission, `QueryRequest::timeout`, and the
+/// start of a batch all route through here (the `clock_discipline` lint keeps it
+/// that way), and nothing converts a deadline back into a duration.
 pub fn deadline_after(budget: Duration) -> Instant {
     Instant::now() + budget
 }
@@ -130,13 +124,6 @@ pub fn deadline_after(budget: Duration) -> Instant {
 /// clock is read at a work-bounded cadence instead of per iteration.
 pub fn deadline_passed(deadline: Instant) -> bool {
     Instant::now() >= deadline
-}
-
-/// The budget remaining until `deadline` (zero once passed). Used to translate
-/// a hoisted absolute deadline back into the relative form some engine APIs
-/// take.
-pub fn remaining_until(deadline: Instant) -> Duration {
-    deadline.saturating_duration_since(Instant::now())
 }
 
 /// A started wall-clock stopwatch for *measurement* (latency reporting, prep
@@ -159,12 +146,6 @@ impl Stopwatch {
     /// Time elapsed since construction.
     pub fn elapsed(&self) -> Duration {
         self.started.elapsed()
-    }
-
-    /// The instant the stopwatch was started (for deriving deadlines relative
-    /// to a request's arrival).
-    pub fn started_at(&self) -> Instant {
-        self.started
     }
 }
 

@@ -12,6 +12,10 @@
 //! * [`QueryGraph`] — a thin wrapper over [`Graph`] that validates the properties the
 //!   matcher relies on (connectivity, ≤ [`MAX_QUERY_VERTICES`] vertices for bitset
 //!   masks) and exposes forward/backward neighbor views under a matching order.
+//! * [`budget`] — [`SearchLimits`](budget::SearchLimits), the one search budget (an
+//!   embedding cap and an absolute deadline), and [`SearchStats`](budget::SearchStats),
+//!   the one result record; every engine family — GuP and all the baselines — takes
+//!   the former and returns the latter.
 //! * [`PreparedData`] — an immutable, `Arc`-shareable per-data-graph index (label
 //!   inverted index, a flat arena of per-vertex neighborhood-label-frequency
 //!   signatures, degree/label stats and a max-NLF bound) built once and reused by
@@ -51,6 +55,7 @@
 //! ```
 
 pub mod algo;
+pub mod budget;
 pub mod builder;
 pub mod deadline;
 pub mod delta;

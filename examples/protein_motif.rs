@@ -10,11 +10,20 @@
 //! ("bridged complex") — and compare GuP against the DAF-style baseline on each.
 
 use gup::{GupConfig, GupMatcher, SearchLimits};
-use gup_baselines::{BacktrackingBaseline, BaselineKind, BaselineLimits};
+use gup_baselines::{BacktrackingBaseline, BaselineKind};
 use gup_graph::builder::graph_from_edges;
+use gup_graph::deadline::deadline_after;
 use gup_graph::{Graph, PreparedData};
 use gup_workloads::Dataset;
 use std::time::{Duration, Instant};
+
+/// One engine's budget for one motif: 10^5 embeddings and 5 s, starting now.
+fn limits() -> SearchLimits {
+    SearchLimits {
+        max_embeddings: Some(100_000),
+        deadline: Some(deadline_after(Duration::from_secs(5))),
+    }
+}
 
 fn most_common_labels(data: &Graph, k: usize) -> Vec<u32> {
     let mut freq: Vec<(usize, u32)> = (0..data.label_count() as u32)
@@ -55,13 +64,8 @@ fn main() {
     let prepared = PreparedData::new(data);
     for (name, query) in &motifs {
         println!("\n=== motif: {name} ===");
-        let limits = SearchLimits {
-            max_embeddings: Some(100_000),
-            time_limit: Some(Duration::from_secs(5)),
-            ..SearchLimits::UNLIMITED
-        };
         let cfg = GupConfig {
-            limits,
+            limits: limits(),
             ..GupConfig::default()
         };
         let start = Instant::now();
@@ -83,13 +87,10 @@ fn main() {
             query,
             &prepared,
             BaselineKind::DafFailingSet,
-            None,
+            limits(),
         ) {
             Ok(matcher) => {
-                let r = matcher.run(BaselineLimits {
-                    max_embeddings: Some(100_000),
-                    time_limit: Some(Duration::from_secs(5)),
-                });
+                let r = matcher.run();
                 println!(
                     "  DAF-FS  : {:>8} embeddings, {:>9} recursions, {:>7} futile, {:?}",
                     r.embeddings,

@@ -11,6 +11,7 @@
 
 use gup::sink::CountOnly;
 use gup::{GupConfig, GupMatcher, PreparedData, SearchLimits};
+use gup_graph::deadline::deadline_after;
 use gup_workloads::{generate_query_set, Dataset, QuerySetSpec};
 use std::time::{Duration, Instant};
 
@@ -33,14 +34,6 @@ fn main() {
             println!("{:<6} {:>8}", spec.name(), "n/a");
             continue;
         }
-        let cfg = GupConfig {
-            limits: SearchLimits {
-                max_embeddings: Some(100_000),
-                time_limit: Some(Duration::from_secs(2)),
-                ..SearchLimits::UNLIMITED
-            },
-            ..GupConfig::default()
-        };
         let mut total_time = Duration::ZERO;
         let mut recursions = 0u64;
         let mut futile = 0u64;
@@ -48,7 +41,15 @@ fn main() {
         let mut pruned = 0u64;
         for q in &queries {
             let start = Instant::now();
-            if let Ok(matcher) = GupMatcher::<1>::with_prepared(q, &prepared, cfg.clone()) {
+            // Each query gets its own budget: 10^5 embeddings and 2 s from now.
+            let cfg = GupConfig {
+                limits: SearchLimits {
+                    max_embeddings: Some(100_000),
+                    deadline: Some(deadline_after(Duration::from_secs(2))),
+                },
+                ..GupConfig::default()
+            };
+            if let Ok(matcher) = GupMatcher::<1>::with_prepared(q, &prepared, cfg) {
                 // Only aggregates are reported, so stream through a counting sink —
                 // the cheapest output mode.
                 let stats = matcher.run_with_sink(&mut CountOnly::new());

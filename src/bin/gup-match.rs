@@ -313,18 +313,21 @@ fn run_query(
         features,
         limits: SearchLimits {
             max_embeddings: opts.limit,
-            time_limit: opts.timeout,
             ..SearchLimits::UNLIMITED
         },
         ..GupConfig::default()
     };
     let stats = run_with_output(opts.output, |sink| {
-        session
+        let mut request = session
             .query(query)
             .method(engine)
             .config(config)
-            .threads(opts.threads)
-            .run_with_sink(sink)
+            .threads(opts.threads);
+        // The per-query clock starts here, right before the query runs.
+        if let Some(timeout) = opts.timeout {
+            request = request.timeout(timeout);
+        }
+        request.run_with_sink(sink)
     })
     .map_err(|e| e.to_string())?;
     let elapsed = watch.elapsed();

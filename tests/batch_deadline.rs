@@ -6,10 +6,9 @@
 //!    embeddings**, so a zero-match adversarial query (whose sink is never called)
 //!    ran to completion no matter the timeout. The deadline is now sampled
 //!    periodically inside the enumeration.
-//! 2. `Session::run_batch` collapses an already-expired shared deadline to a zero
-//!    remaining budget; every engine must interpret that as "fail fast with
-//!    `hit_time_limit`" — not as an unlimited run, and not as license to pay a
-//!    full filter pass first.
+//! 2. A batch shares one absolute deadline across its queries; once it has passed,
+//!    every engine must "fail fast with `hit_time_limit`" — not run unlimited, and
+//!    not pay a full filter pass first.
 
 use gup::session::{Engine, Session};
 use gup::sink::CountOnly;

@@ -4,9 +4,7 @@
 //! exactly this path.)
 
 use gup::{GupConfig, GupMatcher, SearchLimits};
-use gup_baselines::{
-    brute_force, BacktrackingBaseline, BaselineKind, BaselineLimits, JoinBaseline,
-};
+use gup_baselines::{brute_force, BacktrackingBaseline, BaselineKind, JoinBaseline};
 use gup_graph::io::{load_graph, save_graph};
 use gup_order::OrderingStrategy;
 use gup_workloads::{generate_query_set, Dataset, QueryClass, QuerySetSpec};
@@ -408,7 +406,7 @@ fn matchers_work_on_graphs_loaded_from_disk() {
             BaselineKind::DafFailingSet,
         )
         .unwrap()
-        .run(BaselineLimits::UNLIMITED)
+        .run()
         .embeddings;
         assert_eq!(daf, expected);
 

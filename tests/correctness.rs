@@ -4,9 +4,7 @@
 //! randomized instances.
 
 use gup::{GupConfig, GupMatcher, PruningFeatures, SearchLimits};
-use gup_baselines::{
-    brute_force, BacktrackingBaseline, BaselineKind, BaselineLimits, JoinBaseline,
-};
+use gup_baselines::{brute_force, BacktrackingBaseline, BaselineKind, JoinBaseline};
 use gup_graph::builder::graph_from_edges;
 use gup_graph::generate::{
     erdos_renyi_graph, power_law_graph, random_walk_query, ErdosRenyiConfig, PowerLawConfig,
@@ -47,7 +45,7 @@ fn check_all_engines(query: &Graph, data: &Graph) {
     for kind in BaselineKind::ALL {
         let count = BacktrackingBaseline::<1>::new(query, data, kind)
             .expect("query accepted")
-            .run(BaselineLimits::UNLIMITED)
+            .run()
             .embeddings;
         assert_eq!(
             count,

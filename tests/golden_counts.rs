@@ -6,9 +6,7 @@
 //! embeddings fails this file immediately.
 
 use gup::{GupConfig, GupMatcher, PruningFeatures, SearchLimits};
-use gup_baselines::{
-    brute_force, BacktrackingBaseline, BaselineKind, BaselineLimits, JoinBaseline,
-};
+use gup_baselines::{brute_force, BacktrackingBaseline, BaselineKind, JoinBaseline};
 use gup_graph::fixtures::{clique4, paper_example, path, square_with_diagonal, triangle_query};
 use gup_graph::Graph;
 use gup_order::OrderingStrategy;
@@ -129,7 +127,7 @@ fn backtracking_baselines_match_goldens() {
         ] {
             let count = BacktrackingBaseline::<1>::new(&query, &data, kind)
                 .unwrap()
-                .run(BaselineLimits::UNLIMITED)
+                .run()
                 .embeddings;
             assert_eq!(count, expected, "{} disagrees on {name}", kind.name());
         }

@@ -21,9 +21,7 @@
 
 use gup::sink::CountOnly;
 use gup::{GupConfig, GupMatcher, PruningFeatures, SearchLimits};
-use gup_baselines::{
-    brute_force, BacktrackingBaseline, BaselineKind, BaselineLimits, JoinBaseline,
-};
+use gup_baselines::{brute_force, BacktrackingBaseline, BaselineKind, JoinBaseline};
 use gup_graph::builder::graph_from_edges;
 use gup_graph::generate::{erdos_renyi_graph, random_walk_query, ErdosRenyiConfig};
 use gup_graph::{fixtures, Graph, Label, VertexId};
@@ -99,7 +97,7 @@ fn engine_counts(query: &Graph, data: &Graph) -> Vec<(String, u64)> {
         let mut sink = CountOnly::new();
         let result = BacktrackingBaseline::<1>::new(query, data, kind)
             .expect("valid query")
-            .run_with_sink(BaselineLimits::UNLIMITED, &mut sink);
+            .run_with_sink(&mut sink);
         assert_eq!(
             result.embeddings,
             sink.count(),
@@ -111,7 +109,7 @@ fn engine_counts(query: &Graph, data: &Graph) -> Vec<(String, u64)> {
     let mut sink = CountOnly::new();
     JoinBaseline::new(query, data, OrderingStrategy::GqlStyle)
         .expect("valid query")
-        .run_with_sink(BaselineLimits::UNLIMITED, &mut sink);
+        .run_with_sink(&mut sink);
     counts.push(("join".to_string(), sink.count()));
     counts
 }

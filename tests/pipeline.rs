@@ -4,15 +4,16 @@
 
 use gup::{GupConfig, GupMatcher, PreparedData, SearchLimits};
 use gup_candidate::{CandidateSpace, FilterConfig};
+use gup_graph::deadline::deadline_after;
 use gup_graph::io::{graph_to_string, parse_graph};
 use gup_workloads::{generate_query_set, Dataset, QueryClass, QuerySetSpec};
 use std::time::Duration;
 
+/// A fresh budget per call: 50 000 embeddings and a 2 s deadline starting now.
 fn limits() -> SearchLimits {
     SearchLimits {
         max_embeddings: Some(50_000),
-        time_limit: Some(Duration::from_secs(2)),
-        ..SearchLimits::UNLIMITED
+        deadline: Some(deadline_after(Duration::from_secs(2))),
     }
 }
 

@@ -7,7 +7,9 @@ use gup::session::{Engine, Session};
 use gup::sink::{CountOnly, FirstK};
 use gup::{GupConfig, GupMatcher, PreparedData, PruningFeatures, SearchLimits};
 use gup_graph::fixtures::{clique4, paper_example, path, square_with_diagonal, triangle_query};
+use gup_graph::generate::{power_law_graph, PowerLawConfig};
 use gup_graph::Graph;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// The golden fixture instances (same counts as `tests/golden_counts.rs`).
@@ -260,4 +262,75 @@ fn memory_report_accounts_for_prepared_index() {
         report.total_with_prepared_bytes(),
         report.total_bytes() + report.prepared_index_bytes
     );
+}
+
+/// One rule for the embedding-cap flags, whatever the engine, thread count, or run:
+/// the cap is the configured limit folded with the sink's capacity,
+/// `hit_embedding_limit` is set exactly when the reported count reached it, and a
+/// cap that is the sink's capacity (`first_k`, alone or tied with `limit`) reports
+/// `stopped_by_sink` instead. Every engine at 1, 2 and 4 threads, five repeats
+/// each, must yield that one `(embeddings, hit_embedding_limit, stopped_by_sink)`
+/// triple for `k` below, at, and above the true count — including `k = 0` and a
+/// limit equal to the count, where an engine can finish its search without ever
+/// checking the cap again.
+#[test]
+fn cap_flags_agree_across_engines_and_thread_counts() {
+    let (paper_query, paper_data) = paper_example();
+    let power_law = power_law_graph(&PowerLawConfig {
+        vertices: 300,
+        edges_per_vertex: 4,
+        labels: 3,
+        label_skew: 0.0,
+        extra_edge_fraction: 0.0,
+        seed: 5,
+    });
+    let instances = [
+        ("paper_example", paper_query, paper_data),
+        ("path4_power_law", path(4, 0), power_law.clone()),
+        ("triangle_power_law", triangle_query(), power_law),
+    ];
+    for (name, query, data) in instances {
+        let session = Session::new(data);
+        let total = session.query(&query).unlimited().count().unwrap();
+        for k in [0, 1, total, total + 1] {
+            let reached = k <= total;
+            // (use limit, use first_k) → the one expected triple.
+            let cases = [
+                ((true, false), (k.min(total), reached, false)),
+                ((false, true), (k.min(total), false, reached)),
+                ((true, true), (k.min(total), false, reached)),
+            ];
+            for ((limit, first_k), expected) in cases {
+                let mut seen = BTreeSet::new();
+                for engine in Engine::ALL {
+                    for threads in [1, 2, 4] {
+                        for _ in 0..5 {
+                            let mut request = session
+                                .query(&query)
+                                .method(engine)
+                                .threads(threads)
+                                .unlimited();
+                            if limit {
+                                request = request.limit(k);
+                            }
+                            if first_k {
+                                request = request.first_k(k);
+                            }
+                            let stats = request.run().unwrap().stats;
+                            seen.insert((
+                                stats.embeddings,
+                                stats.hit_embedding_limit,
+                                stats.stopped_by_sink,
+                            ));
+                        }
+                    }
+                }
+                assert_eq!(
+                    seen,
+                    BTreeSet::from([expected]),
+                    "{name}: k={k} limit={limit} first_k={first_k} (total {total})"
+                );
+            }
+        }
+    }
 }

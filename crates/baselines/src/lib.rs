@@ -35,3 +35,55 @@ pub use gup_graph::sink::{
     CallbackSink, CollectAll, CountOnly, EmbeddingSink, FirstK, SinkControl,
 };
 pub use join::JoinBaseline;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gup_graph::budget::{SearchLimits, SearchStats};
+    use gup_graph::{fixtures, PreparedData};
+    use gup_order::OrderingStrategy;
+
+    /// Every baseline engine's record for the Fig. 1 pair (4 embeddings) under
+    /// `limits`: each backtracking kind, the join, and brute force.
+    fn run_every_engine(limits: SearchLimits) -> Vec<SearchStats> {
+        let (q, d) = fixtures::paper_example();
+        let prepared = PreparedData::from_graph(&d);
+        let mut records: Vec<SearchStats> = BaselineKind::ALL
+            .into_iter()
+            .map(|kind| {
+                BacktrackingBaseline::<1>::with_prepared(&q, &prepared, kind, limits)
+                    .unwrap()
+                    .run()
+            })
+            .collect();
+        records.push(
+            JoinBaseline::with_prepared(&q, &prepared, OrderingStrategy::GqlStyle, limits)
+                .unwrap()
+                .run(),
+        );
+        records.push(brute_force::run_with_sink(
+            &q,
+            &d,
+            limits,
+            &mut CountOnly::new(),
+        ));
+        records
+    }
+
+    #[test]
+    fn result_termination_flag() {
+        for r in run_every_engine(SearchLimits::UNLIMITED) {
+            assert_eq!(r.embeddings, 4);
+            assert!(!r.terminated_early());
+        }
+        let capped = SearchLimits {
+            max_embeddings: Some(1),
+            ..SearchLimits::UNLIMITED
+        };
+        for r in run_every_engine(capped) {
+            assert_eq!(r.embeddings, 1);
+            assert!(r.hit_embedding_limit);
+            assert!(r.terminated_early());
+        }
+    }
+}

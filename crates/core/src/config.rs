@@ -141,6 +141,7 @@ impl GupConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn feature_labels() {
@@ -175,5 +176,21 @@ mod tests {
             Some(7)
         );
         assert_eq!(SearchLimits::UNLIMITED.max_embeddings, None);
+    }
+
+    /// The budget carries one absolute deadline; handed a second one, it keeps the
+    /// earlier, so an explicit deadline is not pushed back by a later one.
+    #[test]
+    fn effective_deadline_prefers_explicit_deadline() {
+        let mut limits = GupConfig::default().limits;
+        assert!(limits.deadline.is_none());
+        let later = Instant::now() + Duration::from_secs(60);
+        limits.tighten_deadline(later);
+        assert_eq!(limits.deadline, Some(later));
+        let fixed = Instant::now() + Duration::from_secs(5);
+        limits.tighten_deadline(fixed);
+        assert_eq!(limits.deadline, Some(fixed));
+        limits.tighten_deadline(later);
+        assert_eq!(limits.deadline, Some(fixed));
     }
 }

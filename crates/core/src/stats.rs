@@ -64,6 +64,19 @@ mod tests {
     use super::*;
 
     #[test]
+    fn prune_rate_and_early_termination() {
+        let mut s = SearchStats::default();
+        assert_eq!(s.guard_prune_rate(), 0.0);
+        assert!(!s.terminated_early());
+        s.local_candidates_seen = 100;
+        s.pruned_by_reservation = 5;
+        s.pruned_by_nogood_vertex = 6;
+        assert!((s.guard_prune_rate() - 0.11).abs() < 1e-9);
+        s.hit_time_limit = true;
+        assert!(s.terminated_early());
+    }
+
+    #[test]
     fn memory_report_shares() {
         let m = MemoryReport {
             candidate_space_bytes: 900,

@@ -183,19 +183,6 @@ mod tests {
     }
 
     #[test]
-    fn prune_rate_and_early_termination() {
-        let mut s = SearchStats::default();
-        assert_eq!(s.guard_prune_rate(), 0.0);
-        assert!(!s.terminated_early());
-        s.local_candidates_seen = 100;
-        s.pruned_by_reservation = 5;
-        s.pruned_by_nogood_vertex = 6;
-        assert!((s.guard_prune_rate() - 0.11).abs() < 1e-9);
-        s.hit_time_limit = true;
-        assert!(s.terminated_early());
-    }
-
-    #[test]
     fn merge_accumulates() {
         let mut a = SearchStats {
             embeddings: 2,

@@ -18,6 +18,7 @@
 use gup_candidate::{CandidateSpace, FilterConfig};
 use gup_graph::budget::{SearchLimits, SearchStats};
 use gup_graph::deadline::DeadlineSampler;
+use gup_graph::scratch::OwnerArray;
 use gup_graph::sink::{min_limit, CountOnly, EmbeddingSink, SinkControl};
 use gup_graph::{Graph, PreparedData, QVSet, QueryGraph, VertexId};
 use gup_order::OrderingStrategy;
@@ -98,6 +99,8 @@ pub struct BacktrackingBaseline<const W: usize = 1> {
     /// embeddings to sinks in the original numbering.
     original_id: Vec<VertexId>,
     query_vertices: usize,
+    /// Number of data-graph vertices (sizes the pooled owner array of a run).
+    data_vertices: usize,
 }
 
 /// Errors raised when the baseline cannot be constructed.
@@ -191,6 +194,7 @@ impl<const W: usize> BacktrackingBaseline<W> {
             ancestors,
             original_id: order,
             query_vertices: n,
+            data_vertices: prepared.graph().vertex_count(),
         })
     }
 
@@ -220,7 +224,7 @@ impl<const W: usize> BacktrackingBaseline<W> {
             sampler: DeadlineSampler::new(self.limits.deadline),
             stats: SearchStats::default(),
             assignment: vec![0; self.query_vertices],
-            owner: vec![None; self.data_vertex_upper_bound()],
+            owner: OwnerArray::take(self.data_vertices),
             cand_stack: (0..self.query_vertices)
                 .map(|u| vec![(0..self.space.candidates(u).len() as u32).collect::<Vec<u32>>()])
                 .collect(),
@@ -232,14 +236,6 @@ impl<const W: usize> BacktrackingBaseline<W> {
         }
         state.stats.settle_cap(self.limits.max_embeddings, capacity);
         state.stats
-    }
-
-    fn data_vertex_upper_bound(&self) -> usize {
-        (0..self.query_vertices)
-            .flat_map(|u| self.space.candidates(u).iter().copied())
-            .max()
-            .map(|v| v as usize + 1)
-            .unwrap_or(0)
     }
 }
 
@@ -256,8 +252,11 @@ struct RunState<'a, 's, const W: usize> {
     sampler: DeadlineSampler,
     stats: SearchStats,
     assignment: Vec<u32>,
+    /// For each data vertex: 0 if unassigned, otherwise (query vertex index + 1).
     /// `u16` (not `u8`): the widest supported queries have up to 256 vertices.
-    owner: Vec<Option<u16>>,
+    /// Taken from the thread's scratch pool, which requires it all zero again
+    /// after every normal return.
+    owner: OwnerArray,
     cand_stack: Vec<Vec<Vec<u32>>>,
     sink: &'s mut dyn EmbeddingSink,
     /// Reused per-embedding buffer for the original-id translation reported to the
@@ -303,14 +302,16 @@ impl<'a, 's, const W: usize> RunState<'a, 's, W> {
             let v = self.baseline.space.candidates(k)[cv as usize];
             // Injectivity: the conflict depends on the query vertex currently holding
             // `v`, so its ancestors must join the failing set too.
-            if let Some(holder) = self.owner[v as usize] {
+            let holder = self.owner[v as usize];
+            if holder != 0 {
                 if failing_sets {
-                    union |= self.baseline.ancestors[k] | self.baseline.ancestors[holder as usize];
+                    union |=
+                        self.baseline.ancestors[k] | self.baseline.ancestors[holder as usize - 1];
                 }
                 continue;
             }
             // Refine forward neighbors.
-            self.owner[v as usize] = Some(k as u16);
+            self.owner[v as usize] = k as u16 + 1;
             self.assignment[k] = cv;
             let mut emptied: Option<usize> = None;
             let mut pushed: Vec<usize> = Vec::with_capacity(self.baseline.forward[k].len());
@@ -339,7 +340,7 @@ impl<'a, 's, const W: usize> RunState<'a, 's, W> {
                         for &f in &pushed {
                             self.cand_stack[f].pop();
                         }
-                        self.owner[v as usize] = None;
+                        self.owner[v as usize] = 0;
                         return Outcome::Aborted;
                     }
                     Outcome::FoundSome => {
@@ -352,7 +353,7 @@ impl<'a, 's, const W: usize> RunState<'a, 's, W> {
             for &f in &pushed {
                 self.cand_stack[f].pop();
             }
-            self.owner[v as usize] = None;
+            self.owner[v as usize] = 0;
 
             if let Some(mask) = child {
                 if failing_sets {

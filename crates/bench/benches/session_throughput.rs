@@ -10,15 +10,24 @@
 //! candidate sets per label are large and the NLF pass dominates — the regime the
 //! signature arena exists for — and one 128-vertex query on the two-word bitset
 //! path.
+//!
+//! Plus the data-graph scaling probe (`scaling_10k`, `scaling_160k`): power-law
+//! graphs with 4 edges per vertex and 200 uniform labels, each queried with 50
+//! seed-pinned 8-vertex random-walk queries counted under limit 1000. The answers
+//! stay tiny at both sizes, so the ratio of the two times is how much a query's
+//! cost grows with |V_D| rather than with its candidate space.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gup::session::Session;
 use gup::{GupConfig, SearchLimits};
+use gup_graph::generate::{power_law_graph, random_walk_query, PowerLawConfig};
 use gup_graph::Graph;
 use gup_workloads::{
     coarsen_labels, embed_in_host, generate_query_set, large_connected_query, Dataset,
     LargeQuerySpec, QueryClass, QuerySetSpec,
 };
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 use std::time::Duration;
 
 fn query_set_config(embedding_limit: u64) -> GupConfig {
@@ -98,6 +107,25 @@ fn bench_session_throughput(c: &mut Criterion) {
         std::slice::from_ref(&big_query),
         1000,
     );
+
+    // Scaling probe: the same query shape over a 16x larger graph.
+    for (group_name, vertices) in [("scaling_10k", 10_000), ("scaling_160k", 160_000)] {
+        let data = power_law_graph(&PowerLawConfig {
+            vertices,
+            edges_per_vertex: 4,
+            labels: 200,
+            label_skew: 0.0,
+            seed: 7,
+            ..PowerLawConfig::default()
+        });
+        let mut rng = SmallRng::seed_from_u64(7);
+        let queries: Vec<Graph> = (0..5000)
+            .filter_map(|_| random_walk_query(&data, 8, &mut rng))
+            .take(50)
+            .collect();
+        assert_eq!(queries.len(), 50, "the walk generator fell short");
+        bench_instance(c, group_name, &data, &queries, 1000);
+    }
 }
 
 criterion_group!(benches, bench_session_throughput);

@@ -13,10 +13,16 @@
 //!    `v ∈ C(a)`, the list of candidates of `b` adjacent to `v` in the data graph,
 //!    stored as indices into `C(b)` so the matcher never touches a hash table in its
 //!    hot loop.
+//!
+//! Steps 2 and 3 index data vertices through one pooled
+//! [`VertexMap`] (`gup_graph::scratch`), emptied by an epoch bump between uses, so
+//! after a thread's first query they cost in proportion to the candidate space,
+//! not to the data graph.
 
 use crate::dag::QueryDag;
 use crate::filters::nlf_candidates_prepared_sampled;
 use gup_graph::deadline::{DeadlineExceeded, DeadlineSampler};
+use gup_graph::scratch::VertexMap;
 use gup_graph::{Graph, PreparedData, VertexId};
 use std::time::Instant;
 
@@ -96,16 +102,16 @@ impl CandidateSpace {
         }
 
         // Step 2: DAG-graph-DP refinement.
+        let mut scratch = VertexMap::take(data.vertex_count());
         if n > 1 && config.refinement_passes > 0 {
             let sizes: Vec<usize> = candidates.iter().map(Vec::len).collect();
             let dag = QueryDag::with_selective_root(query, &sizes);
-            let mut membership = Membership::new(data.vertex_count(), &candidates);
             for _ in 0..config.refinement_passes {
                 let changed_up = refine_pass(
                     data,
                     &dag,
                     &mut candidates,
-                    &mut membership,
+                    &mut scratch,
                     Direction::BottomUp,
                     &mut sampler,
                 )?;
@@ -113,7 +119,7 @@ impl CandidateSpace {
                     data,
                     &dag,
                     &mut candidates,
-                    &mut membership,
+                    &mut scratch,
                     Direction::TopDown,
                     &mut sampler,
                 )?;
@@ -134,14 +140,17 @@ impl CandidateSpace {
         for (eid, &(a, b)) in edges.iter().enumerate() {
             edge_lookup[a * n + b] = eid as u32 + 1;
             edge_lookup[b * n + a] = eid as u32 + 1;
-            // Index of each data vertex within candidates[b].
-            let index_b = index_map(data.vertex_count(), &candidates[b]);
+            // Index of each candidate of b within candidates[b].
+            scratch.clear();
+            for (ib, &vb) in candidates[b].iter().enumerate() {
+                scratch.insert(vb, ib as u32);
+            }
             let mut forward: Vec<Vec<u32>> = vec![Vec::new(); candidates[a].len()];
             let mut backward: Vec<Vec<u32>> = vec![Vec::new(); candidates[b].len()];
             for (ia, &va) in candidates[a].iter().enumerate() {
                 sampler.tick()?;
                 for &w in data.neighbors(va) {
-                    if let Some(ib) = index_b[w as usize] {
+                    if let Some(ib) = scratch.get(w) {
                         forward[ia].push(ib);
                         backward[ib as usize].push(ia as u32);
                     }
@@ -308,64 +317,27 @@ impl CandidateSpace {
     }
 }
 
-/// Dense index from data-vertex id to position in a sorted candidate list.
-fn index_map(data_vertices: usize, candidates: &[VertexId]) -> Vec<Option<u32>> {
-    let mut map = vec![None; data_vertices];
-    for (i, &v) in candidates.iter().enumerate() {
-        map[v as usize] = Some(i as u32);
-    }
-    map
-}
-
 #[derive(Clone, Copy, PartialEq)]
 enum Direction {
     BottomUp,
     TopDown,
 }
 
-/// Per-query-vertex membership bitmap over data vertices, kept in sync with the
-/// candidate lists during refinement.
-struct Membership {
-    bits: Vec<Vec<bool>>,
-}
-
-impl Membership {
-    fn new(data_vertices: usize, candidates: &[Vec<VertexId>]) -> Self {
-        let bits = candidates
-            .iter()
-            .map(|c| {
-                let mut b = vec![false; data_vertices];
-                for &v in c {
-                    b[v as usize] = true;
-                }
-                b
-            })
-            .collect();
-        Membership { bits }
-    }
-
-    #[inline]
-    fn contains(&self, u: usize, v: VertexId) -> bool {
-        self.bits[u][v as usize]
-    }
-
-    #[inline]
-    fn remove(&mut self, u: usize, v: VertexId) {
-        self.bits[u][v as usize] = false;
-    }
-}
-
 /// One refinement sweep. In a bottom-up sweep, vertices are processed in reverse
 /// topological order and each candidate must have a neighbor among the candidates of
 /// every DAG *child*; a top-down sweep is symmetric with parents. Returns whether any
-/// candidate was removed. `sampler` ticks once per (candidate, constraint) pair —
-/// each pair scans one neighbor list — so a refinement pass over a large candidate
-/// set observes a tight deadline mid-sweep.
+/// candidate was removed.
+///
+/// Each constraint `c` of `u` marks `C(c)` in `marks` once, then filters `C(u)` in
+/// place. `C(c)` does not change while `u` is processed, so this keeps exactly the
+/// candidates a per-candidate test against every constraint would. `sampler` ticks
+/// once per (candidate, constraint) pair — each pair scans one neighbor list — so a
+/// refinement pass over a large candidate set observes a tight deadline mid-sweep.
 fn refine_pass(
     data: &Graph,
     dag: &QueryDag,
     candidates: &mut [Vec<VertexId>],
-    membership: &mut Membership,
+    marks: &mut VertexMap,
     direction: Direction,
     sampler: &mut DeadlineSampler,
 ) -> Result<bool, DeadlineExceeded> {
@@ -379,27 +351,26 @@ fn refine_pass(
             Direction::BottomUp => dag.children(u),
             Direction::TopDown => dag.parents(u),
         };
-        if constraining.is_empty() {
-            continue;
-        }
         let u = u as usize;
-        let before = candidates[u].len();
-        let mut kept = Vec::with_capacity(before);
-        'cand: for &v in &candidates[u] {
-            for &c in constraining {
+        for &c in constraining {
+            marks.clear();
+            for &w in &candidates[c as usize] {
+                marks.insert(w, 0);
+            }
+            let list = &mut candidates[u];
+            let mut kept = 0;
+            for i in 0..list.len() {
                 sampler.tick()?;
-                let c = c as usize;
-                let ok = data.neighbors(v).iter().any(|&w| membership.contains(c, w));
-                if !ok {
-                    membership.remove(u, v);
-                    changed = true;
-                    continue 'cand;
+                let v = list[i];
+                if data.neighbors(v).iter().any(|&w| marks.contains(w)) {
+                    list[kept] = v;
+                    kept += 1;
                 }
             }
-            kept.push(v);
-        }
-        if kept.len() != before {
-            candidates[u] = kept;
+            if kept != list.len() {
+                list.truncate(kept);
+                changed = true;
+            }
         }
     }
     Ok(changed)

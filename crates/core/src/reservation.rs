@@ -21,31 +21,54 @@
 use crate::guards::ReservationGuard;
 use gup_candidate::CandidateSpace;
 use gup_graph::query::OrderedQuery;
+use gup_graph::scratch::VertexMap;
 use gup_graph::{QVSet, VertexId};
 
 /// Inverse candidate index: for each data vertex, the set of query vertices that have
-/// it as a candidate (`C⁻¹(v)` in the paper).
+/// it as a candidate (`C⁻¹(v)` in the paper). Compact: one row per distinct
+/// candidate vertex, found through a pooled [`VertexMap`]; every other data vertex
+/// reads as the empty set.
 pub(crate) struct InverseCandidates<const W: usize> {
-    sets: Vec<QVSet<W>>,
+    /// Row of each candidate vertex in `rows`.
+    row_of: VertexMap,
+    /// `rows[r]` = `C⁻¹` of the candidate vertex mapped to row `r`.
+    rows: Vec<QVSet<W>>,
 }
 
 impl<const W: usize> InverseCandidates<W> {
     /// Builds the inverse index from a candidate space. `data_vertex_count` bounds the
     /// data-vertex id range.
     pub(crate) fn build(space: &CandidateSpace, data_vertex_count: usize) -> Self {
-        let mut sets = vec![QVSet::EMPTY; data_vertex_count];
+        let mut row_of = VertexMap::take(data_vertex_count);
+        let mut rows: Vec<QVSet<W>> = Vec::new();
         for u in 0..space.query_vertex_count() {
             for &v in space.candidates(u) {
-                sets[v as usize].insert(u);
+                let row = match row_of.get(v) {
+                    Some(row) => row as usize,
+                    None => {
+                        row_of.insert(v, rows.len() as u32);
+                        rows.push(QVSet::EMPTY);
+                        rows.len() - 1
+                    }
+                };
+                rows[row].insert(u);
             }
         }
-        InverseCandidates { sets }
+        InverseCandidates { row_of, rows }
+    }
+
+    /// `C⁻¹(v)`: the query vertices that have `v` as a candidate.
+    #[inline]
+    fn of(&self, v: VertexId) -> QVSet<W> {
+        self.row_of
+            .get(v)
+            .map_or(QVSet::EMPTY, |row| self.rows[row as usize])
     }
 
     /// `C⁻¹(v)[: i]`: query vertices earlier than `u_i` that have `v` as a candidate.
     #[inline]
     fn before(&self, v: VertexId, i: usize) -> QVSet<W> {
-        self.sets[v as usize].below(i)
+        self.of(v).below(i)
     }
 }
 
@@ -140,7 +163,8 @@ pub(crate) fn constrained_vertex_cover<const W: usize>(
 
 /// Generates the reservation guards of every candidate vertex (Algorithm 1).
 ///
-/// `size_limit` is the paper's `r` (`None` = unbounded, the "r = ∞" setting of Fig. 8).
+/// `data_vertex_count` bounds the data-vertex id range of `space`. `size_limit` is
+/// the paper's `r` (`None` = unbounded, the "r = ∞" setting of Fig. 8).
 pub fn generate_reservation_guards<const W: usize>(
     query: &OrderedQuery<W>,
     space: &CandidateSpace,
@@ -232,7 +256,7 @@ mod tests {
         let (_oq, cs, n) = paper_setup();
         let inv = InverseCandidates::<1>::build(&cs, n);
         // v0 (label A) is a candidate of u0 and u4 only.
-        assert_eq!(inv.sets[0], QVSet::from_iter([0, 4]));
+        assert_eq!(inv.of(0), QVSet::from_iter([0, 4]));
         // Restriction below u1 keeps only u0.
         assert_eq!(inv.before(0, 1), QVSet::from_iter([0]));
         assert_eq!(inv.before(0, 0), QVSet::EMPTY);
@@ -251,8 +275,14 @@ mod tests {
         assert!(!is_matchable(&[0], 0, &inv));
         // Both are matchable before u5 (u0 and u4 both precede it conceptually).
         assert!(is_matchable(&[0, 1], 5, &inv));
-        // A data vertex that is nobody's candidate is never matchable.
-        assert!(!is_matchable(&[2, 6], 1, &inv) || !inv.before(6, 1).is_empty());
+        // A data vertex that is nobody's candidate is never matchable: v13 (label A,
+        // no A neighbour) is in no candidate set, so the compact index has no row
+        // for it and every lookup takes the miss path.
+        assert!((0..5).all(|u| !cs.candidates(u).contains(&13)));
+        for i in 0..=5 {
+            assert!(inv.before(13, i).is_empty());
+            assert!(!is_matchable(&[13], i, &inv));
+        }
     }
 
     #[test]

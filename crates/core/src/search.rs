@@ -45,6 +45,7 @@ use crate::gcs::Gcs;
 use crate::guards::{EdgeGuardStore, NodeId, NogoodRef, VertexGuardStore};
 use crate::stats::SearchStats;
 use gup_graph::deadline::DeadlineSampler;
+use gup_graph::scratch::OwnerArray;
 use gup_graph::sink::{CollectAll, EmbeddingReservation, EmbeddingSink, SinkControl};
 use gup_graph::{QVSet, VertexId};
 use parking_lot::Mutex;
@@ -154,7 +155,9 @@ pub struct SearchEngine<'a, const W: usize = 1> {
     /// For each data vertex: 0 if unassigned, otherwise (query vertex index + 1).
     /// `u16` so the widest supported queries (up to 256 vertices, owner values up
     /// to 257) can never wrap — a `u8` would silently alias query vertices ≥ 255.
-    owner: Vec<u16>,
+    /// Taken from the thread's scratch pool; every normal return leaves it all
+    /// zero again, as the pool requires.
+    owner: OwnerArray,
     /// Ancestor array of the current search node (`anc[d]` = node id of the length-`d`
     /// prefix; `anc[0]` is the imaginary root).
     anc: Vec<NodeId>,
@@ -220,7 +223,7 @@ impl<'a, const W: usize> SearchEngine<'a, W> {
             limits: config.limits,
             assignment: vec![0; n],
             assignment_data: vec![0; n],
-            owner: vec![0; gcs.data_vertex_count()],
+            owner: OwnerArray::take(gcs.data_vertex_count()),
             anc: vec![0; n + 1],
             next_node_id: 1,
             cand_stack,

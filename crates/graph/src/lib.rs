@@ -25,6 +25,10 @@
 //!   nogood domains (O(1) set operations for any fixed width, as assumed by the
 //!   paper's complexity analysis). [`Qv64`]/[`Qv128`]/[`Qv256`] name the supported
 //!   instantiations.
+//! * [`scratch`] — per-thread pooled scratch for per-query arrays indexed by
+//!   data-vertex id: an epoch-stamped [`VertexMap`](scratch::VertexMap) and a dense
+//!   `u16` [`OwnerArray`](scratch::OwnerArray), so a query's cost after its
+//!   thread's first follows its candidate space rather than the data graph.
 //! * Text I/O ([`io`]) in the common `t/v/e` format used by the subgraph-matching
 //!   community, versioned/checksummed binary persistence of prepared indexes
 //!   ([`index_io`]), random generators ([`generate`]) used by the workload crate, and the
@@ -66,6 +70,7 @@ pub mod index_io;
 pub mod io;
 pub mod prepared;
 pub mod query;
+pub mod scratch;
 pub mod sink;
 pub mod stats;
 pub mod types;

@@ -1,19 +1,29 @@
-//! Allocation accounting for the candidate-filter hot path: NLF filtering must not
-//! allocate **per candidate**.
+//! Allocation accounting for the per-query hot paths: NLF filtering must not
+//! allocate **per candidate**, and a whole query must not allocate in proportion
+//! to the **data graph**.
 //!
 //! The NLF filter compares the query vertex's profile against precomputed
 //! signatures, so it needs no per-candidate buffer; cloning a label profile per
-//! tested data vertex would be one heap allocation per candidate.
+//! tested data vertex would be one heap allocation per candidate. The rest of a
+//! query takes its arrays indexed by data-vertex id from the thread's scratch pool
+//! (`gup_graph::scratch`), so once the pool is warm the bytes a query allocates
+//! follow its candidate space.
 //!
 //! A thread-local counting `#[global_allocator]` (same pattern as
 //! `tests/sink_alloc.rs`) pins this: filtering 10× the candidates may only grow the
 //! allocation count by the output vector's geometric growth (a few reallocations),
-//! never linearly. This file holds exactly these tests so the allocator hook cannot
-//! interfere with unrelated suites.
+//! never linearly, and a query over a data graph padded to 16× the vertices
+//! allocates exactly the bytes it allocates over the unpadded one. This file holds
+//! exactly these tests so the allocator hook cannot interfere with unrelated
+//! suites.
 
+use gup::session::{Engine, Session};
 use gup_candidate::filters::nlf_candidates_prepared;
 use gup_graph::builder::graph_from_edges;
-use gup_graph::{Graph, PreparedData};
+use gup_graph::generate::{power_law_graph, random_walk_query, PowerLawConfig};
+use gup_graph::{Graph, Label, PreparedData};
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -21,14 +31,21 @@ struct CountingAllocator;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-// SAFETY: delegates all allocation to `System`; the bookkeeping only touches a
-// const-initialized thread-local `Cell`, which never allocates or reenters.
+/// Counts one allocation of `bytes` bytes on this thread.
+fn record(bytes: usize) {
+    // `try_with` so allocations during TLS teardown cannot panic.
+    let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
+    let _ = BYTES.try_with(|total| total.set(total.get() + bytes as u64));
+}
+
+// SAFETY: delegates all allocation to `System`; the bookkeeping only touches
+// const-initialized thread-local `Cell`s, which never allocate or reenter.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // `try_with` so allocations during TLS teardown cannot panic.
-        let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
+        record(layout.size());
         System.alloc(layout)
     }
 
@@ -41,7 +58,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     // SAFETY: forwards the caller's arguments unchanged to `System`; the extra
     // bookkeeping touches only a thread-local `Cell` and cannot reenter.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
+        record(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -51,6 +68,10 @@ static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 fn allocations() -> u64 {
     ALLOCATIONS.with(|count| count.get())
+}
+
+fn allocated_bytes() -> u64 {
+    BYTES.with(|total| total.get())
 }
 
 /// Query: a label-0 vertex with one label-1 neighbor. Data: `n` disjoint 0–1 edges,
@@ -115,4 +136,96 @@ fn prepared_signature_test_is_allocation_free() {
         spent, 0,
         "per-candidate signature tests allocated {spent} times"
     );
+}
+
+/// The host component every padded data graph shares: a seed-pinned power-law
+/// graph over labels `0..8`, and an 8-vertex random-walk query drawn from it.
+fn host_and_query() -> (Graph, Graph) {
+    let host = power_law_graph(&PowerLawConfig {
+        vertices: 400,
+        edges_per_vertex: 3,
+        labels: 8,
+        seed: 16,
+        ..PowerLawConfig::default()
+    });
+    let mut rng = SmallRng::seed_from_u64(16);
+    let query = (0..100)
+        .find_map(|_| random_walk_query(&host, 8, &mut rng))
+        .expect("the host graph yields an 8-vertex walk query");
+    (host, query)
+}
+
+/// `host` padded to `vertices` vertices with a label no query vertex uses, on a
+/// path of their own. The host keeps ids `0..host_len`, so the candidate sets and
+/// every label bucket a query reads are identical at every padded size.
+fn padded(host: &Graph, vertices: usize) -> Graph {
+    const PADDING: Label = 1000;
+    let mut labels: Vec<Label> = host.vertices().map(|v| host.label(v)).collect();
+    let mut edges: Vec<(u32, u32)> = host.edges().collect();
+    let first = labels.len() as u32;
+    labels.resize(vertices, PADDING);
+    edges.extend((first + 1..vertices as u32).map(|v| (v - 1, v)));
+    graph_from_edges(&labels, &edges)
+}
+
+/// Bytes one `count` of `query` allocates through a fresh session over `data` on
+/// this thread, measured on the second run (the first warms the thread's scratch
+/// pool), plus the count it returned.
+fn warm_query_bytes(engine: Engine, data: Graph, query: &Graph) -> (u64, u64) {
+    let session = Session::new(data);
+    let run = || {
+        session
+            .query(query)
+            .method(engine)
+            .limit(1000)
+            .count()
+            .expect("the walk query is valid")
+    };
+    let warm = run();
+    let before = allocated_bytes();
+    let count = run();
+    let spent = allocated_bytes() - before;
+    assert_eq!(count, warm, "{}: the two runs disagree", engine.name());
+    (spent, count)
+}
+
+/// After a thread's first query, the bytes one query allocates do not depend on
+/// |V_D|: every engine family that runs a candidate space takes its arrays
+/// indexed by data-vertex id from the thread's scratch pool, so a data graph
+/// padded to 16× the vertices (the padding invisible to the query) costs the
+/// query the same bytes.
+///
+/// Two cases are out. Brute force is excluded because the oracle keeps its dense
+/// `used` array over every data vertex, as the reference implementation.
+/// Parallel runs are excluded because their workers are spawned per run, so their
+/// pools last one run and every run pays the first take.
+#[test]
+fn bytes_per_query_do_not_depend_on_the_data_graph_size() {
+    let (host, query) = host_and_query();
+    let n = 4096;
+    for engine in [
+        Engine::Gup,
+        Engine::Daf,
+        Engine::Gql,
+        Engine::Ri,
+        Engine::Plain,
+        Engine::Join,
+    ] {
+        let (small_bytes, small_count) = warm_query_bytes(engine, padded(&host, n), &query);
+        let (large_bytes, large_count) = warm_query_bytes(engine, padded(&host, 16 * n), &query);
+        assert!(
+            small_count > 0,
+            "{}: the walk query has no match",
+            engine.name()
+        );
+        assert_eq!(small_count, large_count, "{}", engine.name());
+        assert_eq!(
+            small_bytes,
+            large_bytes,
+            "{}: one query allocated {small_bytes} bytes over {n} data vertices but \
+             {large_bytes} over {}",
+            engine.name(),
+            16 * n
+        );
+    }
 }

@@ -4,12 +4,14 @@
 //! schedule-independent counts.
 
 use gup::session::{Engine, Session};
-use gup::sink::{CountOnly, FirstK};
+use gup::sink::{CountOnly, EmbeddingSink, FirstK, SinkControl};
 use gup::{GupConfig, GupMatcher, PreparedData, PruningFeatures, SearchLimits};
+use gup_graph::builder::graph_from_edges;
 use gup_graph::fixtures::{clique4, paper_example, path, square_with_diagonal, triangle_query};
 use gup_graph::generate::{power_law_graph, PowerLawConfig};
-use gup_graph::Graph;
+use gup_graph::{Graph, GraphDelta, VertexId};
 use std::collections::BTreeSet;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 /// The golden fixture instances (same counts as `tests/golden_counts.rs`).
@@ -332,5 +334,92 @@ fn cap_flags_agree_across_engines_and_thread_counts() {
                 );
             }
         }
+    }
+}
+
+/// A user sink that panics on the first complete embedding it is shown, while
+/// the search that reports it holds every query vertex assigned.
+struct PanickingSink;
+
+impl EmbeddingSink for PanickingSink {
+    fn report(&mut self, _embedding: &[VertexId]) -> SinkControl {
+        panic!("user sink failed");
+    }
+}
+
+/// The per-thread scratch pool stays clean: a search unwound by a panicking sink
+/// (caught with `catch_unwind`, as the serve worker does) leaves no assignment
+/// behind for the next query on the same thread, and a data graph grown by
+/// `Session::apply_deltas` past the pooled scratch's length is searched in full.
+#[test]
+fn scratch_pool_survives_an_unwinding_sink_and_a_growing_graph() {
+    let (paper_query, paper_data) = paper_example();
+    for engine in [Engine::Gup, Engine::Daf] {
+        let session = Session::new(paper_data.clone());
+        let unwound = catch_unwind(AssertUnwindSafe(|| {
+            session
+                .query(&paper_query)
+                .method(engine)
+                .unlimited()
+                .run_with_sink(&mut PanickingSink)
+        }));
+        assert!(
+            unwound.is_err(),
+            "{}: the sink did not panic",
+            engine.name()
+        );
+        let count = session
+            .query(&paper_query)
+            .method(engine)
+            .unlimited()
+            .count();
+        assert_eq!(
+            count.ok(),
+            Some(4),
+            "{}: Fig. 1 after the unwind",
+            engine.name()
+        );
+        for (name, query, data, expected) in golden_instances() {
+            let count = Session::new(data)
+                .query(&query)
+                .method(engine)
+                .unlimited()
+                .count();
+            assert_eq!(
+                count.ok(),
+                Some(expected),
+                "{name}/{}: golden count after the unwind",
+                engine.name()
+            );
+        }
+    }
+
+    // Grow the 14-vertex Fig. 1 graph to 54 vertices, past every scratch array
+    // this thread has pooled. The only embedding of the query (labels A, 8, 7 on
+    // a path) uses the last two new vertices: v0 - v53 - v52.
+    let session = Session::new(paper_data);
+    let mut deltas: Vec<GraphDelta> = (0..38)
+        .map(|_| GraphDelta::AddVertex { label: 6 })
+        .collect();
+    deltas.push(GraphDelta::AddVertex { label: 7 });
+    deltas.push(GraphDelta::AddVertex { label: 8 });
+    deltas.push(GraphDelta::AddEdge { a: 52, b: 53 });
+    deltas.push(GraphDelta::AddEdge { a: 0, b: 53 });
+    let (grown, _effects) = session.apply_deltas(&deltas).expect("the batch is valid");
+    assert_eq!(grown.data().vertex_count(), 54);
+    let query = graph_from_edges(&[0, 8, 7], &[(0, 1), (1, 2)]);
+    for engine in [Engine::Gup, Engine::Daf] {
+        let found = grown
+            .query(&query)
+            .method(engine)
+            .unlimited()
+            .run()
+            .map(|outcome| outcome.embeddings);
+        assert_eq!(
+            found.ok(),
+            Some(vec![vec![0, 53, 52]]),
+            "{}: the embedding on the new vertices",
+            engine.name()
+        );
     }
 }

@@ -6,50 +6,41 @@
 //!   `l`, `v` must have at least as many label-`l` neighbors as `u` does. The paper's
 //!   running example removes `v13` from `C(u0)` this way (§2.1).
 //!
-//! NLF ([`nlf_candidates_prepared`]) compares the query vertex's sparse
-//! [`NlfProfile`] against the signature arena a [`PreparedData`] built once for the
-//! data graph: no neighbor rescans, no per-candidate allocation, and a per-label
-//! max-NLF bound that rejects unsatisfiable query vertices before any candidate is
-//! scanned.
+//! NLF ([`nlf_candidates_prepared`]) is one pass over the query vertex's label
+//! bucket in a [`PreparedData`] built once for the data graph. The pass reads the
+//! bucket's vertex ids and 64-bit neighbor-label masks sequentially, skips every
+//! vertex whose mask lacks a bit the query vertex's sparse [`NlfProfile`] needs (a
+//! clear bit proves a missing label), and compares the profile against the
+//! signature arena only for the rest: no neighbor rescans, no per-candidate
+//! allocation, and a per-label max-NLF bound that rejects unsatisfiable query
+//! vertices before any candidate is scanned. NLF implies LDF's degree bound (the
+//! required counts sum to `deg(u)`), so no separate LDF pass runs;
+//! [`ldf_candidates`] stays as the reference the tests compare against.
 
 use gup_graph::deadline::{DeadlineExceeded, DeadlineSampler};
 use gup_graph::{Graph, Label, PreparedData, VertexId};
 
 /// Computes the LDF candidate set of query vertex `u` (sorted by data-vertex id).
 pub fn ldf_candidates(query: &Graph, data: &Graph, u: VertexId) -> Vec<VertexId> {
-    ldf_candidates_sampled(query, data, u, &mut DeadlineSampler::new(None))
-        .expect("a sampler without a deadline never expires")
-}
-
-/// Deadline-aware [`ldf_candidates`]: `sampler` ticks once per label-bucket vertex
-/// examined, so a tight time budget is observed even when the bucket spans most of
-/// the data graph.
-pub fn ldf_candidates_sampled(
-    query: &Graph,
-    data: &Graph,
-    u: VertexId,
-    sampler: &mut DeadlineSampler,
-) -> Result<Vec<VertexId>, DeadlineExceeded> {
-    let label = query.label(u);
     let min_degree = query.degree(u);
-    let bucket = data.vertices_with_label(label);
-    let mut out = Vec::new();
-    for &v in bucket {
-        sampler.tick()?;
-        if data.degree(v) >= min_degree {
-            out.push(v);
-        }
-    }
-    Ok(out)
+    data.vertices_with_label(query.label(u))
+        .iter()
+        .copied()
+        .filter(|&v| data.degree(v) >= min_degree)
+        .collect()
 }
 
 /// A query vertex's NLF requirements in sparse form: parallel label/count slices,
-/// labels sorted ascending and distinct. Built once per query vertex and compared
-/// against the data graph's precomputed signature arena.
+/// labels sorted ascending and distinct, plus the neighbor-label mask bits they
+/// need. Built once per query vertex and compared against the data graph's
+/// precomputed masks and signature arena.
 #[derive(Clone, Debug, Default)]
 pub struct NlfProfile {
     labels: Vec<Label>,
     counts: Vec<u32>,
+    /// The OR of [`PreparedData::label_bit`] over `labels`: the mask bits every
+    /// candidate must have.
+    mask: u64,
 }
 
 impl NlfProfile {
@@ -58,13 +49,19 @@ impl NlfProfile {
         let dense = query.neighborhood_label_frequency(u);
         let mut labels = Vec::new();
         let mut counts = Vec::new();
+        let mut mask = 0u64;
         for (l, &c) in dense.iter().enumerate() {
             if c > 0 {
                 labels.push(l as Label);
                 counts.push(c);
+                mask |= PreparedData::label_bit(l as Label);
             }
         }
-        NlfProfile { labels, counts }
+        NlfProfile {
+            labels,
+            counts,
+            mask,
+        }
     }
 
     /// The required labels (sorted ascending, distinct).
@@ -100,9 +97,10 @@ pub fn nlf_filter_prepared(profile: &NlfProfile, prepared: &PreparedData, v: Ver
     prepared.signature_covers(v, &profile.labels, &profile.counts)
 }
 
-/// Computes the LDF+NLF candidate set of query vertex `u` against a prepared data
+/// Computes the NLF candidate set of query vertex `u` against a prepared data
 /// graph (sorted by data-vertex id), short-circuiting to empty when the max-NLF
-/// bound proves no candidate can exist.
+/// bound proves no candidate can exist. The set equals LDF's candidates filtered
+/// by NLF: NLF implies LDF's degree bound.
 pub fn nlf_candidates_prepared(
     query: &Graph,
     prepared: &PreparedData,
@@ -112,8 +110,10 @@ pub fn nlf_candidates_prepared(
         .expect("a sampler without a deadline never expires")
 }
 
-/// Deadline-aware [`nlf_candidates_prepared`]: `sampler` ticks once per candidate
-/// examined (each examination is one signature comparison).
+/// Deadline-aware [`nlf_candidates_prepared`]: `sampler` ticks once per bucket
+/// vertex examined, so a tight time budget is observed even when the bucket
+/// spans most of the data graph. A query vertex without neighbors needs mask 0
+/// and an empty signature, so every bucket vertex passes.
 pub fn nlf_candidates_prepared_sampled(
     query: &Graph,
     prepared: &PreparedData,
@@ -124,14 +124,12 @@ pub fn nlf_candidates_prepared_sampled(
     if profile.unsatisfiable_in(prepared) {
         return Ok(Vec::new());
     }
-    let data = prepared.graph();
-    if profile.is_empty() {
-        return ldf_candidates_sampled(query, data, u, sampler);
-    }
+    let need = profile.mask;
+    let (ids, masks) = prepared.label_bucket(query.label(u));
     let mut out = Vec::new();
-    for v in ldf_candidates_sampled(query, data, u, sampler)? {
+    for (&v, &mask) in ids.iter().zip(masks) {
         sampler.tick()?;
-        if nlf_filter_prepared(&profile, prepared, v) {
+        if (mask & need) == need && nlf_filter_prepared(&profile, prepared, v) {
             out.push(v);
         }
     }
@@ -142,6 +140,11 @@ pub fn nlf_candidates_prepared_sampled(
 mod tests {
     use super::*;
     use gup_graph::builder::graph_from_edges;
+    use gup_graph::delta::GraphDelta;
+    use gup_graph::generate::{power_law_graph, random_walk_query, PowerLawConfig};
+    use gup_graph::index_io::{load_index_bytes, write_index_bytes};
+    use rand::rngs::SmallRng;
+    use rand::SeedableRng;
 
     /// The paper's Fig. 1 example (labels A=0, B=1, C=2, D=3), shared across the
     /// workspace via `gup_graph::fixtures`.
@@ -271,6 +274,65 @@ mod tests {
                 expected,
                 "u={u}"
             );
+        }
+    }
+
+    /// `nlf_candidates_prepared` on `prepared` equals LDF filtered by the NLF
+    /// definition for every vertex of `query`.
+    fn assert_filter_is_exact(query: &Graph, prepared: &PreparedData, path: &str) {
+        let data = prepared.graph();
+        for u in query.vertices() {
+            let expected: Vec<VertexId> = ldf_candidates(query, data, u)
+                .into_iter()
+                .filter(|&v| nlf_by_definition(query, data, u, v))
+                .collect();
+            assert_eq!(
+                nlf_candidates_prepared(query, prepared, u),
+                expected,
+                "{path}: u={u}"
+            );
+        }
+    }
+
+    #[test]
+    fn mask_screen_keeps_every_true_candidate_on_every_build_path() {
+        // 200 labels, so labels l, l + 64 and l + 128 share a mask bit.
+        let data = power_law_graph(&PowerLawConfig {
+            vertices: 3000,
+            edges_per_vertex: 4,
+            labels: 200,
+            seed: 17,
+            ..PowerLawConfig::default()
+        });
+        let mut rng = SmallRng::seed_from_u64(17);
+        let mut queries: Vec<Graph> = (0..1000)
+            .filter_map(|_| random_walk_query(&data, 8, &mut rng))
+            .take(20)
+            .collect();
+        assert_eq!(queries.len(), 20, "the walk generator fell short");
+        let built = PreparedData::new(data);
+        let loaded = load_index_bytes(&write_index_bytes(&built)).expect("round trip loads");
+
+        // A new vertex whose label is past 64 and past the graph's label count,
+        // joined to six existing vertices; the new vertex with its neighbors is
+        // one more query, so the touched vertices' masks are the ones it reads.
+        let new_vertex = built.graph().vertex_count() as VertexId;
+        let neighbors: Vec<VertexId> = (0..6).map(|i| i * 97 + 5).collect();
+        let mut batch = vec![GraphDelta::AddVertex { label: 230 }];
+        batch.extend(
+            neighbors
+                .iter()
+                .map(|&b| GraphDelta::AddEdge { a: new_vertex, b }),
+        );
+        let applied = built.apply(&batch).expect("the batch is valid");
+        let mut star = vec![new_vertex];
+        star.extend(&neighbors);
+        queries.push(applied.graph().induced_subgraph(&star));
+
+        for (path, prepared) in [("new", &built), ("loaded", &loaded), ("applied", &applied)] {
+            for query in &queries {
+                assert_filter_is_exact(query, prepared, path);
+            }
         }
     }
 

@@ -9,8 +9,10 @@
 //! provides that substrate:
 //!
 //! * [`filters`] — the classic per-vertex filters: label-and-degree filtering (LDF,
-//!   Ullmann) and neighborhood label frequency filtering (NLF) against a prepared
-//!   data graph's signature arena.
+//!   Ullmann) as the reference definition, and neighborhood label frequency
+//!   filtering (NLF) as one pass over a prepared data graph's label bucket: its
+//!   neighbor-label masks screen each vertex, and the signature arena decides the
+//!   mask hits.
 //! * [`dag`] — a query DAG (BFS-rooted at the most selective query vertex), the shape
 //!   over which the dynamic-programming refinement runs.
 //! * [`space`] — [`CandidateSpace`]: candidate-vertex sets `C(u_i)` for every query
@@ -38,8 +40,8 @@ pub mod space;
 
 pub use dag::QueryDag;
 pub use filters::{
-    ldf_candidates, ldf_candidates_sampled, nlf_candidates_prepared,
-    nlf_candidates_prepared_sampled, nlf_filter_prepared, NlfProfile,
+    ldf_candidates, nlf_candidates_prepared, nlf_candidates_prepared_sampled, nlf_filter_prepared,
+    NlfProfile,
 };
 pub use gup_graph::deadline::{DeadlineExceeded, DeadlineSampler};
 pub use space::{CandidateSpace, FilterConfig};

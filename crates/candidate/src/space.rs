@@ -4,8 +4,9 @@
 //! paper) that backtracking runs over. Construction, always against a prepared data
 //! graph:
 //!
-//! 1. initial candidates via LDF + NLF (a signature comparison against the
-//!    [`PreparedData`] arena),
+//! 1. initial candidates via NLF, which implies LDF: one pass over each query
+//!    vertex's label bucket in the [`PreparedData`], screening by neighbor-label
+//!    mask and deciding the mask hits by signature comparison,
 //! 2. DAG-graph-DP-style refinement: alternating bottom-up / top-down passes over a
 //!    query DAG remove candidates that cannot be extended towards every DAG child
 //!    (resp. parent),

@@ -10,6 +10,10 @@
 //!   no global edge sort),
 //! * recomputes neighborhood-label-frequency signatures **only** for vertices whose
 //!   adjacency changed, block-copying every other vertex's slice of the arena,
+//! * keeps the neighbor-label masks in label-bucket order by block-copying each
+//!   label's old segment, appending zeros for the batch's new vertices (they have
+//!   the largest ids, so they sit last in their buckets) and recomputing the masks
+//!   of touched vertices only,
 //! * refreshes the per-label max-NLF bounds and the degree statistics during the
 //!   same pass.
 //!
@@ -338,10 +342,10 @@ fn merge_adjacency(old: &[VertexId], add: &[VertexId], del: &[VertexId], out: &m
 
 impl PreparedData {
     /// Applies a batch of deltas, incrementally maintaining every index — the CSR
-    /// adjacency, the label inverted index, the signature arena, and the
-    /// max-NLF/degree bounds — instead of rebuilding them from scratch. Returns a
-    /// new `PreparedData`; `self` is never mutated, so concurrent queries holding
-    /// an `Arc` of the old index keep a consistent view.
+    /// adjacency, the label inverted index, the signature arena, the neighbor-label
+    /// masks, and the max-NLF/degree bounds — instead of rebuilding them from
+    /// scratch. Returns a new `PreparedData`; `self` is never mutated, so
+    /// concurrent queries holding an `Arc` of the old index keep a consistent view.
     ///
     /// Deltas are validated in order (later deltas see earlier ones); the first
     /// invalid delta aborts the whole batch with a typed [`DeltaError`] and nothing
@@ -405,8 +409,20 @@ impl PreparedData {
         // `from_csr` rebuilds the label inverted index with one counting sort.
         let new_graph = Graph::from_csr(offsets, neighbors, labels, edge_count);
 
-        // --- Signature-arena merge pass ------------------------------------
+        // --- Neighbor-label masks: copy each label's segment ---------------
+        // A bucket lists its vertices by ascending id and new vertices have the
+        // largest ids, so the new bucket is the old one followed by the batch's
+        // new vertices of that label (zeroed here; the pass below fills them).
         let label_count = new_graph.label_count();
+        let old_masks = self.label_masks();
+        let mut label_masks = Vec::with_capacity(new_n);
+        for l in 0..label_count as Label {
+            let (lo, hi) = graph.label_bounds(l);
+            label_masks.extend_from_slice(&old_masks[lo..hi]);
+            label_masks.resize(new_graph.label_bounds(l).1, 0);
+        }
+
+        // --- Signature-arena merge pass ------------------------------------
         let (old_sig_offsets, old_sig_labels, old_sig_counts, _old_max_nlf) = self.sig_parts();
         let mut sig_offsets = Vec::with_capacity(new_n + 1);
         let mut sig_labels = Vec::with_capacity(old_sig_labels.len() + added_slots);
@@ -436,14 +452,20 @@ impl PreparedData {
                     counts[l as usize] += 1;
                 }
                 scratch_touched.sort_unstable();
+                let mut mask = 0u64;
                 for &l in &scratch_touched {
                     let c = counts[l as usize];
                     sig_labels.push(l);
                     sig_counts.push(c);
                     max_nlf[l as usize] = max_nlf[l as usize].max(c);
                     counts[l as usize] = 0;
+                    mask |= PreparedData::label_bit(l);
                 }
                 scratch_touched.clear();
+                let label = new_graph.label(v);
+                let bucket = new_graph.vertices_with_label(label);
+                let slot = new_graph.label_bounds(label).0 + bucket.partition_point(|&w| w < v);
+                label_masks[slot] = mask;
             }
             let offset =
                 u32::try_from(sig_labels.len()).map_err(|_| DeltaError::IndexOverflow {
@@ -457,6 +479,7 @@ impl PreparedData {
             sig_offsets,
             sig_labels,
             sig_counts,
+            label_masks,
             max_nlf,
             max_degree,
             watch.elapsed(),

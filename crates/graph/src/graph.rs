@@ -151,11 +151,20 @@ impl Graph {
     /// Vertices carrying label `l` (sorted by id). Empty slice for unknown labels.
     #[inline]
     pub fn vertices_with_label(&self, l: Label) -> &[VertexId] {
+        let (lo, hi) = self.label_bounds(l);
+        &self.vertices_by_label[lo..hi]
+    }
+
+    /// Position range `lo..hi` of label `l`'s bucket in the label index, as a
+    /// pair; `(0, 0)` for unknown labels. Arrays kept parallel to the label
+    /// index (`PreparedData`'s neighbor-label masks) slice with it.
+    #[inline]
+    pub(crate) fn label_bounds(&self, l: Label) -> (usize, usize) {
         let l = l as usize;
         if l >= self.label_count {
-            return &[];
+            return (0, 0);
         }
-        &self.vertices_by_label[self.label_offsets[l]..self.label_offsets[l + 1]]
+        (self.label_offsets[l], self.label_offsets[l + 1])
     }
 
     /// Number of vertices carrying label `l`.

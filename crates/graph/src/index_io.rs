@@ -27,6 +27,9 @@
 //!               max_nlf (u64 count, count × u32)      per-label max-NLF bound
 //! ```
 //!
+//! The label inverted index and the neighbor-label masks are derived on load
+//! (from the labels and from the signature arena), not stored.
+//!
 //! ## Versioning and integrity policy
 //!
 //! * The version is bumped on **any** layout change; the loader rejects every
@@ -60,7 +63,7 @@
 //! ```
 
 use crate::deadline::Stopwatch;
-use crate::prepared::PreparedData;
+use crate::prepared::{masks_in_bucket_order, PreparedData};
 use crate::types::{Label, VertexId};
 use crate::Graph;
 use std::path::Path;
@@ -446,10 +449,12 @@ pub fn load_index_bytes(bytes: &[u8]) -> Result<PreparedData, IndexIoError> {
     }
     let sig_offsets_usize: Vec<usize> = sig_offsets.iter().map(|&o| o as usize).collect();
     validate_csr_offsets(&sig_offsets_usize, sig_labels.len(), "sig_offsets")?;
-    validate_signatures(&sig_offsets_usize, &sig_labels, &sig_counts)?;
+    let vertex_masks = validate_signatures(&sig_offsets_usize, &sig_labels, &sig_counts)?;
 
-    // The label index is derived, not stored: `from_csr` rebuilds it. Its size is
-    // the max label + 1, so bound the stored labels by what max_nlf declares.
+    // The label index and the neighbor-label masks are derived, not stored:
+    // `from_csr` rebuilds the index, and the masks the signature check derived
+    // are reordered into its buckets. The index's size is the max label + 1, so
+    // bound the stored labels by what max_nlf declares.
     let label_count = labels.iter().map(|&l| l as usize + 1).max().unwrap_or(0);
     if max_nlf.len() != label_count {
         return Err(invalid(
@@ -465,11 +470,13 @@ pub fn load_index_bytes(bytes: &[u8]) -> Result<PreparedData, IndexIoError> {
     }
 
     let graph = Graph::from_csr(offsets, neighbors, labels, edge_count);
+    let label_masks = masks_in_bucket_order(&graph, &vertex_masks);
     Ok(PreparedData::from_parts(
         graph,
         sig_offsets,
         sig_labels,
         sig_counts,
+        label_masks,
         max_nlf,
         max_degree,
         watch.elapsed(),
@@ -605,24 +612,37 @@ fn validate_adjacency(
 
 /// Signature arena validation: per-vertex label slices sorted strictly
 /// ascending with positive counts (signatures store only positive counts).
+/// Returns every vertex's neighbor-label mask, by vertex id, computed in the
+/// same loop as the check: the arena is the masks' only source on load, and a
+/// separate pass over it cost about as much as the check itself.
 fn validate_signatures(
     sig_offsets: &[usize],
     sig_labels: &[Label],
     sig_counts: &[u32],
-) -> Result<(), IndexIoError> {
+) -> Result<Vec<u64>, IndexIoError> {
+    let mut masks = Vec::with_capacity(sig_offsets.len().saturating_sub(1));
     for (v, w) in sig_offsets.windows(2).enumerate() {
         let slice = sig_labels.get(w[0]..w[1]).unwrap_or(&[]);
-        if slice.windows(2).any(|p| p[0] >= p[1]) {
+        let mut ascending = true;
+        let mut previous = -1i64; // below every label
+        let mut mask = 0u64;
+        for &l in slice {
+            ascending &= i64::from(l) > previous;
+            previous = i64::from(l);
+            mask |= PreparedData::label_bit(l);
+        }
+        if !ascending {
             return Err(invalid(
                 "sig_labels",
                 format!("signature of vertex {v} is not sorted strictly ascending"),
             ));
         }
+        masks.push(mask);
     }
     if sig_counts.contains(&0) {
         return Err(invalid("sig_counts", "signature stores a zero count"));
     }
-    Ok(())
+    Ok(masks)
 }
 
 #[cfg(test)]
@@ -739,6 +759,45 @@ mod tests {
             ),
             "{err}"
         );
+    }
+
+    /// A resealed file whose signature labels are out of order, or repeated,
+    /// is rejected by the signature check.
+    #[test]
+    fn rejects_unsorted_signatures() {
+        // Vertex 0 has one label-1 and one label-2 neighbor: signature [1, 2].
+        let g = graph_from_edges(&[0, 1, 2], &[(0, 1), (0, 2)]);
+        let prepared = PreparedData::new(g);
+        let bytes = write_index_bytes(&prepared);
+        // Payload layout: 3 u64s, offsets (u64 count + 4 u64), neighbors (u64
+        // count + 4 u32), labels (u64 count + 3 u32), sig_offsets (u64 count +
+        // 4 u32), then the sig_labels count and vertex 0's two labels.
+        let first_label =
+            HEADER_BYTES + 3 * 8 + (8 + 4 * 8) + (8 + 4 * 4) + (8 + 3 * 4) + (8 + 4 * 4) + 8;
+        let read =
+            |b: &[u8], at: usize| u32::from_le_bytes([b[at], b[at + 1], b[at + 2], b[at + 3]]);
+        assert_eq!(
+            (read(&bytes, first_label), read(&bytes, first_label + 4)),
+            (1, 2)
+        );
+        for swapped in [[2u32, 1], [1, 1]] {
+            let mut corrupt = bytes.clone();
+            corrupt[first_label..first_label + 4].copy_from_slice(&swapped[0].to_le_bytes());
+            corrupt[first_label + 4..first_label + 8].copy_from_slice(&swapped[1].to_le_bytes());
+            let fixed = checksum(&corrupt[HEADER_BYTES..]);
+            corrupt[8..16].copy_from_slice(&fixed.to_le_bytes());
+            let err = load_index_bytes(&corrupt).expect_err("unsorted signature");
+            assert!(
+                matches!(
+                    err,
+                    IndexIoError::Invalid {
+                        section: "sig_labels",
+                        ..
+                    }
+                ),
+                "{swapped:?}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -18,8 +18,9 @@
 //!   the former and returns the latter.
 //! * [`PreparedData`] — an immutable, `Arc`-shareable per-data-graph index (label
 //!   inverted index, a flat arena of per-vertex neighborhood-label-frequency
-//!   signatures, degree/label stats and a max-NLF bound) built once and reused by
-//!   every query of a session.
+//!   signatures, 64-bit neighbor-label masks in label-bucket order, degree/label
+//!   stats and a max-NLF bound) built once and reused by every query of a
+//!   session.
 //! * [`QVSet`] — a width-generic query-vertex bitset (`W` 64-bit words, `W = 1` by
 //!   default) used throughout the matcher for conflict masks, bounding sets, and
 //!   nogood domains (O(1) set operations for any fixed width, as assumed by the

@@ -10,6 +10,11 @@
 //! * a flat CSR-style arena of per-vertex **neighborhood-label-frequency signatures**
 //!   (sparse, label-sorted), so the NLF filter becomes a two-pointer signature
 //!   comparison instead of a neighbor rescan with per-candidate allocation,
+//! * one 64-bit **neighbor-label mask** per vertex, stored in label-bucket order
+//!   (parallel to the graph's label index): bit `l % 64` is set iff the vertex has
+//!   a label-`l` neighbor. The NLF filter streams a label's bucket of ids and masks
+//!   ([`PreparedData::label_bucket`]) and runs the signature comparison only on
+//!   vertices whose mask holds every bit the query vertex needs,
 //! * degree / label statistics and a per-label **max-NLF bound** (the highest count
 //!   of that label in any vertex's neighborhood), which rejects unsatisfiable query
 //!   vertices before any candidate is scanned.
@@ -29,6 +34,10 @@
 //! assert!(labels.contains(&1));
 //! assert!(prepared.signature_covers(0, &[1], &[1]));
 //! assert!(!prepared.signature_covers(0, &[1], &[9]));
+//! // v0 sits first in the label-A bucket; its mask has the label-B bit.
+//! let (ids, masks) = prepared.label_bucket(0);
+//! assert_eq!(ids[0], 0);
+//! assert_ne!(masks[0] & PreparedData::label_bit(1), 0);
 //! ```
 
 use crate::deadline::Stopwatch;
@@ -79,6 +88,11 @@ pub struct PreparedData {
     sig_offsets: Vec<u32>,
     sig_labels: Vec<Label>,
     sig_counts: Vec<u32>,
+    /// Neighbor-label masks, parallel to the graph's label index: entry `i` is
+    /// the mask of the index's `i`-th vertex, with bit `l % 64` set iff that
+    /// vertex has a label-`l` neighbor. Derived from the arena; index files do
+    /// not store them.
+    label_masks: Vec<u64>,
     /// For each label `l`: the maximum, over all vertices, of the number of
     /// label-`l` neighbors. A query vertex demanding more can have no candidate.
     max_nlf: Vec<u32>,
@@ -96,6 +110,7 @@ impl PartialEq for PreparedData {
             && self.sig_offsets == other.sig_offsets
             && self.sig_labels == other.sig_labels
             && self.sig_counts == other.sig_counts
+            && self.label_masks == other.label_masks
             && self.max_nlf == other.max_nlf
             && self.max_degree == other.max_degree
     }
@@ -131,6 +146,7 @@ impl PreparedData {
         let mut sig_labels = Vec::new();
         let mut sig_counts = Vec::new();
         let mut max_nlf = vec![0u32; label_count];
+        let mut vertex_masks = Vec::with_capacity(n);
         // Dense per-label scratch, reset via the `touched` list so the pass stays
         // O(deg) per vertex even with many labels.
         let mut counts = vec![0u32; label_count];
@@ -147,21 +163,26 @@ impl PreparedData {
                 counts[l as usize] += 1;
             }
             touched.sort_unstable();
+            let mut mask = 0u64;
             for &l in &touched {
                 let c = counts[l as usize];
                 sig_labels.push(l);
                 sig_counts.push(c);
                 max_nlf[l as usize] = max_nlf[l as usize].max(c);
                 counts[l as usize] = 0;
+                mask |= PreparedData::label_bit(l);
             }
             touched.clear();
+            vertex_masks.push(mask);
             sig_offsets.push(checked_sig_offset(sig_labels.len())?);
         }
+        let label_masks = masks_in_bucket_order(&graph, &vertex_masks);
         Ok(PreparedData {
             graph,
             sig_offsets,
             sig_labels,
             sig_counts,
+            label_masks,
             max_nlf,
             max_degree,
             prep_time: watch.elapsed(),
@@ -170,14 +191,16 @@ impl PreparedData {
 
     /// Reassembles a prepared index from already-validated parts. Used by the
     /// on-disk loader ([`crate::index_io`]), which performs the structural
-    /// validation before calling this; `prep_time` records whatever it cost to
-    /// obtain the parts (e.g. the load wall time).
+    /// validation before calling this, and by [`PreparedData::apply`];
+    /// `prep_time` records whatever it cost to obtain the parts (e.g. the load
+    /// wall time).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts(
         graph: Graph,
         sig_offsets: Vec<u32>,
         sig_labels: Vec<Label>,
         sig_counts: Vec<u32>,
+        label_masks: Vec<u64>,
         max_nlf: Vec<u32>,
         max_degree: usize,
         prep_time: Duration,
@@ -187,6 +210,7 @@ impl PreparedData {
             sig_offsets,
             sig_labels,
             sig_counts,
+            label_masks,
             max_nlf,
             max_degree,
             prep_time,
@@ -202,6 +226,12 @@ impl PreparedData {
             &self.sig_counts,
             &self.max_nlf,
         )
+    }
+
+    /// The neighbor-label masks in label-bucket order, for incremental
+    /// maintenance ([`PreparedData::apply`]).
+    pub(crate) fn label_masks(&self) -> &[u64] {
+        &self.label_masks
     }
 
     /// Convenience for the one-shot `(query, data)` entry points: clones `graph`
@@ -250,6 +280,23 @@ impl PreparedData {
         }
         true
     }
+
+    /// Label `l`'s bucket as parallel slices: the vertex ids carrying `l`
+    /// (ascending) and their neighbor-label masks. Both are empty for labels
+    /// no vertex carries.
+    #[inline]
+    pub fn label_bucket(&self, l: Label) -> (&[VertexId], &[u64]) {
+        let (lo, hi) = self.graph.label_bounds(l);
+        (self.graph.vertices_with_label(l), &self.label_masks[lo..hi])
+    }
+
+    /// The neighbor-label mask bit of label `l`: bit `l % 64`. Labels 64 apart
+    /// share a bit, so a set bit only suggests the label while a clear bit
+    /// proves it absent.
+    #[inline]
+    pub fn label_bit(l: Label) -> u64 {
+        1u64 << (l % 64)
+    }
     // gup-lint: end_region
 
     /// The highest number of label-`l` neighbors any vertex has (0 for labels absent
@@ -273,13 +320,15 @@ impl PreparedData {
         self.prep_time
     }
 
-    /// Approximate heap footprint of the *index only* — the signature arena and the
-    /// statistics, excluding the graph itself. This is what preparing costs on top
-    /// of holding the graph; memory reports account for it separately.
+    /// Approximate heap footprint of the *index only* — the signature arena, the
+    /// neighbor-label masks and the statistics, excluding the graph itself. This
+    /// is what preparing costs on top of holding the graph; memory reports
+    /// account for it separately.
     pub fn index_bytes(&self) -> usize {
         self.sig_offsets.capacity() * std::mem::size_of::<u32>()
             + self.sig_labels.capacity() * std::mem::size_of::<Label>()
             + self.sig_counts.capacity() * std::mem::size_of::<u32>()
+            + self.label_masks.capacity() * std::mem::size_of::<u64>()
             + self.max_nlf.capacity() * std::mem::size_of::<u32>()
     }
 
@@ -287,6 +336,22 @@ impl PreparedData {
     pub fn heap_bytes(&self) -> usize {
         self.graph.heap_bytes() + self.index_bytes()
     }
+}
+
+/// Reorders per-vertex neighbor-label masks (indexed by vertex id) into
+/// label-bucket order: one sequential pass over the vertices, writing each mask
+/// through its label's cursor. `vertex_masks` has one entry per vertex.
+pub(crate) fn masks_in_bucket_order(graph: &Graph, vertex_masks: &[u64]) -> Vec<u64> {
+    let mut cursors: Vec<usize> = (0..graph.label_count() as Label)
+        .map(|l| graph.label_bounds(l).0)
+        .collect();
+    let mut masks = vec![0u64; graph.vertex_count()];
+    for (&l, &mask) in graph.labels().iter().zip(vertex_masks) {
+        let cursor = &mut cursors[l as usize];
+        masks[*cursor] = mask;
+        *cursor += 1;
+    }
+    masks
 }
 
 #[cfg(test)]
@@ -335,6 +400,26 @@ mod tests {
                 assert!(prepared.signature_covers(v, &[l], &[0]), "v={v} l={l}");
             }
         }
+    }
+
+    #[test]
+    fn label_masks_follow_the_label_index() {
+        let (_q, data) = fixtures::paper_example();
+        let prepared = PreparedData::new(data.clone());
+        for l in 0..data.label_count() as Label + 2 {
+            let (ids, masks) = prepared.label_bucket(l);
+            assert_eq!(ids, data.vertices_with_label(l));
+            assert_eq!(masks.len(), ids.len());
+            for (&v, &mask) in ids.iter().zip(masks) {
+                let expected = data
+                    .neighbors(v)
+                    .iter()
+                    .fold(0u64, |m, &w| m | PreparedData::label_bit(data.label(w)));
+                assert_eq!(mask, expected, "label {l}, vertex {v}");
+            }
+        }
+        assert_eq!(PreparedData::label_bit(3), PreparedData::label_bit(67));
+        assert_eq!(PreparedData::label_bit(63), 1 << 63);
     }
 
     #[test]

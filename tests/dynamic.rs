@@ -10,9 +10,10 @@
 //! * **Rebuild equality** — after any applied batch, the incrementally
 //!   maintained index is `==` to preparing the mutated graph from scratch:
 //!   same CSR arrays, same label inverted index, same signature arena, same
-//!   max-NLF/degree bounds. Probed on fixtures with scripted batches and on
-//!   seed-pinned random delta streams (inserts, deletes, vertex adds) over
-//!   generated graphs.
+//!   neighbor-label masks, same max-NLF/degree bounds. Probed on fixtures with
+//!   scripted batches and on seed-pinned random delta streams (inserts, deletes,
+//!   vertex adds) over generated graphs, including a 130-label stream whose
+//!   labels collide on the masks' 64 bits.
 
 use gup_graph::builder::graph_from_edges;
 use gup_graph::delta::{DeltaError, GraphDelta};
@@ -196,20 +197,23 @@ fn scripted_fixture_batches_equal_cold_rebuild() {
 fn random_streams_stay_equal_to_cold_rebuild() {
     // Seed-pinned random streams over generated graphs: apply N deltas in
     // small batches; after every batch the incremental index must equal a
-    // from-scratch prepare of the same graph.
-    for seed in [7u64, 41, 1234] {
+    // from-scratch prepare of the same graph. The 130-label stream makes
+    // `AddVertex` create labels past 64 (sharing mask bits) and past the
+    // graph's label count.
+    for (seed, labels) in [(7u64, 4usize), (41, 4), (1234, 4), (5, 130)] {
         let mut rng = SmallRng::seed_from_u64(seed);
         let data = erdos_renyi_graph(&ErdosRenyiConfig {
             vertices: 48,
             edge_probability: 0.12,
-            labels: 4,
+            labels,
             seed,
         });
+        let initial_label_count = data.label_count();
         let mut prepared = PreparedData::new(data);
         let mut applied = 0usize;
         while applied < 120 {
             let batch: Vec<GraphDelta> = (0..3)
-                .map(|_| random_delta(prepared.graph(), 4, &mut rng))
+                .map(|_| random_delta(prepared.graph(), labels, &mut rng))
                 .collect();
             // Single-delta validity does not compose (a later delta may clash
             // with an earlier one in the batch); skip the rare invalid draw.
@@ -222,6 +226,12 @@ fn random_streams_stay_equal_to_cold_rebuild() {
                 prepared,
                 rebuilt(&prepared),
                 "seed {seed}: divergence after {applied} deltas"
+            );
+        }
+        if labels > 64 {
+            assert!(
+                prepared.graph().label_count() > initial_label_count.max(64),
+                "seed {seed}: the stream added no label past 64 and past {initial_label_count}"
             );
         }
     }

@@ -12,10 +12,11 @@
 //! A thread-local counting `#[global_allocator]` (same pattern as
 //! `tests/sink_alloc.rs`) pins this: filtering 10× the candidates may only grow the
 //! allocation count by the output vector's geometric growth (a few reallocations),
-//! never linearly, and a query over a data graph padded to 16× the vertices
-//! allocates exactly the bytes it allocates over the unpadded one. This file holds
-//! exactly these tests so the allocator hook cannot interfere with unrelated
-//! suites.
+//! never linearly; scanning a label bucket 10× as large allocates the same bytes
+//! when the output stays empty (the filter allocates only its profile and its
+//! output); and a query over a data graph padded to 16× the vertices allocates
+//! exactly the bytes it allocates over the unpadded one. This file holds exactly
+//! these tests so the allocator hook cannot interfere with unrelated suites.
 
 use gup::session::{Engine, Session};
 use gup_candidate::filters::nlf_candidates_prepared;
@@ -113,6 +114,48 @@ fn prepared_nlf_filtering_does_not_allocate_per_candidate() {
     assert!(
         large_allocs < 64,
         "prepared NLF filtering made {large_allocs} allocations for 4000 candidates"
+    );
+}
+
+/// Query: a label-0 vertex with one label-1 neighbor. Data: `n` disjoint 0–2
+/// edges plus one 1–2 edge, which lifts label 1's max-NLF bound to 1 so the
+/// bound does not short-circuit. Every label-0 vertex is in query vertex 0's
+/// bucket, and none has a label-1 neighbor.
+fn empty_output_instance(n: usize) -> (Graph, Graph) {
+    let query = graph_from_edges(&[0, 1], &[(0, 1)]);
+    let mut labels = Vec::with_capacity(2 * n + 2);
+    let mut edges = Vec::with_capacity(n + 1);
+    for i in 0..n {
+        labels.push(0);
+        labels.push(2);
+        edges.push((2 * i as u32, 2 * i as u32 + 1));
+    }
+    labels.extend([1, 2]);
+    edges.push((2 * n as u32, 2 * n as u32 + 1));
+    (query, graph_from_edges(&labels, &edges))
+}
+
+fn empty_output_filter_bytes(n: usize) -> u64 {
+    let (query, data) = empty_output_instance(n);
+    let prepared = PreparedData::new(data);
+    assert_eq!(prepared.graph().vertices_with_label(0).len(), n);
+    let before = allocated_bytes();
+    let candidates = nlf_candidates_prepared(&query, &prepared, 0);
+    let spent = allocated_bytes() - before;
+    assert!(candidates.is_empty(), "no label-0 vertex passes NLF");
+    spent
+}
+
+/// The filter's bytes follow its output, not its label bucket: scanning a
+/// bucket 10× as large, with nothing passing, allocates the same bytes.
+#[test]
+fn filter_bytes_do_not_depend_on_the_label_bucket_size() {
+    let small = empty_output_filter_bytes(1000);
+    let large = empty_output_filter_bytes(10_000);
+    assert_eq!(
+        small, large,
+        "filtering a 1000-vertex bucket allocated {small} bytes but a \
+         10000-vertex bucket {large}"
     );
 }
 

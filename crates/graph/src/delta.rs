@@ -3,19 +3,29 @@
 //! Every index in this workspace was immutable until this module: a single edge
 //! insert meant rebuilding the CSR graph (collect + sort every edge) and re-running
 //! the whole signature pass. [`PreparedData::apply`] replaces that with *incremental*
-//! maintenance: one merge pass that
+//! maintenance. It lists the pre-batch vertices whose adjacency the batch's net
+//! edges change (the *touched* vertices, sorted) and makes one walk in vertex
+//! order that
 //!
-//! * splices the inserted/deleted adjacency into the CSR arrays (untouched vertices
-//!   are block-copied, touched ones are merged against their sorted change lists —
-//!   no global edge sort),
-//! * recomputes neighborhood-label-frequency signatures **only** for vertices whose
-//!   adjacency changed, block-copying every other vertex's slice of the arena,
-//! * keeps the neighbor-label masks in label-bucket order by block-copying each
-//!   label's old segment, appending zeros for the batch's new vertices (they have
-//!   the largest ids, so they sit last in their buckets) and recomputing the masks
-//!   of touched vertices only,
-//! * refreshes the per-label max-NLF bounds and the degree statistics during the
-//!   same pass.
+//! * copies each maximal run of untouched vertices with one slice copy per array:
+//!   their CSR neighbors and their signature-arena labels and counts, plus one
+//!   shifted copy of each offsets array,
+//! * recomputes touched and new vertices only: their adjacency is merged against
+//!   sorted change lists (no global edge sort), then their
+//!   neighborhood-label-frequency signature and neighbor-label mask are rebuilt.
+//!
+//! The label index and the neighbor-label masks, both in label-bucket order, are
+//! copied whole when the batch adds no vertex. Otherwise each label's old bucket is
+//! copied and the batch's new vertices of that label are appended: they have the
+//! largest ids, so they sit last in their buckets.
+//!
+//! A batch therefore costs about one copy of the index plus work proportional to
+//! the neighborhoods of the vertices it touches. The `max_degree` and per-label
+//! max-NLF bounds start from their old values and recomputed vertices raise them.
+//! A bound is rescanned only when a recomputed vertex held its old maximum, fell
+//! below it, and no recomputed vertex reached it again: `max_degree` from the new
+//! offsets, the max-NLF bound of just the affected labels in one read-only pass
+//! over the new arena.
 //!
 //! The result is a brand-new [`PreparedData`] — the original is never mutated, so
 //! in-flight queries holding an `Arc` of the old index are undisturbed (the same
@@ -280,43 +290,44 @@ struct AdjacencyChanges {
     /// For each touched vertex: sorted neighbors to add / to drop.
     add: HashMap<VertexId, Vec<VertexId>>,
     del: HashMap<VertexId, Vec<VertexId>>,
-    /// Every vertex whose adjacency (and hence signature) changes.
-    touched: Vec<bool>,
+    /// Pre-batch vertices whose adjacency (and hence signature) changes, sorted
+    /// and deduplicated. The batch's new vertices are not listed: every one of
+    /// them is recomputed.
+    touched: Vec<VertexId>,
 }
 
 impl AdjacencyChanges {
-    fn new(batch: &ValidatedBatch, new_n: usize) -> Self {
+    fn new(batch: &ValidatedBatch, n0: usize) -> Self {
         let mut add: HashMap<VertexId, Vec<VertexId>> = HashMap::new();
         let mut del: HashMap<VertexId, Vec<VertexId>> = HashMap::new();
-        let mut touched = vec![false; new_n];
         for &(a, b) in &batch.inserted {
             add.entry(a).or_default().push(b);
             add.entry(b).or_default().push(a);
-            touched[a as usize] = true;
-            touched[b as usize] = true;
         }
         for &(a, b) in &batch.removed {
             del.entry(a).or_default().push(b);
             del.entry(b).or_default().push(a);
-            touched[a as usize] = true;
-            touched[b as usize] = true;
         }
         for list in add.values_mut().chain(del.values_mut()) {
             list.sort_unstable();
         }
+        let mut touched: Vec<VertexId> = add
+            .keys()
+            .chain(del.keys())
+            .copied()
+            .filter(|&v| (v as usize) < n0)
+            .collect();
+        touched.sort_unstable();
+        touched.dedup();
         AdjacencyChanges { add, del, touched }
     }
-}
 
-static EMPTY: [VertexId; 0] = [];
-
-impl AdjacencyChanges {
     fn additions(&self, v: VertexId) -> &[VertexId] {
-        self.add.get(&v).map_or(&EMPTY[..], Vec::as_slice)
+        self.add.get(&v).map_or(&[], Vec::as_slice)
     }
 
     fn deletions(&self, v: VertexId) -> &[VertexId] {
-        self.del.get(&v).map_or(&EMPTY[..], Vec::as_slice)
+        self.del.get(&v).map_or(&[], Vec::as_slice)
     }
 }
 
@@ -340,12 +351,216 @@ fn merge_adjacency(old: &[VertexId], add: &[VertexId], del: &[VertexId], out: &m
     out.extend_from_slice(&add[ai..]);
 }
 
+/// The new CSR arrays, assembled in vertex order.
+struct CsrBuilder {
+    offsets: Vec<usize>,
+    neighbors: Vec<VertexId>,
+}
+
+impl CsrBuilder {
+    /// Appends the old vertices `lo..hi` unchanged: one copy of their
+    /// neighbors and one shifted copy of their offsets. Nothing when `lo >= hi`.
+    fn copy_run(&mut self, old: &Graph, lo: usize, hi: usize) {
+        if lo >= hi {
+            return;
+        }
+        let old_offsets = old.csr_offsets();
+        let start = old_offsets[lo];
+        let base = self.neighbors.len();
+        self.neighbors
+            .extend_from_slice(&old.csr_neighbors()[start..old_offsets[hi]]);
+        self.offsets
+            .extend(old_offsets[lo + 1..=hi].iter().map(|&o| o - start + base));
+    }
+
+    /// Appends one recomputed vertex, its old adjacency merged with its change
+    /// lists, and returns the new adjacency.
+    fn push_merged(&mut self, old: &[VertexId], add: &[VertexId], del: &[VertexId]) -> &[VertexId] {
+        let start = self.neighbors.len();
+        merge_adjacency(old, add, del, &mut self.neighbors);
+        self.offsets.push(self.neighbors.len());
+        &self.neighbors[start..]
+    }
+}
+
+/// The new signature arena, assembled in vertex order, and its per-label
+/// max-NLF bounds.
+struct ArenaBuilder<'a> {
+    old: &'a PreparedData,
+    offsets: Vec<u32>,
+    labels: Vec<Label>,
+    counts: Vec<u32>,
+    /// Starts at the old bounds (0 for new labels); recomputed vertices raise it.
+    max_nlf: Vec<u32>,
+    /// Labels whose old maximum a recomputed vertex held and then lost.
+    fallen: Vec<Label>,
+    /// Dense per-label counts of the vertex being recomputed, reset via `seen`.
+    scratch: Vec<u32>,
+    seen: Vec<Label>,
+}
+
+impl<'a> ArenaBuilder<'a> {
+    fn new(old: &'a PreparedData, label_count: usize, new_n: usize, added_slots: usize) -> Self {
+        let (_, old_labels, _, old_max_nlf) = old.sig_parts();
+        let mut offsets = Vec::with_capacity(new_n + 1);
+        offsets.push(0);
+        let mut max_nlf = old_max_nlf.to_vec();
+        max_nlf.resize(label_count, 0);
+        ArenaBuilder {
+            old,
+            offsets,
+            labels: Vec::with_capacity(old_labels.len() + added_slots),
+            counts: Vec::with_capacity(old_labels.len() + added_slots),
+            max_nlf,
+            fallen: Vec::new(),
+            scratch: vec![0; label_count],
+            seen: Vec::new(),
+        }
+    }
+
+    /// The offset that ends the arena so far, or the overflow error.
+    fn end_offset(&self) -> Result<u32, DeltaError> {
+        let entries = self.labels.len();
+        u32::try_from(entries).map_err(|_| DeltaError::IndexOverflow { entries })
+    }
+
+    /// Appends the old vertices `lo..hi` unchanged: one copy of their labels
+    /// and counts and one shifted copy of their offsets. Offsets are monotone,
+    /// so the run's end fitting `u32` bounds every offset in it and the
+    /// wrapping shift is exact. Nothing when `lo >= hi`.
+    fn copy_run(&mut self, lo: usize, hi: usize) -> Result<(), DeltaError> {
+        if lo >= hi {
+            return Ok(());
+        }
+        let (old_offsets, old_labels, old_counts, _) = self.old.sig_parts();
+        let start = old_offsets[lo];
+        let (from, to) = (start as usize, old_offsets[hi] as usize);
+        let base = self.end_offset()?;
+        self.labels.extend_from_slice(&old_labels[from..to]);
+        self.counts.extend_from_slice(&old_counts[from..to]);
+        self.end_offset()?;
+        self.offsets.extend(
+            old_offsets[lo + 1..=hi]
+                .iter()
+                .map(|&o| o.wrapping_sub(start).wrapping_add(base)),
+        );
+        Ok(())
+    }
+
+    /// Appends the signature of a recomputed vertex whose new adjacency is
+    /// `adj` (`old_sig` is its old signature, empty for a new vertex), notes the
+    /// labels whose maximum it gave up, and returns its neighbor-label mask.
+    fn push_vertex(
+        &mut self,
+        adj: &[VertexId],
+        vertex_labels: &[Label],
+        old_sig: (&[Label], &[u32]),
+    ) -> Result<u64, DeltaError> {
+        for &w in adj {
+            let l = vertex_labels[w as usize];
+            if self.scratch[l as usize] == 0 {
+                self.seen.push(l);
+            }
+            self.scratch[l as usize] += 1;
+        }
+        for (&l, &c) in old_sig.0.iter().zip(old_sig.1) {
+            if c == self.old.max_nlf(l) && self.scratch[l as usize] < c {
+                self.fallen.push(l);
+            }
+        }
+        self.seen.sort_unstable();
+        let mut mask = 0u64;
+        for &l in &self.seen {
+            let c = self.scratch[l as usize];
+            self.labels.push(l);
+            self.counts.push(c);
+            self.max_nlf[l as usize] = self.max_nlf[l as usize].max(c);
+            self.scratch[l as usize] = 0;
+            mask |= PreparedData::label_bit(l);
+        }
+        self.seen.clear();
+        self.offsets.push(self.end_offset()?);
+        Ok(mask)
+    }
+
+    /// Recomputes the bound of every fallen label that no recomputed vertex
+    /// raised back to its old maximum, in one read-only pass over the new arena,
+    /// and returns `(offsets, labels, counts, max_nlf)`.
+    fn finish(mut self) -> (Vec<u32>, Vec<Label>, Vec<u32>, Vec<u32>) {
+        let old = self.old;
+        let max_nlf = &mut self.max_nlf;
+        self.fallen
+            .retain(|&l| max_nlf[l as usize] == old.max_nlf(l));
+        if !self.fallen.is_empty() {
+            let mut affected = vec![false; max_nlf.len()];
+            for &l in &self.fallen {
+                affected[l as usize] = true;
+                max_nlf[l as usize] = 0;
+            }
+            for (&l, &c) in self.labels.iter().zip(&self.counts) {
+                if affected[l as usize] {
+                    max_nlf[l as usize] = max_nlf[l as usize].max(c);
+                }
+            }
+        }
+        (self.offsets, self.labels, self.counts, self.max_nlf)
+    }
+}
+
+/// The label index and the neighbor-label masks parallel to it, extended by
+/// the batch's new vertices (ids from `old`'s vertex count on, labels
+/// `new_labels`). A bucket lists its vertices by ascending id and new vertices
+/// have the largest ids, so each new bucket is the old one followed by the
+/// batch's new vertices of that label; their masks start at 0 for the
+/// recompute pass to fill. Without new vertices all three arrays are copies.
+fn extended_label_index(
+    old: &PreparedData,
+    new_labels: &[Label],
+    label_count: usize,
+) -> (Vec<usize>, Vec<VertexId>, Vec<u64>) {
+    let graph = old.graph();
+    let (old_offsets, old_ids) = graph.label_index();
+    let old_masks = old.label_masks();
+    if new_labels.is_empty() {
+        return (old_offsets.to_vec(), old_ids.to_vec(), old_masks.to_vec());
+    }
+    let n0 = graph.vertex_count();
+    let mut added: Vec<(Label, VertexId)> = new_labels
+        .iter()
+        .enumerate()
+        .map(|(i, &l)| (l, (n0 + i) as VertexId))
+        .collect();
+    added.sort_unstable();
+    let mut added = added.into_iter().peekable();
+    let new_n = n0 + new_labels.len();
+    let mut offsets = Vec::with_capacity(label_count + 1);
+    let mut ids = Vec::with_capacity(new_n);
+    let mut masks = Vec::with_capacity(new_n);
+    offsets.push(0);
+    for l in 0..label_count as Label {
+        let (lo, hi) = graph.label_bounds(l);
+        ids.extend_from_slice(&old_ids[lo..hi]);
+        masks.extend_from_slice(&old_masks[lo..hi]);
+        while let Some((_, v)) = added.next_if(|&(al, _)| al == l) {
+            ids.push(v);
+            masks.push(0);
+        }
+        offsets.push(ids.len());
+    }
+    (offsets, ids, masks)
+}
+
 impl PreparedData {
     /// Applies a batch of deltas, incrementally maintaining every index — the CSR
     /// adjacency, the label inverted index, the signature arena, the neighbor-label
     /// masks, and the max-NLF/degree bounds — instead of rebuilding them from
     /// scratch. Returns a new `PreparedData`; `self` is never mutated, so
     /// concurrent queries holding an `Arc` of the old index keep a consistent view.
+    ///
+    /// Cost: about one copy of the index plus work proportional to the touched
+    /// and new vertices' neighborhoods. A bound is rescanned only when a
+    /// recomputed vertex held its old maximum and fell below it (see the
+    /// [`delta` module docs](crate::delta)).
     ///
     /// Deltas are validated in order (later deltas see earlier ones); the first
     /// invalid delta aborts the whole batch with a typed [`DeltaError`] and nothing
@@ -367,111 +582,85 @@ impl PreparedData {
         let n0 = graph.vertex_count();
         let batch = validate(graph, deltas)?;
         let new_n = n0 + batch.new_labels.len();
-        let changes = AdjacencyChanges::new(&batch, new_n);
-
-        // --- CSR merge pass -------------------------------------------------
-        let old_offsets = graph.csr_offsets();
-        let old_neighbors = graph.csr_neighbors();
-        let added_slots: usize = 2 * batch.inserted.len();
-        let removed_slots: usize = 2 * batch.removed.len();
-        let mut offsets = Vec::with_capacity(new_n + 1);
-        let mut neighbors = Vec::with_capacity(
-            old_neighbors.len() + added_slots - removed_slots.min(old_neighbors.len()),
-        );
-        offsets.push(0usize);
-        let mut max_degree = 0usize;
-        for v in 0..new_n as VertexId {
-            if (v as usize) < n0 && !changes.touched[v as usize] {
-                let lo = old_offsets[v as usize];
-                let hi = old_offsets[v as usize + 1];
-                neighbors.extend_from_slice(&old_neighbors[lo..hi]);
-            } else {
-                let old = if (v as usize) < n0 {
-                    &old_neighbors[old_offsets[v as usize]..old_offsets[v as usize + 1]]
-                } else {
-                    &[]
-                };
-                merge_adjacency(
-                    old,
-                    changes.additions(v),
-                    changes.deletions(v),
-                    &mut neighbors,
-                );
-            }
-            let degree = neighbors.len() - offsets[offsets.len() - 1];
-            max_degree = max_degree.max(degree);
-            offsets.push(neighbors.len());
-        }
+        let changes = AdjacencyChanges::new(&batch, n0);
         let mut labels = Vec::with_capacity(new_n);
         labels.extend_from_slice(graph.labels());
         labels.extend_from_slice(&batch.new_labels);
-        let edge_count = graph.edge_count() + batch.inserted.len() - batch.removed.len();
-        // `from_csr` rebuilds the label inverted index with one counting sort.
-        let new_graph = Graph::from_csr(offsets, neighbors, labels, edge_count);
+        let label_count = batch
+            .new_labels
+            .iter()
+            .map(|&l| l as usize + 1)
+            .fold(graph.label_count(), usize::max);
 
-        // --- Neighbor-label masks: copy each label's segment ---------------
-        // A bucket lists its vertices by ascending id and new vertices have the
-        // largest ids, so the new bucket is the old one followed by the batch's
-        // new vertices of that label (zeroed here; the pass below fills them).
-        let label_count = new_graph.label_count();
-        let old_masks = self.label_masks();
-        let mut label_masks = Vec::with_capacity(new_n);
-        for l in 0..label_count as Label {
-            let (lo, hi) = graph.label_bounds(l);
-            label_masks.extend_from_slice(&old_masks[lo..hi]);
-            label_masks.resize(new_graph.label_bounds(l).1, 0);
-        }
-
-        // --- Signature-arena merge pass ------------------------------------
-        let (old_sig_offsets, old_sig_labels, old_sig_counts, _old_max_nlf) = self.sig_parts();
-        let mut sig_offsets = Vec::with_capacity(new_n + 1);
-        let mut sig_labels = Vec::with_capacity(old_sig_labels.len() + added_slots);
-        let mut sig_counts = Vec::with_capacity(old_sig_counts.len() + added_slots);
-        let mut max_nlf = vec![0u32; label_count];
-        // Dense per-label scratch for recomputed vertices, reset via `scratch_touched`.
-        let mut counts = vec![0u32; label_count];
-        let mut scratch_touched: Vec<Label> = Vec::new();
-        sig_offsets.push(0u32);
-        for v in 0..new_n as VertexId {
-            if (v as usize) < n0 && !changes.touched[v as usize] {
-                let lo = old_sig_offsets[v as usize] as usize;
-                let hi = old_sig_offsets[v as usize + 1] as usize;
-                for i in lo..hi {
-                    let l = old_sig_labels[i];
-                    let c = old_sig_counts[i];
-                    sig_labels.push(l);
-                    sig_counts.push(c);
-                    max_nlf[l as usize] = max_nlf[l as usize].max(c);
-                }
+        // --- One walk in vertex order: copy each untouched run, recompute
+        // every touched and every new vertex -------------------------------
+        let old_neighbors = graph.csr_neighbors().len();
+        let added_slots = 2 * batch.inserted.len();
+        let removed_slots = 2 * batch.removed.len();
+        let mut csr = CsrBuilder {
+            offsets: Vec::with_capacity(new_n + 1),
+            neighbors: Vec::with_capacity(
+                old_neighbors + added_slots - removed_slots.min(old_neighbors),
+            ),
+        };
+        csr.offsets.push(0);
+        let mut arena = ArenaBuilder::new(self, label_count, new_n, added_slots);
+        // Starts at the old maximum and is raised by recomputed vertices.
+        let mut max_degree = self.max_degree();
+        let mut degree_fell = false;
+        let mut recomputed_masks = Vec::with_capacity(changes.touched.len() + new_n - n0);
+        let mut next = 0usize;
+        for v in changes.touched.iter().map(|&t| t as usize).chain(n0..new_n) {
+            csr.copy_run(graph, next, v);
+            arena.copy_run(next, v)?;
+            let vertex = v as VertexId;
+            let (old_adj, old_sig) = if v < n0 {
+                (graph.neighbors(vertex), self.signature(vertex))
             } else {
-                for &w in new_graph.neighbors(v) {
-                    let l = new_graph.label(w);
-                    if counts[l as usize] == 0 {
-                        scratch_touched.push(l);
-                    }
-                    counts[l as usize] += 1;
-                }
-                scratch_touched.sort_unstable();
-                let mut mask = 0u64;
-                for &l in &scratch_touched {
-                    let c = counts[l as usize];
-                    sig_labels.push(l);
-                    sig_counts.push(c);
-                    max_nlf[l as usize] = max_nlf[l as usize].max(c);
-                    counts[l as usize] = 0;
-                    mask |= PreparedData::label_bit(l);
-                }
-                scratch_touched.clear();
-                let label = new_graph.label(v);
-                let bucket = new_graph.vertices_with_label(label);
-                let slot = new_graph.label_bounds(label).0 + bucket.partition_point(|&w| w < v);
-                label_masks[slot] = mask;
-            }
-            let offset =
-                u32::try_from(sig_labels.len()).map_err(|_| DeltaError::IndexOverflow {
-                    entries: sig_labels.len(),
-                })?;
-            sig_offsets.push(offset);
+                (&[][..], (&[][..], &[][..]))
+            };
+            let adj = csr.push_merged(
+                old_adj,
+                changes.additions(vertex),
+                changes.deletions(vertex),
+            );
+            max_degree = max_degree.max(adj.len());
+            degree_fell |= old_adj.len() == self.max_degree() && adj.len() < old_adj.len();
+            let mask = arena.push_vertex(adj, &labels, old_sig)?;
+            recomputed_masks.push((vertex, mask));
+            next = v + 1;
+        }
+        csr.copy_run(graph, next, n0);
+        arena.copy_run(next, n0)?;
+        if degree_fell && max_degree == self.max_degree() {
+            // The old maximum's holder fell and no recomputed vertex reached
+            // it again: rescan the degrees.
+            max_degree = csr
+                .offsets
+                .windows(2)
+                .map(|w| w[1] - w[0])
+                .max()
+                .unwrap_or(0);
+        }
+        let (sig_offsets, sig_labels, sig_counts, max_nlf) = arena.finish();
+
+        // --- Label index and masks: reuse or extend the old ones ------------
+        let (label_offsets, vertices_by_label, mut label_masks) =
+            extended_label_index(self, &batch.new_labels, label_count);
+        let edge_count = graph.edge_count() + batch.inserted.len() - batch.removed.len();
+        let new_graph = Graph::with_label_index(
+            csr.offsets,
+            csr.neighbors,
+            labels,
+            edge_count,
+            label_offsets,
+            vertices_by_label,
+        );
+        for (v, mask) in recomputed_masks {
+            let label = new_graph.label(v);
+            let bucket = new_graph.vertices_with_label(label);
+            let slot = new_graph.label_bounds(label).0 + bucket.partition_point(|&w| w < v);
+            label_masks[slot] = mask;
         }
 
         let prepared = PreparedData::from_parts(

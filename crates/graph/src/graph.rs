@@ -32,7 +32,6 @@ impl Graph {
         labels: Vec<Label>,
         edge_count: usize,
     ) -> Self {
-        debug_assert_eq!(offsets.len(), labels.len() + 1);
         let label_count = labels.iter().map(|&l| l as usize + 1).max().unwrap_or(0);
         let mut counts = vec![0usize; label_count];
         for &l in &labels {
@@ -51,6 +50,32 @@ impl Graph {
             vertices_by_label[cursor[l as usize]] = v as VertexId;
             cursor[l as usize] += 1;
         }
+        Graph::with_label_index(
+            offsets,
+            neighbors,
+            labels,
+            edge_count,
+            label_offsets,
+            vertices_by_label,
+        )
+    }
+
+    /// Assembles a graph from prebuilt CSR arrays and a label index already
+    /// built for `labels`: `label_offsets` has `label_count + 1` entries and
+    /// `vertices_by_label` lists each label's vertices by ascending id. For
+    /// `PreparedData::apply`, which extends the old index instead of
+    /// re-sorting every vertex.
+    pub(crate) fn with_label_index(
+        offsets: Vec<usize>,
+        neighbors: Vec<VertexId>,
+        labels: Vec<Label>,
+        edge_count: usize,
+        label_offsets: Vec<usize>,
+        vertices_by_label: Vec<VertexId>,
+    ) -> Self {
+        debug_assert_eq!(offsets.len(), labels.len() + 1);
+        debug_assert_eq!(vertices_by_label.len(), labels.len());
+        let label_count = label_offsets.len() - 1;
         Graph {
             offsets,
             neighbors,
@@ -60,6 +85,13 @@ impl Graph {
             vertices_by_label,
             label_count,
         }
+    }
+
+    /// The label index as raw arrays `(label_offsets, vertices_by_label)`, for
+    /// incremental maintenance (`PreparedData::apply`).
+    #[inline]
+    pub(crate) fn label_index(&self) -> (&[usize], &[VertexId]) {
+        (&self.label_offsets, &self.vertices_by_label)
     }
 
     /// Raw CSR offsets array (`vertex_count + 1` entries). For the on-disk index

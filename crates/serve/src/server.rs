@@ -339,6 +339,10 @@ fn serve_connection(
     shared: &Shared,
     jobs: &SyncSender<Job>,
 ) -> std::io::Result<()> {
+    // A `delta` answers in two writes, the `match` pushes and then the `ok`
+    // line. With Nagle's algorithm on, a sender watching its own deltas gets
+    // the `ok` only after its delayed ACK of the pushes (about 40 ms).
+    stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let writer: SharedWriter = Arc::new(PlMutex::new(BufWriter::new(stream)));
     let mut my_watches: Vec<u64> = Vec::new();

@@ -432,6 +432,45 @@ fn stalled_watcher_does_not_wedge_other_connections() {
 }
 
 #[test]
+fn delta_reply_to_a_self_watching_sender_is_not_held_back() {
+    // A `delta` is answered in two writes: the `match` pushes, then the `ok`
+    // line. When the sender also watches, both go to its socket, and with
+    // Nagle's algorithm on the second write waits for the client's delayed
+    // ACK of the first (about 40 ms on Linux loopback). The server disables
+    // Nagle on every connection, so the round trip is the server's work only.
+    let data = graph_from_edges(&[0u32; 24], &[]);
+    let server = ServerHandle::spawn("nodelay", &data, &[]);
+    let mut client = Client::connect(server.addr);
+    client.send(&format!("watch\n{}", graph_body(&fixtures::path(2, 0))));
+    assert_eq!(client.read_line(), "ok watch id=0");
+    let mut round_trips = Vec::new();
+    for i in 0..12u32 {
+        // An edge between two isolated vertices: two new one-edge matches.
+        let start = std::time::Instant::now();
+        client.send(&format!("delta\nae {} {}\nend\n", 2 * i, 2 * i + 1));
+        let mut pushed = 0u64;
+        let reply = loop {
+            let line = client.read_line();
+            if !line.starts_with("match ") {
+                break line;
+            }
+            pushed += 1;
+        };
+        round_trips.push(start.elapsed());
+        assert!(reply.starts_with("ok delta applied=1 "), "{reply}");
+        assert_eq!(field(&reply, "new-matches"), pushed, "{reply}");
+        assert_eq!(pushed, 2, "{reply}");
+    }
+    round_trips.sort();
+    let median = round_trips[round_trips.len() / 2];
+    assert!(
+        median < Duration::from_millis(20),
+        "median delta round trip {median:?}: the reply waited for a delayed ACK"
+    );
+    server.shutdown();
+}
+
+#[test]
 fn bad_server_usage_is_rejected() {
     // Zero --timeout-ms must be a usage error, mirroring gup-match.
     let output = Command::new(env!("CARGO_BIN_EXE_gup-serve"))

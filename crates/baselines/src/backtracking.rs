@@ -16,10 +16,10 @@
 //!   connectivity), plain backtracking.
 
 use gup_candidate::{CandidateSpace, FilterConfig};
-use gup_graph::budget::{SearchLimits, SearchStats};
+use gup_graph::budget::{BuildError, SearchLimits, SearchStats};
 use gup_graph::deadline::DeadlineSampler;
 use gup_graph::scratch::OwnerArray;
-use gup_graph::sink::{min_limit, CountOnly, EmbeddingSink, SinkControl};
+use gup_graph::sink::{min_limit, EmbeddingSink, SinkControl};
 use gup_graph::{Graph, PreparedData, QVSet, QueryGraph, VertexId};
 use gup_order::OrderingStrategy;
 
@@ -103,34 +103,11 @@ pub struct BacktrackingBaseline<const W: usize = 1> {
     data_vertices: usize,
 }
 
-/// Errors raised when the baseline cannot be constructed.
-#[derive(Debug)]
-pub enum BaselineError {
-    /// The query graph is unusable (empty, disconnected, or too large).
-    InvalidQuery(gup_graph::QueryGraphError),
-    /// The deadline expired during the candidate filter pass, before any search
-    /// ran. The session layer reports this as `hit_time_limit`.
-    FilterTimeout,
-}
-
-impl std::fmt::Display for BaselineError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            BaselineError::InvalidQuery(e) => write!(f, "invalid query graph: {e}"),
-            BaselineError::FilterTimeout => {
-                write!(f, "time budget expired during the candidate filter pass")
-            }
-        }
-    }
-}
-
-impl std::error::Error for BaselineError {}
-
 impl<const W: usize> BacktrackingBaseline<W> {
     /// Builds the baseline matcher for `query` against `data` with no limits:
     /// prepares a private index of `data` and builds through
     /// [`BacktrackingBaseline::with_prepared`].
-    pub fn new(query: &Graph, data: &Graph, kind: BaselineKind) -> Result<Self, BaselineError> {
+    pub fn new(query: &Graph, data: &Graph, kind: BaselineKind) -> Result<Self, BuildError> {
         let prepared = PreparedData::from_graph(data);
         Self::with_prepared(query, &prepared, kind, SearchLimits::UNLIMITED)
     }
@@ -139,28 +116,26 @@ impl<const W: usize> BacktrackingBaseline<W> {
     /// candidate space's NLF pass runs against the precomputed signature arena)
     /// under `limits`, which also bound every later run. The candidate filter pass
     /// honors `limits.deadline`: once it expires, construction aborts with
-    /// [`BaselineError::FilterTimeout`] instead of grinding through the remaining
+    /// [`BuildError::FilterTimeout`] instead of grinding through the remaining
     /// filter work.
     pub fn with_prepared(
         query: &Graph,
         prepared: &PreparedData,
         kind: BaselineKind,
         limits: SearchLimits,
-    ) -> Result<Self, BaselineError> {
+    ) -> Result<Self, BuildError> {
         // Global validation plus this width's capacity check
         // (`QueryGraph::check_width`, the shared rule): a query wider than `64 * W`
         // is a typed `TooLarge` error, never a wrapped bitmask.
-        let validated = QueryGraph::new(query.clone()).map_err(BaselineError::InvalidQuery)?;
-        validated
-            .check_width::<W>()
-            .map_err(BaselineError::InvalidQuery)?;
+        let validated = QueryGraph::new(query.clone())?;
+        validated.check_width::<W>()?;
         let space = CandidateSpace::build_prepared_deadline(
             query,
             prepared,
             &kind.filter_config(),
             limits.deadline,
         )
-        .map_err(|_| BaselineError::FilterTimeout)?;
+        .map_err(|_| BuildError::FilterTimeout)?;
         let order = gup_order::compute_order(query, &space.candidate_sizes(), kind.ordering())
             .expect("validated queries are connected, so an order always exists");
         let ordered = validated
@@ -201,13 +176,6 @@ impl<const W: usize> BacktrackingBaseline<W> {
     /// The baseline family of this instance.
     pub fn kind(&self) -> BaselineKind {
         self.kind
-    }
-
-    /// Runs the search under the matcher's limits, counting embeddings without
-    /// materializing any. Thin adapter over
-    /// [`BacktrackingBaseline::run_with_sink`].
-    pub fn run(&self) -> SearchStats {
-        self.run_with_sink(&mut CountOnly::new())
     }
 
     /// Runs the search, streaming every embedding into `sink` over the *original*
@@ -404,12 +372,13 @@ mod tests {
     use crate::brute_force;
     use gup_graph::builder::graph_from_edges;
     use gup_graph::fixtures;
+    use gup_graph::sink::CountOnly;
 
     fn check_against_brute_force(query: &Graph, data: &Graph) {
         let expected = brute_force::count(query, data);
         for kind in BaselineKind::ALL {
             let m = BacktrackingBaseline::<1>::new(query, data, kind).unwrap();
-            let r = m.run();
+            let r = m.run_with_sink(&mut CountOnly::new());
             assert_eq!(
                 r.embeddings, expected,
                 "kind {kind:?} disagrees with brute force"
@@ -453,10 +422,10 @@ mod tests {
         let (q, d) = fixtures::paper_example();
         let plain = BacktrackingBaseline::<1>::new(&q, &d, BaselineKind::Plain)
             .unwrap()
-            .run();
+            .run_with_sink(&mut CountOnly::new());
         let daf = BacktrackingBaseline::<1>::new(&q, &d, BaselineKind::DafFailingSet)
             .unwrap()
-            .run();
+            .run_with_sink(&mut CountOnly::new());
         assert_eq!(plain.embeddings, daf.embeddings);
         assert!(daf.recursions > 0);
     }
@@ -484,7 +453,7 @@ mod tests {
         let prepared = PreparedData::from_graph(&d);
         let m =
             BacktrackingBaseline::<1>::with_prepared(&q, &prepared, BaselineKind::Plain, limits);
-        let r = m.unwrap().run();
+        let r = m.unwrap().run_with_sink(&mut CountOnly::new());
         assert_eq!(r.embeddings, 3);
         assert!(r.hit_embedding_limit);
         assert!(r.terminated_early());
@@ -513,7 +482,7 @@ mod tests {
         let d = graph_from_edges(&[0, 1, 0, 1, 0], &[(0, 1), (1, 2), (2, 3), (3, 4)]);
         for kind in BaselineKind::ALL {
             let m = BacktrackingBaseline::<1>::new(&q, &d, kind).unwrap();
-            assert_eq!(m.run().embeddings, 0);
+            assert_eq!(m.run_with_sink(&mut CountOnly::new()).embeddings, 0);
         }
     }
 }

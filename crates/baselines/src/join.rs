@@ -8,11 +8,10 @@
 //! intermediate bindings plays the role that recursion counts play for the
 //! backtracking engines.
 
-use crate::backtracking::BaselineError;
 use gup_candidate::{CandidateSpace, FilterConfig};
-use gup_graph::budget::{SearchLimits, SearchStats};
+use gup_graph::budget::{BuildError, SearchLimits, SearchStats};
 use gup_graph::deadline::DeadlineSampler;
-use gup_graph::sink::{min_limit, CountOnly, EmbeddingSink, SinkControl};
+use gup_graph::sink::{min_limit, EmbeddingSink, SinkControl};
 use gup_graph::{Graph, PreparedData, QueryGraph, VertexId};
 use gup_order::OrderingStrategy;
 
@@ -34,31 +33,30 @@ pub struct JoinBaseline {
 impl JoinBaseline {
     /// Builds the join baseline for `query` against `data` with no limits:
     /// prepares a private index of `data` and builds through
-    /// [`JoinBaseline::with_prepared`]. Returns `None` if the query is not usable
-    /// (empty / disconnected / too large).
-    pub fn new(query: &Graph, data: &Graph, order: OrderingStrategy) -> Option<Self> {
+    /// [`JoinBaseline::with_prepared`].
+    pub fn new(query: &Graph, data: &Graph, order: OrderingStrategy) -> Result<Self, BuildError> {
         let prepared = PreparedData::from_graph(data);
-        Self::with_prepared(query, &prepared, order, SearchLimits::UNLIMITED).ok()
+        Self::with_prepared(query, &prepared, order, SearchLimits::UNLIMITED)
     }
 
     /// Builds the join baseline for `query` against a prepared data graph under
     /// `limits`, which also bound every later run. The candidate filter pass honors
     /// `limits.deadline`: once it expires, construction aborts with
-    /// [`BaselineError::FilterTimeout`].
+    /// [`BuildError::FilterTimeout`].
     pub fn with_prepared(
         query: &Graph,
         prepared: &PreparedData,
         order: OrderingStrategy,
         limits: SearchLimits,
-    ) -> Result<Self, BaselineError> {
-        let validated = QueryGraph::new(query.clone()).map_err(BaselineError::InvalidQuery)?;
+    ) -> Result<Self, BuildError> {
+        let validated = QueryGraph::new(query.clone())?;
         let space = CandidateSpace::build_prepared_deadline(
             query,
             prepared,
             &FilterConfig::default(),
             limits.deadline,
         )
-        .map_err(|_| BaselineError::FilterTimeout)?;
+        .map_err(|_| BuildError::FilterTimeout)?;
         let order = gup_order::compute_order(query, &space.candidate_sizes(), order)
             .expect("validated queries are connected, so an order always exists");
         // The join enumerator never touches the bitset views, so it always uses the
@@ -79,12 +77,6 @@ impl JoinBaseline {
             backward,
             original_id: order,
         })
-    }
-
-    /// Runs the join under the matcher's limits and reports embeddings /
-    /// intermediate-result counts. Thin adapter over [`JoinBaseline::run_with_sink`].
-    pub fn run(&self) -> SearchStats {
-        self.run_with_sink(&mut CountOnly::new())
     }
 
     /// Runs the join, streaming every complete binding into `sink` as an embedding
@@ -210,12 +202,6 @@ impl JoinBaseline {
         sink.report(scratch)
     }
 
-    /// Counts the embeddings under the matcher's limits (through a [`CountOnly`]
-    /// sink). Intended for tests.
-    pub fn count(&self) -> u64 {
-        self.run().embeddings
-    }
-
     /// Number of query vertices.
     pub fn query_vertex_count(&self) -> usize {
         self.query_vertices
@@ -233,11 +219,15 @@ mod tests {
     use crate::brute_force;
     use gup_graph::builder::graph_from_edges;
     use gup_graph::fixtures;
+    use gup_graph::sink::CountOnly;
 
     fn check(query: &Graph, data: &Graph) {
         let expected = brute_force::count(query, data);
         let join = JoinBaseline::new(query, data, OrderingStrategy::GqlStyle).unwrap();
-        assert_eq!(join.count(), expected);
+        assert_eq!(
+            join.run_with_sink(&mut CountOnly::new()).embeddings,
+            expected
+        );
     }
 
     #[test]
@@ -275,7 +265,7 @@ mod tests {
     fn join_counts_intermediate_results() {
         let (q, d) = fixtures::paper_example();
         let join = JoinBaseline::new(&q, &d, OrderingStrategy::GqlStyle).unwrap();
-        let r = join.run();
+        let r = join.run_with_sink(&mut CountOnly::new());
         assert!(r.recursions >= r.embeddings);
         assert!(r.recursions > 0);
     }
@@ -303,7 +293,7 @@ mod tests {
         let prepared = PreparedData::from_graph(&d);
         let join =
             JoinBaseline::with_prepared(&q, &prepared, OrderingStrategy::GqlStyle, limits).unwrap();
-        let r = join.run();
+        let r = join.run_with_sink(&mut CountOnly::new());
         assert_eq!(r.embeddings, 5);
         assert!(r.hit_embedding_limit);
     }
@@ -312,7 +302,10 @@ mod tests {
     fn join_rejects_invalid_queries() {
         let disconnected = graph_from_edges(&[0, 0, 0, 0], &[(0, 1), (2, 3)]);
         let d = fixtures::square_with_diagonal();
-        assert!(JoinBaseline::new(&disconnected, &d, OrderingStrategy::GqlStyle).is_none());
+        assert!(matches!(
+            JoinBaseline::new(&disconnected, &d, OrderingStrategy::GqlStyle),
+            Err(BuildError::InvalidQuery(_))
+        ));
     }
 
     #[test]
@@ -320,6 +313,6 @@ mod tests {
         let q = graph_from_edges(&[9, 9], &[(0, 1)]);
         let d = fixtures::square_with_diagonal();
         let join = JoinBaseline::new(&q, &d, OrderingStrategy::GqlStyle).unwrap();
-        assert_eq!(join.count(), 0);
+        assert_eq!(join.run_with_sink(&mut CountOnly::new()).embeddings, 0);
     }
 }

@@ -18,19 +18,22 @@
 //! harness compares them with GuP on equal terms. The backtracking and join engines
 //! take their budget at construction — the candidate filter pass and every later run
 //! share its deadline, so a matcher reused across runs shares one deadline; build a
-//! fresh one per run when each run needs its own time budget. Every engine streams
-//! its embeddings through the workspace-wide [`EmbeddingSink`] trait (`run_with_sink`
-//! / [`brute_force::run_with_sink`]) — the same output layer GuP uses — so
-//! metamorphic and differential tests can drive all engines through identical sinks.
+//! fresh one per run when each run needs its own time budget. Their constructors
+//! fail with GuP's one construction error, [`BuildError`]. The one way to run any
+//! engine is to stream its embeddings into the workspace-wide [`EmbeddingSink`]
+//! trait (`run_with_sink` / [`brute_force::run_with_sink`]) — the same output layer
+//! GuP uses — so metamorphic and differential tests drive all engines through
+//! identical sinks, and a count is just a [`CountOnly`] sink.
 //!
 //! [`SearchLimits`]: gup_graph::budget::SearchLimits
 //! [`SearchStats`]: gup_graph::budget::SearchStats
+//! [`BuildError`]: gup_graph::budget::BuildError
 
 pub mod backtracking;
 pub mod brute_force;
 pub mod join;
 
-pub use backtracking::{BacktrackingBaseline, BaselineError, BaselineKind};
+pub use backtracking::{BacktrackingBaseline, BaselineKind};
 pub use gup_graph::sink::{
     CallbackSink, CollectAll, CountOnly, EmbeddingSink, FirstK, SinkControl,
 };
@@ -53,13 +56,13 @@ mod tests {
             .map(|kind| {
                 BacktrackingBaseline::<1>::with_prepared(&q, &prepared, kind, limits)
                     .unwrap()
-                    .run()
+                    .run_with_sink(&mut CountOnly::new())
             })
             .collect();
         records.push(
             JoinBaseline::with_prepared(&q, &prepared, OrderingStrategy::GqlStyle, limits)
                 .unwrap()
-                .run(),
+                .run_with_sink(&mut CountOnly::new()),
         );
         records.push(brute_force::run_with_sink(
             &q,

@@ -2,6 +2,7 @@
 //! reservation size limit and each guard family affect the search on a fixed query.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use gup::sink::CountOnly;
 use gup::{GupConfig, GupMatcher, PreparedData, PruningFeatures, SearchLimits};
 use gup_graph::deadline::deadline_after;
 use gup_workloads::{generate_query_set, Dataset, QueryClass, QuerySetSpec};
@@ -47,8 +48,8 @@ fn bench_feature_ablation(c: &mut Criterion) {
                 b.iter(|| {
                     GupMatcher::<1>::with_prepared(q, &prepared, config_with(features, Some(3)))
                         .unwrap()
-                        .run()
-                        .embedding_count()
+                        .run_with_sink(&mut CountOnly::new())
+                        .embeddings
                 });
             },
         );
@@ -79,8 +80,8 @@ fn bench_reservation_size(c: &mut Criterion) {
                 let cfg = config_with(PruningFeatures::RESERVATION_ONLY, r);
                 GupMatcher::<1>::with_prepared(q, &prepared, cfg)
                     .unwrap()
-                    .run()
-                    .embedding_count()
+                    .run_with_sink(&mut CountOnly::new())
+                    .embeddings
             });
         });
     }

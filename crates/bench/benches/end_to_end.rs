@@ -46,8 +46,8 @@ fn bench_end_to_end(c: &mut Criterion) {
             b.iter(|| {
                 GupMatcher::<1>::with_prepared(q, &prepared, gup_config())
                     .unwrap()
-                    .run()
-                    .embedding_count()
+                    .run_with_sink(&mut CountOnly::new())
+                    .embeddings
             });
         });
         // The same search through the two extreme sinks: counting (no embedding is
@@ -76,7 +76,7 @@ fn bench_end_to_end(c: &mut Criterion) {
                 b.iter(|| {
                     BacktrackingBaseline::<1>::with_prepared(q, &prepared, kind, limits())
                         .unwrap()
-                        .run()
+                        .run_with_sink(&mut CountOnly::new())
                         .embeddings
                 });
             });
@@ -85,7 +85,7 @@ fn bench_end_to_end(c: &mut Criterion) {
             b.iter(|| {
                 JoinBaseline::with_prepared(q, &prepared, OrderingStrategy::GqlStyle, limits())
                     .unwrap()
-                    .run()
+                    .run_with_sink(&mut CountOnly::new())
                     .embeddings
             });
         });

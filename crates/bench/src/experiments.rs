@@ -12,7 +12,8 @@
 //! ≥ 1 h" becomes "≥ slow / ≥ very-slow / timeout" from the configuration).
 
 use crate::harness::{run_query_set, Method, SetSummary, SuiteConfig};
-use gup::{GupConfig, GupMatcher, PruningFeatures, SearchLimits};
+use gup::sink::CountOnly;
+use gup::{GupConfig, GupMatcher, PruningFeatures, SearchEngine, SearchLimits, SearchTask};
 use gup_graph::deadline::deadline_after;
 use gup_workloads::{Dataset, QuerySetSpec};
 use std::fmt::Write as _;
@@ -442,8 +443,8 @@ pub fn fig10(config: &SuiteConfig, max_threads: usize) -> String {
                 return false;
             };
             let start = Instant::now();
-            let outcome = matcher.run();
-            !outcome.stats.hit_time_limit && start.elapsed() >= Duration::from_millis(1)
+            let stats = matcher.run_with_sink(&mut CountOnly::new());
+            !stats.hit_time_limit && start.elapsed() >= Duration::from_millis(1)
         })
         .collect();
     writeln!(
@@ -475,18 +476,18 @@ pub fn fig10(config: &SuiteConfig, max_threads: usize) -> String {
             for rep in 0..2 {
                 let stealing = matcher(query).expect("a kept query builds");
                 let start = Instant::now();
-                let result = stealing.run_parallel(threads);
+                let stats = stealing.run_parallel_with_sink(threads, &mut CountOnly::new());
                 best[0] = best[0].min(start.elapsed().as_secs_f64() * 1000.0);
                 // A truncated run must not be averaged in with completed ones.
                 assert!(
-                    !result.stats.hit_time_limit,
+                    !stats.hit_time_limit,
                     "fig10: a work-stealing run on {threads} threads hit the {limit:?} limit"
                 );
                 // Count steal/split activity from one run only, so the columns
                 // describe a single measured pass, not the sum of both reps.
                 if rep == 0 {
-                    splits += result.stats.frames_split;
-                    steals += result.stats.tasks_stolen;
+                    splits += stats.frames_split;
+                    steals += stats.tasks_stolen;
                 }
 
                 let partitioned = matcher(query).expect("a kept query builds");
@@ -525,8 +526,9 @@ pub fn fig10(config: &SuiteConfig, max_threads: usize) -> String {
 }
 
 /// Static root partition: split `C(u_0)` into `threads` contiguous chunks and give one
-/// chunk to each worker (no dynamic re-balancing) — the scheduling strategy the paper
-/// attributes to DAF (§4.3.4). Returns whether any worker hit the time limit.
+/// chunk to each worker as one task (no dynamic re-balancing) — the scheduling
+/// strategy the paper attributes to DAF (§4.3.4). Returns whether any worker hit the
+/// time limit.
 fn run_static_partition(matcher: &GupMatcher, threads: usize) -> bool {
     let gcs = matcher.gcs();
     let config = matcher.config();
@@ -542,9 +544,14 @@ fn run_static_partition(matcher: &GupMatcher, threads: usize) -> bool {
                 let lo = t * chunk;
                 let hi = ((t + 1) * chunk).min(roots);
                 scope.spawn(move || {
-                    let mut engine = gup::SearchEngine::new(gcs, config);
-                    engine.restrict_root(lo, hi);
-                    engine.run().stats.hit_time_limit
+                    // At the root, candidate positions are candidate indices.
+                    let task = SearchTask {
+                        prefix: vec![],
+                        candidates: (lo as u32..hi as u32).collect(),
+                    };
+                    let mut engine = SearchEngine::new(gcs, config);
+                    engine.run_task_with_sink(task, &mut CountOnly::new());
+                    engine.stats().hit_time_limit
                 })
             })
             .collect();

@@ -100,8 +100,6 @@ pub struct GupConfig {
     /// the session's `timeout`, which starts the clock per request) when each run
     /// needs its own time budget.
     pub limits: SearchLimits,
-    /// Whether found embeddings are materialized (`true`) or only counted (`false`).
-    pub collect_embeddings: bool,
 }
 
 impl Default for GupConfig {
@@ -112,20 +110,11 @@ impl Default for GupConfig {
             reservation_size_limit: Some(3),
             features: PruningFeatures::ALL,
             limits: SearchLimits::default(),
-            collect_embeddings: false,
         }
     }
 }
 
 impl GupConfig {
-    /// Convenience: default configuration but with embeddings materialized.
-    pub fn collecting() -> Self {
-        GupConfig {
-            collect_embeddings: true,
-            ..GupConfig::default()
-        }
-    }
-
     /// Convenience: default configuration with the given embedding cap.
     pub fn with_embedding_limit(limit: u64) -> Self {
         GupConfig {
@@ -165,12 +154,10 @@ mod tests {
         assert_eq!(cfg.reservation_size_limit, Some(3));
         assert_eq!(cfg.features, PruningFeatures::ALL);
         assert_eq!(cfg.limits.max_embeddings, Some(100_000));
-        assert!(!cfg.collect_embeddings);
     }
 
     #[test]
     fn convenience_constructors() {
-        assert!(GupConfig::collecting().collect_embeddings);
         assert_eq!(
             GupConfig::with_embedding_limit(7).limits.max_embeddings,
             Some(7)

@@ -16,41 +16,9 @@ use crate::guards::{EdgeGuardStore, ReservationGuard, VertexGuardStore};
 use crate::reservation::{generate_reservation_guards, reservation_heap_bytes};
 use crate::stats::MemoryReport;
 use gup_candidate::CandidateSpace;
-use gup_graph::query::{OrderedQuery, QueryGraphError};
+use gup_graph::budget::BuildError;
+use gup_graph::query::OrderedQuery;
 use gup_graph::{Graph, PreparedData, QueryGraph, VertexId};
-
-/// Errors produced while building a GCS.
-#[derive(Debug)]
-pub enum GupError {
-    /// The query graph is not usable (empty, too large, or disconnected).
-    InvalidQuery(QueryGraphError),
-    /// The configured absolute deadline ([`SearchLimits::deadline`]) expired during
-    /// the candidate filter pass: the candidate space was abandoned instead of being
-    /// silently truncated. The session layer reports this as
-    /// `SearchStats::hit_time_limit`, exactly like a deadline that fires in-search.
-    ///
-    /// [`SearchLimits::deadline`]: crate::SearchLimits::deadline
-    FilterTimeout,
-}
-
-impl std::fmt::Display for GupError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            GupError::InvalidQuery(e) => write!(f, "invalid query graph: {e}"),
-            GupError::FilterTimeout => {
-                write!(f, "time budget expired during the candidate filter pass")
-            }
-        }
-    }
-}
-
-impl std::error::Error for GupError {}
-
-impl From<QueryGraphError> for GupError {
-    fn from(e: QueryGraphError) -> Self {
-        GupError::InvalidQuery(e)
-    }
-}
 
 /// The guarded candidate space, generic over the bitset width `W` of its ordered
 /// query (64 query vertices per word; `W = 1` is the default fast path).
@@ -68,12 +36,13 @@ impl<const W: usize> Gcs<W> {
     /// optimization, re-indexing of the candidate space into the order, and
     /// reservation-guard generation. The filter pass honors the configured absolute
     /// deadline (`config.limits.deadline`, when one is set) at a work-bounded
-    /// cadence, so a tight budget cannot be blown before the search starts.
+    /// cadence, so a tight budget cannot be blown before the search starts: once it
+    /// expires, construction aborts with [`BuildError::FilterTimeout`].
     pub fn build_prepared(
         query: &Graph,
         prepared: &PreparedData,
         config: &GupConfig,
-    ) -> Result<Self, GupError> {
+    ) -> Result<Self, BuildError> {
         // Global validation plus this width's bitset capacity check: a query wider
         // than `64 * W` is a typed `TooLarge` error (with the width's own limit)
         // rather than a panic deeper in the bitmask arithmetic. The session layer
@@ -86,7 +55,7 @@ impl<const W: usize> Gcs<W> {
             &config.filter,
             config.limits.deadline,
         )
-        .map_err(|_| GupError::FilterTimeout)?;
+        .map_err(|_| BuildError::FilterTimeout)?;
         let data_vertex_count = prepared.graph().vertex_count();
         let order = gup_order::compute_order(query, &space.candidate_sizes(), config.ordering)
             // gup-lint: allow(panic_freedom) QueryGraph validation above has already rejected disconnected queries
@@ -185,14 +154,14 @@ impl<const W: usize> Gcs<W> {
     /// stores, mirroring Table 3 of the paper.
     pub fn memory_report(
         &self,
-        vertex_guards: Option<&VertexGuardStore<W>>,
-        edge_guards: Option<&EdgeGuardStore<W>>,
+        vertex_guards: &VertexGuardStore<W>,
+        edge_guards: &EdgeGuardStore<W>,
     ) -> MemoryReport {
         MemoryReport {
             candidate_space_bytes: self.space.heap_bytes(),
             reservation_bytes: reservation_heap_bytes(&self.reservations),
-            nogood_vertex_bytes: vertex_guards.map_or(0, VertexGuardStore::heap_bytes),
-            nogood_edge_bytes: edge_guards.map_or(0, EdgeGuardStore::heap_bytes),
+            nogood_vertex_bytes: vertex_guards.heap_bytes(),
+            nogood_edge_bytes: edge_guards.heap_bytes(),
             // The GCS does not retain the session-level prepared index; the matcher
             // (which knows its size) fills this in.
             prepared_index_bytes: 0,
@@ -200,14 +169,9 @@ impl<const W: usize> Gcs<W> {
     }
 
     /// Translates an embedding over matching-order vertex ids back to the original
-    /// query-vertex numbering.
-    pub fn embedding_in_original_ids(&self, embedding: &[VertexId]) -> Vec<VertexId> {
-        self.query.embedding_in_original_ids(embedding)
-    }
-
-    /// Allocation-free variant of [`Gcs::embedding_in_original_ids`]: writes into a
-    /// caller-owned scratch buffer (used by the streaming sink layer to translate
-    /// every reported embedding without a per-embedding allocation).
+    /// query-vertex numbering, writing into a caller-owned scratch buffer (the
+    /// streaming sink layer translates every reported embedding without a
+    /// per-embedding allocation).
     pub fn embedding_in_original_ids_into(&self, embedding: &[VertexId], out: &mut Vec<VertexId>) {
         self.query.embedding_in_original_ids_into(embedding, out);
     }
@@ -218,8 +182,9 @@ mod tests {
     use super::*;
     use crate::config::{GupConfig, PruningFeatures};
     use gup_graph::fixtures;
+    use gup_graph::query::QueryGraphError;
 
-    fn build(query: &Graph, data: &Graph, config: &GupConfig) -> Result<Gcs, GupError> {
+    fn build(query: &Graph, data: &Graph, config: &GupConfig) -> Result<Gcs, BuildError> {
         Gcs::<1>::build_prepared(query, &PreparedData::from_graph(data), config)
     }
 
@@ -247,7 +212,7 @@ mod tests {
         let err = build(&disconnected, &d, &GupConfig::default()).unwrap_err();
         assert!(matches!(
             err,
-            GupError::InvalidQuery(QueryGraphError::Disconnected)
+            BuildError::InvalidQuery(QueryGraphError::Disconnected)
         ));
         let msg = format!("{err}");
         assert!(msg.contains("invalid query"));
@@ -274,7 +239,7 @@ mod tests {
         assert_eq!(vs.present_count(), 0);
         let es = gcs.new_edge_guard_store();
         assert_eq!(es.present_count(), 0);
-        let report = gcs.memory_report(Some(&vs), Some(&es));
+        let report = gcs.memory_report(&vs, &es);
         assert!(report.candidate_space_bytes > 0);
         assert!(report.reservation_bytes > 0);
         assert!(report.total_bytes() >= report.guard_bytes());
@@ -294,7 +259,8 @@ mod tests {
     fn embedding_translation_uses_matching_order() {
         let gcs = paper_gcs(&GupConfig::default());
         let emb: Vec<u32> = (0..5).collect();
-        let back = gcs.embedding_in_original_ids(&emb);
+        let mut back = Vec::new();
+        gcs.embedding_in_original_ids_into(&emb, &mut back);
         // The translation is a permutation of the same values.
         let mut sorted = back.clone();
         sorted.sort_unstable();

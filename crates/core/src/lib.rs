@@ -27,12 +27,14 @@
 //!
 //! The front door is the prepared-data session model ([`session`]): the data graph
 //! is indexed **once** and every query — through any engine family — reuses that
-//! index. The one-shot helpers prepare a private index per call and run the same
-//! path.
+//! index. Every engine runs by streaming into an [`EmbeddingSink`], returns the one
+//! [`SearchStats`] record, and fails construction with the one [`BuildError`]. The
+//! one-shot helpers [`find_embeddings`] and [`count_embeddings`] open a private
+//! session per call and run the same path.
 //!
 //! ```
 //! use gup::session::{Engine, Session};
-//! use gup::{find_embeddings, GupConfig};
+//! use gup::find_embeddings;
 //! use gup_graph::fixtures::paper_example;
 //!
 //! // The running example of the paper (Fig. 1).
@@ -105,14 +107,15 @@ pub mod stats;
 pub use gup_graph::sink;
 
 pub use config::{GupConfig, PruningFeatures, SearchLimits};
-pub use gcs::{Gcs, GupError};
+pub use gcs::Gcs;
 pub use guards::{NogoodRef, ReservationGuard};
+pub use gup_graph::budget::BuildError;
 pub use gup_graph::{PreparedData, QVSet, Qv128, Qv256, Qv64, MAX_QUERY_VERTICES};
-pub use matcher::{count_embeddings, find_embeddings, GupMatcher, MatchResult};
-pub use search::{SearchEngine, SearchOutcome, SearchTask, SplitHandle};
+pub use matcher::GupMatcher;
+pub use search::{SearchEngine, SearchTask, SplitHandle};
 pub use session::{
-    BatchReport, BatchRequest, CounterSnapshot, Engine, QueryOutcome, QueryRequest, Session,
-    SessionCounters, SessionError,
+    count_embeddings, find_embeddings, BatchReport, BatchRequest, CounterSnapshot, Engine,
+    QueryOutcome, QueryRequest, Session, SessionCounters, SessionError,
 };
 pub use sink::{
     CallbackSink, CollectAll, CountOnly, EmbeddingReservation, EmbeddingSink, FirstK, SinkControl,

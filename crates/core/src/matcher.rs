@@ -1,33 +1,23 @@
 //! High-level matcher API.
 //!
 //! [`GupMatcher`] ties the pipeline together: build the GCS once, then run one or more
-//! searches over it (sequentially or in parallel). For one-shot use there are the
-//! convenience functions [`find_embeddings`] and [`count_embeddings`].
+//! searches over it (sequentially or in parallel). Every run streams its embeddings,
+//! over the original query-vertex ids, into an [`EmbeddingSink`] — a count is a
+//! [`CountOnly`] sink, all embeddings a [`CollectAll`] — and returns the one
+//! [`SearchStats`] record. The one-shot helpers
+//! [`find_embeddings`](crate::session::find_embeddings) and
+//! [`count_embeddings`](crate::session::count_embeddings) run through a
+//! [`Session`](crate::session::Session).
+//!
+//! [`CollectAll`]: gup_graph::sink::CollectAll
 
 use crate::config::GupConfig;
-use crate::gcs::{Gcs, GupError};
-use crate::search::{SearchEngine, SearchOutcome};
+use crate::gcs::Gcs;
+use crate::search::SearchEngine;
 use crate::stats::{MemoryReport, SearchStats};
+use gup_graph::budget::BuildError;
 use gup_graph::sink::{CountOnly, EmbeddingSink, SinkControl};
 use gup_graph::{Graph, PreparedData, VertexId};
-
-/// Result of a matching run.
-#[derive(Clone, Debug, Default)]
-pub struct MatchResult {
-    /// Found embeddings, expressed over the *original* query-vertex ids: entry `u` of
-    /// an embedding is the data vertex assigned to query vertex `u`. Populated only
-    /// when the configuration requests embedding collection.
-    pub embeddings: Vec<Vec<VertexId>>,
-    /// Search counters.
-    pub stats: SearchStats,
-}
-
-impl MatchResult {
-    /// Number of embeddings found (whether or not they were materialized).
-    pub fn embedding_count(&self) -> u64 {
-        self.stats.embeddings
-    }
-}
 
 /// A GuP matcher instance: a guarded candidate space plus its configuration,
 /// generic over the query-vertex bitset width `W` (`W = 1`, queries of at most 64
@@ -45,7 +35,7 @@ impl<const W: usize> GupMatcher<W> {
     /// Builds the matcher for `query` against `data`: prepares a private index of
     /// `data` and builds through [`GupMatcher::with_prepared`]. Batched workloads
     /// should prepare once — see [`crate::session`].
-    pub fn new(query: &Graph, data: &Graph, config: GupConfig) -> Result<Self, GupError> {
+    pub fn new(query: &Graph, data: &Graph, config: GupConfig) -> Result<Self, BuildError> {
         Self::with_prepared(query, &PreparedData::from_graph(data), config)
     }
 
@@ -56,7 +46,7 @@ impl<const W: usize> GupMatcher<W> {
         query: &Graph,
         prepared: &PreparedData,
         config: GupConfig,
-    ) -> Result<Self, GupError> {
+    ) -> Result<Self, BuildError> {
         let gcs = Gcs::build_prepared(query, prepared, &config)?;
         Ok(GupMatcher {
             gcs,
@@ -73,12 +63,6 @@ impl<const W: usize> GupMatcher<W> {
     /// The active configuration.
     pub fn config(&self) -> &GupConfig {
         &self.config
-    }
-
-    /// Runs the sequential guarded backtracking search.
-    pub fn run(&self) -> MatchResult {
-        let outcome = SearchEngine::new(&self.gcs, &self.config).run();
-        self.finish_result(outcome)
     }
 
     /// Runs the sequential search, streaming every embedding into `sink` over the
@@ -111,64 +95,34 @@ impl<const W: usize> GupMatcher<W> {
     }
 
     /// Parallel counterpart of [`GupMatcher::run_with_sink`]: runs on `threads`
-    /// workers, each streaming into a worker-local buffer, and delivers the merged
-    /// embeddings to `sink` in worker-index order (original query-vertex ids). The
-    /// embedding count delivered is schedule-independent; under a limit (or a
-    /// `FirstK` capacity) exactly `min(limit, total)` embeddings are delivered.
+    /// workers with recursive subtree splitting and work stealing (§3.5.2), each
+    /// streaming into a worker-local buffer, and delivers the merged embeddings to
+    /// `sink` in worker-index order (original query-vertex ids). Exact: the embedding
+    /// count delivered is schedule-independent and equals the sequential run's; with
+    /// `threads <= 1` it *is* the sequential run. All workers sample the
+    /// configuration's one absolute deadline, and the embedding limit is reserved
+    /// atomically, so under a limit (or a `FirstK` capacity) exactly
+    /// `min(limit, total)` embeddings are delivered. Steal/split activity is visible
+    /// in [`SearchStats::tasks_executed`], [`SearchStats::frames_split`], and
+    /// [`SearchStats::tasks_stolen`].
     pub fn run_parallel_with_sink(
         &self,
         threads: usize,
         sink: &mut dyn EmbeddingSink,
     ) -> SearchStats {
-        if threads <= 1 {
-            return self.run_with_sink(sink);
-        }
         let mut translate = OriginalIdSink::new(&self.gcs, sink);
         crate::parallel::run_parallel_with_sink(&self.gcs, &self.config, threads, &mut translate)
     }
 
-    /// Counts the embeddings without materializing any of them (the cheapest output
-    /// mode: no per-embedding allocation or translation happens anywhere).
-    pub fn count(&self) -> u64 {
-        let mut sink = CountOnly::new();
-        self.run_with_sink(&mut sink);
-        sink.count()
-    }
-
-    /// Runs the search and also returns the memory breakdown of the GCS including the
-    /// nogood guards accumulated during the search (Table 3 of the paper).
-    pub fn run_with_memory_report(&self) -> (MatchResult, MemoryReport) {
-        let (outcome, nv, ne) = SearchEngine::new(&self.gcs, &self.config).run_with_guards();
-        let mut report = self.gcs.memory_report(Some(&nv), Some(&ne));
+    /// Runs the sequential search, counting its embeddings, and also returns the
+    /// memory breakdown of the GCS including the nogood guards accumulated during the
+    /// search (Table 3 of the paper).
+    pub fn run_with_memory_report(&self) -> (SearchStats, MemoryReport) {
+        let (stats, nv, ne) =
+            SearchEngine::new(&self.gcs, &self.config).run_with_guards(&mut CountOnly::new());
+        let mut report = self.gcs.memory_report(&nv, &ne);
         report.prepared_index_bytes = self.prepared_index_bytes;
-        (self.finish_result(outcome), report)
-    }
-
-    /// Runs the search on `threads` worker threads with recursive subtree splitting
-    /// and work stealing (§3.5.2). Exact: reports the same embedding count as
-    /// [`GupMatcher::run`]; with `threads <= 1` it *is* the sequential run. All
-    /// workers sample the configuration's one absolute deadline, and the embedding
-    /// limit is reserved atomically so the merged result never overshoots it.
-    /// Steal/split activity is visible in [`SearchStats::tasks_executed`],
-    /// [`SearchStats::frames_split`], and [`SearchStats::tasks_stolen`].
-    pub fn run_parallel(&self, threads: usize) -> MatchResult {
-        if threads <= 1 {
-            return self.run();
-        }
-        let outcome = crate::parallel::run_parallel(&self.gcs, &self.config, threads);
-        self.finish_result(outcome)
-    }
-
-    fn finish_result(&self, outcome: SearchOutcome) -> MatchResult {
-        let embeddings = outcome
-            .embeddings
-            .iter()
-            .map(|e| self.gcs.embedding_in_original_ids(e))
-            .collect();
-        MatchResult {
-            embeddings,
-            stats: outcome.stats,
-        }
+        (stats, report)
     }
 }
 
@@ -220,39 +174,11 @@ impl<const W: usize> EmbeddingSink for OriginalIdSink<'_, '_, W> {
     }
 }
 
-/// One-shot convenience: finds (and materializes) all embeddings of `query` in `data`
-/// under the default configuration, with no embedding cap. Auto-dispatches to the
-/// narrowest bitset width that fits the query (≤64-vertex queries run the one-word
-/// fast path).
-pub fn find_embeddings(query: &Graph, data: &Graph) -> Result<MatchResult, GupError> {
-    let config = GupConfig {
-        collect_embeddings: true,
-        limits: crate::SearchLimits::UNLIMITED,
-        ..GupConfig::default()
-    };
-    crate::with_qv_width!(query.vertex_count(), W, {
-        Ok(GupMatcher::<W>::new(query, data, config)?.run())
-    })
-}
-
-/// One-shot convenience: counts all embeddings of `query` in `data` (no cap, nothing
-/// materialized — the count streams through a [`CountOnly`] sink). Auto-dispatches
-/// on query width like [`find_embeddings`].
-pub fn count_embeddings(query: &Graph, data: &Graph) -> Result<u64, GupError> {
-    let config = GupConfig {
-        collect_embeddings: false,
-        limits: crate::SearchLimits::UNLIMITED,
-        ..GupConfig::default()
-    };
-    crate::with_qv_width!(query.vertex_count(), W, {
-        Ok(GupMatcher::<W>::new(query, data, config)?.count())
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::SearchLimits;
+    use crate::session::{count_embeddings, find_embeddings};
     use gup_graph::fixtures;
 
     #[test]
@@ -286,10 +212,10 @@ mod tests {
     fn matcher_reuse_is_deterministic() {
         let (q, d) = fixtures::paper_example();
         let matcher = GupMatcher::<1>::new(&q, &d, GupConfig::default()).unwrap();
-        let a = matcher.run();
-        let b = matcher.run();
-        assert_eq!(a.stats.embeddings, b.stats.embeddings);
-        assert_eq!(a.stats.recursions, b.stats.recursions);
+        let a = matcher.run_with_sink(&mut CountOnly::new());
+        let b = matcher.run_with_sink(&mut CountOnly::new());
+        assert_eq!(a.embeddings, b.embeddings);
+        assert_eq!(a.recursions, b.recursions);
     }
 
     #[test]
@@ -300,8 +226,8 @@ mod tests {
             ..GupConfig::default()
         };
         let matcher = GupMatcher::<1>::new(&q, &d, cfg).unwrap();
-        let (result, report) = matcher.run_with_memory_report();
-        assert!(result.embedding_count() >= 1);
+        let (stats, report) = matcher.run_with_memory_report();
+        assert!(stats.embeddings >= 1);
         assert!(report.candidate_space_bytes > 0);
         assert!(report.reservation_bytes > 0);
         assert!(report.guard_share_percent() > 0.0);
@@ -324,8 +250,10 @@ mod tests {
         };
         let matcher = GupMatcher::<1>::new(&q, &d, cfg).unwrap();
         assert_eq!(
-            matcher.run().embedding_count(),
-            matcher.run_parallel(1).embedding_count()
+            matcher.run_with_sink(&mut CountOnly::new()).embeddings,
+            matcher
+                .run_parallel_with_sink(1, &mut CountOnly::new())
+                .embeddings
         );
     }
 }

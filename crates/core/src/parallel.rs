@@ -33,7 +33,7 @@
 
 use crate::config::GupConfig;
 use crate::gcs::Gcs;
-use crate::search::{SearchEngine, SearchOutcome, SearchTask, SplitHandle};
+use crate::search::{SearchEngine, SearchTask, SplitHandle};
 use crate::stats::SearchStats;
 use gup_graph::sink::{min_limit, CollectAll, CountOnly, EmbeddingSink, SinkControl};
 use gup_graph::VertexId;
@@ -112,36 +112,11 @@ impl Coordinator {
     }
 }
 
-/// Runs a guarded search over `gcs` using `threads` worker threads and merges the
-/// per-worker outcomes. Exact: reports bit-identical embedding counts to the
-/// sequential engine (the golden fixtures and the determinism suite pin this). Thin
-/// adapter over [`run_parallel_with_sink`]; embeddings are collected or discarded
-/// according to `GupConfig::collect_embeddings`.
-pub fn run_parallel<const W: usize>(
-    gcs: &Gcs<W>,
-    config: &GupConfig,
-    threads: usize,
-) -> SearchOutcome {
-    if config.collect_embeddings {
-        let mut sink = CollectAll::new();
-        let stats = run_parallel_with_sink(gcs, config, threads, &mut sink);
-        SearchOutcome {
-            embeddings: sink.into_embeddings(),
-            stats,
-        }
-    } else {
-        let mut sink = CountOnly::new();
-        let stats = run_parallel_with_sink(gcs, config, threads, &mut sink);
-        SearchOutcome {
-            embeddings: Vec::new(),
-            stats,
-        }
-    }
-}
-
-/// Runs a guarded parallel search, streaming every found embedding into `sink`
-/// (over the *matching-order* vertex ids; use `GupMatcher::run_parallel_with_sink`
-/// for original ids).
+/// Runs a guarded search over `gcs` on `threads` worker threads, streaming every
+/// found embedding into `sink` (over the *matching-order* vertex ids; use
+/// `GupMatcher::run_parallel_with_sink` for original ids). Exact: reports
+/// bit-identical embedding counts to the sequential engine (the golden fixtures and
+/// the determinism suite pin this); with `threads <= 1` it *is* the sequential run.
 ///
 /// The sink's [`EmbeddingSink::capacity`] is folded into the embedding limit, so the
 /// shared check-and-increment reservation stops all workers once the sink can take
@@ -352,7 +327,7 @@ fn worker_loop<const W: usize>(
         }
     }
     WorkerResult {
-        stats: engine.take_outcome().stats,
+        stats: engine.stats().clone(),
         embeddings: buffer.into_embeddings(),
     }
 }
@@ -384,11 +359,11 @@ mod tests {
             ..GupConfig::default()
         };
         let gcs = build(&query, &data, &cfg);
-        let sequential = SearchEngine::new(&gcs, &cfg).run();
+        let sequential = SearchEngine::new(&gcs, &cfg).run_with_sink(&mut CountOnly::new());
         for threads in [2, 4, 8] {
-            let parallel = run_parallel(&gcs, &cfg, threads);
-            assert_eq!(parallel.stats.embeddings, sequential.stats.embeddings);
-            assert!(parallel.stats.tasks_executed >= 1);
+            let parallel = run_parallel_with_sink(&gcs, &cfg, threads, &mut CountOnly::new());
+            assert_eq!(parallel.embeddings, sequential.embeddings);
+            assert!(parallel.tasks_executed >= 1);
         }
     }
 
@@ -398,13 +373,13 @@ mod tests {
         let data = fixtures::square_with_diagonal();
         let cfg = GupConfig {
             limits: SearchLimits::UNLIMITED,
-            collect_embeddings: true,
             ..GupConfig::default()
         };
         let gcs = build(&query, &data, &cfg);
-        let outcome = run_parallel(&gcs, &cfg, 3);
-        assert_eq!(outcome.stats.embeddings, 4);
-        assert_eq!(outcome.embeddings.len(), 4);
+        let mut sink = CollectAll::new();
+        let stats = run_parallel_with_sink(&gcs, &cfg, 3, &mut sink);
+        assert_eq!(stats.embeddings, 4);
+        assert_eq!(sink.len(), 4);
     }
 
     #[test]
@@ -422,17 +397,17 @@ mod tests {
                 max_embeddings: Some(50),
                 ..SearchLimits::default()
             },
-            collect_embeddings: true,
             ..GupConfig::default()
         };
         let gcs = build(&query, &data, &cfg);
         for _ in 0..8 {
-            let outcome = run_parallel(&gcs, &cfg, 4);
+            let mut sink = CollectAll::new();
+            let stats = run_parallel_with_sink(&gcs, &cfg, 4, &mut sink);
             // Check-and-reserve: the count can never overshoot, and the collected
             // set matches the count (no post-hoc truncation).
-            assert!(outcome.stats.embeddings <= 50);
-            assert_eq!(outcome.embeddings.len() as u64, outcome.stats.embeddings);
-            assert!(outcome.stats.hit_embedding_limit || outcome.stats.embeddings < 50);
+            assert!(stats.embeddings <= 50);
+            assert_eq!(sink.len() as u64, stats.embeddings);
+            assert!(stats.hit_embedding_limit || stats.embeddings < 50);
         }
     }
 
@@ -442,9 +417,9 @@ mod tests {
         let q = gup_graph::builder::graph_from_edges(&[9, 9], &[(0, 1)]);
         let cfg = GupConfig::default();
         let gcs = build(&q, &d, &cfg);
-        let outcome = run_parallel(&gcs, &cfg, 4);
-        assert_eq!(outcome.stats.embeddings, 0);
-        assert_eq!(outcome.stats.recursions, 0);
+        let stats = run_parallel_with_sink(&gcs, &cfg, 4, &mut CountOnly::new());
+        assert_eq!(stats.embeddings, 0);
+        assert_eq!(stats.recursions, 0);
     }
 
     #[test]
@@ -462,12 +437,12 @@ mod tests {
             ..GupConfig::default()
         };
         let gcs = build(&query, &data, &unlimited);
-        let full = SearchEngine::new(&gcs, &unlimited).run();
+        let full = SearchEngine::new(&gcs, &unlimited).run_with_sink(&mut CountOnly::new());
         // Precondition for the deadline sampling (every 1024 recursions) to trigger.
         assert!(
-            full.stats.recursions > 20_000,
+            full.recursions > 20_000,
             "fixture too small for the deadline test: {} recursions",
-            full.stats.recursions
+            full.recursions
         );
         let cfg = GupConfig {
             limits: SearchLimits {
@@ -476,11 +451,11 @@ mod tests {
             },
             ..GupConfig::default()
         };
-        let outcome = run_parallel(&gcs, &cfg, 4);
+        let stats = run_parallel_with_sink(&gcs, &cfg, 4, &mut CountOnly::new());
         // Every worker samples the one already-expired deadline; per-task engine
         // reuse must not restart the clock, so the run aborts long before
         // exhausting the full search.
-        assert!(outcome.stats.hit_time_limit);
-        assert!(outcome.stats.recursions < full.stats.recursions);
+        assert!(stats.hit_time_limit);
+        assert!(stats.recursions < full.recursions);
     }
 }

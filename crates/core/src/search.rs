@@ -23,9 +23,9 @@
 //!
 //! A search can be packaged as a [`SearchTask`]: a replayable prefix (the candidate
 //! index assigned at each depth `< base`) plus an explicit list of unexplored
-//! candidates at the base depth. [`SearchEngine::run_task`] replays the prefix
-//! (re-running the forward refinements, which is cheap — at most `|V_Q|` merge
-//! intersections) and then searches exactly the listed candidates. While a task runs,
+//! candidates at the base depth. [`SearchEngine::run_task_with_sink`] replays the
+//! prefix (re-running the forward refinements, which is cheap — at most `|V_Q|`
+//! merge intersections) and then searches exactly the listed candidates. While a task runs,
 //! the engine tracks the unexplored sibling range of every active frame; when a
 //! [`SplitHandle`] reports hungry workers, the shallowest splittable frame donates the
 //! unexplored half of its range as a fresh task (§3.5.2 of the paper). A frame that
@@ -46,7 +46,7 @@ use crate::guards::{EdgeGuardStore, NodeId, NogoodRef, VertexGuardStore};
 use crate::stats::SearchStats;
 use gup_graph::deadline::DeadlineSampler;
 use gup_graph::scratch::OwnerArray;
-use gup_graph::sink::{CollectAll, EmbeddingReservation, EmbeddingSink, SinkControl};
+use gup_graph::sink::{EmbeddingReservation, EmbeddingSink, SinkControl};
 use gup_graph::{QVSet, VertexId};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
@@ -99,46 +99,6 @@ enum StepResult<const W: usize> {
     Aborted,
 }
 
-/// Outcome of a full search.
-#[derive(Clone, Debug, Default)]
-pub struct SearchOutcome {
-    /// Found embeddings over the *matching-order* vertex ids (empty unless the search
-    /// was asked to collect them). Use [`Gcs::embedding_in_original_ids`] to translate.
-    pub embeddings: Vec<Vec<VertexId>>,
-    /// Counters collected during the search.
-    pub stats: SearchStats,
-}
-
-/// The sink backing the legacy `Vec<Embedding>`-returning entry points
-/// ([`SearchEngine::run`], [`SearchEngine::run_task`]): discard when the
-/// configuration only counts, collect when it materializes.
-enum DefaultSink {
-    Discard,
-    Collect(CollectAll),
-}
-
-impl DefaultSink {
-    fn take_collected(&mut self) -> Vec<Vec<VertexId>> {
-        match self {
-            DefaultSink::Discard => Vec::new(),
-            DefaultSink::Collect(all) => all.take_embeddings(),
-        }
-    }
-}
-
-impl EmbeddingSink for DefaultSink {
-    fn report(&mut self, embedding: &[VertexId]) -> SinkControl {
-        match self {
-            DefaultSink::Discard => SinkControl::Continue,
-            DefaultSink::Collect(all) => all.report(embedding),
-        }
-    }
-
-    fn wants_embeddings(&self) -> bool {
-        matches!(self, DefaultSink::Collect(_))
-    }
-}
-
 /// The sequential guarded backtracking engine. One instance per (GCS, search): it owns
 /// the mutable per-search state, including the nogood-guard stores (which the parallel
 /// engine keeps thread-local, §3.5.2).
@@ -173,10 +133,6 @@ pub struct SearchEngine<'a, const W: usize = 1> {
     ne: EdgeGuardStore<W>,
 
     stats: SearchStats,
-    /// Backs the legacy `Vec`-returning entry points; the sink-based entry points
-    /// ([`SearchEngine::run_with_sink`], [`SearchEngine::run_task_with_sink`]) bypass
-    /// it entirely.
-    default_sink: DefaultSink,
     /// Embedding-limit slot reservation: local check for sequential runs, one shared
     /// check-and-increment counter across all workers of a parallel run. The single
     /// place where the limit is enforced.
@@ -186,9 +142,6 @@ pub struct SearchEngine<'a, const W: usize = 1> {
     /// cannot restart the time budget. Shared with the filter pass and the
     /// brute-force oracle — one sampling implementation, one cadence.
     sampler: DeadlineSampler,
-    /// Restrict the root-level candidates to this slice of positions (used by the
-    /// parallel engine to partition the search tree). `None` = all root candidates.
-    root_slice: Option<(usize, usize)>,
 
     // Task-frame state ---------------------------------------------------------------
     /// Depth at which the current task's explicit candidate list applies.
@@ -231,14 +184,8 @@ impl<'a, const W: usize> SearchEngine<'a, W> {
             nv: gcs.new_vertex_guard_store(),
             ne: gcs.new_edge_guard_store(),
             stats: SearchStats::default(),
-            default_sink: if config.collect_embeddings {
-                DefaultSink::Collect(CollectAll::new())
-            } else {
-                DefaultSink::Discard
-            },
             reservation: EmbeddingReservation::local(config.limits.max_embeddings),
             sampler: DeadlineSampler::new(config.limits.deadline),
-            root_slice: None,
             task_base: 0,
             task_candidates: Vec::new(),
             frame_pos: vec![0; n],
@@ -246,12 +193,6 @@ impl<'a, const W: usize> SearchEngine<'a, W> {
             frame_donated: vec![false; n],
             split: None,
         }
-    }
-
-    /// Restricts the root level to candidate positions `[start, end)` of `C(u_0)`.
-    /// Used by the parallel engine to split the search tree across workers.
-    pub fn restrict_root(&mut self, start: usize, end: usize) {
-        self.root_slice = Some((start, end));
     }
 
     /// Shares an embedding counter with other workers so that the embedding limit is
@@ -280,36 +221,19 @@ impl<'a, const W: usize> SearchEngine<'a, W> {
     }
 
     /// The task covering this engine's whole search space: empty prefix, every root
-    /// candidate (restricted by [`SearchEngine::restrict_root`] when set).
+    /// candidate.
     pub fn root_task(&self) -> SearchTask {
-        let list = &self.cand_stack[0][0];
-        let len = list.len();
-        let (lo, hi) = self
-            .root_slice
-            .map(|(a, b)| (a.min(len), b.min(len)))
-            .unwrap_or((0, len));
         SearchTask {
             prefix: Vec::new(),
-            candidates: list[lo..hi.max(lo)].to_vec(),
+            candidates: self.cand_stack[0][0].clone(),
         }
     }
 
-    /// Runs the search to completion (or until a limit fires) and returns the outcome.
-    /// Thin adapter over [`SearchEngine::run_with_sink`]: embeddings are collected or
-    /// discarded according to `GupConfig::collect_embeddings`.
-    pub fn run(mut self) -> SearchOutcome {
-        let mut sink = std::mem::replace(&mut self.default_sink, DefaultSink::Discard);
-        let stats = self.run_with_sink(&mut sink);
-        SearchOutcome {
-            embeddings: sink.take_collected(),
-            stats,
-        }
-    }
-
-    /// Runs the search, streaming every found embedding into `sink` (over the
-    /// *matching-order* vertex ids; use [`GupMatcher::run_with_sink`] for original
-    /// ids). The sink's [`EmbeddingSink::capacity`] is folded into the embedding
-    /// limit, and a [`SinkControl::Stop`] terminates the search immediately
+    /// Runs the search to completion (or until a limit fires), streaming every found
+    /// embedding into `sink` (over the *matching-order* vertex ids; use
+    /// [`GupMatcher::run_with_sink`] for original ids). The sink's
+    /// [`EmbeddingSink::capacity`] is folded into the embedding limit, and a
+    /// [`SinkControl::Stop`] terminates the search immediately
     /// (`SearchStats::stopped_by_sink`).
     ///
     /// [`GupMatcher::run_with_sink`]: crate::matcher::GupMatcher::run_with_sink
@@ -318,16 +242,14 @@ impl<'a, const W: usize> SearchEngine<'a, W> {
         self.stats
     }
 
-    /// Runs the search and additionally returns the populated guard stores (used by
-    /// the memory-consumption experiment, Table 3).
-    pub fn run_with_guards(mut self) -> (SearchOutcome, VertexGuardStore<W>, EdgeGuardStore<W>) {
-        let mut sink = std::mem::replace(&mut self.default_sink, DefaultSink::Discard);
-        self.search_all(&mut sink);
-        let outcome = SearchOutcome {
-            embeddings: sink.take_collected(),
-            stats: self.stats,
-        };
-        (outcome, self.nv, self.ne)
+    /// [`SearchEngine::run_with_sink`] that additionally returns the populated guard
+    /// stores (used by the memory-consumption experiment, Table 3).
+    pub fn run_with_guards(
+        mut self,
+        sink: &mut dyn EmbeddingSink,
+    ) -> (SearchStats, VertexGuardStore<W>, EdgeGuardStore<W>) {
+        self.search_all(sink);
+        (self.stats, self.nv, self.ne)
     }
 
     /// The whole search into `sink`: folds the sink's capacity into the embedding
@@ -343,20 +265,11 @@ impl<'a, const W: usize> SearchEngine<'a, W> {
         self.stats.settle_cap(configured_limit, sink.capacity());
     }
 
-    /// Executes one task against the engine's built-in sink (collect or discard per
-    /// `GupConfig::collect_embeddings`); see [`SearchEngine::run_task_with_sink`].
-    pub fn run_task(&mut self, task: SearchTask) {
-        // The default sink is swapped out for the duration of the call so that the
-        // recursion can borrow the engine and the sink independently.
-        let mut sink = std::mem::replace(&mut self.default_sink, DefaultSink::Discard);
-        self.run_task_with_sink(task, &mut sink);
-        self.default_sink = sink;
-    }
-
     /// Executes one task, streaming found embeddings into `sink`: replays the task's
     /// prefix, then explores its candidate range. Counters accumulate in the engine
-    /// across calls; collect them with [`SearchEngine::take_outcome`] when the worker
-    /// is done.
+    /// across calls; read them with [`SearchEngine::stats`] when the worker is done.
+    /// Unlike [`SearchEngine::run_with_sink`], the sink's capacity is not folded into
+    /// the embedding limit: a driver running many tasks sets the limit itself.
     ///
     /// A prefix that can no longer be extended (a persistent guard or refinement
     /// proves its subtree empty) makes the task a cheap no-op — that pruning is sound
@@ -406,16 +319,6 @@ impl<'a, const W: usize> SearchEngine<'a, W> {
         for k in (0..replayed.len()).rev() {
             self.pop_refinements(&replayed[k]);
             self.owner[self.assignment_data[k] as usize] = 0;
-        }
-    }
-
-    /// Moves the accumulated outcome out of the engine (leaving it reusable). Only
-    /// embeddings recorded through the built-in sink ([`SearchEngine::run_task`])
-    /// appear here; [`SearchEngine::run_task_with_sink`] callers own their sink.
-    pub fn take_outcome(&mut self) -> SearchOutcome {
-        SearchOutcome {
-            embeddings: self.default_sink.take_collected(),
-            stats: std::mem::take(&mut self.stats),
         }
     }
 
@@ -846,37 +749,44 @@ mod tests {
     use crate::config::GupConfig;
     use gup_graph::builder::graph_from_edges;
     use gup_graph::fixtures;
+    use gup_graph::sink::{CollectAll, CountOnly};
 
     fn build(query: &gup_graph::Graph, data: &gup_graph::Graph, config: &GupConfig) -> Gcs {
         let prepared = gup_graph::PreparedData::from_graph(data);
         Gcs::<1>::build_prepared(query, &prepared, config).unwrap()
     }
 
-    fn run(query: &gup_graph::Graph, data: &gup_graph::Graph, config: &GupConfig) -> SearchOutcome {
+    fn run(query: &gup_graph::Graph, data: &gup_graph::Graph, config: &GupConfig) -> SearchStats {
         let gcs = build(query, data, config);
-        SearchEngine::new(&gcs, config).run()
+        SearchEngine::new(&gcs, config).run_with_sink(&mut CountOnly::new())
     }
 
     #[test]
     fn paper_example_has_exactly_the_described_embeddings() {
         let (q, d) = fixtures::paper_example();
-        let mut cfg = GupConfig::collecting();
-        cfg.limits = SearchLimits::UNLIMITED;
+        let cfg = GupConfig {
+            limits: SearchLimits::UNLIMITED,
+            ..GupConfig::default()
+        };
         let gcs = build(&q, &d, &cfg);
-        let outcome = SearchEngine::new(&gcs, &cfg).run();
-        assert!(outcome.stats.embeddings >= 1);
+        let mut sink = CollectAll::new();
+        let stats = SearchEngine::new(&gcs, &cfg).run_with_sink(&mut sink);
+        assert!(stats.embeddings >= 1);
+        let found: Vec<Vec<u32>> = sink
+            .embeddings()
+            .iter()
+            .map(|e| {
+                let mut original = Vec::new();
+                gcs.embedding_in_original_ids_into(e, &mut original);
+                original
+            })
+            .collect();
         // Every reported embedding must satisfy all three isomorphism constraints.
-        for emb in &outcome.embeddings {
-            let original = gcs.embedding_in_original_ids(emb);
-            verify_embedding(&q, &d, &original);
+        for original in &found {
+            verify_embedding(&q, &d, original);
         }
         // The specific embedding named in the paper's introduction is among them.
         let expected = vec![1u32, 4, 7, 10, 0];
-        let found: Vec<Vec<u32>> = outcome
-            .embeddings
-            .iter()
-            .map(|e| gcs.embedding_in_original_ids(e))
-            .collect();
         assert!(
             found.contains(&expected),
             "missing the paper's example embedding"
@@ -904,12 +814,14 @@ mod tests {
     fn triangle_in_square_found_in_both_orientations() {
         let q = fixtures::triangle_query();
         let d = fixtures::square_with_diagonal();
-        let mut cfg = GupConfig::collecting();
-        cfg.limits = SearchLimits::UNLIMITED;
-        let outcome = run(&q, &d, &cfg);
+        let cfg = GupConfig {
+            limits: SearchLimits::UNLIMITED,
+            ..GupConfig::default()
+        };
+        let stats = run(&q, &d, &cfg);
         // The data triangles {0,1,2} and {0,2,3} both host the labeled query triangle;
         // swapping the two label-0 query corners doubles each, giving four embeddings.
-        assert_eq!(outcome.stats.embeddings, 4);
+        assert_eq!(stats.embeddings, 4);
     }
 
     #[test]
@@ -955,8 +867,8 @@ mod tests {
                     limits: SearchLimits::UNLIMITED,
                     ..GupConfig::default()
                 };
-                let outcome = run(q, d, &cfg);
-                counts.push(outcome.stats.embeddings);
+                let stats = run(q, d, &cfg);
+                counts.push(stats.embeddings);
             }
             assert!(
                 counts.windows(2).all(|w| w[0] == w[1]),
@@ -986,8 +898,8 @@ mod tests {
                 ..GupConfig::default()
             },
         );
-        assert_eq!(baseline.stats.embeddings, full.stats.embeddings);
-        assert!(full.stats.recursions <= baseline.stats.recursions);
+        assert_eq!(baseline.embeddings, full.embeddings);
+        assert!(full.recursions <= baseline.recursions);
     }
 
     #[test]
@@ -1014,19 +926,19 @@ mod tests {
             },
             ..GupConfig::default()
         };
-        let outcome = run(&q, &d, &cfg);
-        assert_eq!(outcome.stats.embeddings, 3);
-        assert!(outcome.stats.hit_embedding_limit);
-        assert!(outcome.stats.terminated_early());
+        let stats = run(&q, &d, &cfg);
+        assert_eq!(stats.embeddings, 3);
+        assert!(stats.hit_embedding_limit);
+        assert!(stats.terminated_early());
     }
 
     #[test]
     fn no_embeddings_when_labels_do_not_match() {
         let q = graph_from_edges(&[7, 7], &[(0, 1)]);
         let (_pq, d) = fixtures::paper_example();
-        let outcome = run(&q, &d, &GupConfig::default());
-        assert_eq!(outcome.stats.embeddings, 0);
-        assert_eq!(outcome.stats.recursions, 0);
+        let stats = run(&q, &d, &GupConfig::default());
+        assert_eq!(stats.embeddings, 0);
+        assert_eq!(stats.recursions, 0);
     }
 
     #[test]
@@ -1034,7 +946,7 @@ mod tests {
         // Query: labeled triangle. Data: a labeled path (no cycle at all).
         let q = fixtures::triangle_query();
         let d = graph_from_edges(&[0, 1, 0, 1, 0], &[(0, 1), (1, 2), (2, 3), (3, 4)]);
-        let outcome = run(
+        let stats = run(
             &q,
             &d,
             &GupConfig {
@@ -1042,28 +954,32 @@ mod tests {
                 ..GupConfig::default()
             },
         );
-        assert_eq!(outcome.stats.embeddings, 0);
+        assert_eq!(stats.embeddings, 0);
     }
 
     #[test]
-    fn root_slice_partitions_the_work() {
+    fn root_tasks_partition_the_work() {
         let q = fixtures::triangle_query();
         let d = fixtures::square_with_diagonal();
         let cfg = GupConfig {
             limits: SearchLimits::UNLIMITED,
-            collect_embeddings: true,
             ..GupConfig::default()
         };
         let gcs = build(&q, &d, &cfg);
-        let root_candidates = gcs.space().candidates(0).len();
+        let root_candidates = gcs.space().candidates(0).len() as u32;
         let mut total = 0u64;
         for i in 0..root_candidates {
+            // At the root, candidate positions are candidate indices.
+            let task = SearchTask {
+                prefix: Vec::new(),
+                candidates: vec![i],
+            };
             let mut engine = SearchEngine::new(&gcs, &cfg);
-            engine.restrict_root(i, i + 1);
-            total += engine.run().stats.embeddings;
+            engine.run_task_with_sink(task, &mut CountOnly::new());
+            total += engine.stats().embeddings;
         }
-        let full = SearchEngine::new(&gcs, &cfg).run();
-        assert_eq!(total, full.stats.embeddings);
+        let full = SearchEngine::new(&gcs, &cfg).run_with_sink(&mut CountOnly::new());
+        assert_eq!(total, full.embeddings);
     }
 
     #[test]
@@ -1093,10 +1009,10 @@ mod tests {
             limits: SearchLimits::UNLIMITED,
             ..GupConfig::default()
         };
-        let outcome = run(&q, &d, &cfg);
-        assert!(outcome.stats.recursions > 0);
-        assert!(outcome.stats.futile_recursions > 0);
-        assert!(outcome.stats.nv_guards_recorded > 0);
+        let stats = run(&q, &d, &cfg);
+        assert!(stats.recursions > 0);
+        assert!(stats.futile_recursions > 0);
+        assert!(stats.nv_guards_recorded > 0);
         // The run must agree with the unguarded baseline.
         let baseline = run(
             &q,
@@ -1107,6 +1023,6 @@ mod tests {
                 ..GupConfig::default()
             },
         );
-        assert_eq!(outcome.stats.embeddings, baseline.stats.embeddings);
+        assert_eq!(stats.embeddings, baseline.embeddings);
     }
 }

@@ -23,7 +23,10 @@
 //! Every engine family runs against the same shared `PreparedData`. Each engine has
 //! one constructor that runs the candidate filter, and it takes a `PreparedData`;
 //! the `(query, data)` constructors elsewhere in the workspace only prepare a
-//! private index and call it.
+//! private index and call it. Every one of those constructors fails with the one
+//! [`BuildError`], which the dispatcher maps in one place: a filter-pass timeout is
+//! a timed-out run, an unusable query a [`SessionError`]. The one-shot helpers
+//! [`find_embeddings`] and [`count_embeddings`] open a private session per call.
 //!
 //! Queries of up to 256 vertices are accepted: each request is dispatched to the
 //! narrowest monomorphized query-vertex bitset width that fits
@@ -64,10 +67,10 @@
 //! ```
 
 use crate::config::{GupConfig, SearchLimits};
-use crate::gcs::GupError;
 use crate::matcher::GupMatcher;
 use crate::stats::SearchStats;
-use gup_baselines::{brute_force, BacktrackingBaseline, BaselineError, BaselineKind, JoinBaseline};
+use gup_baselines::{brute_force, BacktrackingBaseline, BaselineKind, JoinBaseline};
+use gup_graph::budget::BuildError;
 use gup_graph::deadline::{deadline_after, deadline_passed, Stopwatch};
 use gup_graph::delta::{DeltaEffects, DeltaError, GraphDelta};
 use gup_graph::query::QueryGraphError;
@@ -282,27 +285,21 @@ struct CacheKey {
     mode: CacheMode,
 }
 
-/// One memoized finisher result (embeddings empty for [`CacheMode::Count`]).
-#[derive(Clone, Debug)]
-struct CachedResult {
-    stats: SearchStats,
-    embeddings: Vec<Vec<VertexId>>,
-}
-
-/// Bounded FIFO memo behind the session's cacheable finishers.
+/// Bounded FIFO memo behind the session's cacheable finishers (embeddings empty for
+/// [`CacheMode::Count`]).
 #[derive(Debug, Default)]
 struct ResultCache {
-    map: HashMap<CacheKey, CachedResult>,
+    map: HashMap<CacheKey, QueryOutcome>,
     order: VecDeque<CacheKey>,
     capacity: usize,
 }
 
 impl ResultCache {
-    fn get(&self, key: &CacheKey) -> Option<CachedResult> {
+    fn get(&self, key: &CacheKey) -> Option<QueryOutcome> {
         self.map.get(key).cloned()
     }
 
-    fn insert(&mut self, key: CacheKey, value: CachedResult) {
+    fn insert(&mut self, key: CacheKey, value: QueryOutcome) {
         if self.capacity == 0 || self.map.contains_key(&key) {
             return;
         }
@@ -482,8 +479,9 @@ impl Session {
     }
 }
 
-/// Result of [`QueryRequest::run`]: materialized embeddings (over original
-/// query-vertex ids) plus the search counters.
+/// The one `(embeddings, stats)` record: what [`QueryRequest::run`] and
+/// [`find_embeddings`] return and what the result cache stores — materialized
+/// embeddings (over original query-vertex ids) plus the search counters.
 #[derive(Clone, Debug, Default)]
 pub struct QueryOutcome {
     /// The embeddings retained by the request's sink (`first_k` keeps at most `k`).
@@ -583,8 +581,7 @@ impl<'s, 'q> QueryRequest<'s, 'q> {
     /// payload).
     pub fn run(self) -> Result<QueryOutcome, SessionError> {
         if let Some(k) = self.first_k {
-            let (stats, embeddings) = self.finish_cached(CacheMode::FirstK(k))?;
-            Ok(QueryOutcome { embeddings, stats })
+            self.finish_cached(CacheMode::FirstK(k))
         } else {
             let mut sink = CollectAll::new();
             let stats = self.run_with_sink(&mut sink)?;
@@ -607,8 +604,7 @@ impl<'s, 'q> QueryRequest<'s, 'q> {
     /// stats are the memoized run's (the work that was actually performed,
     /// once).
     pub fn count_stats(self) -> Result<SearchStats, SessionError> {
-        let (stats, _embeddings) = self.finish_cached(CacheMode::Count)?;
-        Ok(stats)
+        Ok(self.finish_cached(CacheMode::Count)?.stats)
     }
 
     /// Shared implementation of the cacheable finishers: look up the memo,
@@ -616,10 +612,7 @@ impl<'s, 'q> QueryRequest<'s, 'q> {
     /// wall-clock budget are engine- and budget-dependent, so they are never
     /// stored; hits still feed the regular query counters so front-end totals
     /// stay meaningful.
-    fn finish_cached(
-        self,
-        mode: CacheMode,
-    ) -> Result<(SearchStats, Vec<Vec<VertexId>>), SessionError> {
+    fn finish_cached(self, mode: CacheMode) -> Result<QueryOutcome, SessionError> {
         let session = self.session;
         let enabled = session.cache.lock().capacity > 0;
         let key = enabled.then(|| CacheKey {
@@ -634,31 +627,27 @@ impl<'s, 'q> QueryRequest<'s, 'q> {
             if let Some(hit) = session.cache.lock().get(key) {
                 session.counters.record_cache_hit();
                 session.counters.record(&Ok(hit.stats.clone()));
-                return Ok((hit.stats, hit.embeddings));
+                return Ok(hit);
             }
             session.counters.record_cache_miss();
         }
         let outcome = match mode {
-            CacheMode::Count => {
-                let mut sink = CountOnly::new();
-                let stats = self.run_with_sink(&mut sink)?;
-                (stats, Vec::new())
-            }
+            CacheMode::Count => QueryOutcome {
+                stats: self.run_with_sink(&mut CountOnly::new())?,
+                embeddings: Vec::new(),
+            },
             CacheMode::FirstK(k) => {
                 let mut sink = FirstK::new(k);
                 let stats = self.run_with_sink(&mut sink)?;
-                (stats, sink.into_embeddings())
+                QueryOutcome {
+                    embeddings: sink.into_embeddings(),
+                    stats,
+                }
             }
         };
         if let Some(key) = key {
-            if !outcome.0.hit_time_limit {
-                session.cache.lock().insert(
-                    key,
-                    CachedResult {
-                        stats: outcome.0.clone(),
-                        embeddings: outcome.1.clone(),
-                    },
-                );
+            if !outcome.stats.hit_time_limit {
+                session.cache.lock().insert(key, outcome.clone());
             }
         }
         Ok(outcome)
@@ -694,7 +683,8 @@ impl<'s, 'q> QueryRequest<'s, 'q> {
 /// fast with `hit_time_limit` before any filter pass runs. The filter pass itself
 /// samples the deadline at a work-bounded cadence, so a budget smaller than the
 /// candidate-space build also comes back as `hit_time_limit` (within roughly one
-/// sampling interval) instead of blowing through the budget.
+/// sampling interval) instead of blowing through the budget: every engine family
+/// builds to a `Result<SearchStats, BuildError>`, and the error is mapped once.
 fn dispatch(
     session: &Session,
     query: &Graph,
@@ -723,18 +713,10 @@ fn dispatch_inner(
     if limits.deadline.is_some_and(deadline_passed) {
         return Ok(timed_out_stats());
     }
-    match engine {
+    let run: Result<SearchStats, BuildError> = match engine {
         Engine::Gup => crate::with_qv_width!(query.vertex_count(), W, {
-            let matcher = match GupMatcher::<W>::with_prepared(query, prepared, config) {
-                Ok(matcher) => matcher,
-                Err(GupError::FilterTimeout) => return Ok(timed_out_stats()),
-                Err(GupError::InvalidQuery(e)) => return Err(SessionError::InvalidQuery(e)),
-            };
-            Ok(if threads > 1 {
-                matcher.run_parallel_with_sink(threads, sink)
-            } else {
-                matcher.run_with_sink(sink)
-            })
+            GupMatcher::<W>::with_prepared(query, prepared, config)
+                .map(|matcher| matcher.run_parallel_with_sink(threads, sink))
         }),
         Engine::Plain | Engine::Daf | Engine::Gql | Engine::Ri => {
             // This arm is exactly the backtracking-baseline engines, so the kind
@@ -746,30 +728,25 @@ fn dispatch_inner(
                 _ => BaselineKind::Plain,
             };
             crate::with_qv_width!(query.vertex_count(), W, {
-                match BacktrackingBaseline::<W>::with_prepared(query, prepared, kind, limits) {
-                    Ok(matcher) => Ok(matcher.run_with_sink(sink)),
-                    Err(e) => baseline_error(e),
-                }
+                BacktrackingBaseline::<W>::with_prepared(query, prepared, kind, limits)
+                    .map(|matcher| matcher.run_with_sink(sink))
             })
         }
         Engine::Join => {
             let order = OrderingStrategy::GqlStyle;
-            match JoinBaseline::with_prepared(query, prepared, order, limits) {
-                Ok(matcher) => Ok(matcher.run_with_sink(sink)),
-                Err(e) => baseline_error(e),
-            }
+            JoinBaseline::with_prepared(query, prepared, order, limits)
+                .map(|matcher| matcher.run_with_sink(sink))
         }
-        Engine::BruteForce => {
-            // Validate up front so the oracle rejects exactly the queries every
-            // other engine rejects (it could otherwise enumerate disconnected ones).
-            QueryGraph::new(query.clone()).map_err(SessionError::InvalidQuery)?;
-            Ok(brute_force::run_with_sink(
-                query,
-                prepared.graph(),
-                limits,
-                sink,
-            ))
-        }
+        // Validate up front so the oracle rejects exactly the queries every other
+        // engine rejects (it could otherwise enumerate disconnected ones).
+        Engine::BruteForce => QueryGraph::new(query.clone())
+            .map(|_| brute_force::run_with_sink(query, prepared.graph(), limits, sink))
+            .map_err(BuildError::from),
+    };
+    match run {
+        Ok(stats) => Ok(stats),
+        Err(BuildError::FilterTimeout) => Ok(timed_out_stats()),
+        Err(BuildError::InvalidQuery(e)) => Err(SessionError::InvalidQuery(e)),
     }
 }
 
@@ -782,13 +759,16 @@ fn timed_out_stats() -> SearchStats {
     }
 }
 
-/// Maps a baseline construction error onto the session's outcome: a filter-pass
-/// timeout is a timed-out run, an unusable query is the uniform error.
-fn baseline_error(e: BaselineError) -> Result<SearchStats, SessionError> {
-    match e {
-        BaselineError::FilterTimeout => Ok(timed_out_stats()),
-        BaselineError::InvalidQuery(e) => Err(SessionError::InvalidQuery(e)),
-    }
+/// One-shot convenience: finds (and materializes) all embeddings of `query` in
+/// `data`, with no cap, through a session over a private index of `data`.
+pub fn find_embeddings(query: &Graph, data: &Graph) -> Result<QueryOutcome, SessionError> {
+    Session::new(data.clone()).query(query).unlimited().run()
+}
+
+/// One-shot convenience: counts all embeddings of `query` in `data` (no cap,
+/// nothing materialized), through a session like [`find_embeddings`].
+pub fn count_embeddings(query: &Graph, data: &Graph) -> Result<u64, SessionError> {
+    Session::new(data.clone()).query(query).unlimited().count()
 }
 
 /// Builder for a batch run: one engine + configuration applied to a whole query

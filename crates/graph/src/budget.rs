@@ -1,14 +1,18 @@
-//! The one search budget and the one search record shared by every engine family.
+//! The one search budget, the one search record and the one construction error
+//! shared by every engine family.
 //!
 //! GuP stops each query at a cap on reported embeddings (10^5 in the paper) or at a
 //! time limit (§4.1); its comparison with the baselines is fair only when every
 //! engine obeys the same budget and reports the same record. [`SearchLimits`] is
 //! that budget — an embedding cap and an **absolute** deadline, converted from a
 //! relative timeout once, where its clock starts — and [`SearchStats`] is that
-//! record. Both live here, in the crate every engine family depends on, so GuP,
+//! record. [`BuildError`] is why an engine could not be built for a query: the
+//! query is unusable, or the budget's deadline expired in the candidate filter
+//! pass. All three live here, in the crate every engine family depends on, so GuP,
 //! the backtracking and join baselines, and the brute-force oracle all take the
-//! former and return the latter.
+//! same budget, fail construction the same way, and return the same record.
 
+use crate::query::QueryGraphError;
 use crate::sink::min_limit;
 use std::time::Instant;
 
@@ -36,6 +40,40 @@ impl SearchLimits {
     /// a budget is given more than one deadline, the earliest wins.
     pub fn tighten_deadline(&mut self, deadline: Instant) {
         self.deadline = Some(self.deadline.map_or(deadline, |d| d.min(deadline)));
+    }
+}
+
+/// Why an engine could not be built for a query. Every filter-running constructor
+/// (GuP's candidate space and matcher, the backtracking and join baselines)
+/// returns it.
+#[derive(Debug)]
+pub enum BuildError {
+    /// The query graph is unusable (empty, too large, or disconnected).
+    InvalidQuery(QueryGraphError),
+    /// The budget's absolute deadline ([`SearchLimits::deadline`]) expired during
+    /// the candidate filter pass: the candidate space was abandoned instead of
+    /// being silently truncated. The session layer reports this as
+    /// [`SearchStats::hit_time_limit`], exactly like a deadline that fires
+    /// in-search.
+    FilterTimeout,
+}
+
+impl std::fmt::Display for BuildError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            BuildError::InvalidQuery(e) => write!(f, "invalid query graph: {e}"),
+            BuildError::FilterTimeout => {
+                write!(f, "time budget expired during the candidate filter pass")
+            }
+        }
+    }
+}
+
+impl std::error::Error for BuildError {}
+
+impl From<QueryGraphError> for BuildError {
+    fn from(e: QueryGraphError) -> Self {
+        BuildError::InvalidQuery(e)
     }
 }
 

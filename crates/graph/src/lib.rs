@@ -13,9 +13,10 @@
 //!   matcher relies on (connectivity, ≤ [`MAX_QUERY_VERTICES`] vertices for bitset
 //!   masks) and exposes forward/backward neighbor views under a matching order.
 //! * [`budget`] — [`SearchLimits`](budget::SearchLimits), the one search budget (an
-//!   embedding cap and an absolute deadline), and [`SearchStats`](budget::SearchStats),
-//!   the one result record; every engine family — GuP and all the baselines — takes
-//!   the former and returns the latter.
+//!   embedding cap and an absolute deadline), [`SearchStats`](budget::SearchStats),
+//!   the one result record, and [`BuildError`](budget::BuildError), the one
+//!   construction error; every engine family — GuP and all the baselines — takes
+//!   the first, fails construction with the last, and returns the second.
 //! * [`PreparedData`] — an immutable, `Arc`-shareable per-data-graph index (label
 //!   inverted index, a flat arena of per-vertex neighborhood-label-frequency
 //!   signatures, 64-bit neighbor-label masks in label-bucket order, degree/label

@@ -308,16 +308,9 @@ impl<const W: usize> OrderedQuery<W> {
     }
 
     /// Translates an embedding expressed over the renumbered vertices back into a
-    /// mapping indexed by the original query-vertex ids.
-    pub fn embedding_in_original_ids(&self, embedding: &[VertexId]) -> Vec<VertexId> {
-        let mut out = Vec::new();
-        self.embedding_in_original_ids_into(embedding, &mut out);
-        out
-    }
-
-    /// Allocation-free variant of [`OrderedQuery::embedding_in_original_ids`]: writes
-    /// the translation into `out` (cleared and resized), so a caller translating many
-    /// embeddings can reuse one scratch buffer.
+    /// mapping indexed by the original query-vertex ids, written into `out`
+    /// (cleared and resized), so a caller translating many embeddings can reuse one
+    /// scratch buffer.
     pub fn embedding_in_original_ids_into(&self, embedding: &[VertexId], out: &mut Vec<VertexId>) {
         out.clear();
         out.resize(embedding.len(), 0 as VertexId);
@@ -481,7 +474,8 @@ mod tests {
         let oq = q.with_order::<1>(&[4, 3, 2, 1, 0]).unwrap();
         // Renumbered embedding assigns u_i -> 100+i.
         let emb: Vec<u32> = (0..5).map(|i| 100 + i).collect();
-        let back = oq.embedding_in_original_ids(&emb);
+        let mut back = Vec::new();
+        oq.embedding_in_original_ids_into(&emb, &mut back);
         // Original vertex 4 was renumbered to 0, so it maps to 100.
         assert_eq!(back[4], 100);
         assert_eq!(back[0], 104);

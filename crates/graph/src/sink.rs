@@ -261,11 +261,6 @@ impl CollectAll {
     pub fn into_embeddings(self) -> Vec<Vec<VertexId>> {
         self.embeddings
     }
-
-    /// Moves the collected embeddings out, leaving the sink empty and reusable.
-    pub fn take_embeddings(&mut self) -> Vec<Vec<VertexId>> {
-        std::mem::take(&mut self.embeddings)
-    }
 }
 
 impl EmbeddingSink for CollectAll {
@@ -459,9 +454,7 @@ mod tests {
         sink.report(&[6, 7]);
         assert_eq!(sink.len(), 2);
         assert_eq!(sink.embeddings(), &[vec![4, 5], vec![6, 7]]);
-        let taken = sink.take_embeddings();
-        assert_eq!(taken.len(), 2);
-        assert!(sink.is_empty());
+        assert_eq!(sink.into_embeddings().len(), 2);
     }
 
     #[test]

@@ -37,7 +37,10 @@
 //!   positive (a zero budget is a configuration error, not an instant timeout).
 //! * `engine <name>` — `gup` (default), `plain`, `daf`, `gql`, `ri`, `join`, or
 //!   `bruteforce`.
-//! * `threads <n>` — worker threads for the GuP engine (≥ 1).
+//! * `threads <n>` — worker threads for the GuP engine (≥ 1). `threads 1` (the
+//!   default) takes the server's default; the server caps either at the host's
+//!   available parallelism, so no request line can start more OS threads than
+//!   the host has cores. The thread count never changes an answer.
 //! * `limit <n>` — stop after `n` embeddings; `0` removes the default cap.
 //!
 //! Each query option may appear at most once; a repeated key is an error (a

@@ -17,13 +17,14 @@
 //! * [`SessionCounters`] are threaded through every reload, so `stats` reports
 //!   running totals for the server's lifetime, not since the last reload.
 
-use gup::session::{CounterSnapshot, Session, SessionCounters, DEFAULT_CACHE_CAPACITY};
-use gup::SearchStats;
+use gup::session::{
+    CounterSnapshot, QueryOutcome, Session, SessionCounters, DEFAULT_CACHE_CAPACITY,
+};
 use gup_graph::deadline::{deadline_after, Stopwatch};
 use gup_graph::delta::GraphDelta;
 use gup_graph::io::{graph_to_string, parse_graph};
 use gup_graph::sink::CollectAll;
-use gup_graph::{Graph, VertexId};
+use gup_graph::Graph;
 use gup_stream::{collect_new_matches, QueryPlan};
 use parking_lot::{Mutex as PlMutex, RwLock};
 use std::io::{BufRead, BufReader, BufWriter, Write};
@@ -61,7 +62,9 @@ pub struct ServerConfig {
     pub queue_capacity: usize,
     /// Budget applied to requests that do not carry their own `timeout-ms`.
     pub default_timeout: Option<Duration>,
-    /// Default GuP worker threads per query (overridden per request).
+    /// Default GuP worker threads per query (overridden per request). Both this
+    /// default and a request's `threads` are capped at the host's available
+    /// parallelism.
     pub query_threads: usize,
     /// Entry capacity of the session result cache (`0` disables caching). The
     /// cache memoizes count/first-k answers per data graph; `reload`
@@ -94,7 +97,7 @@ struct Job {
 
 /// What a worker hands back to the connection thread.
 struct Reply {
-    result: Result<(SearchStats, Vec<Vec<VertexId>>), String>,
+    result: Result<QueryOutcome, String>,
     elapsed: Duration,
 }
 
@@ -103,6 +106,9 @@ struct Shared {
     session: RwLock<Session>,
     counters: Arc<SessionCounters>,
     config: ServerConfig,
+    /// The host's available parallelism, read once at bind time: no query runs
+    /// on more GuP worker threads than this ([`effective_query_threads`]).
+    cores: usize,
     started: Stopwatch,
     reloads: AtomicU64,
     shutdown: AtomicBool,
@@ -144,6 +150,7 @@ impl Server {
             session: RwLock::new(session),
             counters,
             config,
+            cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
             started: Stopwatch::started(),
             reloads: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
@@ -261,12 +268,12 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> &str {
 }
 
 /// Runs one admitted query on a worker thread.
-fn execute(job: &Job) -> Result<(SearchStats, Vec<Vec<VertexId>>), String> {
+fn execute(job: &Job) -> Result<QueryOutcome, String> {
     let mut request = job
         .session
         .query(&job.query)
         .method(job.spec.engine)
-        .threads(job.spec.threads.max(1));
+        .threads(job.spec.threads);
     match job.spec.limit {
         Some(Some(limit)) => request = request.limit(limit),
         Some(None) => request = request.unlimited(),
@@ -279,16 +286,23 @@ fn execute(job: &Job) -> Result<(SearchStats, Vec<Vec<VertexId>>), String> {
     }
     // Both finishers below are the cache-aware ones: a repeated question is
     // answered from the session memo without running an engine.
-    match job.spec.output {
-        OutputMode::Count => {
-            let stats = request.count_stats().map_err(|e| e.to_string())?;
-            Ok((stats, Vec::new()))
-        }
-        OutputMode::First(k) => {
-            let outcome = request.first_k(k).run().map_err(|e| e.to_string())?;
-            Ok((outcome.stats, outcome.embeddings))
-        }
-    }
+    let outcome = match job.spec.output {
+        OutputMode::Count => request.count_stats().map(|stats| QueryOutcome {
+            stats,
+            embeddings: Vec::new(),
+        }),
+        OutputMode::First(k) => request.first_k(k).run(),
+    };
+    outcome.map_err(|e| e.to_string())
+}
+
+/// GuP worker threads one query runs on: the request's `threads` when it asks
+/// for more than one, else the server default, never more than the host's
+/// `cores`. The cap keeps one request line from starting an unbounded number of
+/// OS threads; the thread count never changes an answer.
+fn effective_query_threads(requested: usize, default: usize, cores: usize) -> usize {
+    let threads = if requested > 1 { requested } else { default };
+    threads.clamp(1, cores.max(1))
 }
 
 /// Reads a `t/v/e` graph body terminated by an `end` line.
@@ -596,11 +610,7 @@ fn handle_query(
         .map(deadline_after);
     let session = shared.session.read().clone();
     let spec = QuerySpec {
-        threads: if spec.threads > 1 {
-            spec.threads
-        } else {
-            shared.config.query_threads
-        },
+        threads: effective_query_threads(spec.threads, shared.config.query_threads, shared.cores),
         ..spec
     };
     let (reply_tx, reply_rx) = mpsc::sync_channel::<Reply>(1);
@@ -626,7 +636,7 @@ fn handle_query(
         return reply_line(writer, format_args!("err server shutting down"));
     };
     match reply.result {
-        Ok((stats, embeddings)) => {
+        Ok(QueryOutcome { stats, embeddings }) => {
             // One lock over the whole response block keeps the `ok` line, the
             // `m` lines, and the `end` terminator contiguous on the wire.
             let mut w = writer.lock();
@@ -877,5 +887,18 @@ mod tests {
         );
         send(addr, "shutdown\n");
         handle.join().unwrap();
+    }
+
+    /// The rule is pure, so it is checked without starting a single thread.
+    #[test]
+    fn query_threads_are_capped_at_the_host_parallelism() {
+        // An oversized request runs on the core count, not a million threads.
+        assert_eq!(effective_query_threads(1_000_000, 1, 8), 8);
+        // `threads 1` (the wire default) falls back to the server default.
+        assert_eq!(effective_query_threads(1, 3, 8), 3);
+        // An oversized server default is capped too.
+        assert_eq!(effective_query_threads(1, 64, 8), 8);
+        // Requests within the cap are honored as sent.
+        assert_eq!(effective_query_threads(4, 2, 8), 4);
     }
 }

@@ -9,6 +9,7 @@
 //! two motif queries — a labeled triangle ("complex core") and a 4-cycle with a chord
 //! ("bridged complex") — and compare GuP against the DAF-style baseline on each.
 
+use gup::sink::CountOnly;
 use gup::{GupConfig, GupMatcher, SearchLimits};
 use gup_baselines::{BacktrackingBaseline, BaselineKind};
 use gup_graph::builder::graph_from_edges;
@@ -71,12 +72,12 @@ fn main() {
         let start = Instant::now();
         match GupMatcher::<1>::with_prepared(query, &prepared, cfg) {
             Ok(matcher) => {
-                let result = matcher.run();
+                let stats = matcher.run_with_sink(&mut CountOnly::new());
                 println!(
                     "  GuP     : {:>8} embeddings, {:>9} recursions, {:>7} futile, {:?}",
-                    result.embedding_count(),
-                    result.stats.recursions,
-                    result.stats.futile_recursions,
+                    stats.embeddings,
+                    stats.recursions,
+                    stats.futile_recursions,
                     start.elapsed()
                 );
             }
@@ -90,7 +91,7 @@ fn main() {
             limits(),
         ) {
             Ok(matcher) => {
-                let r = matcher.run();
+                let r = matcher.run_with_sink(&mut CountOnly::new());
                 println!(
                     "  DAF-FS  : {:>8} embeddings, {:>9} recursions, {:>7} futile, {:?}",
                     r.embeddings,

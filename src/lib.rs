@@ -26,3 +26,9 @@ pub use gup_graph;
 pub use gup_order;
 pub use gup_stream;
 pub use gup_workloads;
+
+/// The Rust examples in `README.md`, compiled and run as doctests so the API they
+/// show cannot drift from the code.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;

@@ -12,11 +12,13 @@
 
 use gup::session::{Engine, Session};
 use gup::sink::CountOnly;
-use gup::{Gcs, GupConfig, GupError};
+use gup::{BuildError, Gcs, GupConfig, GupMatcher, SearchLimits};
+use gup_baselines::{BacktrackingBaseline, BaselineKind, JoinBaseline};
 use gup_graph::builder::graph_from_edges;
 use gup_graph::fixtures;
 use gup_graph::generate::{power_law_graph, PowerLawConfig};
 use gup_graph::{Graph, PreparedData};
+use gup_order::OrderingStrategy;
 use std::time::{Duration, Instant};
 
 /// A data graph and query engineered so that brute force grinds for a long time
@@ -171,26 +173,56 @@ fn filter_grinder() -> (Graph, Graph) {
     (query, data)
 }
 
+/// Builds one engine under a fresh 2 ms budget and checks that construction
+/// aborts promptly with `BuildError::FilterTimeout`.
+fn assert_aborts_mid_filter<T>(
+    name: &str,
+    build: impl FnOnce(SearchLimits) -> Result<T, BuildError>,
+) {
+    let limits = SearchLimits {
+        deadline: Some(Instant::now() + Duration::from_millis(2)),
+        ..SearchLimits::default()
+    };
+    let start = Instant::now();
+    let Err(err) = build(limits) else {
+        panic!("{name}: a 2 ms budget cannot cover this filter pass");
+    };
+    let elapsed = start.elapsed();
+    assert!(matches!(err, BuildError::FilterTimeout), "{name}: {err:?}");
+    assert!(
+        elapsed < Duration::from_millis(200),
+        "{name}: mid-filter abort took {elapsed:?}"
+    );
+}
+
 /// The filter-pass deadline hole, pinned shut at the lowest level: a deadline
-/// that expires mid-filter aborts `Gcs::build_prepared` with `FilterTimeout`
-/// instead of completing the candidate space long after the budget is gone. The
-/// data graph is prepared before the budget starts, so the budget covers only
-/// the filter pass.
+/// that expires mid-filter aborts every filter-running constructor — GuP's
+/// candidate space and matcher, each backtracking baseline, and the join — with
+/// `FilterTimeout` instead of completing the candidate space long after the
+/// budget is gone. The data graph is prepared before the budgets start, so each
+/// budget covers only its filter pass.
 #[test]
 fn gcs_build_aborts_when_the_deadline_expires_mid_filter() {
     let (query, data) = filter_grinder();
     let prepared = PreparedData::new(data);
-    let mut config = GupConfig::default();
-    config.limits.deadline = Some(Instant::now() + Duration::from_millis(2));
-    let start = Instant::now();
-    let err = Gcs::<1>::build_prepared(&query, &prepared, &config)
-        .expect_err("a 2 ms budget cannot cover this filter pass");
-    let elapsed = start.elapsed();
-    assert!(matches!(err, GupError::FilterTimeout), "{err:?}");
-    assert!(
-        elapsed < Duration::from_millis(200),
-        "mid-filter abort took {elapsed:?}"
-    );
+    let config = |limits| GupConfig {
+        limits,
+        ..GupConfig::default()
+    };
+    assert_aborts_mid_filter("Gcs", |limits| {
+        Gcs::<1>::build_prepared(&query, &prepared, &config(limits))
+    });
+    assert_aborts_mid_filter("GupMatcher", |limits| {
+        GupMatcher::<1>::with_prepared(&query, &prepared, config(limits))
+    });
+    for kind in BaselineKind::ALL {
+        assert_aborts_mid_filter(kind.name(), |limits| {
+            BacktrackingBaseline::<1>::with_prepared(&query, &prepared, kind, limits)
+        });
+    }
+    assert_aborts_mid_filter("RM-join", |limits| {
+        JoinBaseline::with_prepared(&query, &prepared, OrderingStrategy::GqlStyle, limits)
+    });
 }
 
 /// Acceptance criterion for the filter-pass hole: with a 50 ms budget on a query

@@ -3,6 +3,7 @@
 //! family on the loaded copies. (The CLI binary itself is a thin argument parser over
 //! exactly this path.)
 
+use gup::sink::CountOnly;
 use gup::{GupConfig, GupMatcher, SearchLimits};
 use gup_baselines::{brute_force, BacktrackingBaseline, BaselineKind, JoinBaseline};
 use gup_graph::io::{load_graph, save_graph};
@@ -396,8 +397,8 @@ fn matchers_work_on_graphs_loaded_from_disk() {
             },
         )
         .unwrap()
-        .run()
-        .embedding_count();
+        .run_with_sink(&mut CountOnly::new())
+        .embeddings;
         assert_eq!(gup_count, expected);
 
         let daf = BacktrackingBaseline::<1>::new(
@@ -406,13 +407,14 @@ fn matchers_work_on_graphs_loaded_from_disk() {
             BaselineKind::DafFailingSet,
         )
         .unwrap()
-        .run()
+        .run_with_sink(&mut CountOnly::new())
         .embeddings;
         assert_eq!(daf, expected);
 
         let join = JoinBaseline::new(&loaded_query, &loaded_data, OrderingStrategy::GqlStyle)
             .unwrap()
-            .count();
+            .run_with_sink(&mut CountOnly::new())
+            .embeddings;
         assert_eq!(join, expected);
     }
 

@@ -3,6 +3,7 @@
 //! the same embeddings as the brute-force reference on a battery of fixed and
 //! randomized instances.
 
+use gup::sink::CountOnly;
 use gup::{GupConfig, GupMatcher, PruningFeatures, SearchLimits};
 use gup_baselines::{brute_force, BacktrackingBaseline, BaselineKind, JoinBaseline};
 use gup_graph::builder::graph_from_edges;
@@ -22,8 +23,8 @@ fn gup_count(query: &Graph, data: &Graph, features: PruningFeatures) -> u64 {
     };
     GupMatcher::<1>::new(query, data, cfg)
         .expect("query accepted")
-        .run()
-        .embedding_count()
+        .run_with_sink(&mut CountOnly::new())
+        .embeddings
 }
 
 fn check_all_engines(query: &Graph, data: &Graph) {
@@ -45,7 +46,7 @@ fn check_all_engines(query: &Graph, data: &Graph) {
     for kind in BaselineKind::ALL {
         let count = BacktrackingBaseline::<1>::new(query, data, kind)
             .expect("query accepted")
-            .run()
+            .run_with_sink(&mut CountOnly::new())
             .embeddings;
         assert_eq!(
             count,
@@ -56,7 +57,8 @@ fn check_all_engines(query: &Graph, data: &Graph) {
     }
     let join = JoinBaseline::new(query, data, OrderingStrategy::GqlStyle)
         .expect("query accepted")
-        .count();
+        .run_with_sink(&mut CountOnly::new())
+        .embeddings;
     assert_eq!(join, expected, "join baseline disagrees with brute force");
 }
 
@@ -184,8 +186,10 @@ fn parallel_run_agrees_with_sequential_on_random_graphs() {
             ..GupConfig::default()
         };
         let matcher = GupMatcher::<1>::new(&query, &data, cfg).unwrap();
-        let sequential = matcher.run().embedding_count();
-        let parallel = matcher.run_parallel(4).embedding_count();
+        let sequential = matcher.run_with_sink(&mut CountOnly::new()).embeddings;
+        let parallel = matcher
+            .run_parallel_with_sink(4, &mut CountOnly::new())
+            .embeddings;
         assert_eq!(sequential, parallel);
         tested += 1;
     }

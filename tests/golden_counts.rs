@@ -5,6 +5,7 @@
 //! filtering, guards, ordering, or the search loop that silently drops (or invents)
 //! embeddings fails this file immediately.
 
+use gup::sink::{CollectAll, CountOnly};
 use gup::{GupConfig, GupMatcher, PruningFeatures, SearchLimits};
 use gup_baselines::{brute_force, BacktrackingBaseline, BaselineKind, JoinBaseline};
 use gup_graph::fixtures::{clique4, paper_example, path, square_with_diagonal, triangle_query};
@@ -85,8 +86,8 @@ fn gup_matches_goldens_under_every_feature_combination() {
         for features in all_feature_combinations() {
             let count = GupMatcher::<1>::new(&query, &data, gup_config(features))
                 .unwrap()
-                .run()
-                .embedding_count();
+                .run_with_sink(&mut CountOnly::new())
+                .embeddings;
             assert_eq!(
                 count,
                 expected,
@@ -104,8 +105,8 @@ fn parallel_gup_matches_goldens() {
             for features in [PruningFeatures::ALL, PruningFeatures::NONE] {
                 let count = GupMatcher::<1>::new(&query, &data, gup_config(features))
                     .unwrap()
-                    .run_parallel(threads)
-                    .embedding_count();
+                    .run_parallel_with_sink(threads, &mut CountOnly::new())
+                    .embeddings;
                 assert_eq!(
                     count,
                     expected,
@@ -127,7 +128,7 @@ fn backtracking_baselines_match_goldens() {
         ] {
             let count = BacktrackingBaseline::<1>::new(&query, &data, kind)
                 .unwrap()
-                .run()
+                .run_with_sink(&mut CountOnly::new())
                 .embeddings;
             assert_eq!(count, expected, "{} disagrees on {name}", kind.name());
         }
@@ -139,7 +140,8 @@ fn join_baseline_matches_goldens() {
     for (name, query, data, expected) in golden_instances() {
         let count = JoinBaseline::new(&query, &data, OrderingStrategy::GqlStyle)
             .unwrap()
-            .count();
+            .run_with_sink(&mut CountOnly::new())
+            .embeddings;
         assert_eq!(count, expected, "join baseline disagrees on {name}");
     }
 }
@@ -148,20 +150,22 @@ fn join_baseline_matches_goldens() {
 fn collected_embeddings_agree_with_counts() {
     for (name, query, data, expected) in golden_instances() {
         let cfg = GupConfig {
-            collect_embeddings: true,
             limits: SearchLimits::UNLIMITED,
             ..GupConfig::default()
         };
-        let result = GupMatcher::<1>::new(&query, &data, cfg).unwrap().run();
+        let mut sink = CollectAll::new();
+        let stats = GupMatcher::<1>::new(&query, &data, cfg)
+            .unwrap()
+            .run_with_sink(&mut sink);
         assert_eq!(
-            result.embeddings.len() as u64,
+            sink.len() as u64,
             expected,
             "materialized embedding list disagrees on {name}"
         );
-        assert_eq!(result.embedding_count(), expected);
+        assert_eq!(stats.embeddings, expected);
         // Every reported embedding must be a valid, injective, label- and
         // adjacency-preserving map.
-        for emb in &result.embeddings {
+        for emb in sink.embeddings() {
             let mut seen: Vec<_> = emb.clone();
             seen.sort_unstable();
             seen.dedup();

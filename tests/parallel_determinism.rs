@@ -46,9 +46,11 @@ fn count(query: &Graph, data: &Graph, limits: SearchLimits, threads: usize) -> u
     };
     let matcher = GupMatcher::<1>::new(query, data, cfg).unwrap();
     if threads == 1 {
-        matcher.run().embedding_count()
+        matcher.run_with_sink(&mut CountOnly::new()).embeddings
     } else {
-        matcher.run_parallel(threads).embedding_count()
+        matcher
+            .run_parallel_with_sink(threads, &mut CountOnly::new())
+            .embeddings
     }
 }
 
@@ -124,15 +126,14 @@ fn yeast_analogue_stress_is_schedule_independent() {
                 limits: SearchLimits::UNLIMITED,
                 ..GupConfig::default()
             };
-            let result = GupMatcher::<1>::new(query, &data, cfg)
+            let stats = GupMatcher::<1>::new(query, &data, cfg)
                 .unwrap()
-                .run_parallel(threads);
+                .run_parallel_with_sink(threads, &mut CountOnly::new());
             assert_eq!(
-                result.embedding_count(),
-                sequential,
+                stats.embeddings, sequential,
                 "query {qi}: threads={threads} disagrees with sequential"
             );
-            total_tasks += result.stats.tasks_executed;
+            total_tasks += stats.tasks_executed;
         }
         // Limited runs must clamp identically too.
         let limits = SearchLimits {

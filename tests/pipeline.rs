@@ -2,6 +2,7 @@
 //! text I/O round trips feeding the matcher. These tests exercise the crates together
 //! the way the benchmark harness and the examples do.
 
+use gup::sink::CountOnly;
 use gup::{GupConfig, GupMatcher, PreparedData, SearchLimits};
 use gup_candidate::{CandidateSpace, FilterConfig};
 use gup_graph::deadline::deadline_after;
@@ -42,11 +43,11 @@ fn yeast_analogue_query_sets_run_under_gup() {
                 ..GupConfig::default()
             };
             let matcher = GupMatcher::<1>::new(q, &data, cfg).expect("generated queries are valid");
-            let result = matcher.run();
+            let stats = matcher.run_with_sink(&mut CountOnly::new());
             // The query was extracted from the data graph, so at least one embedding
             // must exist (the extraction site itself) unless the search was cut short.
             assert!(
-                result.embedding_count() >= 1 || result.stats.terminated_early(),
+                stats.embeddings >= 1 || stats.terminated_early(),
                 "query extracted from the data graph must match at least once"
             );
             ran += 1;
@@ -117,8 +118,8 @@ fn guard_statistics_reported_on_workload_queries() {
             ..GupConfig::default()
         };
         let matcher = GupMatcher::<1>::new(q, &data, cfg).unwrap();
-        let (result, memory) = matcher.run_with_memory_report();
-        assert!(result.stats.recursions > 0);
+        let (stats, memory) = matcher.run_with_memory_report();
+        assert!(stats.recursions > 0);
         assert!(memory.candidate_space_bytes > 0);
         assert!(memory.reservation_bytes > 0);
         // Guard share must be a sane percentage.

@@ -11,6 +11,7 @@
 //! minute even on 2 cores. The `walk_seed` inputs feed `SmallRng::seed_from_u64`
 //! directly, so a failing case's message (case index + seed) reproduces it exactly.
 
+use gup::sink::CountOnly;
 use gup::{GupConfig, GupMatcher, PruningFeatures, SearchLimits};
 use gup_baselines::brute_force;
 use gup_graph::builder::GraphBuilder;
@@ -55,8 +56,8 @@ fn gup_count(query: &Graph, data: &Graph, features: PruningFeatures) -> u64 {
     };
     GupMatcher::<1>::new(query, data, cfg)
         .unwrap()
-        .run()
-        .embedding_count()
+        .run_with_sink(&mut CountOnly::new())
+        .embeddings
 }
 
 proptest! {

@@ -6,6 +6,7 @@
 //! earlier to the later endpoint. Refinement then alternates top-down passes (parents
 //! constrain children) and bottom-up passes (children constrain parents).
 
+use gup_graph::algo::bfs_order;
 use gup_graph::{Graph, VertexId};
 
 /// A rooted DAG over the query graph's vertices.
@@ -25,25 +26,14 @@ impl QueryDag {
     /// vertices are broken by vertex id, making the construction deterministic).
     pub fn rooted_at(query: &Graph, root: VertexId) -> Self {
         let n = query.vertex_count();
-        let mut visited = vec![false; n];
+        let mut topo_order = bfs_order(query, &[root]);
         let mut position = vec![usize::MAX; n];
-        let mut topo_order = Vec::with_capacity(n);
-        let mut queue = std::collections::VecDeque::new();
-        visited[root as usize] = true;
-        queue.push_back(root);
-        while let Some(v) = queue.pop_front() {
-            position[v as usize] = topo_order.len();
-            topo_order.push(v);
-            for &w in query.neighbors(v) {
-                if !visited[w as usize] {
-                    visited[w as usize] = true;
-                    queue.push_back(w);
-                }
-            }
+        for (i, &v) in topo_order.iter().enumerate() {
+            position[v as usize] = i;
         }
         // Disconnected query vertices (callers validate connectivity, but stay robust).
         for v in 0..n as VertexId {
-            if !visited[v as usize] {
+            if position[v as usize] == usize::MAX {
                 position[v as usize] = topo_order.len();
                 topo_order.push(v);
             }

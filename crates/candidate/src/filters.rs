@@ -16,9 +16,13 @@
 //! vertices before any candidate is scanned. NLF implies LDF's degree bound (the
 //! required counts sum to `deg(u)`), so no separate LDF pass runs;
 //! [`ldf_candidates`] stays as the reference the tests compare against.
+//!
+//! `NlfProfile` is defined in `gup_graph`, next to the signature test it is
+//! checked against, and re-exported here: the standing-query planner in
+//! `gup-stream`, which does not depend on this crate, builds the same requirement.
 
 use gup_graph::deadline::{DeadlineExceeded, DeadlineSampler};
-use gup_graph::{Graph, Label, PreparedData, VertexId};
+use gup_graph::{Graph, NlfProfile, PreparedData, VertexId};
 
 /// Computes the LDF candidate set of query vertex `u` (sorted by data-vertex id).
 pub fn ldf_candidates(query: &Graph, data: &Graph, u: VertexId) -> Vec<VertexId> {
@@ -30,71 +34,11 @@ pub fn ldf_candidates(query: &Graph, data: &Graph, u: VertexId) -> Vec<VertexId>
         .collect()
 }
 
-/// A query vertex's NLF requirements in sparse form: parallel label/count slices,
-/// labels sorted ascending and distinct, plus the neighbor-label mask bits they
-/// need. Built once per query vertex and compared against the data graph's
-/// precomputed masks and signature arena.
-#[derive(Clone, Debug, Default)]
-pub struct NlfProfile {
-    labels: Vec<Label>,
-    counts: Vec<u32>,
-    /// The OR of [`PreparedData::label_bit`] over `labels`: the mask bits every
-    /// candidate must have.
-    mask: u64,
-}
-
-impl NlfProfile {
-    /// The sparse neighborhood-label-frequency profile of query vertex `u`.
-    pub fn of(query: &Graph, u: VertexId) -> Self {
-        let dense = query.neighborhood_label_frequency(u);
-        let mut labels = Vec::new();
-        let mut counts = Vec::new();
-        let mut mask = 0u64;
-        for (l, &c) in dense.iter().enumerate() {
-            if c > 0 {
-                labels.push(l as Label);
-                counts.push(c);
-                mask |= PreparedData::label_bit(l as Label);
-            }
-        }
-        NlfProfile {
-            labels,
-            counts,
-            mask,
-        }
-    }
-
-    /// The required labels (sorted ascending, distinct).
-    pub fn labels(&self) -> &[Label] {
-        &self.labels
-    }
-
-    /// The required per-label neighbor counts, parallel to [`NlfProfile::labels`].
-    pub fn counts(&self) -> &[u32] {
-        &self.counts
-    }
-
-    /// `true` when the query vertex has no neighbors, i.e. no NLF requirement.
-    pub fn is_empty(&self) -> bool {
-        self.labels.is_empty()
-    }
-
-    /// `true` when some requirement exceeds what *any* data vertex offers
-    /// (`PreparedData`'s per-label max-NLF bound): the candidate set is empty and no
-    /// per-candidate work is needed at all.
-    pub fn unsatisfiable_in(&self, prepared: &PreparedData) -> bool {
-        self.labels
-            .iter()
-            .zip(&self.counts)
-            .any(|(&l, &c)| c > prepared.max_nlf(l))
-    }
-}
-
 /// The NLF test: an allocation-free signature comparison between the query
 /// vertex's sparse profile and data vertex `v`'s precomputed signature.
 #[inline]
 pub fn nlf_filter_prepared(profile: &NlfProfile, prepared: &PreparedData, v: VertexId) -> bool {
-    prepared.signature_covers(v, &profile.labels, &profile.counts)
+    prepared.signature_covers(v, profile.labels(), profile.counts())
 }
 
 /// Computes the NLF candidate set of query vertex `u` against a prepared data
@@ -124,7 +68,7 @@ pub fn nlf_candidates_prepared_sampled(
     if profile.unsatisfiable_in(prepared) {
         return Ok(Vec::new());
     }
-    let need = profile.mask;
+    let need = profile.mask();
     let (ids, masks) = prepared.label_bucket(query.label(u));
     let mut out = Vec::new();
     for (&v, &mask) in ids.iter().zip(masks) {

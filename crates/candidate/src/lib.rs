@@ -41,7 +41,7 @@ pub mod space;
 pub use dag::QueryDag;
 pub use filters::{
     ldf_candidates, nlf_candidates_prepared, nlf_candidates_prepared_sampled, nlf_filter_prepared,
-    NlfProfile,
 };
 pub use gup_graph::deadline::{DeadlineExceeded, DeadlineSampler};
+pub use gup_graph::NlfProfile;
 pub use space::{CandidateSpace, FilterConfig};

@@ -222,11 +222,6 @@ impl CandidateSpace {
         }
     }
 
-    /// Looks up the index of data vertex `v` within `candidates(u)`, if present.
-    pub fn candidate_index(&self, u: usize, v: VertexId) -> Option<u32> {
-        self.candidates[u].binary_search(&v).ok().map(|i| i as u32)
-    }
-
     /// The query edges `(a, b)` (with `a < b`) in candidate-edge-id order.
     #[inline]
     pub fn edge_list(&self) -> &[(usize, usize)] {
@@ -441,13 +436,6 @@ mod tests {
         let d = square_data();
         let cs = build(&q, &d, &FilterConfig::default());
         let _ = cs.adjacent_candidates(0, 0, 2);
-    }
-
-    #[test]
-    fn candidate_index_lookup() {
-        let cs = build(&triangle_query(), &square_data(), &FilterConfig::default());
-        assert_eq!(cs.candidate_index(0, 2), Some(1));
-        assert_eq!(cs.candidate_index(0, 3), None);
     }
 
     #[test]

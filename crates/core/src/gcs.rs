@@ -5,7 +5,8 @@
 //! * the query renumbered into the matching order ([`OrderedQuery`]),
 //! * the candidate space (candidate vertices + candidate edges), re-indexed into the
 //!   same order,
-//! * the reservation guards generated ahead of the search, and
+//! * the reservation guards generated ahead of the search (none when the
+//!   configuration turns them off), and
 //! * the (initially empty) nogood-guard stores that the search fills on the fly.
 //!
 //! Construction covers steps (1) and (2) of the paper's pipeline; step (3), the search
@@ -65,6 +66,8 @@ impl<const W: usize> Gcs<W> {
             // gup-lint: allow(panic_freedom) ordering strategies are total over connected queries; a failure here is an ordering bug worth a loud crash
             .expect("ordering strategies always produce connected permutations");
         let space = space.permuted(&order);
+        // The search reads reservations only with the feature on, so none are
+        // stored without it.
         let reservations = if config.features.reservation_guards {
             generate_reservation_guards(
                 &ordered,
@@ -73,17 +76,7 @@ impl<const W: usize> Gcs<W> {
                 config.reservation_size_limit,
             )
         } else {
-            // Guards disabled: attach the trivial reservation so that lookups stay
-            // uniform; the search skips the matching test entirely in this mode.
-            (0..ordered.vertex_count())
-                .map(|u| {
-                    space
-                        .candidates(u)
-                        .iter()
-                        .map(|&v| ReservationGuard::trivial(v))
-                        .collect()
-                })
-                .collect()
+            Vec::new()
         };
         Ok(Gcs {
             query: ordered,
@@ -112,12 +105,14 @@ impl<const W: usize> Gcs<W> {
     }
 
     /// The reservation guard attached to candidate `cand_index` of query vertex `u`.
+    /// Only a GCS built with reservation guards on holds any.
     #[inline]
     pub fn reservation(&self, u: usize, cand_index: u32) -> &ReservationGuard {
         &self.reservations[u][cand_index as usize]
     }
 
-    /// All reservation guards (used by tests and the memory report).
+    /// All reservation guards (used by tests and the memory report); empty when
+    /// the GCS was built with reservation guards off.
     #[inline]
     pub fn reservations(&self) -> &[Vec<ReservationGuard>] {
         &self.reservations
@@ -219,17 +214,28 @@ mod tests {
     }
 
     #[test]
-    fn disabled_reservations_fall_back_to_trivial() {
+    fn disabled_reservations_store_no_guards() {
         let cfg = GupConfig {
             features: PruningFeatures::NONE,
             ..GupConfig::default()
         };
         let gcs = paper_gcs(&cfg);
-        for u in 0..5 {
-            for (ci, g) in gcs.reservations()[u].iter().enumerate() {
-                assert!(g.is_trivial_for(gcs.space().candidates(u)[ci]));
-            }
-        }
+        assert!(gcs.reservations().is_empty());
+        let report = gcs.memory_report(&gcs.new_vertex_guard_store(), &gcs.new_edge_guard_store());
+        assert_eq!(report.reservation_bytes, 0);
+        // A search configured with reservation guards on skips the test it
+        // has no guards for, and still finds the paper's 4 embeddings.
+        let stats = crate::search::SearchEngine::new(&gcs, &GupConfig::default())
+            .run_with_sink(&mut gup_graph::sink::CountOnly::new());
+        assert_eq!(stats.embeddings, 4);
+        assert_eq!(stats.pruned_by_reservation, 0);
+        // Turning only the reservation feature on stores one guard per candidate.
+        let cfg = GupConfig {
+            features: PruningFeatures::RESERVATION_ONLY,
+            ..GupConfig::default()
+        };
+        let gcs = paper_gcs(&cfg);
+        assert_eq!(gcs.reservations().len(), 5);
     }
 
     #[test]

@@ -163,6 +163,9 @@ impl<'a, const W: usize> SearchEngine<'a, W> {
     /// Creates an engine for one search over `gcs` under `config`.
     pub fn new(gcs: &'a Gcs<W>, config: &GupConfig) -> Self {
         let n = gcs.query().vertex_count();
+        // A GCS built with reservation guards off stores none to test against.
+        let mut features = config.features;
+        features.reservation_guards &= !gcs.reservations().is_empty();
         let cand_stack = (0..n)
             .map(|u| {
                 let len = gcs.space().candidates(u).len();
@@ -172,7 +175,7 @@ impl<'a, const W: usize> SearchEngine<'a, W> {
         let bound_stack = (0..n).map(|_| vec![QVSet::EMPTY]).collect();
         SearchEngine {
             gcs,
-            features: config.features,
+            features,
             limits: config.limits,
             assignment: vec![0; n],
             assignment_data: vec![0; n],
@@ -299,7 +302,7 @@ impl<'a, const W: usize> SearchEngine<'a, W> {
             let node = self.next_node_id;
             self.next_node_id += 1;
             self.anc[k + 1] = node;
-            match self.refine_forward(k, cv, v) {
+            match self.refine_forward(k, cv) {
                 Ok(pushed) => replayed.push(pushed),
                 Err(_) => {
                     self.owner[v as usize] = 0;
@@ -380,7 +383,7 @@ impl<'a, const W: usize> SearchEngine<'a, W> {
                 self.next_node_id += 1;
                 self.anc[k + 1] = node;
 
-                let refine = self.refine_forward(k, cv, v);
+                let refine = self.refine_forward(k, cv);
                 let result_mask = match refine {
                     Err(bound) => {
                         // No-candidate conflict (Definition 3.22 case 4).
@@ -414,7 +417,7 @@ impl<'a, const W: usize> SearchEngine<'a, W> {
             if let Some(mask) = child_mask {
                 // A nogood (M ⊕ v)[mask] was discovered: record guards, update the
                 // deadend-mask bookkeeping, and possibly backjump.
-                self.record_nogood(k, cv, v, mask);
+                self.record_nogood(k, cv, mask);
                 mask_union |= mask;
                 if !mask.contains(k) {
                     if mask_without_k.is_none() {
@@ -546,13 +549,12 @@ impl<'a, const W: usize> SearchEngine<'a, W> {
         None
     }
 
-    /// Refines the local candidate sets of the forward neighbors of `u_k` after the
-    /// assignment `(u_k, v)` (Definition 3.18), pushing one new level per forward
+    /// Refines the local candidate sets of the forward neighbors of `u_k` after
+    /// assigning it candidate `cv` (Definition 3.18), pushing one new level per forward
     /// neighbor. On success returns the list of pushed query vertices; on a
     /// no-candidate conflict returns the bounding set of the emptied vertex
     /// (Definition 3.23 case 4), having already undone its own pushes.
-    fn refine_forward(&mut self, k: usize, cv: u32, v: VertexId) -> Result<Vec<usize>, QVSet<W>> {
-        let _ = v;
+    fn refine_forward(&mut self, k: usize, cv: u32) -> Result<Vec<usize>, QVSet<W>> {
         let forward_count = self.gcs.query().forward_neighbors(k).len();
         let mut pushed: Vec<usize> = Vec::with_capacity(forward_count);
         for fi in 0..forward_count {
@@ -645,8 +647,7 @@ impl<'a, const W: usize> SearchEngine<'a, W> {
     /// Records the nogood `(M ⊕ v)[mask]` as a nogood guard on a candidate vertex and,
     /// when possible, on a candidate edge (§3.3.2–3.3.3 plus the search-node encoding
     /// of §3.5.1).
-    fn record_nogood(&mut self, k: usize, cv: u32, v: VertexId, mask: QVSet<W>) {
-        let _ = v;
+    fn record_nogood(&mut self, k: usize, cv: u32, mask: QVSet<W>) {
         let Some(last) = mask.max() else {
             // The empty nogood: no embedding exists anywhere; nothing to attach it to.
             return;

@@ -132,6 +132,25 @@ impl Engine {
             Engine::BruteForce => "BruteForce",
         }
     }
+
+    /// The name that selects this engine on the wire and on the command line:
+    /// `gup`, `plain`, `daf`, `gql`, `ri`, `join` or `bruteforce`.
+    pub fn wire_name(self) -> &'static str {
+        match self {
+            Engine::Gup => "gup",
+            Engine::Plain => "plain",
+            Engine::Daf => "daf",
+            Engine::Gql => "gql",
+            Engine::Ri => "ri",
+            Engine::Join => "join",
+            Engine::BruteForce => "bruteforce",
+        }
+    }
+
+    /// The engine whose [`Engine::wire_name`] is `name`.
+    pub fn from_wire_name(name: &str) -> Option<Engine> {
+        Engine::ALL.into_iter().find(|e| e.wire_name() == name)
+    }
 }
 
 /// Errors produced when a session cannot run a query. A budget that runs out — even

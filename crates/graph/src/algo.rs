@@ -4,9 +4,10 @@
 //!   2-core (§3.3.3 of the paper).
 //! * [`connected_components`] / [`is_connected`] — query graphs must be connected for
 //!   a connected matching order to exist.
-//! * [`degeneracy_order`] — used by the ordering heuristics (core-first orders) and by
-//!   the workload generator to characterize query density.
-//! * [`bfs_levels`] — used when building the query DAG for candidate filtering.
+//! * [`bfs_order`] — the one breadth-first vertex order: the refinement DAG, the
+//!   plain BFS matching order and the standing-query seed orders all take theirs
+//!   from it.
+//! * [`triangle_count`] — reported by the dataset statistics.
 
 use crate::graph::Graph;
 use crate::types::VertexId;
@@ -75,55 +76,30 @@ pub fn is_connected(g: &Graph) -> bool {
     g.vertex_count() == 0 || connected_components(g).1 == 1
 }
 
-/// BFS levels from `root`; unreachable vertices get `u32::MAX`.
-pub fn bfs_levels(g: &Graph, root: VertexId) -> Vec<u32> {
-    let n = g.vertex_count();
-    let mut level = vec![u32::MAX; n];
-    let mut queue = std::collections::VecDeque::new();
-    level[root as usize] = 0;
-    queue.push_back(root);
-    while let Some(v) = queue.pop_front() {
-        let next = level[v as usize] + 1;
+/// Breadth-first order from `roots`: the roots first, in the given order, then
+/// every vertex they reach, each neighbor list scanned in ascending id order.
+/// Vertices no root reaches are left out, so a result shorter than
+/// `g.vertex_count()` means some vertex is unreachable.
+pub fn bfs_order(g: &Graph, roots: &[VertexId]) -> Vec<VertexId> {
+    let mut placed = vec![false; g.vertex_count()];
+    let mut order = Vec::with_capacity(g.vertex_count());
+    for &root in roots {
+        if !placed[root as usize] {
+            placed[root as usize] = true;
+            order.push(root);
+        }
+    }
+    let mut head = 0;
+    while let Some(&v) = order.get(head) {
+        head += 1;
         for &w in g.neighbors(v) {
-            if level[w as usize] == u32::MAX {
-                level[w as usize] = next;
-                queue.push_back(w);
+            if !placed[w as usize] {
+                placed[w as usize] = true;
+                order.push(w);
             }
         }
     }
-    level
-}
-
-/// Degeneracy ordering: repeatedly removes a minimum-degree vertex. Returns the removal
-/// order (smallest-degree-first) and the graph degeneracy (the maximum degree observed
-/// at removal time).
-pub fn degeneracy_order(g: &Graph) -> (Vec<VertexId>, usize) {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
-    let n = g.vertex_count();
-    let mut deg: Vec<usize> = (0..n).map(|v| g.degree(v as VertexId)).collect();
-    let mut removed = vec![false; n];
-    let mut order = Vec::with_capacity(n);
-    let mut degeneracy = 0usize;
-    // Min-heap over (current degree, vertex) with lazy deletion of stale entries.
-    let mut heap: BinaryHeap<Reverse<(usize, VertexId)>> =
-        (0..n).map(|v| Reverse((deg[v], v as VertexId))).collect();
-    while let Some(Reverse((d, v))) = heap.pop() {
-        if removed[v as usize] || deg[v as usize] != d {
-            continue; // stale entry
-        }
-        removed[v as usize] = true;
-        degeneracy = degeneracy.max(d);
-        order.push(v);
-        for &w in g.neighbors(v) {
-            if !removed[w as usize] {
-                deg[w as usize] -= 1;
-                heap.push(Reverse((deg[w as usize], w)));
-            }
-        }
-    }
-    (order, degeneracy)
+    order
 }
 
 /// Counts triangles in `g` (each triangle counted once).
@@ -201,36 +177,19 @@ mod tests {
     }
 
     #[test]
-    fn bfs_levels_from_root() {
+    fn bfs_order_from_roots() {
         let g = triangle_with_tail();
-        let levels = bfs_levels(&g, 0);
-        assert_eq!(levels, vec![0, 1, 1, 2, 3]);
+        assert_eq!(bfs_order(&g, &[0]), vec![0, 1, 2, 3, 4]);
+        assert_eq!(bfs_order(&g, &[4]), vec![4, 3, 2, 0, 1]);
+        // Every root comes first, in the given order, before anything it reaches.
+        assert_eq!(bfs_order(&g, &[3, 1]), vec![3, 1, 2, 4, 0]);
     }
 
     #[test]
-    fn bfs_levels_unreachable() {
-        let g = graph_from_edges(&[0; 3], &[(0, 1)]);
-        let levels = bfs_levels(&g, 0);
-        assert_eq!(levels[2], u32::MAX);
-    }
-
-    #[test]
-    fn degeneracy_of_clique_and_tree() {
-        let clique = graph_from_edges(&[0; 4], &[(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]);
-        let (order, d) = degeneracy_order(&clique);
-        assert_eq!(order.len(), 4);
-        assert_eq!(d, 3);
-        let tree = graph_from_edges(&[0; 4], &[(0, 1), (1, 2), (2, 3)]);
-        let (_, d) = degeneracy_order(&tree);
-        assert_eq!(d, 1);
-    }
-
-    #[test]
-    fn degeneracy_order_is_a_permutation() {
-        let g = triangle_with_tail();
-        let (mut order, _) = degeneracy_order(&g);
-        order.sort_unstable();
-        assert_eq!(order, vec![0, 1, 2, 3, 4]);
+    fn bfs_order_leaves_out_unreached_vertices() {
+        let g = graph_from_edges(&[0; 4], &[(0, 1), (2, 3)]);
+        assert_eq!(bfs_order(&g, &[1]), vec![1, 0]);
+        assert_eq!(bfs_order(&g, &[3, 0]), vec![3, 0, 2, 1]);
     }
 
     #[test]

@@ -274,32 +274,6 @@ impl Graph {
         }
         builder.build()
     }
-
-    /// Relabels vertices according to `order`, where `order[i]` is the *old* id that
-    /// becomes new id `i`. `order` must be a permutation of the vertex ids.
-    pub fn permuted(&self, order: &[VertexId]) -> Graph {
-        assert_eq!(
-            order.len(),
-            self.vertex_count(),
-            "order must be a permutation"
-        );
-        let mut new_of_old = vec![VertexId::MAX; self.vertex_count()];
-        for (new_id, &old) in order.iter().enumerate() {
-            assert!(
-                new_of_old[old as usize] == VertexId::MAX,
-                "order contains duplicate vertex {old}"
-            );
-            new_of_old[old as usize] = new_id as VertexId;
-        }
-        let mut b = crate::GraphBuilder::with_capacity(self.vertex_count(), self.edge_count);
-        for &old in order {
-            b.add_vertex(self.label(old));
-        }
-        for (a, c) in self.edges() {
-            b.add_edge(new_of_old[a as usize], new_of_old[c as usize]);
-        }
-        b.build()
-    }
 }
 
 #[cfg(test)]
@@ -370,26 +344,6 @@ mod tests {
         let sub = g.induced_subgraph(&[0, 1, 0, 1]);
         assert_eq!(sub.vertex_count(), 2);
         assert_eq!(sub.edge_count(), 1);
-    }
-
-    #[test]
-    fn permuted_preserves_structure() {
-        let g = path4();
-        // Reverse the vertex order.
-        let p = g.permuted(&[3, 2, 1, 0]);
-        assert_eq!(p.vertex_count(), 4);
-        assert_eq!(p.edge_count(), 3);
-        // Old edge (0,1) becomes (3,2); old labels move with the vertices.
-        assert!(p.has_edge(3, 2));
-        assert_eq!(p.label(3), 0);
-        assert_eq!(p.label(0), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "permutation")]
-    fn permuted_rejects_wrong_length() {
-        let g = path4();
-        let _ = g.permuted(&[0, 1, 2]);
     }
 
     #[test]

@@ -17,6 +17,11 @@
 //!
 //! * exactly one `t` header, before any `v`/`e` line — a second header is a
 //!   [`GraphParseError::DuplicateHeader`] (it used to silently reset the builder);
+//! * the header's counts are checked before anything is sized by them: more
+//!   edges than a simple graph on the declared vertices has (`n(n−1)/2`) is a
+//!   [`GraphParseError::TooManyEdges`], and [`parse_query_graph`] rejects more
+//!   than [`MAX_QUERY_VERTICES`] vertices as a
+//!   [`GraphParseError::TooManyVertices`], since no engine accepts such a query;
 //! * the declared edge count must match the number of `e` lines
 //!   ([`GraphParseError::EdgeCountMismatch`]);
 //! * each undirected edge must be listed exactly once, in either orientation
@@ -29,7 +34,7 @@
 
 use crate::builder::GraphBuilder;
 use crate::graph::Graph;
-use crate::types::{Label, VertexId};
+use crate::types::{Label, VertexId, MAX_QUERY_VERTICES};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::path::Path;
 
@@ -50,6 +55,26 @@ pub enum GraphParseError {
     DuplicateHeader {
         /// 1-based line number of the second header.
         line: usize,
+    },
+    /// The `t` header declares more edges than a simple graph on its vertices
+    /// has (`n(n−1)/2`). Checked before the builder is sized by the header.
+    TooManyEdges {
+        /// 1-based line number of the header.
+        line: usize,
+        /// Declared vertex count.
+        vertices: usize,
+        /// Declared edge count.
+        edges: usize,
+    },
+    /// The `t` header of a query ([`parse_query_graph`]) declares more vertices
+    /// than any engine accepts. Checked before the builder is sized by the header.
+    TooManyVertices {
+        /// 1-based line number of the header.
+        line: usize,
+        /// Declared vertex count.
+        vertices: usize,
+        /// The bound, [`MAX_QUERY_VERTICES`].
+        limit: usize,
     },
     /// The number of `e` lines does not match the count declared on the `t` header.
     EdgeCountMismatch {
@@ -86,6 +111,23 @@ impl std::fmt::Display for GraphParseError {
             GraphParseError::DuplicateHeader { line } => {
                 write!(f, "duplicate 't' header at line {line}")
             }
+            GraphParseError::TooManyEdges {
+                line,
+                vertices,
+                edges,
+            } => write!(
+                f,
+                "header at line {line} declares {edges} edges, more than a simple graph \
+                 on {vertices} vertices has"
+            ),
+            GraphParseError::TooManyVertices {
+                line,
+                vertices,
+                limit,
+            } => write!(
+                f,
+                "header at line {line} declares {vertices} vertices; a query has at most {limit}"
+            ),
             GraphParseError::EdgeCountMismatch { declared, found } => write!(
                 f,
                 "header declares {declared} edges but the file lists {found}"
@@ -117,6 +159,20 @@ fn malformed(line: usize, message: impl Into<String>) -> GraphParseError {
 
 /// Parses a graph from any reader in the `t/v/e` format.
 pub fn read_graph<R: Read>(reader: R) -> Result<Graph, GraphParseError> {
+    read_graph_bounded(reader, usize::MAX)
+}
+
+/// Parses a query graph from a string in the `t/v/e` format: [`parse_graph`],
+/// except that a header declaring more than [`MAX_QUERY_VERTICES`] vertices is
+/// rejected before anything is allocated.
+pub fn parse_query_graph(text: &str) -> Result<Graph, GraphParseError> {
+    read_graph_bounded(text.as_bytes(), MAX_QUERY_VERTICES)
+}
+
+/// The one parser behind [`read_graph`] and [`parse_query_graph`]: a header
+/// declaring more than `max_vertices` vertices is a
+/// [`GraphParseError::TooManyVertices`].
+fn read_graph_bounded<R: Read>(reader: R, max_vertices: usize) -> Result<Graph, GraphParseError> {
     let reader = BufReader::new(reader);
     let mut builder: Option<GraphBuilder> = None;
     let mut declared_vertices = 0usize;
@@ -148,6 +204,21 @@ pub fn read_graph<R: Read>(reader: R) -> Result<Graph, GraphParseError> {
                     .ok_or_else(|| malformed(lineno, "missing edge count"))?
                     .parse()
                     .map_err(|_| malformed(lineno, "edge count is not an integer"))?;
+                if nv > max_vertices {
+                    return Err(GraphParseError::TooManyVertices {
+                        line: lineno,
+                        vertices: nv,
+                        limit: max_vertices,
+                    });
+                }
+                // n(n−1)/2 in u128: it overflows usize for large n.
+                if ne as u128 > nv as u128 * nv.saturating_sub(1) as u128 / 2 {
+                    return Err(GraphParseError::TooManyEdges {
+                        line: lineno,
+                        vertices: nv,
+                        edges: ne,
+                    });
+                }
                 let mut b = GraphBuilder::with_capacity(nv, ne);
                 b.add_vertices(nv, 0);
                 declared_vertices = nv;
@@ -379,7 +450,8 @@ e 2 0
 
     #[test]
     fn error_on_duplicate_edge_either_orientation() {
-        let err = parse_graph("t 2 2\ne 0 1\ne 0 1\n").unwrap_err();
+        // Three vertices, so the header's two edges pass the n(n-1)/2 bound.
+        let err = parse_graph("t 3 2\ne 0 1\ne 0 1\n").unwrap_err();
         assert!(matches!(
             err,
             GraphParseError::DuplicateEdge {
@@ -389,7 +461,7 @@ e 2 0
             }
         ));
         // The reversed orientation names the same undirected edge.
-        let err = parse_graph("t 2 2\ne 0 1\ne 1 0\n").unwrap_err();
+        let err = parse_graph("t 3 2\ne 0 1\ne 1 0\n").unwrap_err();
         assert!(matches!(
             err,
             GraphParseError::DuplicateEdge {
@@ -406,6 +478,53 @@ e 2 0
         assert!(format!("{err}").contains("declares 2 edges"));
         let err = parse_graph("t 2 1\ne 1 1\n").unwrap_err();
         assert!(format!("{err}").contains("self loop"));
+    }
+
+    #[test]
+    fn header_counts_are_bounded_before_allocating() {
+        // A simple graph on 3 vertices has at most 3 edges.
+        let err = parse_graph("t 3 4\n").unwrap_err();
+        assert!(matches!(
+            err,
+            GraphParseError::TooManyEdges {
+                line: 1,
+                vertices: 3,
+                edges: 4
+            }
+        ));
+        assert!(format!("{err}").contains("4 edges"));
+        assert!(parse_graph("t 3 3\ne 0 1\ne 1 2\ne 2 0\n").is_ok());
+        // Counts whose n(n-1)/2 overflows usize, or whose capacity would abort.
+        let err = parse_graph("t 2 100000000000\n").unwrap_err();
+        assert!(matches!(err, GraphParseError::TooManyEdges { .. }));
+        assert!(matches!(
+            parse_graph("t 1 1\n").unwrap_err(),
+            GraphParseError::TooManyEdges { .. }
+        ));
+        assert!(matches!(
+            parse_graph("t 0 1\n").unwrap_err(),
+            GraphParseError::TooManyEdges { .. }
+        ));
+
+        // A query has at most MAX_QUERY_VERTICES vertices.
+        let err = parse_query_graph("t 257 0\n").unwrap_err();
+        assert!(matches!(
+            err,
+            GraphParseError::TooManyVertices {
+                line: 1,
+                vertices: 257,
+                limit: MAX_QUERY_VERTICES
+            }
+        ));
+        assert!(format!("{err}").contains("at most 256"));
+        assert_eq!(parse_query_graph("t 256 0\n").unwrap().vertex_count(), 256);
+        let err = parse_query_graph("# huge\nt 40000000000 1\n").unwrap_err();
+        assert!(matches!(
+            err,
+            GraphParseError::TooManyVertices { line: 2, .. }
+        ));
+        // parse_graph has no vertex bound.
+        assert_eq!(parse_graph("t 257 0\n").unwrap().vertex_count(), 257);
     }
 
     #[test]

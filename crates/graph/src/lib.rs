@@ -11,7 +11,9 @@
 //!   and removal of self loops (the paper assumes simple graphs).
 //! * [`QueryGraph`] — a thin wrapper over [`Graph`] that validates the properties the
 //!   matcher relies on (connectivity, ≤ [`MAX_QUERY_VERTICES`] vertices for bitset
-//!   masks) and exposes forward/backward neighbor views under a matching order.
+//!   masks) and renumbers it into a matching order as an
+//!   [`OrderedQuery`](query::OrderedQuery): forward/backward neighbor lists and
+//!   2-core membership.
 //! * [`budget`] — [`SearchLimits`](budget::SearchLimits), the one search budget (an
 //!   embedding cap and an absolute deadline), [`SearchStats`](budget::SearchStats),
 //!   the one result record, and [`BuildError`](budget::BuildError), the one
@@ -21,7 +23,8 @@
 //!   inverted index, a flat arena of per-vertex neighborhood-label-frequency
 //!   signatures, 64-bit neighbor-label masks in label-bucket order, degree/label
 //!   stats and a max-NLF bound) built once and reused by every query of a
-//!   session.
+//!   session, and [`NlfProfile`], a query vertex's NLF requirement checked
+//!   against it.
 //! * [`QVSet`] — a width-generic query-vertex bitset (`W` 64-bit words, `W = 1` by
 //!   default) used throughout the matcher for conflict masks, bounding sets, and
 //!   nogood domains (O(1) set operations for any fixed width, as assumed by the
@@ -35,7 +38,7 @@
 //!   community, versioned/checksummed binary persistence of prepared indexes
 //!   ([`index_io`]), random generators ([`generate`]) used by the workload crate, and the
 //!   small graph algorithms the matcher needs ([`algo`]: 2-core, connected components,
-//!   degeneracy order).
+//!   the one BFS order).
 //!
 //! ## Quick example
 //!
@@ -82,7 +85,7 @@ pub use deadline::{DeadlineExceeded, DeadlineSampler};
 pub use delta::{DeltaEffects, DeltaError, GraphDelta};
 pub use graph::Graph;
 pub use index_io::{load_index, save_index, IndexIoError};
-pub use prepared::{PrepareError, PreparedData};
+pub use prepared::{NlfProfile, PrepareError, PreparedData};
 pub use query::{QueryGraph, QueryGraphError};
 pub use sink::{
     CallbackSink, CollectAll, CountOnly, EmbeddingReservation, EmbeddingSink, FirstK, SinkControl,

@@ -338,6 +338,72 @@ impl PreparedData {
     }
 }
 
+/// A query vertex's NLF requirement in sparse form: parallel label/count slices,
+/// labels sorted ascending and distinct, plus the neighbor-label mask bits they
+/// need. Built once per query vertex and checked against a [`PreparedData`]'s
+/// masks and signature arena ([`PreparedData::signature_covers`]) by both the
+/// batch filter and the standing-query search.
+#[derive(Clone, Debug, Default)]
+pub struct NlfProfile {
+    labels: Vec<Label>,
+    counts: Vec<u32>,
+    /// The OR of [`PreparedData::label_bit`] over `labels`: the mask bits every
+    /// candidate must have.
+    mask: u64,
+}
+
+impl NlfProfile {
+    /// The sparse neighborhood-label-frequency profile of query vertex `u`.
+    pub fn of(query: &Graph, u: VertexId) -> Self {
+        let dense = query.neighborhood_label_frequency(u);
+        let mut labels = Vec::new();
+        let mut counts = Vec::new();
+        let mut mask = 0u64;
+        for (l, &c) in dense.iter().enumerate() {
+            if c > 0 {
+                labels.push(l as Label);
+                counts.push(c);
+                mask |= PreparedData::label_bit(l as Label);
+            }
+        }
+        NlfProfile {
+            labels,
+            counts,
+            mask,
+        }
+    }
+
+    /// The required labels (sorted ascending, distinct).
+    pub fn labels(&self) -> &[Label] {
+        &self.labels
+    }
+
+    /// The required per-label neighbor counts, parallel to [`NlfProfile::labels`].
+    pub fn counts(&self) -> &[u32] {
+        &self.counts
+    }
+
+    /// The neighbor-label mask bits every candidate's mask must hold.
+    pub fn mask(&self) -> u64 {
+        self.mask
+    }
+
+    /// `true` when the query vertex has no neighbors, i.e. no NLF requirement.
+    pub fn is_empty(&self) -> bool {
+        self.labels.is_empty()
+    }
+
+    /// `true` when some requirement exceeds what *any* data vertex offers
+    /// (`PreparedData`'s per-label max-NLF bound): the candidate set is empty and no
+    /// per-candidate work is needed at all.
+    pub fn unsatisfiable_in(&self, prepared: &PreparedData) -> bool {
+        self.labels
+            .iter()
+            .zip(&self.counts)
+            .any(|(&l, &c)| c > prepared.max_nlf(l))
+    }
+}
+
 /// Reorders per-vertex neighbor-label masks (indexed by vertex id) into
 /// label-bucket order: one sequential pass over the vertices, writing each mask
 /// through its label's cursor. `vertex_masks` has one entry per vertex.

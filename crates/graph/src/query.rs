@@ -3,14 +3,17 @@
 //! The matcher assumes (paper §2.2) that query-vertex ids are numbered in the matching
 //! order and that the order is *connected*: every query vertex except `u_0` has a
 //! neighbor with a smaller id. [`QueryGraph`] validates the structural requirements
-//! (connectivity, size ≤ [`MAX_QUERY_VERTICES`]) and [`OrderedQuery`] pre-computes
-//! backward/forward neighbor sets `N−(u_i)` / `N+(u_i)` once vertices are renumbered
-//! into the matching order.
+//! (connectivity, size ≤ [`MAX_QUERY_VERTICES`]). [`OrderedQuery`] keeps what a search
+//! reads of a query renumbered into a matching order: the backward and forward
+//! neighbor lists `N−(u_i)` / `N+(u_i)`, 2-core membership (edge nogood guards,
+//! §3.3.3) and the map back to the original vertex ids. It stores no renumbered copy
+//! of the graph.
 //!
-//! [`OrderedQuery`] is generic over the bitset width `W` of its neighbor sets
-//! (`QVSet<W>`, 64 vertices per word): the engine instantiates the narrowest width
-//! that fits the query, so ≤64-vertex queries keep the one-word fast path while
-//! 65–256-vertex queries run with two or four words.
+//! [`OrderedQuery`] carries the bitset width `W` of the engine that searches it
+//! (`QVSet<W>`, 64 vertices per word) as a width check only: building one for a
+//! query wider than `64 * W` fails with [`OrderError::WidthExceeded`]. The engine
+//! instantiates the narrowest width that fits the query, so ≤64-vertex queries keep
+//! the one-word fast path while 65–256-vertex queries run with two or four words.
 
 use crate::algo::{is_connected, two_core};
 use crate::graph::Graph;
@@ -100,17 +103,6 @@ impl QueryGraph {
         self.graph.edge_count()
     }
 
-    /// Average degree of the query; the paper classifies a query as *dense* if this is
-    /// at least 3 and *sparse* otherwise.
-    pub fn average_degree(&self) -> f64 {
-        self.graph.average_degree()
-    }
-
-    /// `true` if the query is dense in the paper's sense (average degree ≥ 3).
-    pub fn is_dense(&self) -> bool {
-        self.average_degree() >= 3.0
-    }
-
     /// Checks that this query fits a width-`W` bitset engine (`64 * W` vertices).
     /// The single source of the per-width `TooLarge` rule: every width-specific
     /// engine constructor (`Gcs::<W>`, `BacktrackingBaseline::<W>`) delegates
@@ -180,20 +172,17 @@ impl std::fmt::Display for OrderError {
 
 impl std::error::Error for OrderError {}
 
-/// A query graph whose vertices have been renumbered into the matching order, with the
-/// neighbor views the backtracking engine needs. `W` is the bitset width of the
-/// neighbor sets (64 query vertices per word).
+/// A query renumbered into a matching order (`order[i]` becomes `u_i`), reduced to
+/// what the backtracking engines read: each `u_i`'s backward and forward neighbors,
+/// its 2-core membership, and its original id. `W` is the bitset width of the
+/// engine that searches it (64 query vertices per word); construction checks that
+/// the query fits.
 #[derive(Clone, Debug)]
 pub struct OrderedQuery<const W: usize = 1> {
-    graph: Graph,
     /// For each `u_i`, its backward neighbors `N−(u_i) = {u_j ∈ N(u_i) | j < i}`.
     backward: Vec<Vec<usize>>,
     /// For each `u_i`, its forward neighbors `N+(u_i) = {u_j ∈ N(u_i) | j > i}`.
     forward: Vec<Vec<usize>>,
-    /// Backward neighbors as bitsets.
-    backward_set: Vec<QVSet<W>>,
-    /// Forward neighbors as bitsets.
-    forward_set: Vec<QVSet<W>>,
     /// Membership of each (renumbered) query vertex in the query's 2-core.
     in_two_core: Vec<bool>,
     /// Map from the renumbered vertex id back to the id in the original query graph.
@@ -212,62 +201,45 @@ impl<const W: usize> OrderedQuery<W> {
         if order.len() != n {
             return Err(OrderError::NotAPermutation);
         }
-        let mut seen = vec![false; n];
-        for &v in order {
-            if (v as usize) >= n || seen[v as usize] {
+        // position[v] = i for the original vertex v that becomes u_i.
+        let mut position = vec![usize::MAX; n];
+        for (i, &v) in order.iter().enumerate() {
+            if (v as usize) >= n || position[v as usize] != usize::MAX {
                 return Err(OrderError::NotAPermutation);
             }
-            seen[v as usize] = true;
+            position[v as usize] = i;
         }
-        let graph = query.graph().permuted(order);
-        // Connectivity of the order: every u_i (i > 0) must have a backward neighbor.
-        for i in 1..n {
-            if !graph
-                .neighbors(i as VertexId)
+        let graph = query.graph();
+        let mut backward = Vec::with_capacity(n);
+        let mut forward = Vec::with_capacity(n);
+        for (i, &v) in order.iter().enumerate() {
+            let mut neighbors: Vec<usize> = graph
+                .neighbors(v)
                 .iter()
-                .any(|&j| (j as usize) < i)
-            {
+                .map(|&w| position[w as usize])
+                .collect();
+            neighbors.sort_unstable();
+            let split = neighbors.partition_point(|&j| j < i);
+            // Connectivity of the order: every u_i (i > 0) must have a backward neighbor.
+            if i > 0 && split == 0 {
                 return Err(OrderError::NotConnected { position: i });
             }
+            forward.push(neighbors.split_off(split));
+            backward.push(neighbors);
         }
-        let mut backward = vec![Vec::new(); n];
-        let mut forward = vec![Vec::new(); n];
-        let mut backward_set = vec![QVSet::new(); n];
-        let mut forward_set = vec![QVSet::new(); n];
-        for i in 0..n {
-            for &j in graph.neighbors(i as VertexId) {
-                let j = j as usize;
-                if j < i {
-                    backward[i].push(j);
-                    backward_set[i].insert(j);
-                } else {
-                    forward[i].push(j);
-                    forward_set[i].insert(j);
-                }
-            }
-        }
-        let in_two_core = two_core(&graph);
+        let core = two_core(graph);
         Ok(OrderedQuery {
-            graph,
             backward,
             forward,
-            backward_set,
-            forward_set,
-            in_two_core,
+            in_two_core: order.iter().map(|&v| core[v as usize]).collect(),
             original_id: order.to_vec(),
         })
-    }
-
-    /// The renumbered query graph (`u_i` has vertex id `i`).
-    #[inline]
-    pub fn graph(&self) -> &Graph {
-        &self.graph
     }
 
     /// Number of query vertices.
     #[inline]
     pub fn vertex_count(&self) -> usize {
-        self.graph.vertex_count()
+        self.original_id.len()
     }
 
     /// Backward neighbors of `u_i` (ids `< i`), ascending.
@@ -280,18 +252,6 @@ impl<const W: usize> OrderedQuery<W> {
     #[inline]
     pub fn forward_neighbors(&self, i: usize) -> &[usize] {
         &self.forward[i]
-    }
-
-    /// Backward neighbors of `u_i` as a bitset.
-    #[inline]
-    pub fn backward_set(&self, i: usize) -> QVSet<W> {
-        self.backward_set[i]
-    }
-
-    /// Forward neighbors of `u_i` as a bitset.
-    #[inline]
-    pub fn forward_set(&self, i: usize) -> QVSet<W> {
-        self.forward_set[i]
     }
 
     /// `true` when `u_i` belongs to the query's 2-core (edge nogood guards are only
@@ -403,18 +363,6 @@ mod tests {
     }
 
     #[test]
-    fn density_classification() {
-        let sparse = paper_query();
-        assert!(!sparse.is_dense());
-        let dense = QueryGraph::new(graph_from_edges(
-            &[0; 4],
-            &[(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)],
-        ))
-        .unwrap();
-        assert!(dense.is_dense());
-    }
-
-    #[test]
     fn ordered_query_neighbor_views() {
         let q = paper_query();
         let oq = q.with_order::<1>(&[0, 1, 2, 3, 4]).unwrap();
@@ -423,8 +371,14 @@ mod tests {
         assert_eq!(oq.backward_neighbors(4), &[0, 3]);
         assert_eq!(oq.forward_neighbors(0), &[1, 4]);
         assert_eq!(oq.forward_neighbors(4), &[] as &[usize]);
-        assert_eq!(oq.backward_set(4), QVSet::from_iter([0, 3]));
-        assert_eq!(oq.forward_set(2), QVSet::from_iter([3]));
+        assert_eq!(oq.backward_neighbors(2), &[1]);
+        assert_eq!(oq.forward_neighbors(2), &[3]);
+        // Under a reordering each list holds new ids, ascending.
+        let oq = q.with_order::<1>(&[2, 1, 0, 4, 3]).unwrap();
+        assert_eq!(oq.forward_neighbors(0), &[1, 4]);
+        assert_eq!(oq.backward_neighbors(3), &[2]);
+        assert_eq!(oq.forward_neighbors(3), &[4]);
+        assert_eq!(oq.backward_neighbors(4), &[0, 3]);
     }
 
     #[test]
@@ -462,10 +416,12 @@ mod tests {
         let q = paper_query();
         let oq = q.with_order::<1>(&[2, 1, 0, 4, 3]).unwrap();
         assert_eq!(oq.original_id(0), 2);
-        assert_eq!(oq.graph().label(0), 2); // label C moved with original vertex 2
+        // Label C is read through the original id of u_0.
+        assert_eq!(q.graph().label(oq.original_id(0)), 2);
         assert_eq!(oq.original_id(4), 3);
         // Edges preserved: original (2,3) -> new (0,4).
-        assert!(oq.graph().has_edge(0, 4));
+        assert!(oq.forward_neighbors(0).contains(&4));
+        assert!(oq.backward_neighbors(4).contains(&0));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Descriptive statistics for graphs, used by the workload catalog and by
 //! `EXPERIMENTS.md` to report the generated datasets in the same terms the paper uses
-//! (vertex/edge/label counts, degree distribution shape).
+//! (vertex/edge/label counts, average and maximum degree).
 
 use crate::graph::Graph;
 
@@ -60,24 +60,6 @@ impl std::fmt::Display for GraphStats {
     }
 }
 
-/// Degree histogram: `hist[d]` = number of vertices with degree `d`.
-pub fn degree_histogram(g: &Graph) -> Vec<usize> {
-    let mut hist = vec![0usize; g.max_degree() + 1];
-    for v in g.vertices() {
-        hist[g.degree(v)] += 1;
-    }
-    hist
-}
-
-/// Label histogram: `hist[l]` = number of vertices with label `l`.
-pub fn label_histogram(g: &Graph) -> Vec<usize> {
-    let mut hist = vec![0usize; g.label_count()];
-    for &l in g.labels() {
-        hist[l as usize] += 1;
-    }
-    hist
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -106,18 +88,10 @@ mod tests {
     }
 
     #[test]
-    fn histograms() {
-        let g = graph_from_edges(&[0, 0, 1, 1], &[(0, 1), (1, 2), (1, 3)]);
-        assert_eq!(degree_histogram(&g), vec![0, 3, 0, 1]);
-        assert_eq!(label_histogram(&g), vec![2, 2]);
-    }
-
-    #[test]
     fn empty_graph_stats() {
         let g = crate::GraphBuilder::new().build();
         let s = GraphStats::compute(&g, true);
         assert_eq!(s.vertices, 0);
         assert_eq!(s.labels_used, 0);
-        assert_eq!(degree_histogram(&g), vec![0]);
     }
 }

@@ -21,7 +21,7 @@
 //! assert_eq!(order.len(), query.vertex_count());
 //! ```
 
-use gup_graph::algo::two_core;
+use gup_graph::algo::{bfs_order, two_core};
 use gup_graph::{Graph, VertexId};
 
 /// The ordering heuristics available to the matchers.
@@ -150,24 +150,15 @@ fn connected_bfs_order(
     let root = (0..n as VertexId)
         .min_by_key(|&v| (candidate_sizes[v as usize], v))
         .expect("non-empty query");
-    let mut order = Vec::with_capacity(n);
-    let mut visited = vec![false; n];
-    let mut queue = std::collections::VecDeque::new();
-    visited[root as usize] = true;
-    queue.push_back(root);
-    while let Some(v) = queue.pop_front() {
-        order.push(v);
-        for &w in query.neighbors(v) {
-            if !visited[w as usize] {
-                visited[w as usize] = true;
-                queue.push_back(w);
-            }
-        }
+    let order = bfs_order(query, &[root]);
+    let mut reached = vec![false; n];
+    for &v in &order {
+        reached[v as usize] = true;
     }
-    if let Some(v) = (0..n as VertexId).find(|&v| !visited[v as usize]) {
-        return Err(OrderingError::Disconnected { vertex: v });
+    match (0..n as VertexId).find(|&v| !reached[v as usize]) {
+        Some(vertex) => Err(OrderingError::Disconnected { vertex }),
+        None => Ok(order),
     }
-    Ok(order)
 }
 
 #[derive(Clone, Copy)]

@@ -16,7 +16,10 @@
 //! ```
 //!
 //! `query`, `reload`, and `watch` are followed by a graph in the community
-//! `t/v/e` text format, terminated by a line containing only `end`.
+//! `t/v/e` text format, terminated by a line containing only `end`. Its `t`
+//! header is checked before anything is allocated: more edges than a simple
+//! graph on the declared vertices has, or (for `query` and `watch`) more than
+//! [`gup_graph::MAX_QUERY_VERTICES`] vertices, answers `err bad graph: …`.
 //!
 //! `delta` is followed by a *delta body*: one mutation per line, terminated by
 //! a line containing only `end`:
@@ -36,7 +39,7 @@
 //! * `timeout-ms <n>` — per-request wall-clock budget, milliseconds, must be
 //!   positive (a zero budget is a configuration error, not an instant timeout).
 //! * `engine <name>` — `gup` (default), `plain`, `daf`, `gql`, `ri`, `join`, or
-//!   `bruteforce`.
+//!   `bruteforce` ([`Engine::wire_name`]).
 //! * `threads <n>` — worker threads for the GuP engine (≥ 1). `threads 1` (the
 //!   default) takes the server's default; the server caps either at the host's
 //!   available parallelism, so no request line can start more OS threads than
@@ -118,20 +121,15 @@ fn err(message: impl Into<String>) -> ProtocolError {
     ProtocolError(message.into())
 }
 
-/// Parses an engine name as it appears on the wire.
+/// Parses an engine name as it appears on the wire ([`Engine::wire_name`]).
 pub fn parse_engine(name: &str) -> Result<Engine, ProtocolError> {
-    match name {
-        "gup" => Ok(Engine::Gup),
-        "plain" => Ok(Engine::Plain),
-        "daf" => Ok(Engine::Daf),
-        "gql" => Ok(Engine::Gql),
-        "ri" => Ok(Engine::Ri),
-        "join" => Ok(Engine::Join),
-        "bruteforce" => Ok(Engine::BruteForce),
-        other => Err(err(format!(
-            "unknown engine '{other}' (expected gup, plain, daf, gql, ri, join, bruteforce)"
-        ))),
-    }
+    Engine::from_wire_name(name).ok_or_else(|| {
+        let names: Vec<&str> = Engine::ALL.iter().map(|e| e.wire_name()).collect();
+        err(format!(
+            "unknown engine '{name}' (expected {})",
+            names.join(", ")
+        ))
+    })
 }
 
 /// Parses one command line. Graph bodies (for `query`/`reload`) are read

@@ -22,7 +22,7 @@ use gup::session::{
 };
 use gup_graph::deadline::{deadline_after, Stopwatch};
 use gup_graph::delta::GraphDelta;
-use gup_graph::io::{graph_to_string, parse_graph};
+use gup_graph::io::{graph_to_string, parse_graph, parse_query_graph, GraphParseError};
 use gup_graph::sink::CollectAll;
 use gup_graph::Graph;
 use gup_stream::{collect_new_matches, QueryPlan};
@@ -305,8 +305,12 @@ fn effective_query_threads(requested: usize, default: usize, cores: usize) -> us
     threads.clamp(1, cores.max(1))
 }
 
-/// Reads a `t/v/e` graph body terminated by an `end` line.
-fn read_graph_body(reader: &mut impl BufRead) -> std::io::Result<Result<Graph, String>> {
+/// Reads a command body, the lines up to an `end` line, and parses it with
+/// `parse`; the error side is the message sent after `err `.
+fn read_body<T>(
+    reader: &mut impl BufRead,
+    parse: impl FnOnce(&str) -> Result<T, String>,
+) -> std::io::Result<Result<T, String>> {
     let mut body = String::new();
     let mut line = String::new();
     loop {
@@ -319,24 +323,17 @@ fn read_graph_body(reader: &mut impl BufRead) -> std::io::Result<Result<Graph, S
         }
         body.push_str(&line);
     }
-    Ok(parse_graph(&body).map_err(|e| format!("bad graph: {e}")))
+    Ok(parse(&body))
 }
 
-/// Reads a delta body terminated by an `end` line.
-fn read_delta_body(reader: &mut impl BufRead) -> std::io::Result<Result<Vec<GraphDelta>, String>> {
-    let mut body = String::new();
-    let mut line = String::new();
-    loop {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
-            return Ok(Err("connection closed before 'end'".to_string()));
-        }
-        if line.trim() == "end" {
-            break;
-        }
-        body.push_str(&line);
-    }
-    Ok(parse_delta_body(&body).map_err(|e| e.to_string()))
+fn bad_graph(e: GraphParseError) -> String {
+    format!("bad graph: {e}")
+}
+
+/// Parses a `query` or `watch` body; its header is bounded by the query size
+/// limit before anything is allocated.
+fn parse_query(body: &str) -> Result<Graph, String> {
+    parse_query_graph(body).map_err(bad_graph)
 }
 
 /// Writes one response line (or an error) and flushes, holding the writer lock
@@ -395,36 +392,18 @@ fn connection_loop(
             }
         };
         match command {
-            Command::Query(spec) => {
-                let query = match read_graph_body(reader)? {
-                    Ok(query) => query,
-                    Err(msg) => {
-                        reply_line(writer, format_args!("err {msg}"))?;
-                        continue;
-                    }
-                };
-                handle_query(spec, query, shared, jobs, writer)?;
-            }
-            Command::Reload => {
-                let graph = match read_graph_body(reader)? {
-                    Ok(graph) => graph,
-                    Err(msg) => {
-                        reply_line(writer, format_args!("err {msg}"))?;
-                        continue;
-                    }
-                };
-                handle_reload(graph, shared, writer)?;
-            }
-            Command::Watch => {
-                let query = match read_graph_body(reader)? {
-                    Ok(query) => query,
-                    Err(msg) => {
-                        reply_line(writer, format_args!("err {msg}"))?;
-                        continue;
-                    }
-                };
-                handle_watch(query, shared, writer, my_watches)?;
-            }
+            Command::Query(spec) => match read_body(reader, parse_query)? {
+                Ok(query) => handle_query(spec, query, shared, jobs, writer)?,
+                Err(msg) => reply_line(writer, format_args!("err {msg}"))?,
+            },
+            Command::Reload => match read_body(reader, |b| parse_graph(b).map_err(bad_graph))? {
+                Ok(graph) => handle_reload(graph, shared, writer)?,
+                Err(msg) => reply_line(writer, format_args!("err {msg}"))?,
+            },
+            Command::Watch => match read_body(reader, parse_query)? {
+                Ok(query) => handle_watch(query, shared, writer, my_watches)?,
+                Err(msg) => reply_line(writer, format_args!("err {msg}"))?,
+            },
             Command::Unwatch(id) => {
                 if let Some(at) = my_watches.iter().position(|&w| w == id) {
                     my_watches.remove(at);
@@ -440,14 +419,10 @@ fn connection_loop(
                 }
             }
             Command::Delta => {
-                let deltas = match read_delta_body(reader)? {
-                    Ok(deltas) => deltas,
-                    Err(msg) => {
-                        reply_line(writer, format_args!("err {msg}"))?;
-                        continue;
-                    }
-                };
-                handle_delta(&deltas, shared, writer)?;
+                match read_body(reader, |b| parse_delta_body(b).map_err(|e| e.to_string()))? {
+                    Ok(deltas) => handle_delta(&deltas, shared, writer)?,
+                    Err(msg) => reply_line(writer, format_args!("err {msg}"))?,
+                }
             }
             Command::Healthz => {
                 reply_line(

@@ -52,10 +52,11 @@
 //! ```
 
 use gup::session::Session;
+use gup_graph::algo::bfs_order;
 use gup_graph::deadline::Stopwatch;
 use gup_graph::delta::{DeltaEffects, DeltaError, GraphDelta};
 use gup_graph::sink::{CollectAll, EmbeddingSink, SinkControl};
-use gup_graph::{Graph, Label, PreparedData, QueryGraph, QueryGraphError, VertexId};
+use gup_graph::{Graph, NlfProfile, PreparedData, QueryGraph, QueryGraphError, VertexId};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
@@ -64,29 +65,21 @@ use std::time::Duration;
 const UNMAPPED: VertexId = VertexId::MAX;
 
 /// A standing query compiled for delta-localized search: per-vertex
-/// neighborhood-label-frequency requirements plus, for every (query edge,
-/// orientation) pair, a BFS matching order rooted at that edge with
-/// earlier-neighbor lists. Compiling once per registration keeps the per-delta
-/// cost at "backtrack from the seed", with no per-batch planning.
+/// neighborhood-label-frequency requirements (the [`NlfProfile`] the batch
+/// engines' filter pass checks) plus, for every (query edge, orientation) pair,
+/// a BFS matching order rooted at that edge with earlier-neighbor lists.
+/// Compiling once per registration keeps the per-delta cost at "backtrack from
+/// the seed", with no per-batch planning.
 #[derive(Clone, Debug)]
 pub struct QueryPlan {
     query: Graph,
-    reqs: Vec<NlfReq>,
+    reqs: Vec<NlfProfile>,
     seeds: Vec<SeedOrder>,
 }
 
-/// Sparse NLF requirement of one query vertex (sorted label list + counts): a
-/// data vertex can host it only if its signature covers these counts — the same
-/// necessary condition the batch engines' filter pass uses.
-#[derive(Clone, Debug)]
-struct NlfReq {
-    labels: Vec<Label>,
-    counts: Vec<u32>,
-}
-
 /// One seed orientation: `order[0]` and `order[1]` are the query edge's
-/// endpoints (pinned to the net-new data edge), the rest is a BFS order over
-/// the remaining query vertices. `earlier[i]` lists the query-neighbors of
+/// endpoints (pinned to the net-new data edge), the rest is the BFS order
+/// ([`bfs_order`]) the two reach. `earlier[i]` lists the query-neighbors of
 /// `order[i]` already placed at positions `< i` — the join constraints for
 /// position `i` (non-empty for every `i >= 2` because the query is connected).
 #[derive(Clone, Debug)]
@@ -102,18 +95,7 @@ impl QueryPlan {
     pub fn new(query: &Graph) -> Result<QueryPlan, QueryGraphError> {
         // Validation only: the plan keeps the raw `Graph` (queries are tiny).
         QueryGraph::new(query.clone())?;
-        let n = query.vertex_count();
-        let mut reqs = Vec::with_capacity(n);
-        for u in 0..n as VertexId {
-            let mut by_label: HashMap<Label, u32> = HashMap::new();
-            for &w in query.neighbors(u) {
-                *by_label.entry(query.label(w)).or_insert(0) += 1;
-            }
-            let mut labels: Vec<Label> = by_label.keys().copied().collect();
-            labels.sort_unstable();
-            let counts = labels.iter().map(|l| by_label[l]).collect();
-            reqs.push(NlfReq { labels, counts });
-        }
+        let reqs = query.vertices().map(|u| NlfProfile::of(query, u)).collect();
         let mut seeds = Vec::new();
         for (a, b) in query.edges() {
             seeds.push(SeedOrder::new(query, a, b));
@@ -135,25 +117,9 @@ impl QueryPlan {
 impl SeedOrder {
     fn new(query: &Graph, first: VertexId, second: VertexId) -> SeedOrder {
         let n = query.vertex_count();
-        let mut placed = vec![false; n];
-        let mut order = Vec::with_capacity(n);
-        for v in [first, second] {
-            placed[v as usize] = true;
-            order.push(v);
-        }
-        // BFS outward from the pinned edge; the query is connected, so this
-        // reaches every vertex and gives each one an earlier neighbor.
-        let mut head = 0usize;
-        while head < order.len() {
-            let u = order[head];
-            head += 1;
-            for &w in query.neighbors(u) {
-                if !placed[w as usize] {
-                    placed[w as usize] = true;
-                    order.push(w);
-                }
-            }
-        }
+        // The query is connected, so the BFS from the pinned edge reaches every
+        // vertex and gives each one an earlier neighbor.
+        let order = bfs_order(query, &[first, second]);
         let position = {
             let mut position = vec![0usize; n];
             for (i, &u) in order.iter().enumerate() {
@@ -209,7 +175,10 @@ impl SeedSearch<'_> {
             return false;
         }
         let req = &self.plan.reqs[u as usize];
-        if !self.prepared.signature_covers(v, &req.labels, &req.counts) {
+        if !self
+            .prepared
+            .signature_covers(v, req.labels(), req.counts())
+        {
             return false;
         }
         // Injectivity by scan: the mapping has at most MAX_QUERY_VERTICES entries.

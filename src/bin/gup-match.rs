@@ -24,7 +24,9 @@
 //! parsing and preparing a text graph — warm starts skip the whole preparation
 //! pass, which dominates process startup on large data graphs.
 //!
-//! Methods: `gup` (default), `gup-noguards`, `daf`, `gql`, `ri`, `join`.
+//! Methods: every engine by its wire name — `gup` (default), `plain`, `daf`,
+//! `gql`, `ri`, `join`, `bruteforce` — plus `gup-noguards`, GuP with every
+//! guard off.
 //!
 //! Output modes (all methods): the default prints the per-query summary line;
 //! `--count-only` streams through a counting sink (no embedding is ever
@@ -69,10 +71,11 @@ struct Options {
     output: OutputMode,
 }
 
-fn usage() -> &'static str {
-    "usage: gup-match (--data <file> | --index <file>) --query <file> [--query <file> ...]\n\
+fn usage() -> String {
+    format!(
+        "usage: gup-match (--data <file> | --index <file>) --query <file> [--query <file> ...]\n\
      options:\n\
-       --method <gup|gup-noguards|daf|gql|ri|join>   matcher to run (default: gup)\n\
+       --method <{}>   matcher to run (default: gup)\n\
        --index <file>         load a saved prepared index instead of a --data graph\n\
        --save-index <file>    persist the prepared index after building it (with no\n\
                               --query this prepares, saves, and exits)\n\
@@ -84,7 +87,9 @@ fn usage() -> &'static str {
        --count-only           count embeddings without materializing any\n\
        --first-k <k>          stop after the first k embeddings and print them\n\
        --print-embeddings     print every embedding\n\
-       --help                 show this message"
+       --help                 show this message",
+        method_names("|")
+    )
 }
 
 fn parse_args(args: &[String]) -> Result<Options, String> {
@@ -211,18 +216,29 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     Ok(opts)
 }
 
+/// The one method name that is not an engine's wire name: GuP with every
+/// guard off.
+const NOGUARDS_METHOD: &str = "gup-noguards";
+
+/// Every accepted `--method` value, joined by `sep`.
+fn method_names(sep: &str) -> String {
+    let mut names: Vec<&str> = Engine::ALL.iter().map(|e| e.wire_name()).collect();
+    names.push(NOGUARDS_METHOD);
+    names.join(sep)
+}
+
 fn parse_method(method: &str) -> Result<(Engine, PruningFeatures), String> {
-    match method {
-        "gup" => Ok((Engine::Gup, PruningFeatures::ALL)),
-        "gup-noguards" => Ok((Engine::Gup, PruningFeatures::NONE)),
-        "daf" => Ok((Engine::Daf, PruningFeatures::ALL)),
-        "gql" => Ok((Engine::Gql, PruningFeatures::ALL)),
-        "ri" => Ok((Engine::Ri, PruningFeatures::ALL)),
-        "join" => Ok((Engine::Join, PruningFeatures::ALL)),
-        other => Err(format!(
-            "unknown method '{other}' (expected gup, gup-noguards, daf, gql, ri, join)"
-        )),
+    if method == NOGUARDS_METHOD {
+        return Ok((Engine::Gup, PruningFeatures::NONE));
     }
+    Engine::from_wire_name(method)
+        .map(|engine| (engine, PruningFeatures::ALL))
+        .ok_or_else(|| {
+            format!(
+                "unknown method '{method}' (expected {})",
+                method_names(", ")
+            )
+        })
 }
 
 fn print_embeddings(embeddings: &[Vec<VertexId>]) {

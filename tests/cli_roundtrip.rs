@@ -30,7 +30,17 @@ fn gup_match_binary_reports_oracle_counts() {
         "fixture must have embeddings for the test to be meaningful"
     );
 
-    for method in ["gup", "gup-noguards", "daf", "gql", "ri", "join"] {
+    // Every engine's wire name, plus the one CLI-only alias.
+    for method in [
+        "gup",
+        "plain",
+        "daf",
+        "gql",
+        "ri",
+        "join",
+        "bruteforce",
+        "gup-noguards",
+    ] {
         let output = std::process::Command::new(env!("CARGO_BIN_EXE_gup-match"))
             .args([
                 "--data",

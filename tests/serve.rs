@@ -326,6 +326,29 @@ fn healthz_stats_and_protocol_errors_round_trip() {
 }
 
 #[test]
+fn oversized_graph_headers_are_rejected_before_allocating() {
+    let (_query, data) = fixtures::paper_example();
+    let server = ServerHandle::spawn("oversized", &data, &[]);
+    let mut client = Client::connect(server.addr);
+    // Sized by their headers, these bodies would ask for hundreds of gigabytes,
+    // an allocation failure that aborts the process. Each header is rejected
+    // before anything is allocated, and the same connection keeps answering.
+    for (command, header) in [
+        ("query count", "t 40000000000 1"),
+        ("watch", "t 40000000000 1"),
+        ("reload", "t 2 100000000000"),
+    ] {
+        client.send(&format!("{command}\n{header}\nend\n"));
+        let reply = client.read_line();
+        assert!(reply.starts_with("err bad graph"), "{command}: {reply}");
+        client.send("healthz\n");
+        let health = client.read_line();
+        assert!(health.starts_with("ok uptime-ms="), "{command}: {health}");
+    }
+    server.shutdown();
+}
+
+#[test]
 fn result_cache_serves_repeats_and_reload_invalidates_it() {
     // One label-0–label-1 edge query; the two data graphs give different counts,
     // so a stale cache entry surviving `reload` would be caught immediately.

@@ -4,8 +4,8 @@
 //! run of untouched vertices' CSR and signature slices, reuse or extend the
 //! label index, recompute only touched and new vertices) while `rebuild`
 //! re-runs [`PreparedData::new`] on the already-materialized mutated graph
-//! (its CSR clone is a memcpy; the measured cost is the label inverted index
-//! and the NLF signature arena). Apply costs about one copy of the index plus
+//! (its CSR clone is a memcpy; the measured cost is the NLF signature arena and
+//! the counting pass that builds the label inverted index with its masks). Apply costs about one copy of the index plus
 //! the touched neighborhoods; rebuild re-derives the whole index.
 //!
 //! Two graphs: `dynamic_apply` (20k vertices, 8 skewed labels, batch sizes 1,

@@ -24,13 +24,13 @@
 use gup_graph::deadline::{DeadlineExceeded, DeadlineSampler};
 use gup_graph::{Graph, NlfProfile, PreparedData, VertexId};
 
-/// Computes the LDF candidate set of query vertex `u` (sorted by data-vertex id).
+/// Computes the LDF candidate set of query vertex `u` (sorted by data-vertex id)
+/// by a scan over every data vertex: the reference the prepared NLF filter is
+/// tested against.
 pub fn ldf_candidates(query: &Graph, data: &Graph, u: VertexId) -> Vec<VertexId> {
-    let min_degree = query.degree(u);
-    data.vertices_with_label(query.label(u))
-        .iter()
-        .copied()
-        .filter(|&v| data.degree(v) >= min_degree)
+    let (label, min_degree) = (query.label(u), query.degree(u));
+    data.vertices()
+        .filter(|&v| data.label(v) == label && data.degree(v) >= min_degree)
         .collect()
 }
 

@@ -14,10 +14,12 @@
 //!   sorted change lists (no global edge sort), then their
 //!   neighborhood-label-frequency signature and neighbor-label mask are rebuilt.
 //!
-//! The label index and the neighbor-label masks, both in label-bucket order, are
-//! copied whole when the batch adds no vertex. Otherwise each label's old bucket is
-//! copied and the batch's new vertices of that label are appended: they have the
-//! largest ids, so they sit last in their buckets.
+//! The label index with its neighbor-label masks (`PreparedData`'s, in
+//! label-bucket order) is copied whole when the batch adds no vertex. Otherwise
+//! each label's old bucket is copied and the batch's new vertices of that label
+//! are appended: they have the largest ids, so they sit last in their buckets.
+//! The label count comes from the old buckets and the batch's new labels, so no
+//! pass over every vertex label runs.
 //!
 //! A batch therefore costs about one copy of the index plus work proportional to
 //! the neighborhoods of the vertices it touches. The `max_degree` and per-label
@@ -507,49 +509,6 @@ impl<'a> ArenaBuilder<'a> {
     }
 }
 
-/// The label index and the neighbor-label masks parallel to it, extended by
-/// the batch's new vertices (ids from `old`'s vertex count on, labels
-/// `new_labels`). A bucket lists its vertices by ascending id and new vertices
-/// have the largest ids, so each new bucket is the old one followed by the
-/// batch's new vertices of that label; their masks start at 0 for the
-/// recompute pass to fill. Without new vertices all three arrays are copies.
-fn extended_label_index(
-    old: &PreparedData,
-    new_labels: &[Label],
-    label_count: usize,
-) -> (Vec<usize>, Vec<VertexId>, Vec<u64>) {
-    let graph = old.graph();
-    let (old_offsets, old_ids) = graph.label_index();
-    let old_masks = old.label_masks();
-    if new_labels.is_empty() {
-        return (old_offsets.to_vec(), old_ids.to_vec(), old_masks.to_vec());
-    }
-    let n0 = graph.vertex_count();
-    let mut added: Vec<(Label, VertexId)> = new_labels
-        .iter()
-        .enumerate()
-        .map(|(i, &l)| (l, (n0 + i) as VertexId))
-        .collect();
-    added.sort_unstable();
-    let mut added = added.into_iter().peekable();
-    let new_n = n0 + new_labels.len();
-    let mut offsets = Vec::with_capacity(label_count + 1);
-    let mut ids = Vec::with_capacity(new_n);
-    let mut masks = Vec::with_capacity(new_n);
-    offsets.push(0);
-    for l in 0..label_count as Label {
-        let (lo, hi) = graph.label_bounds(l);
-        ids.extend_from_slice(&old_ids[lo..hi]);
-        masks.extend_from_slice(&old_masks[lo..hi]);
-        while let Some((_, v)) = added.next_if(|&(al, _)| al == l) {
-            ids.push(v);
-            masks.push(0);
-        }
-        offsets.push(ids.len());
-    }
-    (offsets, ids, masks)
-}
-
 impl PreparedData {
     /// Applies a batch of deltas, incrementally maintaining every index — the CSR
     /// adjacency, the label inverted index, the signature arena, the neighbor-label
@@ -586,11 +545,12 @@ impl PreparedData {
         let mut labels = Vec::with_capacity(new_n);
         labels.extend_from_slice(graph.labels());
         labels.extend_from_slice(&batch.new_labels);
+        let old_index = self.label_index();
         let label_count = batch
             .new_labels
             .iter()
             .map(|&l| l as usize + 1)
-            .fold(graph.label_count(), usize::max);
+            .fold(old_index.label_count(), usize::max);
 
         // --- One walk in vertex order: copy each untouched run, recompute
         // every touched and every new vertex -------------------------------
@@ -643,32 +603,19 @@ impl PreparedData {
                 .unwrap_or(0);
         }
         let (sig_offsets, sig_labels, sig_counts, max_nlf) = arena.finish();
-
-        // --- Label index and masks: reuse or extend the old ones ------------
-        let (label_offsets, vertices_by_label, mut label_masks) =
-            extended_label_index(self, &batch.new_labels, label_count);
-        let edge_count = graph.edge_count() + batch.inserted.len() - batch.removed.len();
-        let new_graph = Graph::with_label_index(
-            csr.offsets,
-            csr.neighbors,
-            labels,
-            edge_count,
-            label_offsets,
-            vertices_by_label,
-        );
+        // The label index is extended after the walk: setting each mask inside
+        // the walk measured about 6% slower (20k vertices, batch 128).
+        let mut label_index = old_index.extended(n0, &batch.new_labels, label_count);
         for (v, mask) in recomputed_masks {
-            let label = new_graph.label(v);
-            let bucket = new_graph.vertices_with_label(label);
-            let slot = new_graph.label_bounds(label).0 + bucket.partition_point(|&w| w < v);
-            label_masks[slot] = mask;
+            label_index.set_mask(v, labels[v as usize], mask);
         }
-
+        let edge_count = graph.edge_count() + batch.inserted.len() - batch.removed.len();
         let prepared = PreparedData::from_parts(
-            new_graph,
+            Graph::from_csr(csr.offsets, csr.neighbors, labels, edge_count),
             sig_offsets,
             sig_labels,
             sig_counts,
-            label_masks,
+            label_index,
             max_nlf,
             max_degree,
             watch.elapsed(),

@@ -1,4 +1,8 @@
-//! Immutable CSR graph with a label index.
+//! Immutable CSR graph: adjacency plus vertex labels.
+//!
+//! A `Graph` holds no label index. The data graph's label inverted index lives
+//! in [`crate::PreparedData`], next to the neighbor-label masks that follow its
+//! order, so a query graph never allocates by its largest label.
 
 use crate::types::{Label, VertexId};
 
@@ -7,91 +11,32 @@ use crate::types::{Label, VertexId};
 /// Construction goes through [`crate::GraphBuilder`] (or the loaders/generators), which
 /// guarantee the invariants the matcher relies on:
 ///
-/// * adjacency lists are sorted and free of duplicates and self loops,
-/// * `offsets.len() == vertex_count + 1`, and
-/// * the label index covers every vertex.
+/// * adjacency lists are sorted and free of duplicates and self loops, and
+/// * `offsets.len() == vertex_count + 1`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Graph {
     offsets: Vec<usize>,
     neighbors: Vec<VertexId>,
     labels: Vec<Label>,
     edge_count: usize,
-    /// Vertices grouped by label: `label_offsets[l]..label_offsets[l+1]` indexes into
-    /// `vertices_by_label`.
-    label_offsets: Vec<usize>,
-    vertices_by_label: Vec<VertexId>,
-    label_count: usize,
 }
 
 impl Graph {
-    /// Assembles a graph from prebuilt CSR arrays. Intended for [`crate::GraphBuilder`]
-    /// and the loaders; external users should prefer the builder.
+    /// Assembles a graph from prebuilt CSR arrays. Intended for [`crate::GraphBuilder`],
+    /// the loaders and `PreparedData::apply`; external users should prefer the builder.
     pub(crate) fn from_csr(
         offsets: Vec<usize>,
         neighbors: Vec<VertexId>,
         labels: Vec<Label>,
         edge_count: usize,
     ) -> Self {
-        let label_count = labels.iter().map(|&l| l as usize + 1).max().unwrap_or(0);
-        let mut counts = vec![0usize; label_count];
-        for &l in &labels {
-            counts[l as usize] += 1;
-        }
-        let mut label_offsets = Vec::with_capacity(label_count + 1);
-        let mut acc = 0usize;
-        label_offsets.push(0);
-        for c in &counts {
-            acc += c;
-            label_offsets.push(acc);
-        }
-        let mut vertices_by_label = vec![0 as VertexId; labels.len()];
-        let mut cursor = label_offsets[..label_count].to_vec();
-        for (v, &l) in labels.iter().enumerate() {
-            vertices_by_label[cursor[l as usize]] = v as VertexId;
-            cursor[l as usize] += 1;
-        }
-        Graph::with_label_index(
-            offsets,
-            neighbors,
-            labels,
-            edge_count,
-            label_offsets,
-            vertices_by_label,
-        )
-    }
-
-    /// Assembles a graph from prebuilt CSR arrays and a label index already
-    /// built for `labels`: `label_offsets` has `label_count + 1` entries and
-    /// `vertices_by_label` lists each label's vertices by ascending id. For
-    /// `PreparedData::apply`, which extends the old index instead of
-    /// re-sorting every vertex.
-    pub(crate) fn with_label_index(
-        offsets: Vec<usize>,
-        neighbors: Vec<VertexId>,
-        labels: Vec<Label>,
-        edge_count: usize,
-        label_offsets: Vec<usize>,
-        vertices_by_label: Vec<VertexId>,
-    ) -> Self {
         debug_assert_eq!(offsets.len(), labels.len() + 1);
-        debug_assert_eq!(vertices_by_label.len(), labels.len());
-        let label_count = label_offsets.len() - 1;
         Graph {
             offsets,
             neighbors,
             labels,
             edge_count,
-            label_offsets,
-            vertices_by_label,
-            label_count,
         }
-    }
-
-    /// The label index as raw arrays `(label_offsets, vertices_by_label)`, for
-    /// incremental maintenance (`PreparedData::apply`).
-    #[inline]
-    pub(crate) fn label_index(&self) -> (&[usize], &[VertexId]) {
-        (&self.label_offsets, &self.vertices_by_label)
     }
 
     /// Raw CSR offsets array (`vertex_count + 1` entries). For the on-disk index
@@ -121,10 +66,15 @@ impl Graph {
         self.edge_count
     }
 
-    /// Number of distinct labels (labels are assumed dense in `0..label_count`).
-    #[inline]
+    /// One more than the largest label (0 for the empty graph): labels are
+    /// assumed dense in `0..label_count`. A scan over every vertex label, run
+    /// once by a prepare or an index load; no query or delta path calls it.
     pub fn label_count(&self) -> usize {
-        self.label_count
+        self.labels
+            .iter()
+            .map(|&l| l as usize + 1)
+            .max()
+            .unwrap_or(0)
     }
 
     /// Label of vertex `v`.
@@ -180,31 +130,6 @@ impl Graph {
         })
     }
 
-    /// Vertices carrying label `l` (sorted by id). Empty slice for unknown labels.
-    #[inline]
-    pub fn vertices_with_label(&self, l: Label) -> &[VertexId] {
-        let (lo, hi) = self.label_bounds(l);
-        &self.vertices_by_label[lo..hi]
-    }
-
-    /// Position range `lo..hi` of label `l`'s bucket in the label index, as a
-    /// pair; `(0, 0)` for unknown labels. Arrays kept parallel to the label
-    /// index (`PreparedData`'s neighbor-label masks) slice with it.
-    #[inline]
-    pub(crate) fn label_bounds(&self, l: Label) -> (usize, usize) {
-        let l = l as usize;
-        if l >= self.label_count {
-            return (0, 0);
-        }
-        (self.label_offsets[l], self.label_offsets[l + 1])
-    }
-
-    /// Number of vertices carrying label `l`.
-    #[inline]
-    pub fn label_frequency(&self, l: Label) -> usize {
-        self.vertices_with_label(l).len()
-    }
-
     /// Average degree `2|E| / |V|` (0 for the empty graph).
     pub fn average_degree(&self) -> f64 {
         if self.vertex_count() == 0 {
@@ -227,24 +152,12 @@ impl Graph {
             .count()
     }
 
-    /// Neighborhood label frequency of `v`: for each label, how many neighbors of `v`
-    /// carry it. Returned as a dense vector of length `label_count`.
-    pub fn neighborhood_label_frequency(&self, v: VertexId) -> Vec<u32> {
-        let mut nlf = vec![0u32; self.label_count];
-        for &w in self.neighbors(v) {
-            nlf[self.label(w) as usize] += 1;
-        }
-        nlf
-    }
-
     /// Approximate heap footprint of the graph in bytes (used by the Table-3 memory
     /// experiment).
     pub fn heap_bytes(&self) -> usize {
         self.offsets.capacity() * std::mem::size_of::<usize>()
             + self.neighbors.capacity() * std::mem::size_of::<VertexId>()
             + self.labels.capacity() * std::mem::size_of::<Label>()
-            + self.label_offsets.capacity() * std::mem::size_of::<usize>()
-            + self.vertices_by_label.capacity() * std::mem::size_of::<VertexId>()
     }
 
     /// Extracts the subgraph induced by `vertices` (in the given order: induced vertex
@@ -299,15 +212,6 @@ mod tests {
     }
 
     #[test]
-    fn label_index() {
-        let g = path4();
-        assert_eq!(g.vertices_with_label(0), &[0, 2]);
-        assert_eq!(g.vertices_with_label(1), &[1, 3]);
-        assert_eq!(g.vertices_with_label(9), &[] as &[u32]);
-        assert_eq!(g.label_frequency(0), 2);
-    }
-
-    #[test]
     fn edges_iterator_is_canonical() {
         let g = path4();
         let e: Vec<_> = g.edges().collect();
@@ -320,8 +224,8 @@ mod tests {
         assert_eq!(g.labeled_degree(0, 1), 2);
         assert_eq!(g.labeled_degree(0, 2), 1);
         assert_eq!(g.labeled_degree(0, 0), 0);
-        assert_eq!(g.neighborhood_label_frequency(0), vec![0, 2, 1]);
-        assert_eq!(g.neighborhood_label_frequency(1), vec![1, 0, 0]);
+        assert_eq!(g.labeled_degree(1, 0), 1);
+        assert_eq!(g.labeled_degree(1, 1), 0);
     }
 
     #[test]

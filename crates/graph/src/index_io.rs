@@ -27,8 +27,10 @@
 //!               max_nlf (u64 count, count × u32)      per-label max-NLF bound
 //! ```
 //!
-//! The label inverted index and the neighbor-label masks are derived on load
-//! (from the labels and from the signature arena), not stored.
+//! The label inverted index and its neighbor-label masks are derived on load,
+//! not stored: the signature check computes each vertex's mask, and the same
+//! counting pass that a cold prepare runs places ids and masks into their label
+//! buckets.
 //!
 //! ## Versioning and integrity policy
 //!
@@ -63,7 +65,7 @@
 //! ```
 
 use crate::deadline::Stopwatch;
-use crate::prepared::{masks_in_bucket_order, PreparedData};
+use crate::prepared::{LabelIndex, PreparedData};
 use crate::types::{Label, VertexId};
 use crate::Graph;
 use std::path::Path;
@@ -451,11 +453,11 @@ pub fn load_index_bytes(bytes: &[u8]) -> Result<PreparedData, IndexIoError> {
     validate_csr_offsets(&sig_offsets_usize, sig_labels.len(), "sig_offsets")?;
     let vertex_masks = validate_signatures(&sig_offsets_usize, &sig_labels, &sig_counts)?;
 
-    // The label index and the neighbor-label masks are derived, not stored:
-    // `from_csr` rebuilds the index, and the masks the signature check derived
-    // are reordered into its buckets. The index's size is the max label + 1, so
-    // bound the stored labels by what max_nlf declares.
-    let label_count = labels.iter().map(|&l| l as usize + 1).max().unwrap_or(0);
+    // The label index and its masks are derived, not stored: the masks the
+    // signature check computed go into the label buckets. The index's size is
+    // the max label + 1, so bound the stored labels by what max_nlf declares.
+    let graph = Graph::from_csr(offsets, neighbors, labels, edge_count);
+    let label_count = graph.label_count();
     if max_nlf.len() != label_count {
         return Err(invalid(
             "max_nlf",
@@ -469,14 +471,13 @@ pub fn load_index_bytes(bytes: &[u8]) -> Result<PreparedData, IndexIoError> {
         ));
     }
 
-    let graph = Graph::from_csr(offsets, neighbors, labels, edge_count);
-    let label_masks = masks_in_bucket_order(&graph, &vertex_masks);
+    let label_index = LabelIndex::new(graph.labels(), label_count, &vertex_masks);
     Ok(PreparedData::from_parts(
         graph,
         sig_offsets,
         sig_labels,
         sig_counts,
-        label_masks,
+        label_index,
         max_nlf,
         max_degree,
         watch.elapsed(),

@@ -5,8 +5,9 @@
 //! The paper (GuP, SIGMOD 2023) operates on *vertex-labeled simple undirected graphs*.
 //! This crate provides everything the matching layers need from the data side:
 //!
-//! * [`Graph`] — an immutable CSR (compressed sparse row) representation with a label
-//!   index, suitable both for multi-million-edge data graphs and for tiny query graphs.
+//! * [`Graph`] — an immutable CSR (compressed sparse row) adjacency plus vertex labels,
+//!   suitable both for multi-million-edge data graphs and for tiny query graphs. It
+//!   holds no label index, so no label value sizes a graph's allocations.
 //! * [`GraphBuilder`] — incremental construction with de-duplication of parallel edges
 //!   and removal of self loops (the paper assumes simple graphs).
 //! * [`QueryGraph`] — a thin wrapper over [`Graph`] that validates the properties the
@@ -19,12 +20,12 @@
 //!   the one result record, and [`BuildError`](budget::BuildError), the one
 //!   construction error; every engine family — GuP and all the baselines — takes
 //!   the first, fails construction with the last, and returns the second.
-//! * [`PreparedData`] — an immutable, `Arc`-shareable per-data-graph index (label
-//!   inverted index, a flat arena of per-vertex neighborhood-label-frequency
-//!   signatures, 64-bit neighbor-label masks in label-bucket order, degree/label
-//!   stats and a max-NLF bound) built once and reused by every query of a
-//!   session, and [`NlfProfile`], a query vertex's NLF requirement checked
-//!   against it.
+//! * [`PreparedData`] — an immutable, `Arc`-shareable per-data-graph index (the
+//!   data graph's label inverted index, the only one in the workspace, a flat arena
+//!   of per-vertex neighborhood-label-frequency signatures, 64-bit neighbor-label
+//!   masks in label-bucket order, degree/label stats and a max-NLF bound) built once
+//!   and reused by every query of a session, and [`NlfProfile`], a query vertex's
+//!   sparse NLF requirement checked against it.
 //! * [`QVSet`] — a width-generic query-vertex bitset (`W` 64-bit words, `W = 1` by
 //!   default) used throughout the matcher for conflict masks, bounding sets, and
 //!   nogood domains (O(1) set operations for any fixed width, as assumed by the

@@ -6,15 +6,18 @@
 //! half of that split: an immutable bundle of the graph plus every per-vertex index
 //! the matching layers would otherwise re-derive on each query:
 //!
-//! * the CSR graph itself with its label inverted index ([`Graph`]),
+//! * the CSR graph itself ([`Graph`]),
 //! * a flat CSR-style arena of per-vertex **neighborhood-label-frequency signatures**
 //!   (sparse, label-sorted), so the NLF filter becomes a two-pointer signature
 //!   comparison instead of a neighbor rescan with per-candidate allocation,
-//! * one 64-bit **neighbor-label mask** per vertex, stored in label-bucket order
-//!   (parallel to the graph's label index): bit `l % 64` is set iff the vertex has
-//!   a label-`l` neighbor. The NLF filter streams a label's bucket of ids and masks
-//!   ([`PreparedData::label_bucket`]) and runs the signature comparison only on
-//!   vertices whose mask holds every bit the query vertex needs,
+//! * the **label inverted index**: each label's bucket of vertex ids (ascending),
+//!   with one 64-bit **neighbor-label mask** per bucket entry, where bit `l % 64`
+//!   is set iff the vertex has a label-`l` neighbor. The NLF filter streams a
+//!   label's bucket of ids and masks ([`PreparedData::label_bucket`]) and runs the
+//!   signature comparison only on vertices whose mask holds every bit the query
+//!   vertex needs. This module is the only one that knows the bucket layout;
+//!   one counting pass builds it for a cold prepare and for an index load, and
+//!   [`PreparedData::apply`] extends it,
 //! * degree / label statistics and a per-label **max-NLF bound** (the highest count
 //!   of that label in any vertex's neighborhood), which rejects unsatisfiable query
 //!   vertices before any candidate is scanned.
@@ -43,6 +46,7 @@
 use crate::deadline::Stopwatch;
 use crate::types::{Label, VertexId};
 use crate::Graph;
+use std::ops::Range;
 use std::time::Duration;
 
 /// Errors surfaced while building a [`PreparedData`] index.
@@ -88,11 +92,9 @@ pub struct PreparedData {
     sig_offsets: Vec<u32>,
     sig_labels: Vec<Label>,
     sig_counts: Vec<u32>,
-    /// Neighbor-label masks, parallel to the graph's label index: entry `i` is
-    /// the mask of the index's `i`-th vertex, with bit `l % 64` set iff that
-    /// vertex has a label-`l` neighbor. Derived from the arena; index files do
-    /// not store them.
-    label_masks: Vec<u64>,
+    /// The label buckets and their neighbor-label masks. Derived from the
+    /// labels and the arena; index files do not store them.
+    label_index: LabelIndex,
     /// For each label `l`: the maximum, over all vertices, of the number of
     /// label-`l` neighbors. A query vertex demanding more can have no candidate.
     max_nlf: Vec<u32>,
@@ -110,7 +112,7 @@ impl PartialEq for PreparedData {
             && self.sig_offsets == other.sig_offsets
             && self.sig_labels == other.sig_labels
             && self.sig_counts == other.sig_counts
-            && self.label_masks == other.label_masks
+            && self.label_index == other.label_index
             && self.max_nlf == other.max_nlf
             && self.max_degree == other.max_degree
     }
@@ -176,13 +178,13 @@ impl PreparedData {
             vertex_masks.push(mask);
             sig_offsets.push(checked_sig_offset(sig_labels.len())?);
         }
-        let label_masks = masks_in_bucket_order(&graph, &vertex_masks);
+        let label_index = LabelIndex::new(graph.labels(), label_count, &vertex_masks);
         Ok(PreparedData {
             graph,
             sig_offsets,
             sig_labels,
             sig_counts,
-            label_masks,
+            label_index,
             max_nlf,
             max_degree,
             prep_time: watch.elapsed(),
@@ -200,7 +202,7 @@ impl PreparedData {
         sig_offsets: Vec<u32>,
         sig_labels: Vec<Label>,
         sig_counts: Vec<u32>,
-        label_masks: Vec<u64>,
+        label_index: LabelIndex,
         max_nlf: Vec<u32>,
         max_degree: usize,
         prep_time: Duration,
@@ -210,7 +212,7 @@ impl PreparedData {
             sig_offsets,
             sig_labels,
             sig_counts,
-            label_masks,
+            label_index,
             max_nlf,
             max_degree,
             prep_time,
@@ -228,10 +230,10 @@ impl PreparedData {
         )
     }
 
-    /// The neighbor-label masks in label-bucket order, for incremental
-    /// maintenance ([`PreparedData::apply`]).
-    pub(crate) fn label_masks(&self) -> &[u64] {
-        &self.label_masks
+    /// The label buckets and their masks, for incremental maintenance
+    /// ([`PreparedData::apply`]).
+    pub(crate) fn label_index(&self) -> &LabelIndex {
+        &self.label_index
     }
 
     /// Convenience for the one-shot `(query, data)` entry points: clones `graph`
@@ -286,8 +288,9 @@ impl PreparedData {
     /// no vertex carries.
     #[inline]
     pub fn label_bucket(&self, l: Label) -> (&[VertexId], &[u64]) {
-        let (lo, hi) = self.graph.label_bounds(l);
-        (self.graph.vertices_with_label(l), &self.label_masks[lo..hi])
+        let index = &self.label_index;
+        let Range { start, end } = index.bucket(l as usize);
+        (&index.vertices[start..end], &index.masks[start..end])
     }
 
     /// The neighbor-label mask bit of label `l`: bit `l % 64`. Labels 64 apart
@@ -321,14 +324,17 @@ impl PreparedData {
     }
 
     /// Approximate heap footprint of the *index only* — the signature arena, the
-    /// neighbor-label masks and the statistics, excluding the graph itself. This
-    /// is what preparing costs on top of holding the graph; memory reports
-    /// account for it separately.
+    /// label index with its neighbor-label masks and the statistics, excluding
+    /// the graph itself. This is what preparing costs on top of holding the
+    /// graph; memory reports account for it separately.
     pub fn index_bytes(&self) -> usize {
+        let index = &self.label_index;
         self.sig_offsets.capacity() * std::mem::size_of::<u32>()
             + self.sig_labels.capacity() * std::mem::size_of::<Label>()
             + self.sig_counts.capacity() * std::mem::size_of::<u32>()
-            + self.label_masks.capacity() * std::mem::size_of::<u64>()
+            + index.offsets.capacity() * std::mem::size_of::<usize>()
+            + index.vertices.capacity() * std::mem::size_of::<VertexId>()
+            + index.masks.capacity() * std::mem::size_of::<u64>()
             + self.max_nlf.capacity() * std::mem::size_of::<u32>()
     }
 
@@ -353,18 +359,23 @@ pub struct NlfProfile {
 }
 
 impl NlfProfile {
-    /// The sparse neighborhood-label-frequency profile of query vertex `u`.
+    /// The sparse neighborhood-label-frequency profile of query vertex `u`: its
+    /// neighbors' labels, sorted and run-length encoded, so it costs `O(deg(u))`
+    /// whatever the labels' values.
     pub fn of(query: &Graph, u: VertexId) -> Self {
-        let dense = query.neighborhood_label_frequency(u);
+        let mut neighbor_labels: Vec<Label> =
+            query.neighbors(u).iter().map(|&w| query.label(w)).collect();
+        neighbor_labels.sort_unstable();
         let mut labels = Vec::new();
         let mut counts = Vec::new();
         let mut mask = 0u64;
-        for (l, &c) in dense.iter().enumerate() {
-            if c > 0 {
-                labels.push(l as Label);
-                counts.push(c);
-                mask |= PreparedData::label_bit(l as Label);
-            }
+        let mut rest = &neighbor_labels[..];
+        while let Some(&l) = rest.first() {
+            let run = rest.partition_point(|&x| x == l);
+            labels.push(l);
+            counts.push(run as u32);
+            mask |= PreparedData::label_bit(l);
+            rest = &rest[run..];
         }
         NlfProfile {
             labels,
@@ -404,20 +415,109 @@ impl NlfProfile {
     }
 }
 
-/// Reorders per-vertex neighbor-label masks (indexed by vertex id) into
-/// label-bucket order: one sequential pass over the vertices, writing each mask
-/// through its label's cursor. `vertex_masks` has one entry per vertex.
-pub(crate) fn masks_in_bucket_order(graph: &Graph, vertex_masks: &[u64]) -> Vec<u64> {
-    let mut cursors: Vec<usize> = (0..graph.label_count() as Label)
-        .map(|l| graph.label_bounds(l).0)
-        .collect();
-    let mut masks = vec![0u64; graph.vertex_count()];
-    for (&l, &mask) in graph.labels().iter().zip(vertex_masks) {
-        let cursor = &mut cursors[l as usize];
-        masks[*cursor] = mask;
-        *cursor += 1;
+/// The label inverted index with the neighbor-label masks parallel to it:
+/// `offsets[l]..offsets[l + 1]` is label `l`'s bucket in `vertices` (ascending
+/// ids) and in `masks` (each listed vertex's neighbor-label mask).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub(crate) struct LabelIndex {
+    offsets: Vec<usize>,
+    vertices: Vec<VertexId>,
+    masks: Vec<u64>,
+}
+
+impl LabelIndex {
+    /// Buckets the vertices of `labels` (each below `label_count`) by label, in
+    /// one counting pass that places every vertex's id and its mask from
+    /// `vertex_masks` (indexed by vertex id) through its label's cursor.
+    pub(crate) fn new(labels: &[Label], label_count: usize, vertex_masks: &[u64]) -> Self {
+        let mut offsets = vec![0usize; label_count + 1];
+        for &l in labels {
+            offsets[l as usize + 1] += 1;
+        }
+        for l in 0..label_count {
+            offsets[l + 1] += offsets[l];
+        }
+        let mut cursors = offsets[..label_count].to_vec();
+        let mut vertices = vec![0 as VertexId; labels.len()];
+        let mut masks = vec![0u64; labels.len()];
+        for (v, (&l, &mask)) in labels.iter().zip(vertex_masks).enumerate() {
+            let cursor = &mut cursors[l as usize];
+            vertices[*cursor] = v as VertexId;
+            masks[*cursor] = mask;
+            *cursor += 1;
+        }
+        LabelIndex {
+            offsets,
+            vertices,
+            masks,
+        }
     }
-    masks
+
+    /// One more than the largest label any bucket is kept for.
+    pub(crate) fn label_count(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Label `l`'s position range in `vertices` and `masks`; empty for labels
+    /// past the last bucket.
+    fn bucket(&self, l: usize) -> Range<usize> {
+        if l >= self.label_count() {
+            return 0..0;
+        }
+        self.offsets[l]..self.offsets[l + 1]
+    }
+
+    /// This index extended to `label_count` buckets (at least its own count,
+    /// above every new label) by vertices `first_new..` carrying `new_labels`.
+    /// A bucket lists its vertices by ascending id and new vertices have the
+    /// largest ids, so each new bucket is the old one followed by the new
+    /// vertices of that label, their masks 0 until [`LabelIndex::set_mask`]
+    /// fills them. Without new vertices the result is a copy.
+    pub(crate) fn extended(
+        &self,
+        first_new: usize,
+        new_labels: &[Label],
+        label_count: usize,
+    ) -> Self {
+        if new_labels.is_empty() {
+            return self.clone();
+        }
+        let mut added: Vec<(Label, VertexId)> = new_labels
+            .iter()
+            .enumerate()
+            .map(|(i, &l)| (l, (first_new + i) as VertexId))
+            .collect();
+        added.sort_unstable();
+        let new_n = self.vertices.len() + added.len();
+        let mut added = added.into_iter().peekable();
+        let mut offsets = Vec::with_capacity(label_count + 1);
+        let mut vertices = Vec::with_capacity(new_n);
+        let mut masks = Vec::with_capacity(new_n);
+        offsets.push(0);
+        for l in 0..label_count {
+            let bucket = self.bucket(l);
+            vertices.extend_from_slice(&self.vertices[bucket.clone()]);
+            masks.extend_from_slice(&self.masks[bucket]);
+            while let Some((_, v)) = added.next_if(|&(al, _)| al as usize == l) {
+                vertices.push(v);
+                masks.push(0);
+            }
+            offsets.push(vertices.len());
+        }
+        LabelIndex {
+            offsets,
+            vertices,
+            masks,
+        }
+    }
+
+    /// Sets the mask of vertex `v`, which carries label `l`: a binary search in
+    /// `l`'s bucket.
+    pub(crate) fn set_mask(&mut self, v: VertexId, l: Label, mask: u64) {
+        let bucket = self.bucket(l as usize);
+        let slot = bucket.start + self.vertices[bucket].partition_point(|&w| w < v);
+        self.masks[slot] = mask;
+    }
 }
 
 #[cfg(test)]
@@ -431,7 +531,9 @@ mod tests {
         let (_q, data) = fixtures::paper_example();
         let prepared = PreparedData::new(data.clone());
         for v in data.vertices() {
-            let dense = data.neighborhood_label_frequency(v);
+            let dense: Vec<u32> = (0..data.label_count() as Label)
+                .map(|l| data.labeled_degree(v, l) as u32)
+                .collect();
             let (labels, counts) = prepared.signature(v);
             // Sparse slices are sorted, distinct, and agree with the dense profile.
             assert!(labels.windows(2).all(|w| w[0] < w[1]));
@@ -449,9 +551,8 @@ mod tests {
         let (_q, data) = fixtures::paper_example();
         let prepared = PreparedData::new(data.clone());
         for v in data.vertices() {
-            let dense = data.neighborhood_label_frequency(v);
             for l in 0..data.label_count() as Label {
-                let have = dense[l as usize];
+                let have = data.labeled_degree(v, l) as u32;
                 if have > 0 {
                     assert!(prepared.signature_covers(v, &[l], &[have]));
                 }
@@ -469,12 +570,24 @@ mod tests {
     }
 
     #[test]
+    fn label_index() {
+        let prepared =
+            PreparedData::new(graph_from_edges(&[0, 1, 0, 1], &[(0, 1), (1, 2), (2, 3)]));
+        assert_eq!(prepared.label_bucket(0).0, &[0, 2]);
+        assert_eq!(prepared.label_bucket(1).0, &[1, 3]);
+        assert_eq!(prepared.label_bucket(9), (&[] as &[u32], &[] as &[u64]));
+        assert_eq!(prepared.label_bucket(Label::MAX).0, &[] as &[u32]);
+    }
+
+    #[test]
     fn label_masks_follow_the_label_index() {
         let (_q, data) = fixtures::paper_example();
         let prepared = PreparedData::new(data.clone());
         for l in 0..data.label_count() as Label + 2 {
             let (ids, masks) = prepared.label_bucket(l);
-            assert_eq!(ids, data.vertices_with_label(l));
+            let with_label: Vec<VertexId> =
+                data.vertices().filter(|&v| data.label(v) == l).collect();
+            assert_eq!(ids, with_label);
             assert_eq!(masks.len(), ids.len());
             for (&v, &mask) in ids.iter().zip(masks) {
                 let expected = data
@@ -486,6 +599,24 @@ mod tests {
         }
         assert_eq!(PreparedData::label_bit(3), PreparedData::label_bit(67));
         assert_eq!(PreparedData::label_bit(63), 1 << 63);
+    }
+
+    #[test]
+    fn nlf_profile_is_sparse_in_the_label_values() {
+        let query = graph_from_edges(&[0, Label::MAX], &[(0, 1)]);
+        let profile = NlfProfile::of(&query, 0);
+        assert_eq!(profile.labels(), &[Label::MAX]);
+        assert_eq!(profile.counts(), &[1]);
+        assert_eq!(profile.mask(), PreparedData::label_bit(Label::MAX));
+        let (_q, data) = fixtures::paper_example();
+        assert!(profile.unsatisfiable_in(&PreparedData::new(data)));
+        // Repeated neighbor labels run-length encode, sorted ascending.
+        let star = graph_from_edges(&[0, 2, 1, 2], &[(0, 1), (0, 2), (0, 3)]);
+        let profile = NlfProfile::of(&star, 0);
+        assert_eq!(
+            (profile.labels(), profile.counts()),
+            (&[1, 2][..], &[1, 2][..])
+        );
     }
 
     #[test]

@@ -27,9 +27,11 @@ fn limits() -> SearchLimits {
 }
 
 fn most_common_labels(data: &Graph, k: usize) -> Vec<u32> {
-    let mut freq: Vec<(usize, u32)> = (0..data.label_count() as u32)
-        .map(|l| (data.label_frequency(l), l))
-        .collect();
+    let mut counts = vec![0usize; data.label_count()];
+    for &l in data.labels() {
+        counts[l as usize] += 1;
+    }
+    let mut freq: Vec<(usize, u32)> = counts.into_iter().zip(0..).collect();
     freq.sort_unstable_by(|a, b| b.cmp(a));
     freq.into_iter().take(k).map(|(_, l)| l).collect()
 }

@@ -72,22 +72,26 @@ struct Options {
 }
 
 fn usage() -> String {
+    // One literal per line: a `\n\` continuation would strip the indentation.
     format!(
-        "usage: gup-match (--data <file> | --index <file>) --query <file> [--query <file> ...]\n\
-     options:\n\
-       --method <{}>   matcher to run (default: gup)\n\
-       --index <file>         load a saved prepared index instead of a --data graph\n\
-       --save-index <file>    persist the prepared index after building it (with no\n\
-                              --query this prepares, saves, and exits)\n\
-       --queries <manifest>   newline-separated file of query paths (batch mode)\n\
-       --limit <n>            stop after n embeddings (default: 100000; 0 = unlimited)\n\
-       --timeout-ms <n>       per-query time limit in milliseconds, must be positive\n\
-                              (default: none)\n\
-       --threads <n>          worker threads for the GuP methods (default: 1)\n\
-       --count-only           count embeddings without materializing any\n\
-       --first-k <k>          stop after the first k embeddings and print them\n\
-       --print-embeddings     print every embedding\n\
-       --help                 show this message",
+        concat!(
+            "usage: gup-match (--data <file> | --index <file>) --query <file> [--query <file> ...]\n",
+            "options:\n",
+            "  --method <{}>\n",
+            "                         matcher to run (default: gup)\n",
+            "  --index <file>         load a saved prepared index instead of a --data graph\n",
+            "  --save-index <file>    persist the prepared index after building it (with no\n",
+            "                         --query this prepares, saves, and exits)\n",
+            "  --queries <manifest>   newline-separated file of query paths (batch mode)\n",
+            "  --limit <n>            stop after n embeddings (default: 100000; 0 = unlimited)\n",
+            "  --timeout-ms <n>       per-query time limit in milliseconds, must be positive\n",
+            "                         (default: none)\n",
+            "  --threads <n>          worker threads for the GuP methods (default: 1)\n",
+            "  --count-only           count embeddings without materializing any\n",
+            "  --first-k <k>          stop after the first k embeddings and print them\n",
+            "  --print-embeddings     print every embedding\n",
+            "  --help                 show this message",
+        ),
         method_names("|")
     )
 }

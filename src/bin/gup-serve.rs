@@ -29,16 +29,19 @@ struct Options {
 }
 
 fn usage() -> &'static str {
-    "usage: gup-serve --data <file> [options]\n\
-     options:\n\
-       --listen <addr>     address to bind (default: 127.0.0.1:7878; port 0 = ephemeral)\n\
-       --workers <n>       search worker threads (default: 4)\n\
-       --queue <n>         waiting-job capacity before requests get 'busy' (default: 16)\n\
-       --timeout-ms <n>    default per-request time budget in milliseconds, must be\n\
-                           positive (default: none; requests may set their own)\n\
-       --threads <n>       default GuP threads per query (default: 1)\n\
-       --cache <n>         result-cache capacity in entries (default: 1024; 0 disables)\n\
-       --help              show this message"
+    // One literal per line: a `\n\` continuation would strip the indentation.
+    concat!(
+        "usage: gup-serve --data <file> [options]\n",
+        "options:\n",
+        "  --listen <addr>     address to bind (default: 127.0.0.1:7878; port 0 = ephemeral)\n",
+        "  --workers <n>       search worker threads (default: 4)\n",
+        "  --queue <n>         waiting-job capacity before requests get 'busy' (default: 16)\n",
+        "  --timeout-ms <n>    default per-request time budget in milliseconds, must be\n",
+        "                      positive (default: none; requests may set their own)\n",
+        "  --threads <n>       default GuP threads per query (default: 1)\n",
+        "  --cache <n>         result-cache capacity in entries (default: 1024; 0 disables)\n",
+        "  --help              show this message",
+    )
 }
 
 fn parse_args(args: &[String]) -> Result<Options, String> {

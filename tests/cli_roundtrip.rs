@@ -430,3 +430,20 @@ fn matchers_work_on_graphs_loaded_from_disk() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// `--help` exits 0, and every line of its options section is indented, so a
+/// wrapped description cannot read as an option of its own.
+#[test]
+fn gup_match_help_indents_every_option_line() {
+    let output = std::process::Command::new(env!("CARGO_BIN_EXE_gup-match"))
+        .arg("--help")
+        .output()
+        .expect("failed to spawn gup-match");
+    assert!(output.status.success());
+    let text = String::from_utf8_lossy(&output.stderr);
+    let (_, options) = text.split_once("\noptions:\n").expect("an options section");
+    assert!(options.lines().count() > 5, "{text}");
+    for line in options.lines() {
+        assert!(line.starts_with(' '), "unindented help line {line:?}");
+    }
+}

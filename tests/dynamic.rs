@@ -356,7 +356,7 @@ fn vertex_only_batches_equal_cold_rebuild() {
         ],
         "existing labels",
     );
-    assert_eq!(next.graph().vertices_with_label(1).last(), Some(&(n + 2)));
+    assert_eq!(next.label_bucket(1).0.last(), Some(&(n + 2)));
     let next = apply_checked(
         &base,
         &[

@@ -138,7 +138,7 @@ fn empty_output_instance(n: usize) -> (Graph, Graph) {
 fn empty_output_filter_bytes(n: usize) -> u64 {
     let (query, data) = empty_output_instance(n);
     let prepared = PreparedData::new(data);
-    assert_eq!(prepared.graph().vertices_with_label(0).len(), n);
+    assert_eq!(prepared.label_bucket(0).0.len(), n);
     let before = allocated_bytes();
     let candidates = nlf_candidates_prepared(&query, &prepared, 0);
     let spent = allocated_bytes() - before;

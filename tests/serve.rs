@@ -349,6 +349,37 @@ fn oversized_graph_headers_are_rejected_before_allocating() {
 }
 
 #[test]
+fn query_labels_near_u32_max_allocate_nothing_by_label() {
+    let (_query, data) = fixtures::paper_example();
+    let server = ServerHandle::spawn("huge_label", &data, &[]);
+    let mut client = Client::connect(server.addr);
+    // A query's labels size nothing: a label index sized by label 4294967295
+    // would be a 32 GiB array, an allocation failure that aborts the process.
+    // No data vertex carries the label, so each query has no embedding.
+    for body in [
+        "t 1 0\nv 0 4294967295\n",
+        "t 2 1\nv 0 0\nv 1 4294967295\ne 0 1\n",
+    ] {
+        for command in ["query count", "query first 1", "watch"] {
+            client.send(&format!("{command}\n{body}end\n"));
+            let reply = client.read_line();
+            if command == "watch" {
+                assert!(reply.starts_with("ok watch id="), "{command}: {reply}");
+            } else {
+                assert!(reply.starts_with("ok embeddings=0 "), "{command}: {reply}");
+            }
+            if command == "query first 1" {
+                assert_eq!(client.read_line(), "end", "{command}");
+            }
+            client.send("healthz\n");
+            let health = client.read_line();
+            assert!(health.starts_with("ok uptime-ms="), "{command}: {health}");
+        }
+    }
+    server.shutdown();
+}
+
+#[test]
 fn result_cache_serves_repeats_and_reload_invalidates_it() {
     // One label-0–label-1 edge query; the two data graphs give different counts,
     // so a stale cache entry surviving `reload` would be caught immediately.
@@ -523,4 +554,21 @@ fn bad_server_usage_is_rejected() {
         .output()
         .expect("failed to spawn gup-serve");
     assert!(!output.status.success());
+}
+
+/// `--help` exits 0, and every line of its options section is indented, so a
+/// wrapped description cannot read as an option of its own.
+#[test]
+fn help_indents_every_option_line() {
+    let output = Command::new(env!("CARGO_BIN_EXE_gup-serve"))
+        .arg("--help")
+        .output()
+        .expect("failed to spawn gup-serve");
+    assert!(output.status.success());
+    let text = String::from_utf8_lossy(&output.stderr);
+    let (_, options) = text.split_once("\noptions:\n").expect("an options section");
+    assert!(options.lines().count() > 5, "{text}");
+    for line in options.lines() {
+        assert!(line.starts_with(' '), "unindented help line {line:?}");
+    }
 }

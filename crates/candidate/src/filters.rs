@@ -17,11 +17,18 @@
 //! required counts sum to `deg(u)`), so no separate LDF pass runs;
 //! [`ldf_candidates`] stays as the reference the tests compare against.
 //!
+//! The candidate space scans one bucket per query this way, its root's. Other
+//! query vertices usually take the same NLF test over a smaller source instead
+//! (`nlf_candidates_adjacent_sampled`): the data neighbors of an already-built
+//! query neighbor's candidates, which is the NLF set cut down to the vertices
+//! adjacent to those candidates.
+//!
 //! `NlfProfile` is defined in `gup_graph`, next to the signature test it is
 //! checked against, and re-exported here: the standing-query planner in
 //! `gup-stream`, which does not depend on this crate, builds the same requirement.
 
 use gup_graph::deadline::{DeadlineExceeded, DeadlineSampler};
+use gup_graph::scratch::VertexMap;
 use gup_graph::{Graph, NlfProfile, PreparedData, VertexId};
 
 /// Computes the LDF candidate set of query vertex `u` (sorted by data-vertex id)
@@ -77,6 +84,42 @@ pub fn nlf_candidates_prepared_sampled(
             out.push(v);
         }
     }
+    Ok(out)
+}
+
+/// The vertices of [`nlf_candidates_prepared`]`(query, prepared, u)` that are
+/// adjacent to some vertex of `from`, sorted by id: every data neighbor of
+/// `from` with `u`'s label that passes the NLF test. `seen` (cleared first)
+/// tests each such neighbor once; `sampler` ticks once per vertex of `from`,
+/// each of which scans one neighbor list.
+pub(crate) fn nlf_candidates_adjacent_sampled(
+    query: &Graph,
+    prepared: &PreparedData,
+    u: VertexId,
+    from: &[VertexId],
+    seen: &mut VertexMap,
+    sampler: &mut DeadlineSampler,
+) -> Result<Vec<VertexId>, DeadlineExceeded> {
+    let profile = NlfProfile::of(query, u);
+    if profile.unsatisfiable_in(prepared) {
+        return Ok(Vec::new());
+    }
+    let data = prepared.graph();
+    let label = query.label(u);
+    seen.clear();
+    let mut out = Vec::new();
+    for &v in from {
+        sampler.tick()?;
+        for &w in data.neighbors(v) {
+            if data.label(w) == label && !seen.contains(w) {
+                seen.insert(w, 0);
+                if nlf_filter_prepared(&profile, prepared, w) {
+                    out.push(w);
+                }
+            }
+        }
+    }
+    out.sort_unstable();
     Ok(out)
 }
 

@@ -12,12 +12,15 @@
 //!   Ullmann) as the reference definition, and neighborhood label frequency
 //!   filtering (NLF) as one pass over a prepared data graph's label bucket: its
 //!   neighbor-label masks screen each vertex, and the signature arena decides the
-//!   mask hits.
+//!   mask hits. The same NLF test also runs over the data neighbors of a query
+//!   neighbor's candidates instead of a bucket.
 //! * [`dag`] — a query DAG (BFS-rooted at the most selective query vertex), the shape
 //!   over which the dynamic-programming refinement runs.
 //! * [`space`] — [`CandidateSpace`]: candidate-vertex sets `C(u_i)` for every query
-//!   vertex plus *candidate edges* between them, refined by DAG-graph-DP-style
-//!   bottom-up/top-down passes.
+//!   vertex plus *candidate edges* between them. DAF-style, one root scans its
+//!   label bucket and the other query vertices generate their candidates from a
+//!   built neighbor's candidates wherever that reads less than their bucket;
+//!   DAG-graph-DP-style bottom-up/top-down passes then refine the sets.
 //!
 //! ```
 //! use gup_graph::builder::graph_from_edges;

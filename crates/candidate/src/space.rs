@@ -4,24 +4,42 @@
 //! paper) that backtracking runs over. Construction, always against a prepared data
 //! graph:
 //!
-//! 1. initial candidates via NLF, which implies LDF: one pass over each query
-//!    vertex's label bucket in the [`PreparedData`], screening by neighbor-label
-//!    mask and deciding the mask hits by signature comparison,
+//! 1. initial candidates via NLF, which implies LDF, generated DAF-style from
+//!    one root. The root, the query vertex with the fewest label-bucket entries
+//!    per unit of degree, takes one pass over its label bucket in the
+//!    [`PreparedData`], screening by neighbor-label mask and deciding the mask
+//!    hits by signature comparison. Every other vertex, in BFS order from the
+//!    root, starts from its already-built neighbor `p` with the fewest
+//!    candidates: when the candidates of `p` have fewer data neighbors in total
+//!    than the vertex's bucket has entries, its candidates are those neighbors
+//!    that carry its label and pass NLF; otherwise it scans its bucket. An
+//!    embedding maps the vertex next to `p`'s image, which is a candidate of
+//!    `p`, so generation drops only candidates the first top-down refinement
+//!    sweep would drop. Without refinement (`refinement_passes == 0`, the
+//!    "NLF only" baseline), for one-vertex queries and for vertices the BFS
+//!    does not reach, every vertex scans its bucket,
 //! 2. DAG-graph-DP-style refinement: alternating bottom-up / top-down passes over a
-//!    query DAG remove candidates that cannot be extended towards every DAG child
-//!    (resp. parent),
+//!    query DAG, rooted by the step-1 sizes, remove candidates that cannot be
+//!    extended towards every DAG child (resp. parent),
 //! 3. materialization of candidate edges: for every query edge `(a, b)` and candidate
 //!    `v ∈ C(a)`, the list of candidates of `b` adjacent to `v` in the data graph,
 //!    stored as indices into `C(b)` so the matcher never touches a hash table in its
 //!    hot loop.
 //!
-//! Steps 2 and 3 index data vertices through one pooled
+//! Refinement run to convergence keeps the greatest subset of the NLF sets in
+//! which every candidate has a data neighbor among the candidates of each query
+//! neighbor, whether step 1 scanned or generated: generation keeps that subset
+//! and only removes what refinement would. So a generated space differs from a
+//! scanned one at most where the configured passes stop short of convergence.
+//!
+//! All three steps index data vertices through one pooled
 //! [`VertexMap`] (`gup_graph::scratch`), emptied by an epoch bump between uses, so
-//! after a thread's first query they cost in proportion to the candidate space,
-//! not to the data graph.
+//! after a thread's first query they cost in proportion to the candidate space
+//! and the one bucket scan, not to the data graph.
 
 use crate::dag::QueryDag;
-use crate::filters::nlf_candidates_prepared_sampled;
+use crate::filters::{nlf_candidates_adjacent_sampled, nlf_candidates_prepared_sampled};
+use gup_graph::algo::bfs_order;
 use gup_graph::deadline::{DeadlineExceeded, DeadlineSampler};
 use gup_graph::scratch::VertexMap;
 use gup_graph::{Graph, PreparedData, VertexId};
@@ -91,20 +109,20 @@ impl CandidateSpace {
         let data = prepared.graph();
         let mut sampler = DeadlineSampler::new(deadline);
         sampler.check()?;
-        // Step 1: per-vertex filters.
-        let mut candidates: Vec<Vec<VertexId>> = Vec::with_capacity(n);
-        for u in 0..n as VertexId {
-            candidates.push(nlf_candidates_prepared_sampled(
-                query,
-                prepared,
-                u,
-                &mut sampler,
-            )?);
-        }
+        let mut scratch = VertexMap::take(data.vertex_count());
+        let refine = n > 1 && config.refinement_passes > 0;
+        // Step 1: initial candidates, generated from one root's bucket scan
+        // when refinement follows.
+        let mut candidates = if refine {
+            generated_candidates(query, prepared, &mut scratch, &mut sampler)?
+        } else {
+            (0..n as VertexId)
+                .map(|u| nlf_candidates_prepared_sampled(query, prepared, u, &mut sampler))
+                .collect::<Result<Vec<_>, _>>()?
+        };
 
         // Step 2: DAG-graph-DP refinement.
-        let mut scratch = VertexMap::take(data.vertex_count());
-        if n > 1 && config.refinement_passes > 0 {
+        if refine {
             let sizes: Vec<usize> = candidates.iter().map(Vec::len).collect();
             let dag = QueryDag::with_selective_root(query, &sizes);
             for _ in 0..config.refinement_passes {
@@ -268,10 +286,17 @@ impl CandidateSpace {
     }
 
     /// Re-indexes the candidate space so that query vertex `order[i]` becomes vertex
-    /// `i`. Candidate contents are unchanged; only the query-vertex indexing moves.
+    /// `i`. Candidate contents are unchanged; only the query-vertex indexing moves,
+    /// and the candidate and adjacency lists move with it rather than being copied.
     /// `order` must be a permutation of `0..query_vertex_count`.
-    pub fn permuted(&self, order: &[VertexId]) -> CandidateSpace {
-        let n = self.query_vertex_count;
+    pub fn permuted(self, order: &[VertexId]) -> CandidateSpace {
+        let CandidateSpace {
+            query_vertex_count: n,
+            candidates: mut old_candidates,
+            edges: old_edges,
+            adjacency: old_adjacency,
+            ..
+        } = self;
         assert_eq!(order.len(), n, "order must be a permutation");
         let mut new_of_old = vec![usize::MAX; n];
         for (new_id, &old) in order.iter().enumerate() {
@@ -283,19 +308,18 @@ impl CandidateSpace {
         );
         let candidates: Vec<Vec<VertexId>> = order
             .iter()
-            .map(|&old| self.candidates[old as usize].clone())
+            .map(|&old| std::mem::take(&mut old_candidates[old as usize]))
             .collect();
-        let mut edges = Vec::with_capacity(self.edges.len());
-        let mut adjacency = Vec::with_capacity(self.edges.len());
+        let mut edges = Vec::with_capacity(old_edges.len());
+        let mut adjacency = Vec::with_capacity(old_edges.len());
         let mut edge_lookup = vec![0u32; n * n];
-        for (eid, &(old_a, old_b)) in self.edges.iter().enumerate() {
+        for (&(old_a, old_b), (fwd, bwd)) in old_edges.iter().zip(old_adjacency) {
             let na = new_of_old[old_a];
             let nb = new_of_old[old_b];
-            let (fwd, bwd) = &self.adjacency[eid];
             let (a, b, f, w) = if na < nb {
-                (na, nb, fwd.clone(), bwd.clone())
+                (na, nb, fwd, bwd)
             } else {
-                (nb, na, bwd.clone(), fwd.clone())
+                (nb, na, bwd, fwd)
             };
             let new_eid = edges.len();
             edges.push((a, b));
@@ -311,6 +335,62 @@ impl CandidateSpace {
             edge_lookup,
         }
     }
+}
+
+/// Step 1 of a refined build (see the [module docs](self)): the root scans its
+/// label bucket, every vertex the BFS from it reaches starts from its built
+/// neighbor with the fewest candidates, and unreached vertices scan. `seen` is
+/// the deduplication scratch of the expansions.
+fn generated_candidates(
+    query: &Graph,
+    prepared: &PreparedData,
+    seen: &mut VertexMap,
+    sampler: &mut DeadlineSampler,
+) -> Result<Vec<Vec<VertexId>>, DeadlineExceeded> {
+    let n = query.vertex_count();
+    let data = prepared.graph();
+    let bucket_len = |u: VertexId| prepared.label_bucket(query.label(u)).0.len();
+    // Fewest bucket entries per unit of degree, cross-multiplied; ties go to
+    // the lower id.
+    let root = (0..n as VertexId)
+        .min_by(|&a, &b| {
+            let weighted =
+                |x: VertexId, y: VertexId| bucket_len(x) as u128 * query.degree(y).max(1) as u128;
+            weighted(a, b).cmp(&weighted(b, a)).then(a.cmp(&b))
+        })
+        .unwrap_or(0);
+    let mut built: Vec<Option<Vec<VertexId>>> = vec![None; n];
+    for u in bfs_order(query, &[root]) {
+        let parent = query
+            .neighbors(u)
+            .iter()
+            .filter_map(|&p| built[p as usize].as_deref())
+            .min_by_key(|from| from.len());
+        let candidates = match parent {
+            Some(from) if adjacency_below(data, from, bucket_len(u)) => {
+                nlf_candidates_adjacent_sampled(query, prepared, u, from, seen, sampler)?
+            }
+            _ => nlf_candidates_prepared_sampled(query, prepared, u, sampler)?,
+        };
+        built[u as usize] = Some(candidates);
+    }
+    (0..n as VertexId)
+        .zip(built)
+        .map(|(u, candidates)| match candidates {
+            Some(candidates) => Ok(candidates),
+            None => nlf_candidates_prepared_sampled(query, prepared, u, sampler),
+        })
+        .collect()
+}
+
+/// `true` when the vertices of `from` have fewer than `limit` neighbors in
+/// total; the sum stops as soon as it reaches `limit`.
+fn adjacency_below(data: &Graph, from: &[VertexId], limit: usize) -> bool {
+    let mut total = 0usize;
+    from.iter().all(|&v| {
+        total += data.degree(v);
+        total < limit
+    })
 }
 
 #[derive(Clone, Copy, PartialEq)]
@@ -486,7 +566,7 @@ mod tests {
         let d = square_data();
         let cs = build(&q, &d, &FilterConfig::default());
         let order = [2u32, 0, 1];
-        let p = cs.permuted(&order);
+        let p = cs.clone().permuted(&order);
         // New vertex 0 is old vertex 2.
         assert_eq!(p.candidates(0), cs.candidates(2));
         assert_eq!(p.candidates(1), cs.candidates(0));

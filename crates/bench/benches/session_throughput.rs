@@ -16,6 +16,13 @@
 //! seed-pinned 8-vertex random-walk queries counted under limit 1000. The answers
 //! stay tiny at both sizes, so the ratio of the two times is how much a query's
 //! cost grows with |V_D| rather than with its candidate space.
+//!
+//! And `serve_shape_30k`, the shape of gupbench's serve-stream queries: its
+//! 30k-vertex power-law graph (4 edges per vertex, 15 labels, the other
+//! `PowerLawConfig` defaults, generator seed 2023) with 32 seed-pinned 8-vertex
+//! random-walk queries counted under limit 1000. Each query's guarded candidate
+//! space holds thousands of candidates, so this is the probe of what building,
+//! searching and dropping a large GCS costs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gup::session::Session;
@@ -126,6 +133,22 @@ fn bench_session_throughput(c: &mut Criterion) {
         assert_eq!(queries.len(), 50, "the walk generator fell short");
         bench_instance(c, group_name, &data, &queries, 1000);
     }
+
+    // Serve-stream shape: few labels, thousands of candidates per query.
+    let data = power_law_graph(&PowerLawConfig {
+        vertices: 30_000,
+        edges_per_vertex: 4,
+        labels: 15,
+        seed: 2023,
+        ..PowerLawConfig::default()
+    });
+    let mut rng = SmallRng::seed_from_u64(2023);
+    let queries: Vec<Graph> = (0..5000)
+        .filter_map(|_| random_walk_query(&data, 8, &mut rng))
+        .take(32)
+        .collect();
+    assert_eq!(queries.len(), 32, "the walk generator fell short");
+    bench_instance(c, "serve_shape_30k", &data, &queries, 1000);
 }
 
 criterion_group!(benches, bench_session_throughput);

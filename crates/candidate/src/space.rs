@@ -23,8 +23,12 @@
 //!    extended towards every DAG child (resp. parent),
 //! 3. materialization of candidate edges: for every query edge `(a, b)` and candidate
 //!    `v ∈ C(a)`, the list of candidates of `b` adjacent to `v` in the data graph,
-//!    stored as indices into `C(b)` so the matcher never touches a hash table in its
-//!    hot loop.
+//!    stored as ascending indices into `C(b)` so the matcher never touches a hash
+//!    table in its hot loop. Each query edge keeps its lists as one forward CSR
+//!    (offsets over `C(a)`, targets into `C(b)`) and the backward CSR over `C(b)`,
+//!    built from the forward one by a counting pass that leaves every list
+//!    ascending; so a space is a fixed number of arrays per query vertex and per
+//!    query edge, not one per candidate.
 //!
 //! Refinement run to convergence keeps the greatest subset of the NLF sets in
 //! which every candidate has a data neighbor among the candidates of each query
@@ -61,9 +65,58 @@ impl Default for FilterConfig {
     }
 }
 
-/// Per-query-edge candidate adjacency: forward lists (indices into the candidates
-/// of the edge's higher endpoint, per candidate of the lower one) and the reverse.
-type EdgeAdjacency = (Vec<Vec<u32>>, Vec<Vec<u32>>);
+/// Adjacency lists in compressed sparse row form: list `i` is
+/// `targets[offsets[i]..offsets[i + 1]]`.
+#[derive(Clone, Debug)]
+struct Csr {
+    offsets: Vec<usize>,
+    targets: Vec<u32>,
+}
+
+impl Csr {
+    #[inline]
+    fn list(&self, i: usize) -> &[u32] {
+        &self.targets[self.offsets[i]..self.offsets[i + 1]]
+    }
+
+    /// The transpose over `columns` targets: list `j` holds every `i` whose list
+    /// holds `j`, in ascending order, since rows are placed in ascending order.
+    fn transpose(&self, columns: usize) -> Csr {
+        let mut offsets = vec![0usize; columns + 1];
+        for &j in &self.targets {
+            offsets[j as usize + 1] += 1;
+        }
+        for j in 0..columns {
+            offsets[j + 1] += offsets[j];
+        }
+        // `offsets[j]` is list `j`'s insertion cursor; once placed, it holds
+        // the start of list `j + 1`, so shifting by one restores the starts.
+        let mut targets = vec![0u32; self.targets.len()];
+        for i in 0..self.offsets.len() - 1 {
+            for &j in self.list(i) {
+                targets[offsets[j as usize]] = i as u32;
+                offsets[j as usize] += 1;
+            }
+        }
+        offsets.copy_within(0..columns, 1);
+        offsets[0] = 0;
+        Csr { offsets, targets }
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.offsets.capacity() * std::mem::size_of::<usize>()
+            + self.targets.capacity() * std::mem::size_of::<u32>()
+    }
+}
+
+/// The candidate edges of one query edge `(a, b)`, `a < b`: `forward` lists, per
+/// candidate of `a`, the ascending indices into `C(b)` of its adjacent candidates,
+/// and `backward` is its transpose over `C(b)`.
+#[derive(Clone, Debug)]
+struct EdgeAdjacency {
+    forward: Csr,
+    backward: Csr,
+}
 
 /// Candidate-vertex sets and candidate edges for a (query, data) pair.
 ///
@@ -78,8 +131,9 @@ pub struct CandidateSpace {
     /// Query edges `(a, b)` with `a < b`, in a fixed order; `edge_id[(a, b)]` is the
     /// index into `adjacency`.
     edges: Vec<(usize, usize)>,
-    /// `adjacency[e].0[ia]` = indices (into `candidates[b]`) of candidates of `b`
-    /// adjacent to `candidates[a][ia]`; `adjacency[e].1` is the reverse direction.
+    /// `adjacency[e].forward.list(ia)` = indices (into `candidates[b]`) of
+    /// candidates of `b` adjacent to `candidates[a][ia]`; `backward` is the reverse
+    /// direction.
     adjacency: Vec<EdgeAdjacency>,
     /// Dense lookup: `edge_lookup[a * n + b]` = edge id + 1, or 0 if `(a, b)` is not a
     /// query edge.
@@ -164,21 +218,19 @@ impl CandidateSpace {
             for (ib, &vb) in candidates[b].iter().enumerate() {
                 scratch.insert(vb, ib as u32);
             }
-            let mut forward: Vec<Vec<u32>> = vec![Vec::new(); candidates[a].len()];
-            let mut backward: Vec<Vec<u32>> = vec![Vec::new(); candidates[b].len()];
-            for (ia, &va) in candidates[a].iter().enumerate() {
+            // Neighbor lists and `candidates[b]` both ascend by vertex id, so
+            // every forward list ascends.
+            let mut offsets = Vec::with_capacity(candidates[a].len() + 1);
+            let mut targets = Vec::new();
+            offsets.push(0);
+            for &va in &candidates[a] {
                 sampler.tick()?;
-                for &w in data.neighbors(va) {
-                    if let Some(ib) = scratch.get(w) {
-                        forward[ia].push(ib);
-                        backward[ib as usize].push(ia as u32);
-                    }
-                }
+                targets.extend(data.neighbors(va).iter().filter_map(|&w| scratch.get(w)));
+                offsets.push(targets.len());
             }
-            for list in backward.iter_mut() {
-                list.sort_unstable();
-            }
-            adjacency.push((forward, backward));
+            let forward = Csr { offsets, targets };
+            let backward = forward.transpose(candidates[b].len());
+            adjacency.push(EdgeAdjacency { forward, backward });
         }
         Ok(CandidateSpace {
             query_vertex_count: n,
@@ -220,7 +272,7 @@ impl CandidateSpace {
     pub fn total_candidate_edges(&self) -> usize {
         self.adjacency
             .iter()
-            .map(|(fwd, _)| fwd.iter().map(Vec::len).sum::<usize>())
+            .map(|adj| adj.forward.targets.len())
             .sum()
     }
 
@@ -234,9 +286,9 @@ impl CandidateSpace {
         let eid = (eid - 1) as usize;
         let (qa, _qb) = self.edges[eid];
         if qa == a {
-            &self.adjacency[eid].0[index_in_a]
+            self.adjacency[eid].forward.list(index_in_a)
         } else {
-            &self.adjacency[eid].1[index_in_a]
+            self.adjacency[eid].backward.list(index_in_a)
         }
     }
 
@@ -259,11 +311,21 @@ impl CandidateSpace {
 
     /// For candidate edge `eid` between query vertices `(a, b)` with `a < b`: the
     /// candidate indices of `b` adjacent to candidate `index_in_a` of `a`, in the same
-    /// order as [`CandidateSpace::adjacent_candidates`] returns them. Guard structures
-    /// that parallel the adjacency lists are sized/indexed with this accessor.
+    /// order as [`CandidateSpace::adjacent_candidates`] returns them.
     #[inline]
     pub fn forward_adjacency(&self, eid: usize, index_in_a: usize) -> &[u32] {
-        &self.adjacency[eid].0[index_in_a]
+        self.adjacency[eid].forward.list(index_in_a)
+    }
+
+    /// Where the forward list of candidate `index_in_a` starts among all forward
+    /// candidate edges of `eid`: position `p` of
+    /// [`CandidateSpace::forward_adjacency`]`(eid, index_in_a)` is candidate edge
+    /// `forward_start(eid, index_in_a) + p` of the query edge. `index_in_a` may be
+    /// `|C(a)|`, which gives the query edge's number of candidate edges. Guard
+    /// structures that parallel the candidate edges are sized and indexed with it.
+    #[inline]
+    pub fn forward_start(&self, eid: usize, index_in_a: usize) -> usize {
+        self.adjacency[eid].forward.offsets[index_in_a]
     }
 
     /// Approximate heap footprint of the candidate space in bytes.
@@ -276,11 +338,7 @@ impl CandidateSpace {
         let adj: usize = self
             .adjacency
             .iter()
-            .map(|(f, b)| {
-                f.iter().map(|l| l.capacity() * 4).sum::<usize>()
-                    + b.iter().map(|l| l.capacity() * 4).sum::<usize>()
-                    + (f.capacity() + b.capacity()) * std::mem::size_of::<Vec<u32>>()
-            })
+            .map(|adj| adj.forward.heap_bytes() + adj.backward.heap_bytes())
             .sum();
         cand + adj + self.edge_lookup.capacity() * 4
     }
@@ -313,19 +371,20 @@ impl CandidateSpace {
         let mut edges = Vec::with_capacity(old_edges.len());
         let mut adjacency = Vec::with_capacity(old_edges.len());
         let mut edge_lookup = vec![0u32; n * n];
-        for (&(old_a, old_b), (fwd, bwd)) in old_edges.iter().zip(old_adjacency) {
+        for (&(old_a, old_b), mut adj) in old_edges.iter().zip(old_adjacency) {
             let na = new_of_old[old_a];
             let nb = new_of_old[old_b];
-            let (a, b, f, w) = if na < nb {
-                (na, nb, fwd, bwd)
+            let (a, b) = if na < nb {
+                (na, nb)
             } else {
-                (nb, na, bwd, fwd)
+                std::mem::swap(&mut adj.forward, &mut adj.backward);
+                (nb, na)
             };
             let new_eid = edges.len();
             edges.push((a, b));
             edge_lookup[a * n + b] = new_eid as u32 + 1;
             edge_lookup[b * n + a] = new_eid as u32 + 1;
-            adjacency.push((f, w));
+            adjacency.push(adj);
         }
         CandidateSpace {
             query_vertex_count: n,
@@ -485,27 +544,44 @@ mod tests {
         assert_eq!(cs.total_candidates(), 6);
     }
 
+    /// The ascending indices of the candidates of `b` adjacent to `v` in `d`.
+    fn adjacent_indices(cs: &CandidateSpace, d: &Graph, v: VertexId, b: usize) -> Vec<u32> {
+        (0..cs.candidates(b).len() as u32)
+            .filter(|&i| d.has_edge(v, cs.candidates(b)[i as usize]))
+            .collect()
+    }
+
     #[test]
     fn adjacency_lists_are_consistent_with_data_edges() {
         let q = triangle_query();
         let d = square_data();
         let cs = build(&q, &d, &FilterConfig::default());
-        for (a, b) in q.edges() {
-            let (a, b) = (a as usize, b as usize);
+        let mut pairs = 0;
+        for (eid, &(a, b)) in cs.edge_list().iter().enumerate() {
+            // Each forward list is exactly the ascending indices of the adjacent
+            // candidates of `b`, and the lists lie back to back.
+            let mut start = 0;
             for (ia, &va) in cs.candidates(a).iter().enumerate() {
-                for &ib in cs.adjacent_candidates(a, ia, b) {
-                    let vb = cs.candidates(b)[ib as usize];
-                    assert!(d.has_edge(va, vb), "candidate edge must be a data edge");
-                }
+                let expected = adjacent_indices(&cs, &d, va, b);
+                assert_eq!(cs.adjacent_candidates(a, ia, b), expected);
+                assert_eq!(cs.forward_adjacency(eid, ia), expected);
+                assert_eq!(cs.forward_start(eid, ia), start);
+                start += expected.len();
             }
-            // Reverse direction must agree.
+            assert_eq!(cs.forward_start(eid, cs.candidates(a).len()), start);
+            pairs += start;
+            // The backward lists are its transpose, ascending as well.
             for (ib, &vb) in cs.candidates(b).iter().enumerate() {
-                for &ia in cs.adjacent_candidates(b, ib, a) {
-                    let va = cs.candidates(a)[ia as usize];
-                    assert!(d.has_edge(va, vb));
-                }
+                assert_eq!(
+                    cs.adjacent_candidates(b, ib, a),
+                    adjacent_indices(&cs, &d, vb, a)
+                );
             }
         }
+        // Query edges (0, 1) and (1, 2) each have the square's 4 sides; (0, 2)
+        // has the diagonal in both directions.
+        assert_eq!(pairs, 10);
+        assert_eq!(cs.total_candidate_edges(), pairs);
     }
 
     #[test]

@@ -5,15 +5,19 @@
 //! * the query renumbered into the matching order ([`OrderedQuery`]),
 //! * the candidate space (candidate vertices + candidate edges), re-indexed into the
 //!   same order,
-//! * the reservation guards generated ahead of the search (none when the
-//!   configuration turns them off), and
+//! * the reservation guards generated ahead of the search, one
+//!   [`ReservationTable`] for the whole query (empty when the configuration turns
+//!   them off), and
 //! * the (initially empty) nogood-guard stores that the search fills on the fly.
+//!
+//! Every part is a fixed number of arrays per query vertex, per query edge and per
+//! query, so building and dropping a GCS does not allocate per candidate.
 //!
 //! Construction covers steps (1) and (2) of the paper's pipeline; step (3), the search
 //! itself, lives in [`crate::search`].
 
 use crate::config::GupConfig;
-use crate::guards::{EdgeGuardStore, ReservationGuard, VertexGuardStore};
+use crate::guards::{EdgeGuardStore, ReservationTable, VertexGuardStore};
 use crate::reservation::{generate_reservation_guards, reservation_heap_bytes};
 use crate::stats::MemoryReport;
 use gup_candidate::CandidateSpace;
@@ -27,7 +31,7 @@ use gup_graph::{Graph, PreparedData, QueryGraph, VertexId};
 pub struct Gcs<const W: usize = 1> {
     query: OrderedQuery<W>,
     space: CandidateSpace,
-    reservations: Vec<Vec<ReservationGuard>>,
+    reservations: ReservationTable,
     data_vertex_count: usize,
 }
 
@@ -76,7 +80,7 @@ impl<const W: usize> Gcs<W> {
                 config.reservation_size_limit,
             )
         } else {
-            Vec::new()
+            ReservationTable::default()
         };
         Ok(Gcs {
             query: ordered,
@@ -104,17 +108,18 @@ impl<const W: usize> Gcs<W> {
         self.data_vertex_count
     }
 
-    /// The reservation guard attached to candidate `cand_index` of query vertex `u`.
-    /// Only a GCS built with reservation guards on holds any.
+    /// The reservation guard attached to candidate `cand_index` of query vertex `u`:
+    /// its member data vertices, sorted. Only a GCS built with reservation guards on
+    /// holds any.
     #[inline]
-    pub fn reservation(&self, u: usize, cand_index: u32) -> &ReservationGuard {
-        &self.reservations[u][cand_index as usize]
+    pub fn reservation(&self, u: usize, cand_index: u32) -> &[VertexId] {
+        self.reservations.get(u, cand_index)
     }
 
     /// All reservation guards (used by tests and the memory report); empty when
     /// the GCS was built with reservation guards off.
     #[inline]
-    pub fn reservations(&self) -> &[Vec<ReservationGuard>] {
+    pub fn reservations(&self) -> &ReservationTable {
         &self.reservations
     }
 
@@ -129,20 +134,17 @@ impl<const W: usize> Gcs<W> {
         VertexGuardStore::new(&self.space.candidate_sizes())
     }
 
-    /// Creates an empty nogood-guard store for candidate edges, shaped after this GCS.
+    /// Creates an empty nogood-guard store for candidate edges, shaped after this GCS:
+    /// one slot per forward candidate edge of each query edge.
     pub fn new_edge_guard_store(&self) -> EdgeGuardStore<W> {
-        let shape: Vec<Vec<usize>> = self
-            .space
-            .edge_list()
-            .iter()
-            .enumerate()
-            .map(|(eid, &(a, _b))| {
-                (0..self.space.candidates(a).len())
-                    .map(|ca| self.space.forward_adjacency(eid, ca).len())
-                    .collect()
-            })
-            .collect();
-        EdgeGuardStore::new(shape)
+        let space = &self.space;
+        EdgeGuardStore::new(
+            space
+                .edge_list()
+                .iter()
+                .enumerate()
+                .map(|(eid, &(a, _b))| space.forward_start(eid, space.candidates(a).len())),
+        )
     }
 
     /// Memory breakdown of the GCS plus the given (possibly searched-over) nogood
@@ -194,9 +196,12 @@ mod tests {
         assert_eq!(gcs.query().vertex_count(), 5);
         assert!(!gcs.is_empty());
         assert_eq!(gcs.data_vertex_count(), 14);
-        // Every query vertex has a reservation guard per candidate.
+        // Every candidate has a reservation guard.
+        assert_eq!(gcs.reservations().len(), gcs.space().total_candidates());
         for u in 0..5 {
-            assert_eq!(gcs.reservations()[u].len(), gcs.space().candidates(u).len());
+            for ci in 0..gcs.space().candidates(u).len() as u32 {
+                assert!(gcs.reservation(u, ci).len() <= 3);
+            }
         }
     }
 
@@ -235,7 +240,7 @@ mod tests {
             ..GupConfig::default()
         };
         let gcs = paper_gcs(&cfg);
-        assert_eq!(gcs.reservations().len(), 5);
+        assert_eq!(gcs.reservations().len(), gcs.space().total_candidates());
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //!
 //! A **reservation guard** `R(u_i, v)` is a small set of data vertices (at most `r`,
 //! default 3) that any subembedding rooted at the candidate vertex `(u_i, v)` must use
-//! (Definition 3.3). It is generated once, before the search.
+//! (Definition 3.3). It is generated once, before the search, and every guard of a
+//! query lives in one [`ReservationTable`]: an arena of members with one offset per
+//! candidate.
 //!
 //! A **nogood guard** is discovered during the search. Definition 3.15/3.16 describe it
 //! as a set of assignments; storing it literally would make the matching test
@@ -11,6 +13,9 @@
 //! a node of the search tree, and the guard is stored as the triple
 //! `(node id, length, domain bitset)`. A partial embedding matches the guard iff the
 //! entry at index `length` of its ancestor array equals `node id` — an O(1) test.
+//! Nogood guards live in one slot array per query vertex ([`VertexGuardStore`]) and
+//! one per query edge ([`EdgeGuardStore`]), so no guard structure allocates per
+//! candidate.
 
 use gup_graph::{QVSet, VertexId};
 
@@ -18,54 +23,79 @@ use gup_graph::{QVSet, VertexId};
 /// embedding); every recursion allocates a fresh id.
 pub type NodeId = u64;
 
-/// The reservation guard of one candidate vertex: the chosen reservation set, stored as
-/// data-vertex ids. An **empty** reservation means *no* subembedding is rooted at the
-/// candidate vertex, so the candidate can be filtered out unconditionally.
+/// The reservation guards of every candidate vertex of one query: the chosen
+/// reservation sets, stored as sorted data-vertex ids in one arena. An **empty**
+/// reservation means *no* subembedding is rooted at the candidate vertex, so the
+/// candidate can be filtered out unconditionally; the trivial reservation `{v}` of
+/// candidate `v` prunes nothing beyond injectivity.
+///
+/// Candidates are numbered flat in *reverse* query order (all of `u_{n-1}`, then
+/// `u_{n-2}`, ...), the order in which generation
+/// ([`generate_reservation_guards`](crate::reservation::generate_reservation_guards))
+/// walks the query, so each guard is appended at the arena's end and one offset per
+/// candidate delimits it.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ReservationGuard {
-    vertices: Vec<VertexId>,
+pub struct ReservationTable {
+    /// Flat number of candidate 0 of each query vertex.
+    first: Vec<usize>,
+    /// The guard of flat candidate `g` is `members[offsets[g]..offsets[g + 1]]`.
+    offsets: Vec<usize>,
+    members: Vec<VertexId>,
 }
 
-impl ReservationGuard {
-    /// The trivial reservation `{v}` of candidate vertex `(u_i, v)`.
-    pub fn trivial(v: VertexId) -> Self {
-        ReservationGuard { vertices: vec![v] }
+impl ReservationTable {
+    /// An empty table for a query whose candidate sets have the given sizes, to be
+    /// filled by `push`.
+    pub(crate) fn with_candidate_sizes(sizes: &[usize]) -> Self {
+        let mut first = vec![0; sizes.len()];
+        let mut total = 0;
+        for (u, &size) in sizes.iter().enumerate().rev() {
+            first[u] = total;
+            total += size;
+        }
+        let mut offsets = Vec::with_capacity(total + 1);
+        offsets.push(0);
+        // Most guards of a generated table are the trivial one-member guard.
+        ReservationTable {
+            first,
+            offsets,
+            members: Vec::with_capacity(total),
+        }
     }
 
-    /// A reservation with the given member set.
-    pub fn new(mut vertices: Vec<VertexId>) -> Self {
-        vertices.sort_unstable();
-        vertices.dedup();
-        ReservationGuard { vertices }
+    /// Appends the guard of the next candidate: query vertices in reverse order,
+    /// candidates of one vertex in index order. `members` need not be sorted.
+    pub(crate) fn push(&mut self, members: &[VertexId]) {
+        let start = self.members.len();
+        self.members.extend_from_slice(members);
+        self.members[start..].sort_unstable();
+        self.offsets.push(self.members.len());
     }
 
-    /// The member data vertices (sorted).
+    /// The (sorted) reservation of candidate `cand_index` of query vertex `u`.
     #[inline]
-    pub fn vertices(&self) -> &[VertexId] {
-        &self.vertices
+    pub fn get(&self, u: usize, cand_index: u32) -> &[VertexId] {
+        let g = self.first[u] + cand_index as usize;
+        &self.members[self.offsets[g]..self.offsets[g + 1]]
     }
 
-    /// Number of data vertices in the reservation.
+    /// Number of guards pushed so far.
     #[inline]
     pub fn len(&self) -> usize {
-        self.vertices.len()
+        self.offsets.len().saturating_sub(1)
     }
 
-    /// `true` for the empty reservation (candidate is unconditionally filtered).
+    /// `true` when the table holds no guard (as for a GCS built with reservation
+    /// guards off).
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.vertices.is_empty()
+        self.len() == 0
     }
 
-    /// `true` if this is the trivial reservation `{v}` of the candidate's own data
-    /// vertex — equivalent to the ordinary injectivity check, i.e. no extra pruning.
-    pub fn is_trivial_for(&self, v: VertexId) -> bool {
-        self.vertices.len() == 1 && self.vertices[0] == v
-    }
-
-    /// Heap bytes used by this guard.
+    /// Heap bytes used by the table.
     pub fn heap_bytes(&self) -> usize {
-        self.vertices.capacity() * std::mem::size_of::<VertexId>()
+        (self.first.capacity() + self.offsets.capacity()) * std::mem::size_of::<usize>()
+            + self.members.capacity() * std::mem::size_of::<VertexId>()
     }
 }
 
@@ -160,52 +190,47 @@ impl<const W: usize> VertexGuardStore<W> {
     }
 }
 
-/// Storage of nogood guards on candidate edges.
+/// Storage of nogood guards on candidate edges: one slot per candidate edge, in one
+/// array per query edge.
 ///
-/// Slots parallel the candidate-edge adjacency lists of the candidate space: for the
-/// query edge `(a, b)` with `a < b` and candidate index `ca` of `a`, slot `p` guards
-/// the candidate edge towards the `p`-th entry of `forward_adjacency(eid, ca)`.
+/// Slots parallel the forward candidate edges of the candidate space: for the query
+/// edge `eid` = `(a, b)` with `a < b` and candidate index `ca` of `a`, slot
+/// `forward_start(eid, ca) + p` guards the candidate edge towards the `p`-th entry of
+/// `forward_adjacency(eid, ca)`.
 #[derive(Clone, Debug)]
 pub struct EdgeGuardStore<const W: usize = 1> {
-    /// `slots[eid][ca][p]`.
-    slots: Vec<Vec<Vec<NogoodRef<W>>>>,
+    /// `slots[eid][slot]`.
+    slots: Vec<Vec<NogoodRef<W>>>,
 }
 
 impl<const W: usize> EdgeGuardStore<W> {
-    /// Creates an empty store. `shape[eid][ca]` must give the length of the forward
-    /// adjacency list of candidate `ca` on candidate edge `eid`.
-    pub fn new(shape: Vec<Vec<usize>>) -> Self {
+    /// Creates an empty store with the given number of candidate edges per query
+    /// edge.
+    pub fn new(edge_sizes: impl IntoIterator<Item = usize>) -> Self {
         EdgeGuardStore::<W> {
-            slots: shape
+            slots: edge_sizes
                 .into_iter()
-                .map(|per_cand| {
-                    per_cand
-                        .into_iter()
-                        .map(|len| vec![NogoodRef::ABSENT; len])
-                        .collect()
-                })
+                .map(|len| vec![NogoodRef::ABSENT; len])
                 .collect(),
         }
     }
 
-    /// The guard on position `p` of the forward adjacency list of candidate `ca` on
-    /// candidate edge `eid`.
+    /// The guard on slot `slot` of query edge `eid`.
     #[inline]
-    pub fn get(&self, eid: usize, ca: u32, p: usize) -> NogoodRef<W> {
-        self.slots[eid][ca as usize][p]
+    pub fn get(&self, eid: usize, slot: usize) -> NogoodRef<W> {
+        self.slots[eid][slot]
     }
 
     /// Records (or overwrites) a guard.
     #[inline]
-    pub fn set(&mut self, eid: usize, ca: u32, p: usize, guard: NogoodRef<W>) {
-        self.slots[eid][ca as usize][p] = guard;
+    pub fn set(&mut self, eid: usize, slot: usize, guard: NogoodRef<W>) {
+        self.slots[eid][slot] = guard;
     }
 
     /// Number of present guards (for statistics).
     pub fn present_count(&self) -> usize {
         self.slots
             .iter()
-            .flat_map(|per_cand| per_cand.iter())
             .map(|s| s.iter().filter(|g| g.is_present()).count())
             .sum()
     }
@@ -214,14 +239,9 @@ impl<const W: usize> EdgeGuardStore<W> {
     pub fn heap_bytes(&self) -> usize {
         self.slots
             .iter()
-            .map(|per_cand| {
-                per_cand
-                    .iter()
-                    .map(|s| s.capacity() * std::mem::size_of::<NogoodRef<W>>())
-                    .sum::<usize>()
-                    + per_cand.capacity() * std::mem::size_of::<Vec<NogoodRef<W>>>()
-            })
-            .sum()
+            .map(|s| s.capacity() * std::mem::size_of::<NogoodRef<W>>())
+            .sum::<usize>()
+            + self.slots.capacity() * std::mem::size_of::<Vec<NogoodRef<W>>>()
     }
 }
 
@@ -231,16 +251,18 @@ mod tests {
 
     #[test]
     fn reservation_guard_basics() {
-        let trivial = ReservationGuard::trivial(7);
-        assert!(trivial.is_trivial_for(7));
-        assert!(!trivial.is_trivial_for(8));
-        assert_eq!(trivial.len(), 1);
-        let r = ReservationGuard::new(vec![5, 3, 5]);
-        assert_eq!(r.vertices(), &[3, 5]);
-        assert!(!r.is_trivial_for(3));
-        let empty = ReservationGuard::new(vec![]);
-        assert!(empty.is_empty());
-        assert!(trivial.heap_bytes() >= std::mem::size_of::<VertexId>());
+        // Two query vertices with 2 and 1 candidates, filled in reverse query order.
+        let mut table = ReservationTable::with_candidate_sizes(&[2, 1]);
+        assert!(table.is_empty());
+        table.push(&[7]);
+        table.push(&[5, 3]);
+        table.push(&[]);
+        assert_eq!(table.len(), 3);
+        assert_eq!(table.get(1, 0), &[7]);
+        assert_eq!(table.get(0, 0), &[3, 5]);
+        assert!(table.get(0, 1).is_empty());
+        assert!(table.heap_bytes() >= 3 * std::mem::size_of::<VertexId>());
+        assert_eq!(ReservationTable::default().heap_bytes(), 0);
     }
 
     #[test]
@@ -309,17 +331,18 @@ mod tests {
 
     #[test]
     fn edge_guard_store_roundtrip() {
-        let mut store = EdgeGuardStore::<1>::new(vec![vec![2, 0], vec![1]]);
+        let mut store = EdgeGuardStore::<1>::new([2, 1]);
         assert_eq!(store.present_count(), 0);
         let g: NogoodRef = NogoodRef {
             id: 3,
             len: 2,
             dom: QVSet::singleton(1),
         };
-        store.set(0, 0, 1, g);
-        assert_eq!(store.get(0, 0, 1), g);
-        assert!(!store.get(1, 0, 0).is_present());
+        store.set(0, 1, g);
+        assert_eq!(store.get(0, 1), g);
+        assert!(!store.get(0, 0).is_present());
+        assert!(!store.get(1, 0).is_present());
         assert_eq!(store.present_count(), 1);
-        assert!(store.heap_bytes() > 0);
+        assert!(store.heap_bytes() >= 3 * std::mem::size_of::<NogoodRef>());
     }
 }

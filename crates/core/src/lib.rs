@@ -108,7 +108,7 @@ pub use gup_graph::sink;
 
 pub use config::{GupConfig, PruningFeatures, SearchLimits};
 pub use gcs::Gcs;
-pub use guards::{NogoodRef, ReservationGuard};
+pub use guards::{NogoodRef, ReservationTable};
 pub use gup_graph::budget::BuildError;
 pub use gup_graph::{PreparedData, QVSet, Qv128, Qv256, Qv64, MAX_QUERY_VERTICES};
 pub use matcher::GupMatcher;

@@ -17,8 +17,13 @@
 //! never depends on how small or how matchable the chosen reservation is — any set
 //! satisfying Definition 3.9 is a valid reservation (Lemma 3.10) — so the heuristics
 //! here only influence pruning power.
+//!
+//! The guards of a query go into one [`ReservationTable`], in generation order.
+//! Generation reuses one edge list and two cover buffers for every candidate: a cover
+//! grows by push and shrinks by truncate while its extensions are tried, so the
+//! allocations of a whole query follow the largest cover, not the candidate count.
 
-use crate::guards::ReservationGuard;
+use crate::guards::ReservationTable;
 use gup_candidate::CandidateSpace;
 use gup_graph::query::OrderedQuery;
 use gup_graph::scratch::VertexMap;
@@ -72,6 +77,9 @@ impl<const W: usize> InverseCandidates<W> {
     }
 }
 
+/// Largest set whose matchability is checked over every subset.
+const EXHAUSTIVE_MATCHABILITY: usize = 12;
+
 /// Checks Lemma 3.7: returns `true` if some partial embedding of length `i` could
 /// contain assignments to every vertex of `set`.
 ///
@@ -86,79 +94,87 @@ pub(crate) fn is_matchable<const W: usize>(
     i: usize,
     inverse: &InverseCandidates<W>,
 ) -> bool {
-    // Condition (i).
-    let per_vertex: Vec<QVSet<W>> = set.iter().map(|&v| inverse.before(v, i)).collect();
-    if per_vertex.iter().any(|s| s.is_empty()) {
-        return false;
-    }
     let k = set.len();
-    if k <= 12 {
-        // Condition (ii), exhaustively over non-empty subsets.
-        for mask in 1u32..(1u32 << k) {
-            let mut union = QVSet::EMPTY;
-            let size = mask.count_ones() as usize;
-            for (idx, s) in per_vertex.iter().enumerate() {
-                if mask & (1 << idx) != 0 {
-                    union |= *s;
-                }
-            }
-            if size > union.len() {
+    if k > EXHAUSTIVE_MATCHABILITY {
+        // Condition (i), then condition (ii) for the full set.
+        let mut union = QVSet::EMPTY;
+        for &v in set {
+            let s = inverse.before(v, i);
+            if s.is_empty() {
                 return false;
             }
+            union |= s;
         }
-        true
-    } else {
-        let mut union = QVSet::EMPTY;
-        for s in &per_vertex {
-            union |= *s;
-        }
-        k <= union.len()
+        return k <= union.len();
     }
+    // Condition (i).
+    let mut per_vertex = [QVSet::<W>::EMPTY; EXHAUSTIVE_MATCHABILITY];
+    for (slot, &v) in per_vertex.iter_mut().zip(set) {
+        *slot = inverse.before(v, i);
+        if slot.is_empty() {
+            return false;
+        }
+    }
+    // Condition (ii), exhaustively over non-empty subsets.
+    for mask in 1u32..(1u32 << k) {
+        let mut union = QVSet::EMPTY;
+        let size = mask.count_ones() as usize;
+        for (idx, s) in per_vertex[..k].iter().enumerate() {
+            if mask & (1 << idx) != 0 {
+                union |= *s;
+            }
+        }
+        if size > union.len() {
+            return false;
+        }
+    }
+    true
 }
 
-/// Greedy vertex cover of the edge list `edges`, constrained to stay matchable and to
-/// contain at most `limit` vertices. Follows the 2-approximation of CLRS (add both
-/// endpoints of an uncovered edge), falling back to a single endpoint when adding both
-/// would violate a constraint. Returns `None` when no constrained cover is found.
+/// Greedy vertex cover of the edge list `edges` into `cover` (cleared first),
+/// constrained to stay matchable and to contain at most `limit` vertices. Follows the
+/// 2-approximation of CLRS (add both endpoints of an uncovered edge), falling back to
+/// a single endpoint when adding both would violate a constraint; each try pushes
+/// onto `cover` and truncates it again when rejected, so no vertex repeats. Returns
+/// `false` when no constrained cover is found.
 pub(crate) fn constrained_vertex_cover<const W: usize>(
     edges: &[(VertexId, VertexId)],
     limit: Option<usize>,
     i: usize,
     inverse: &InverseCandidates<W>,
-) -> Option<Vec<VertexId>> {
-    let fits = |s: &[VertexId]| limit.map_or(true, |r| s.len() <= r);
-    let mut cover: Vec<VertexId> = Vec::new();
+    cover: &mut Vec<VertexId>,
+) -> bool {
+    let accepts =
+        |s: &[VertexId]| limit.map_or(true, |r| s.len() <= r) && is_matchable(s, i, inverse);
+    cover.clear();
     for &(a, b) in edges {
         if cover.contains(&a) || cover.contains(&b) {
             continue;
         }
         // Try both endpoints (classic 2-approximation), then each endpoint alone.
-        let mut with_both = cover.clone();
-        with_both.push(a);
+        let base = cover.len();
+        cover.push(a);
         if b != a {
-            with_both.push(b);
-        }
-        if fits(&with_both) && is_matchable(&with_both, i, inverse) {
-            cover = with_both;
-            continue;
-        }
-        let mut with_a = cover.clone();
-        with_a.push(a);
-        if fits(&with_a) && is_matchable(&with_a, i, inverse) {
-            cover = with_a;
-            continue;
-        }
-        if b != a {
-            let mut with_b = cover.clone();
-            with_b.push(b);
-            if fits(&with_b) && is_matchable(&with_b, i, inverse) {
-                cover = with_b;
+            cover.push(b);
+            if accepts(cover) {
                 continue;
             }
+            cover.truncate(base + 1);
         }
-        return None;
+        if accepts(cover) {
+            continue;
+        }
+        cover.truncate(base);
+        if b != a {
+            cover.push(b);
+            if accepts(cover) {
+                continue;
+            }
+            cover.truncate(base);
+        }
+        return false;
     }
-    Some(cover)
+    true
 }
 
 /// Generates the reservation guards of every candidate vertex (Algorithm 1).
@@ -170,67 +186,54 @@ pub fn generate_reservation_guards<const W: usize>(
     space: &CandidateSpace,
     data_vertex_count: usize,
     size_limit: Option<usize>,
-) -> Vec<Vec<ReservationGuard>> {
+) -> ReservationTable {
     let n = query.vertex_count();
     let inverse = InverseCandidates::<W>::build(space, data_vertex_count);
-    let mut guards: Vec<Vec<ReservationGuard>> = (0..n)
-        .map(|u| vec![ReservationGuard::default(); space.candidates(u).len()])
-        .collect();
+    let mut guards = ReservationTable::with_candidate_sizes(&space.candidate_sizes());
+    let mut edges: Vec<(VertexId, VertexId)> = Vec::new();
+    let mut cover: Vec<VertexId> = Vec::new();
+    let mut best: Vec<VertexId> = Vec::new();
 
     // Reverse matching order so that forward neighbors are already processed.
     for i in (0..n).rev() {
         for (ci, &v) in space.candidates(i).iter().enumerate() {
-            let mut best: Option<Vec<VertexId>> = None;
+            let mut found = false;
             for &j in query.forward_neighbors(i) {
                 // Build E_R (Eq. 1): for every forward-adjacent candidate v' of u_j,
                 // connect v' with each member of R(u_j, v') other than v.
-                let adjacent = space.adjacent_candidates(i, ci, j);
-                let mut edges: Vec<(VertexId, VertexId)> = Vec::new();
-                for &cj in adjacent {
+                edges.clear();
+                for &cj in space.adjacent_candidates(i, ci, j) {
                     let v_prime = space.candidates(j)[cj as usize];
-                    for &w in guards[j][cj as usize].vertices() {
+                    for &w in guards.get(j, cj) {
                         if w != v {
                             edges.push((v_prime, w));
                         }
                     }
                 }
-                let candidate_cover = constrained_vertex_cover(&edges, size_limit, i, &inverse);
-                if let Some(cover) = candidate_cover {
-                    let better = match &best {
-                        None => true,
-                        Some(b) => cover.len() < b.len(),
-                    };
-                    if better {
-                        let empty = cover.is_empty();
-                        best = Some(cover);
-                        if empty {
-                            // Nothing can beat the empty reservation.
-                            break;
-                        }
+                if constrained_vertex_cover(&edges, size_limit, i, &inverse, &mut cover)
+                    && (!found || cover.len() < best.len())
+                {
+                    std::mem::swap(&mut cover, &mut best);
+                    found = true;
+                    if best.is_empty() {
+                        // Nothing can beat the empty reservation.
+                        break;
                     }
                 }
             }
-            guards[i][ci] = match best {
-                Some(cover) => ReservationGuard::new(cover),
-                None => ReservationGuard::trivial(v),
-            };
+            guards.push(if found {
+                &best
+            } else {
+                std::slice::from_ref(&v)
+            });
         }
     }
     guards
 }
 
 /// Total heap bytes used by a reservation-guard table (for the Table-3 memory report).
-pub fn reservation_heap_bytes(guards: &[Vec<ReservationGuard>]) -> usize {
-    guards
-        .iter()
-        .map(|per_vertex| {
-            per_vertex
-                .iter()
-                .map(ReservationGuard::heap_bytes)
-                .sum::<usize>()
-                + per_vertex.capacity() * std::mem::size_of::<ReservationGuard>()
-        })
-        .sum()
+pub fn reservation_heap_bytes(guards: &ReservationTable) -> usize {
+    guards.heap_bytes()
 }
 
 #[cfg(test)]
@@ -289,38 +292,73 @@ mod tests {
     fn constrained_cover_respects_limit_and_matchability() {
         let (_oq, cs, n) = paper_setup();
         let inv = InverseCandidates::<1>::build(&cs, n);
+        let mut cover = vec![99];
         // Edges that force {v0} as a cover at i = 4 (v0 is assignable from u0 before u4).
         let edges = vec![(0u32, 0u32)];
-        let cover = constrained_vertex_cover(&edges, Some(3), 4, &inv).unwrap();
+        assert!(constrained_vertex_cover(
+            &edges,
+            Some(3),
+            4,
+            &inv,
+            &mut cover
+        ));
         assert_eq!(cover, vec![0]);
         // Empty edge list -> empty cover.
-        assert_eq!(
-            constrained_vertex_cover(&[], Some(3), 2, &inv).unwrap(),
-            Vec::<u32>::new()
-        );
+        assert!(constrained_vertex_cover(&[], Some(3), 2, &inv, &mut cover));
+        assert_eq!(cover, Vec::<u32>::new());
         // A cover that would need an unmatchable vertex fails.
         // v13 is not a candidate of anything before u1 after NLF, so covering a
         // self-loop on v13 at i = 1 is impossible.
-        assert!(constrained_vertex_cover(&[(13, 13)], Some(3), 1, &inv).is_none());
+        assert!(!constrained_vertex_cover(
+            &[(13, 13)],
+            Some(3),
+            1,
+            &inv,
+            &mut cover
+        ));
         // Size limit 0 rejects any non-empty cover.
-        assert!(constrained_vertex_cover(&[(0, 0)], Some(0), 4, &inv).is_none());
+        assert!(!constrained_vertex_cover(
+            &[(0, 0)],
+            Some(0),
+            4,
+            &inv,
+            &mut cover
+        ));
+        // When both endpoints break the limit, one endpoint is kept: {v0} covers
+        // (v0, v1) at i = 4 under limit 1, and the rejected v1 left no trace.
+        assert!(constrained_vertex_cover(
+            &[(0, 1), (0, 2)],
+            Some(1),
+            4,
+            &inv,
+            &mut cover
+        ));
+        assert_eq!(cover, vec![0]);
+    }
+
+    /// Every guard of `guards`, per query vertex and candidate.
+    fn each_guard<'a>(
+        guards: &'a ReservationTable,
+        cs: &'a CandidateSpace,
+    ) -> impl Iterator<Item = (usize, u32, &'a [VertexId])> + 'a {
+        (0..cs.query_vertex_count()).flat_map(move |u| {
+            (0..cs.candidates(u).len() as u32).map(move |ci| (u, ci, guards.get(u, ci)))
+        })
     }
 
     #[test]
     fn generation_produces_guard_per_candidate() {
         let (oq, cs, n) = paper_setup();
         let guards = generate_reservation_guards(&oq, &cs, n, Some(3));
-        assert_eq!(guards.len(), 5);
-        for (u, per_candidate) in guards.iter().enumerate() {
-            assert_eq!(per_candidate.len(), cs.candidates(u).len());
-            for g in per_candidate {
-                assert!(g.len() <= 3 || g.is_empty());
-            }
+        assert_eq!(guards.len(), cs.total_candidates());
+        for (_, _, g) in each_guard(&guards, &cs) {
+            assert!(g.len() <= 3);
+            assert!(g.windows(2).all(|w| w[0] < w[1]), "members sorted: {g:?}");
         }
         // The last query vertex has no forward neighbors: all guards are trivial.
         let last = 4;
-        for (ci, g) in guards[last].iter().enumerate() {
-            assert!(g.is_trivial_for(cs.candidates(last)[ci]));
+        for (ci, &v) in cs.candidates(last).iter().enumerate() {
+            assert_eq!(guards.get(last, ci as u32), &[v]);
         }
         assert!(reservation_heap_bytes(&guards) > 0);
     }
@@ -330,12 +368,9 @@ mod tests {
         let (oq, cs, n) = paper_setup();
         for limit in [0usize, 1, 2, 3, 5] {
             let guards = generate_reservation_guards(&oq, &cs, n, Some(limit));
-            for per_vertex in &guards {
-                for (ci, g) in per_vertex.iter().enumerate() {
-                    // Trivial guards always have size 1 regardless of the limit.
-                    let _ = ci;
-                    assert!(g.len() <= limit.max(1));
-                }
+            for (_, _, g) in each_guard(&guards, &cs) {
+                // Trivial guards always have size 1 regardless of the limit.
+                assert!(g.len() <= limit.max(1));
             }
         }
     }
@@ -346,8 +381,7 @@ mod tests {
         let limited = generate_reservation_guards(&oq, &cs, n, Some(1));
         let unlimited = generate_reservation_guards(&oq, &cs, n, None);
         // Both tables must exist and have identical shape.
-        for u in 0..5 {
-            assert_eq!(limited[u].len(), unlimited[u].len());
-        }
+        assert_eq!(limited.len(), cs.total_candidates());
+        assert_eq!(unlimited.len(), cs.total_candidates());
     }
 }

@@ -521,10 +521,11 @@ impl<'a, const W: usize> SearchEngine<'a, W> {
         // (2) Reservation-guard conflict.
         if self.features.reservation_guards {
             let guard = self.gcs.reservation(k, cv);
-            if !guard.is_trivial_for(v) {
+            // The trivial reservation `{v}` is the injectivity check above.
+            if guard != [v] {
                 let mut mask = QVSet::singleton(k);
                 let mut matched = true;
-                for &w in guard.vertices() {
+                for &w in guard {
                     let o = self.owner[w as usize];
                     if o == 0 {
                         matched = false;
@@ -566,6 +567,8 @@ impl<'a, const W: usize> SearchEngine<'a, W> {
                 // gup-lint: allow(panic_freedom) f comes from forward_neighbors(k), so the query edge (k, f) exists by construction
                 .expect("forward neighbors are adjacent in the query");
             let adjacency = self.gcs.space().adjacent_candidates(k, cv as usize, f);
+            // Edge-guard slot of `adjacency[0]`; `k < f`, so this is the forward list.
+            let slot0 = self.gcs.space().forward_start(eid, cv as usize);
             // gup-lint: allow(panic_freedom) candidate stacks are seeded with one level at construction and never emptied
             let parent_list = self.cand_stack[f].last().expect("stack never empty");
             // gup-lint: allow(panic_freedom) bound stacks are seeded with one level at construction and never emptied
@@ -597,7 +600,7 @@ impl<'a, const W: usize> SearchEngine<'a, W> {
                     }
                     std::cmp::Ordering::Equal => {
                         let keep = if use_ne {
-                            let guard = self.ne.get(eid, cv, pos);
+                            let guard = self.ne.get(eid, slot0 + pos);
                             if guard.matches(&self.anc[..k + 2]) {
                                 new_bound |= guard.dom;
                                 pruned_by_edge_guard += 1;
@@ -674,11 +677,13 @@ impl<'a, const W: usize> SearchEngine<'a, W> {
                 if let Some(eid) = self.gcs.space().edge_id(a, b) {
                     let ca = self.assignment[a];
                     let cb = if b == k { cv } else { self.assignment[b] };
-                    let adjacency = self.gcs.space().forward_adjacency(eid, ca as usize);
+                    let space = self.gcs.space();
+                    let adjacency = space.forward_adjacency(eid, ca as usize);
                     if let Ok(p) = adjacency.binary_search(&cb) {
+                        let slot = space.forward_start(eid, ca as usize) + p;
                         let rest = mask.without(a).without(b);
                         let guard = self.encode(rest);
-                        self.ne.set(eid, ca, p, guard);
+                        self.ne.set(eid, slot, guard);
                         self.stats.ne_guards_recorded += 1;
                     }
                 }

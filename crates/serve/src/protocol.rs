@@ -51,7 +51,10 @@
 //!
 //! Responses are a single `ok key=value …`, `err <message>`, or `busy` line;
 //! `query first` additionally streams `m v0 v1 …` lines (one embedding over the
-//! original query-vertex ids per line) followed by `end`.
+//! original query-vertex ids per line) followed by `end`. A query's `ok` line is
+//! `ok embeddings=<n> recursions=<n> time-us=<n> queue-us=<n> timed-out=<bool>`:
+//! `time-us` is the worker's time on the query and `queue-us` the wait from
+//! admission until a worker took it, both in microseconds.
 
 use gup::session::Engine;
 use gup_graph::delta::GraphDelta;

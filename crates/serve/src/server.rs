@@ -92,12 +92,17 @@ struct Job {
     query: Graph,
     spec: QuerySpec,
     deadline: Option<Instant>,
+    /// Started at admission; read when a worker dequeues the job.
+    admitted: Stopwatch,
     reply: SyncSender<Reply>,
 }
 
 /// What a worker hands back to the connection thread.
 struct Reply {
     result: Result<QueryOutcome, String>,
+    /// From admission to dequeue.
+    queued: Duration,
+    /// Worker time, from dequeue to the finished result.
     elapsed: Duration,
 }
 
@@ -239,6 +244,7 @@ fn worker_loop(receiver: &Mutex<Receiver<Job>>, shutdown: &AtomicBool) {
             }
             continue;
         };
+        let queued = job.admitted.elapsed();
         let watch = Stopwatch::started();
         // A panicking search must not take the worker (and eventually the whole
         // pool) down with it: catch it and turn it into an `err` reply for the
@@ -250,7 +256,11 @@ fn worker_loop(receiver: &Mutex<Receiver<Job>>, shutdown: &AtomicBool) {
         });
         let elapsed = watch.elapsed();
         // A disappeared client (closed connection) is not a worker error.
-        let _ = job.reply.send(Reply { result, elapsed });
+        let _ = job.reply.send(Reply {
+            result,
+            queued,
+            elapsed,
+        });
     }
 }
 
@@ -579,6 +589,7 @@ fn handle_query(
     // Admission: stamp the deadline and pin the current index *now* — both the
     // wait in the queue and a concurrent reload are this request's problem to
     // survive, not to be confused by.
+    let admitted = Stopwatch::started();
     let deadline = spec
         .timeout
         .or(shared.config.default_timeout)
@@ -594,6 +605,7 @@ fn handle_query(
         query,
         spec,
         deadline,
+        admitted,
         reply: reply_tx,
     };
     if let Err(refused) = jobs.try_send(job) {
@@ -617,10 +629,11 @@ fn handle_query(
             let mut w = writer.lock();
             writeln!(
                 w,
-                "ok embeddings={} recursions={} time-ms={} timed-out={}",
+                "ok embeddings={} recursions={} time-us={} queue-us={} timed-out={}",
                 stats.embeddings,
                 stats.recursions,
-                reply.elapsed.as_millis(),
+                reply.elapsed.as_micros(),
+                reply.queued.as_micros(),
                 stats.hit_time_limit
             )?;
             if matches!(spec.output, OutputMode::First(_)) {

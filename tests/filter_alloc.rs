@@ -15,10 +15,13 @@
 //! never linearly; scanning a label bucket 10× as large allocates the same bytes
 //! when the output stays empty (the filter allocates only its profile and its
 //! output); and a query over a data graph padded to 16× the vertices allocates
-//! exactly the bytes it allocates over the unpadded one. This file holds exactly
-//! these tests so the allocator hook cannot interfere with unrelated suites.
+//! exactly the bytes it allocates over the unpadded one. A guarded candidate space
+//! with ten times the candidates and candidate edges, built, given a search engine
+//! and dropped, costs only the geometric growth of its arrays. This file holds
+//! exactly these tests so the allocator hook cannot interfere with unrelated suites.
 
 use gup::session::{Engine, Session};
+use gup::{Gcs, GupConfig, SearchEngine};
 use gup_candidate::filters::nlf_candidates_prepared;
 use gup_graph::builder::graph_from_edges;
 use gup_graph::generate::{power_law_graph, random_walk_query, PowerLawConfig};
@@ -271,4 +274,65 @@ fn bytes_per_query_do_not_depend_on_the_data_graph_size() {
             16 * n
         );
     }
+}
+
+/// `copies` disjoint copies of the paper's Fig. 1 data graph, with its query:
+/// every candidate set and candidate-edge list grows with `copies`, the query
+/// does not.
+fn motif_copies(copies: u32) -> (Graph, PreparedData) {
+    let (query, motif) = gup_graph::fixtures::paper_example();
+    let size = motif.vertex_count() as u32;
+    let mut labels = Vec::new();
+    let mut edges = Vec::new();
+    for copy in 0..copies {
+        labels.extend(motif.vertices().map(|v| motif.label(v)));
+        edges.extend(
+            motif
+                .edges()
+                .map(|(a, b)| (a + copy * size, b + copy * size)),
+        );
+    }
+    (query, PreparedData::new(graph_from_edges(&labels, &edges)))
+}
+
+/// Allocations made by building the GCS of `query` over `prepared`, creating its
+/// search engine and dropping both, with the GCS's candidate and candidate-edge
+/// counts. Every block the drops free was allocated in the window, so the count
+/// bounds the frees too.
+fn gcs_allocations(query: &Graph, prepared: &PreparedData) -> (u64, usize, usize) {
+    let config = GupConfig::default();
+    let before = allocations();
+    let gcs = Gcs::<1>::build_prepared(query, prepared, &config).expect("the query is valid");
+    let engine = SearchEngine::new(&gcs, &config);
+    let space = gcs.space();
+    let sizes = (space.total_candidates(), space.total_candidate_edges());
+    drop(engine);
+    drop(gcs);
+    (allocations() - before, sizes.0, sizes.1)
+}
+
+/// The guarded candidate space is a fixed number of arrays per query vertex, per
+/// query edge and per query: ten times the candidates and candidate edges cost a
+/// GCS build, a search engine and their drop only the geometric growth of those
+/// arrays (a few reallocations each), never an allocation per candidate.
+#[test]
+fn gcs_allocations_do_not_grow_with_the_candidate_space() {
+    let (query, small) = motif_copies(30);
+    let (_, large) = motif_copies(300);
+    // Warm the thread's scratch pool at the larger data graph.
+    let _ = gcs_allocations(&query, &large);
+    let (small_allocs, small_candidates, small_edges) = gcs_allocations(&query, &small);
+    let (large_allocs, large_candidates, large_edges) = gcs_allocations(&query, &large);
+    assert_eq!(large_candidates, 10 * small_candidates);
+    assert_eq!(large_edges, 10 * small_edges);
+    // Ten times the length costs a geometrically growing array at most
+    // ceil(log2 10) = 4 more reallocations; allow two such arrays per query
+    // vertex and per query edge. One allocation per candidate would be 4050 more.
+    let growth = 4 * 2 * (query.vertex_count() + query.edge_count()) as u64;
+    assert!(
+        large_allocs <= small_allocs + growth,
+        "a GCS over {small_candidates} candidates and {small_edges} candidate edges \
+         made {small_allocs} allocations, over {large_candidates} and {large_edges} \
+         {large_allocs}"
+    );
 }

@@ -17,7 +17,13 @@
 //! * `refinement_passes: 0` yields exactly the NLF sets;
 //! * `refinement_passes: 64` yields exactly a test-local arc-consistency
 //!   reference: the NLF sets, less every candidate with no data neighbor among
-//!   some query neighbor's candidates, repeated until nothing changes.
+//!   some query neighbor's candidates, repeated until nothing changes;
+//! * the candidate edges are complete and ordered: for every query edge
+//!   `(a, b)`, each forward list is exactly the ascending indices of the
+//!   candidates of `b` adjacent to its candidate of `a`, the backward lists are
+//!   its transpose (ascending as well), and `total_candidate_edges` counts the
+//!   adjacent candidate pairs. The search's merge intersection and its
+//!   edge-guard slots rely on both.
 
 use gup_baselines::brute_force;
 use gup_candidate::{nlf_candidates_prepared, CandidateSpace, FilterConfig};
@@ -61,14 +67,21 @@ fn arc_consistent_reference(query: &Graph, prepared: &PreparedData) -> Vec<Vec<V
     }
 }
 
-fn space(query: &Graph, prepared: &PreparedData, passes: usize) -> Vec<Vec<VertexId>> {
+fn build(query: &Graph, prepared: &PreparedData, passes: usize) -> CandidateSpace {
     let config = FilterConfig {
         refinement_passes: passes,
     };
-    let cs = CandidateSpace::build_prepared(query, prepared, &config);
-    (0..query.vertex_count())
+    CandidateSpace::build_prepared(query, prepared, &config)
+}
+
+fn candidate_sets(cs: &CandidateSpace) -> Vec<Vec<VertexId>> {
+    (0..cs.query_vertex_count())
         .map(|u| cs.candidates(u).to_vec())
         .collect()
+}
+
+fn space(query: &Graph, prepared: &PreparedData, passes: usize) -> Vec<Vec<VertexId>> {
+    candidate_sets(&build(query, prepared, passes))
 }
 
 fn degree_sum(data: &Graph, vertices: &[VertexId]) -> usize {
@@ -112,7 +125,41 @@ fn certainly_scanned(query: &Graph, prepared: &PreparedData) -> usize {
         .count()
 }
 
-/// The four checks of the module docs on one query.
+/// The indices into `targets` of the vertices adjacent to `v`, ascending.
+fn adjacent_indices(data: &Graph, v: VertexId, targets: &[VertexId]) -> Vec<u32> {
+    (0..targets.len() as u32)
+        .filter(|&i| data.has_edge(v, targets[i as usize]))
+        .collect()
+}
+
+/// The candidate edges of `cs` are exactly the data edges between candidates
+/// of adjacent query vertices, listed in ascending order both ways.
+fn check_candidate_edges(name: &str, query: &Graph, data: &Graph, cs: &CandidateSpace) {
+    let mut pairs = 0;
+    for (a, b) in query.edges() {
+        let (a, b) = (a as usize, b as usize);
+        let (ca, cb) = (cs.candidates(a), cs.candidates(b));
+        for (ia, &va) in ca.iter().enumerate() {
+            let expected = adjacent_indices(data, va, cb);
+            assert_eq!(
+                cs.adjacent_candidates(a, ia, b),
+                expected,
+                "{name}: forward list of candidate {va} of {a} towards {b}"
+            );
+            pairs += expected.len();
+        }
+        for (ib, &vb) in cb.iter().enumerate() {
+            assert_eq!(
+                cs.adjacent_candidates(b, ib, a),
+                adjacent_indices(data, vb, ca),
+                "{name}: backward list of candidate {vb} of {b} towards {a}"
+            );
+        }
+    }
+    assert_eq!(cs.total_candidate_edges(), pairs, "{name}");
+}
+
+/// The checks of the module docs on one query.
 fn check_query(name: &str, query: &Graph, prepared: &PreparedData) {
     let nlf = nlf_sets(query, prepared);
     let mut embeddings = CollectAll::new();
@@ -122,7 +169,14 @@ fn check_query(name: &str, query: &Graph, prepared: &PreparedData) {
     };
     brute_force::run_with_sink(query, prepared.graph(), limits, &mut embeddings);
     for passes in [1, FilterConfig::default().refinement_passes] {
-        let sets = space(query, prepared, passes);
+        let cs = build(query, prepared, passes);
+        check_candidate_edges(
+            &format!("{name}, {passes} passes"),
+            query,
+            prepared.graph(),
+            &cs,
+        );
+        let sets = candidate_sets(&cs);
         for u in 0..query.vertex_count() {
             let allowed: HashSet<VertexId> = nlf[u].iter().copied().collect();
             assert!(

@@ -148,6 +148,8 @@ fn counts_match_the_oracle_for_every_engine_over_the_wire() {
         let line = client.query(&format!("query count engine {engine} limit 0"), &query);
         assert!(line.starts_with("ok "), "engine {engine}: {line}");
         assert_eq!(field(&line, "embeddings"), expected, "engine {engine}");
+        // Worker and queue time, both in microseconds.
+        let _ = (field(&line, "time-us"), field(&line, "queue-us"));
     }
     // first-k streams exactly k embeddings of the right arity, then `end`.
     let line = client.query("query first 2", &query);
@@ -208,6 +210,10 @@ fn per_request_timeouts_come_back_promptly() {
         elapsed < Duration::from_secs(2),
         "100 ms budget took {elapsed:?}"
     );
+    // The budget runs from admission, so the queue wait and the worker time
+    // reported in microseconds cover it.
+    let reported = field(&line, "queue-us") + field(&line, "time-us");
+    assert!(reported >= 99_000, "{line}");
     // A zero timeout is a usage error, not an instant timeout.
     let line = client.query("query count timeout-ms 0", &heavy_query);
     assert!(line.starts_with("err "), "{line}");

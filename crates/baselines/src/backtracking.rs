@@ -1,12 +1,11 @@
 //! Candidate-space backtracking baselines.
 //!
 //! These engines share GuP's substrate (LDF/NLF/DAG-DP candidate space, connected
-//! matching orders) but none of its guards, which makes them faithful stand-ins for the
-//! systems the paper compares against:
+//! matching orders, and the [`CandidateStack`] of local candidate sets) but none of
+//! its guards, which makes them faithful stand-ins for the systems the paper
+//! compares against:
 //!
-//! * [`BaselineKind::Plain`] — plain backtracking over the candidate space
-//!   ("Baseline" in Fig. 9 of the paper).
-//! * [`BaselineKind::DafFailingSet`] — adds DAF-style *failing-set* pruning: deadends
+//! * [`BaselineKind::DafFailingSet`] — DAF-style *failing-set* pruning: deadends
 //!   produce a failing set (closed under backward-neighbor ancestors, which is what
 //!   makes DAF's sets larger than GuP's deadend masks) that triggers backjumping but is
 //!   discarded afterwards — no recording, exactly the contrast §3.4 draws.
@@ -14,10 +13,14 @@
 //!   refinement, candidate-size-greedy (GQL) ordering, plain backtracking.
 //! * [`BaselineKind::RiStyle`] — RI-flavoured ordering (maximize backward
 //!   connectivity), plain backtracking.
+//!
+//! Fig. 9's "Baseline" has no kind here: it is GuP with every guard off, which the
+//! session's `plain` engine runs.
 
-use gup_candidate::{CandidateSpace, FilterConfig};
+use gup_candidate::{CandidateSpace, CandidateStack, FilterConfig};
 use gup_graph::budget::{BuildError, SearchLimits, SearchStats};
 use gup_graph::deadline::DeadlineSampler;
+use gup_graph::query::OrderedQuery;
 use gup_graph::scratch::OwnerArray;
 use gup_graph::sink::{min_limit, EmbeddingSink, SinkControl};
 use gup_graph::{Graph, PreparedData, QVSet, QueryGraph, VertexId};
@@ -26,8 +29,6 @@ use gup_order::OrderingStrategy;
 /// The baseline families.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum BaselineKind {
-    /// Plain candidate-space backtracking (VC-style order, full filtering).
-    Plain,
     /// Plain backtracking plus DAF-style failing-set backjumping.
     DafFailingSet,
     /// GraphQL-style: NLF-only filtering, GQL order, plain backtracking.
@@ -38,8 +39,7 @@ pub enum BaselineKind {
 
 impl BaselineKind {
     /// All baseline kinds, for sweeps.
-    pub const ALL: [BaselineKind; 4] = [
-        BaselineKind::Plain,
+    pub const ALL: [BaselineKind; 3] = [
         BaselineKind::DafFailingSet,
         BaselineKind::GqlStyle,
         BaselineKind::RiStyle,
@@ -49,7 +49,6 @@ impl BaselineKind {
     /// where a correspondence exists).
     pub fn name(self) -> &'static str {
         match self {
-            BaselineKind::Plain => "Plain-BT",
             BaselineKind::DafFailingSet => "DAF-FS",
             BaselineKind::GqlStyle => "GQL-G",
             BaselineKind::RiStyle => "GQL-R",
@@ -68,7 +67,6 @@ impl BaselineKind {
 
     fn ordering(self) -> OrderingStrategy {
         match self {
-            BaselineKind::Plain => OrderingStrategy::VcStyle,
             BaselineKind::DafFailingSet => OrderingStrategy::ConnectedBfs,
             BaselineKind::GqlStyle => OrderingStrategy::GqlStyle,
             BaselineKind::RiStyle => OrderingStrategy::RiStyle,
@@ -90,15 +88,12 @@ pub struct BacktrackingBaseline<const W: usize = 1> {
     /// The budget of the filter pass and of every run (one shared deadline).
     limits: SearchLimits,
     space: CandidateSpace,
-    /// Forward neighbors of each (re-ordered) query vertex.
-    forward: Vec<Vec<usize>>,
+    /// The query in matching order: each vertex's forward neighbors, and its
+    /// original id, in which embeddings are reported to sinks.
+    query: OrderedQuery<W>,
     /// Transitive backward-neighbor closure ("ancestors") of each query vertex, used
     /// by the failing-set rule.
     ancestors: Vec<QVSet<W>>,
-    /// Original query-vertex id at each matching-order position, used to report
-    /// embeddings to sinks in the original numbering.
-    original_id: Vec<VertexId>,
-    query_vertices: usize,
     /// Number of data-graph vertices (sizes the pooled owner array of a run).
     data_vertices: usize,
 }
@@ -143,19 +138,13 @@ impl<const W: usize> BacktrackingBaseline<W> {
             .expect("ordering strategies produce connected orders");
         let space = space.permuted(&order);
         let n = ordered.vertex_count();
-        let backward: Vec<Vec<usize>> = (0..n)
-            .map(|i| ordered.backward_neighbors(i).to_vec())
-            .collect();
-        let forward: Vec<Vec<usize>> = (0..n)
-            .map(|i| ordered.forward_neighbors(i).to_vec())
-            .collect();
         // Ancestor closure: all query vertices reachable by repeatedly following
         // backward neighbors. This is the "and all their ancestors" part of DAF's
         // failing-set definition that the paper contrasts with GuP's smaller masks.
         let mut ancestors = vec![QVSet::<W>::EMPTY; n];
         for i in 0..n {
             let mut set = QVSet::singleton(i);
-            for &b in &backward[i] {
+            for &b in ordered.backward_neighbors(i) {
                 set |= ancestors[b];
                 set.insert(b);
             }
@@ -165,10 +154,8 @@ impl<const W: usize> BacktrackingBaseline<W> {
             kind,
             limits,
             space,
-            forward,
+            query: ordered,
             ancestors,
-            original_id: order,
-            query_vertices: n,
             data_vertices: prepared.graph().vertex_count(),
         })
     }
@@ -186,20 +173,19 @@ impl<const W: usize> BacktrackingBaseline<W> {
     pub fn run_with_sink(&self, sink: &mut dyn EmbeddingSink) -> SearchStats {
         let capacity = sink.capacity();
         let cap = min_limit(self.limits.max_embeddings, capacity);
+        let n = self.query.vertex_count();
         let mut state = RunState {
             baseline: self,
             cap,
             sampler: DeadlineSampler::new(self.limits.deadline),
             stats: SearchStats::default(),
-            assignment: vec![0; self.query_vertices],
+            assignment: vec![0; n],
             owner: OwnerArray::take(self.data_vertices),
-            cand_stack: (0..self.query_vertices)
-                .map(|u| vec![(0..self.space.candidates(u).len() as u32).collect::<Vec<u32>>()])
-                .collect(),
+            stack: CandidateStack::new(&self.space, ()),
             sink,
-            scratch: vec![0; self.query_vertices],
+            scratch: vec![0; n],
         };
-        if !self.space.any_empty() && self.query_vertices > 0 && cap != Some(0) {
+        if !self.space.any_empty() && n > 0 && cap != Some(0) {
             let _ = state.backtrack(0);
         }
         state.stats.settle_cap(self.limits.max_embeddings, capacity);
@@ -225,7 +211,8 @@ struct RunState<'a, 's, const W: usize> {
     /// Taken from the thread's scratch pool, which requires it all zero again
     /// after every normal return.
     owner: OwnerArray,
-    cand_stack: Vec<Vec<Vec<u32>>>,
+    /// Local candidate sets; a vertex's top frame is its current one.
+    stack: CandidateStack,
     sink: &'s mut dyn EmbeddingSink,
     /// Reused per-embedding buffer for the original-id translation reported to the
     /// sink (no per-embedding allocation).
@@ -233,14 +220,16 @@ struct RunState<'a, 's, const W: usize> {
 }
 
 impl<'a, 's, const W: usize> RunState<'a, 's, W> {
+    // Allocation-free, statically and by `tests/filter_alloc.rs`.
+    // gup-lint: region(no_alloc)
     fn backtrack(&mut self, k: usize) -> Outcome<W> {
-        let n = self.baseline.query_vertices;
-        if k == n {
+        let baseline = self.baseline;
+        if k == baseline.query.vertex_count() {
             self.stats.embeddings += 1;
             if self.sink.wants_embeddings() {
                 for (j, &cj) in self.assignment.iter().enumerate() {
-                    self.scratch[self.baseline.original_id[j] as usize] =
-                        self.baseline.space.candidates(j)[cj as usize];
+                    self.scratch[baseline.query.original_id(j) as usize] =
+                        baseline.space.candidates(j)[cj as usize];
                 }
             }
             if self.sink.report(&self.scratch) == SinkControl::Stop {
@@ -258,73 +247,49 @@ impl<'a, 's, const W: usize> RunState<'a, 's, W> {
             return Outcome::Aborted;
         }
 
-        let failing_sets = self.baseline.kind.failing_sets();
+        let failing_sets = baseline.kind.failing_sets();
         let mut found_any = false;
         let mut union = QVSet::<W>::EMPTY;
         let mut without_k: Option<QVSet<W>> = None;
 
-        let level = self.cand_stack[k].len() - 1;
-        let len = self.cand_stack[k][level].len();
+        // Deeper levels push only on later vertices, so `top(k)` stays put.
+        let len = self.stack.top(k).len();
         for pos in 0..len {
-            let cv = self.cand_stack[k][level][pos];
-            let v = self.baseline.space.candidates(k)[cv as usize];
+            let cv = self.stack.top(k)[pos];
+            let v = baseline.space.candidates(k)[cv as usize];
             // Injectivity: the conflict depends on the query vertex currently holding
             // `v`, so its ancestors must join the failing set too.
             let holder = self.owner[v as usize];
             if holder != 0 {
                 if failing_sets {
-                    union |=
-                        self.baseline.ancestors[k] | self.baseline.ancestors[holder as usize - 1];
+                    union |= baseline.ancestors[k] | baseline.ancestors[holder as usize - 1];
                 }
                 continue;
             }
             // Refine forward neighbors.
             self.owner[v as usize] = k as u16 + 1;
             self.assignment[k] = cv;
+            let mark = self.stack.mark();
             let mut emptied: Option<usize> = None;
-            let mut pushed: Vec<usize> = Vec::with_capacity(self.baseline.forward[k].len());
-            for fi in 0..self.baseline.forward[k].len() {
-                let f = self.baseline.forward[k][fi];
-                let adjacency = self.baseline.space.adjacent_candidates(k, cv as usize, f);
-                let parent = self.cand_stack[f].last().expect("stack never empty");
-                let new_list = intersect_sorted(parent, adjacency);
-                if new_list.is_empty() {
+            for &f in baseline.query.forward_neighbors(k) {
+                let adjacency = baseline.space.adjacent_candidates(k, cv as usize, f);
+                if self.stack.push_intersection(f, adjacency, |_| true) == 0 {
                     emptied = Some(f);
                     break;
                 }
-                self.cand_stack[f].push(new_list);
-                pushed.push(f);
             }
-            let child = if let Some(f) = emptied {
+            let outcome = match emptied {
                 // A future vertex lost all candidates.
-                if failing_sets {
-                    Some(self.baseline.ancestors[f])
-                } else {
-                    Some(QVSet::EMPTY)
-                }
-            } else {
-                match self.backtrack(k + 1) {
-                    Outcome::Aborted => {
-                        for &f in &pushed {
-                            self.cand_stack[f].pop();
-                        }
-                        self.owner[v as usize] = 0;
-                        return Outcome::Aborted;
-                    }
-                    Outcome::FoundSome => {
-                        found_any = true;
-                        None
-                    }
-                    Outcome::Deadend(mask) => Some(mask),
-                }
+                Some(f) if failing_sets => Outcome::Deadend(baseline.ancestors[f]),
+                Some(_) => Outcome::Deadend(QVSet::EMPTY),
+                None => self.backtrack(k + 1),
             };
-            for &f in &pushed {
-                self.cand_stack[f].pop();
-            }
+            self.stack.restore(mark);
             self.owner[v as usize] = 0;
-
-            if let Some(mask) = child {
-                if failing_sets {
+            match outcome {
+                Outcome::Aborted => return Outcome::Aborted,
+                Outcome::FoundSome => found_any = true,
+                Outcome::Deadend(mask) if failing_sets => {
                     union |= mask;
                     if !mask.contains(k) && !mask.is_empty() {
                         without_k = Some(mask);
@@ -332,6 +297,7 @@ impl<'a, 's, const W: usize> RunState<'a, 's, W> {
                         break;
                     }
                 }
+                Outcome::Deadend(_) => {}
             }
         }
 
@@ -345,25 +311,9 @@ impl<'a, 's, const W: usize> RunState<'a, 's, W> {
         if let Some(mask) = without_k {
             return Outcome::Deadend(mask);
         }
-        Outcome::Deadend(union.without(k) | self.baseline.ancestors[k].without(k))
+        Outcome::Deadend(union.without(k) | baseline.ancestors[k].without(k))
     }
-}
-
-fn intersect_sorted(a: &[u32], b: &[u32]) -> Vec<u32> {
-    let mut out = Vec::with_capacity(a.len().min(b.len()));
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out
+    // gup-lint: end_region
 }
 
 #[cfg(test)]
@@ -420,13 +370,13 @@ mod tests {
     #[test]
     fn failing_sets_never_change_the_count_but_can_reduce_recursions() {
         let (q, d) = fixtures::paper_example();
-        let plain = BacktrackingBaseline::<1>::new(&q, &d, BaselineKind::Plain)
+        let ri = BacktrackingBaseline::<1>::new(&q, &d, BaselineKind::RiStyle)
             .unwrap()
             .run_with_sink(&mut CountOnly::new());
         let daf = BacktrackingBaseline::<1>::new(&q, &d, BaselineKind::DafFailingSet)
             .unwrap()
             .run_with_sink(&mut CountOnly::new());
-        assert_eq!(plain.embeddings, daf.embeddings);
+        assert_eq!(ri.embeddings, daf.embeddings);
         assert!(daf.recursions > 0);
     }
 
@@ -452,7 +402,7 @@ mod tests {
         };
         let prepared = PreparedData::from_graph(&d);
         let m =
-            BacktrackingBaseline::<1>::with_prepared(&q, &prepared, BaselineKind::Plain, limits);
+            BacktrackingBaseline::<1>::with_prepared(&q, &prepared, BaselineKind::RiStyle, limits);
         let r = m.unwrap().run_with_sink(&mut CountOnly::new());
         assert_eq!(r.embeddings, 3);
         assert!(r.hit_embedding_limit);
@@ -464,13 +414,12 @@ mod tests {
         let disconnected = graph_from_edges(&[0, 0, 0, 0], &[(0, 1), (2, 3)]);
         let d = fixtures::square_with_diagonal();
         let err =
-            BacktrackingBaseline::<1>::new(&disconnected, &d, BaselineKind::Plain).unwrap_err();
+            BacktrackingBaseline::<1>::new(&disconnected, &d, BaselineKind::RiStyle).unwrap_err();
         assert!(format!("{err}").contains("invalid query"));
     }
 
     #[test]
     fn kind_names_are_stable() {
-        assert_eq!(BaselineKind::Plain.name(), "Plain-BT");
         assert_eq!(BaselineKind::DafFailingSet.name(), "DAF-FS");
         assert_eq!(BaselineKind::GqlStyle.name(), "GQL-G");
         assert_eq!(BaselineKind::RiStyle.name(), "GQL-R");

@@ -7,8 +7,8 @@
 //!
 //! * [`brute_force`] — a tiny reference enumerator used as ground truth in tests.
 //! * [`backtracking`] — candidate-space backtracking with selectable ordering and an
-//!   optional DAF-style *failing-set* backjumping rule (`Plain`, `DafFailingSet`,
-//!   `GqlStyle`, `RiStyle` variants).
+//!   optional DAF-style *failing-set* backjumping rule (`DafFailingSet`, `GqlStyle`,
+//!   `RiStyle` variants), over the candidate stack GuP's engine uses.
 //! * [`join`] — an edge-at-a-time join enumerator standing in for the join-based
 //!   RapidMatch.
 //!

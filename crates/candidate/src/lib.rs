@@ -21,6 +21,8 @@
 //!   label bucket and the other query vertices generate their candidates from a
 //!   built neighbor's candidates wherever that reads less than their bucket;
 //!   DAG-graph-DP-style bottom-up/top-down passes then refine the sets.
+//! * [`stack`] — [`CandidateStack`]: the local candidate sets a backtracking search
+//!   narrows and restores, one arena-backed stack shared by GuP and the baselines.
 //!
 //! ```
 //! use gup_graph::builder::graph_from_edges;
@@ -40,6 +42,7 @@
 pub mod dag;
 pub mod filters;
 pub mod space;
+pub mod stack;
 
 pub use dag::QueryDag;
 pub use filters::{
@@ -48,3 +51,4 @@ pub use filters::{
 pub use gup_graph::deadline::{DeadlineExceeded, DeadlineSampler};
 pub use gup_graph::NlfProfile;
 pub use space::{CandidateSpace, FilterConfig};
+pub use stack::{CandidateStack, StackMark};

@@ -144,8 +144,8 @@ impl<const W: usize> Default for NogoodRef<W> {
 }
 
 /// Storage of nogood guards on candidate vertices: one slot per `(query vertex,
-/// candidate index)`.
-#[derive(Clone, Debug)]
+/// candidate index)`. The default store has no slot and no heap.
+#[derive(Clone, Debug, Default)]
 pub struct VertexGuardStore<const W: usize = 1> {
     slots: Vec<Vec<NogoodRef<W>>>,
 }
@@ -196,8 +196,8 @@ impl<const W: usize> VertexGuardStore<W> {
 /// Slots parallel the forward candidate edges of the candidate space: for the query
 /// edge `eid` = `(a, b)` with `a < b` and candidate index `ca` of `a`, slot
 /// `forward_start(eid, ca) + p` guards the candidate edge towards the `p`-th entry of
-/// `forward_adjacency(eid, ca)`.
-#[derive(Clone, Debug)]
+/// `forward_adjacency(eid, ca)`. The default store has no slot and no heap.
+#[derive(Clone, Debug, Default)]
 pub struct EdgeGuardStore<const W: usize = 1> {
     /// `slots[eid][slot]`.
     slots: Vec<Vec<NogoodRef<W>>>,

@@ -19,6 +19,10 @@
 //! domain restriction of Definition 3.16 holds by construction); the paper's full
 //! fixed-deadend-mask recursion can discover additional edge guards. See DESIGN.md.
 //!
+//! The local candidate and bounding sets live on one [`CandidateStack`], shared
+//! with the backtracking baselines: a mark taken before each extension restores
+//! them in one call, and the recursion allocates nothing.
+//!
 //! ### Task frames and work stealing
 //!
 //! A search can be packaged as a [`SearchTask`]: a replayable prefix (the candidate
@@ -44,6 +48,7 @@ use crate::config::{GupConfig, PruningFeatures, SearchLimits};
 use crate::gcs::Gcs;
 use crate::guards::{EdgeGuardStore, NodeId, NogoodRef, VertexGuardStore};
 use crate::stats::SearchStats;
+use gup_candidate::CandidateStack;
 use gup_graph::deadline::DeadlineSampler;
 use gup_graph::scratch::OwnerArray;
 use gup_graph::sink::{EmbeddingReservation, EmbeddingSink, SinkControl};
@@ -122,14 +127,14 @@ pub struct SearchEngine<'a, const W: usize = 1> {
     /// prefix; `anc[0]` is the imaginary root).
     anc: Vec<NodeId>,
     next_node_id: NodeId,
-    /// Stack of local candidate-index lists per query vertex; the top is the current
-    /// local candidate set.
-    cand_stack: Vec<Vec<Vec<u32>>>,
-    /// Stack of bounding sets per query vertex, parallel to `cand_stack`.
-    bound_stack: Vec<Vec<QVSet<W>>>,
-    /// Nogood guards on candidate vertices (populated during the search).
+    /// Local candidate sets (Definition 3.18), each frame carrying its bounding set
+    /// (Definition 3.19): a vertex's top frame is its current pair.
+    stack: CandidateStack<QVSet<W>>,
+    /// Nogood guards on candidate vertices (populated during the search; empty
+    /// unless vertex nogood guards are on).
     nv: VertexGuardStore<W>,
-    /// Nogood guards on candidate edges (populated during the search).
+    /// Nogood guards on candidate edges (populated during the search; empty unless
+    /// edge nogood guards are on).
     ne: EdgeGuardStore<W>,
 
     stats: SearchStats,
@@ -166,13 +171,17 @@ impl<'a, const W: usize> SearchEngine<'a, W> {
         // A GCS built with reservation guards off stores none to test against.
         let mut features = config.features;
         features.reservation_guards &= !gcs.reservations().is_empty();
-        let cand_stack = (0..n)
-            .map(|u| {
-                let len = gcs.space().candidates(u).len();
-                vec![(0..len as u32).collect::<Vec<u32>>()]
-            })
-            .collect();
-        let bound_stack = (0..n).map(|_| vec![QVSet::EMPTY]).collect();
+        // The search touches a nogood store only with its feature on.
+        let nv = if features.nogood_vertex_guards {
+            gcs.new_vertex_guard_store()
+        } else {
+            VertexGuardStore::default()
+        };
+        let ne = if features.nogood_edge_guards {
+            gcs.new_edge_guard_store()
+        } else {
+            EdgeGuardStore::default()
+        };
         SearchEngine {
             gcs,
             features,
@@ -182,10 +191,9 @@ impl<'a, const W: usize> SearchEngine<'a, W> {
             owner: OwnerArray::take(gcs.data_vertex_count()),
             anc: vec![0; n + 1],
             next_node_id: 1,
-            cand_stack,
-            bound_stack,
-            nv: gcs.new_vertex_guard_store(),
-            ne: gcs.new_edge_guard_store(),
+            stack: CandidateStack::new(gcs.space(), QVSet::EMPTY),
+            nv,
+            ne,
             stats: SearchStats::default(),
             reservation: EmbeddingReservation::local(config.limits.max_embeddings),
             sampler: DeadlineSampler::new(config.limits.deadline),
@@ -228,7 +236,7 @@ impl<'a, const W: usize> SearchEngine<'a, W> {
     pub fn root_task(&self) -> SearchTask {
         SearchTask {
             prefix: Vec::new(),
-            candidates: self.cand_stack[0][0].clone(),
+            candidates: self.stack.top(0).to_vec(),
         }
     }
 
@@ -284,7 +292,8 @@ impl<'a, const W: usize> SearchEngine<'a, W> {
         self.stats.tasks_executed += 1;
         let base = task.prefix.len();
         debug_assert!(base < self.gcs.query().vertex_count());
-        let mut replayed: Vec<Vec<usize>> = Vec::with_capacity(base);
+        let mark = self.stack.mark();
+        let mut assigned = 0;
         let mut alive = true;
         for (k, &cv) in task.prefix.iter().enumerate() {
             let v = self.gcs.space().candidates(k)[cv as usize];
@@ -302,14 +311,11 @@ impl<'a, const W: usize> SearchEngine<'a, W> {
             let node = self.next_node_id;
             self.next_node_id += 1;
             self.anc[k + 1] = node;
-            match self.refine_forward(k, cv) {
-                Ok(pushed) => replayed.push(pushed),
-                Err(_) => {
-                    self.owner[v as usize] = 0;
-                    self.stats.no_candidate_conflicts += 1;
-                    alive = false;
-                    break;
-                }
+            assigned += 1;
+            if self.refine_forward(k, cv).is_err() {
+                self.stats.no_candidate_conflicts += 1;
+                alive = false;
+                break;
             }
         }
         if alive {
@@ -319,8 +325,8 @@ impl<'a, const W: usize> SearchEngine<'a, W> {
             self.task_base = 0;
             self.task_candidates = Vec::new();
         }
-        for k in (0..replayed.len()).rev() {
-            self.pop_refinements(&replayed[k]);
+        self.stack.restore(mark);
+        for k in 0..assigned {
             self.owner[self.assignment_data[k] as usize] = 0;
         }
     }
@@ -329,6 +335,9 @@ impl<'a, const W: usize> SearchEngine<'a, W> {
     // Core recursion
     // ------------------------------------------------------------------------------
 
+    // The recursion and all it calls per extension: allocation-free, statically
+    // and by `tests/filter_alloc.rs` and `tests/sink_alloc.rs`.
+    // gup-lint: region(no_alloc)
     fn backtrack(&mut self, k: usize, sink: &mut dyn EmbeddingSink) -> StepResult<W> {
         let n = self.gcs.query().vertex_count();
         if k == n {
@@ -350,13 +359,13 @@ impl<'a, const W: usize> SearchEngine<'a, W> {
         let mut aborted = false;
         let mut backjump_mask: Option<QVSet<W>> = None;
 
+        // Deeper levels push only on later vertices, so `top(k)` stays put.
         let at_base = k == self.task_base;
-        let level = self.cand_stack[k].len() - 1;
         self.frame_pos[k] = 0;
         self.frame_hi[k] = if at_base {
             self.task_candidates.len()
         } else {
-            self.cand_stack[k][level].len()
+            self.stack.top(k).len()
         };
         self.frame_donated[k] = false;
 
@@ -365,7 +374,7 @@ impl<'a, const W: usize> SearchEngine<'a, W> {
             let cv = if at_base {
                 self.task_candidates[pos]
             } else {
-                self.cand_stack[k][level][pos]
+                self.stack.top(k)[pos]
             };
             let v = self.gcs.space().candidates(k)[cv as usize];
             self.stats.local_candidates_seen += 1;
@@ -383,6 +392,7 @@ impl<'a, const W: usize> SearchEngine<'a, W> {
                 self.next_node_id += 1;
                 self.anc[k + 1] = node;
 
+                let mark = self.stack.mark();
                 let refine = self.refine_forward(k, cv);
                 let result_mask = match refine {
                     Err(bound) => {
@@ -390,9 +400,8 @@ impl<'a, const W: usize> SearchEngine<'a, W> {
                         self.stats.no_candidate_conflicts += 1;
                         Some(bound)
                     }
-                    Ok(pushed) => {
+                    Ok(()) => {
                         let result = self.backtrack(k + 1, sink);
-                        self.pop_refinements(&pushed);
                         match result {
                             StepResult::Aborted => {
                                 aborted = true;
@@ -406,6 +415,7 @@ impl<'a, const W: usize> SearchEngine<'a, W> {
                         }
                     }
                 };
+                self.stack.restore(mark);
                 self.owner[v as usize] = 0;
                 result_mask
             };
@@ -453,59 +463,8 @@ impl<'a, const W: usize> SearchEngine<'a, W> {
             return StepResult::NotDeadend;
         }
         self.stats.futile_recursions += 1;
-        // gup-lint: allow(panic_freedom) every level keeps at least its root entry; an empty bound stack is a search-invariant bug worth a loud crash
-        let level_bound = *self.bound_stack[k].last().expect("bound stack never empty");
-        let mask = (mask_union | level_bound).without(k);
+        let mask = (mask_union | self.stack.payload(k)).without(k);
         StepResult::Deadend(mask)
-    }
-
-    /// When idle workers outnumber queued tasks, splits the shallowest splittable
-    /// active frame (depth `task_base..min(depth, MAX_SPLIT_DEPTH)`) and donates the
-    /// unexplored half of its sibling range as a new task.
-    fn maybe_donate(&mut self, depth: usize) {
-        let (hungry, queued) = match &self.split {
-            Some(s) => (
-                // Relaxed: scheduling hints only. A stale read can at worst delay
-                // or skip one donation; task hand-off itself is published by the
-                // queue mutex, and `queued` updates use SeqCst where the count
-                // gates worker shutdown.
-                s.hungry.load(Ordering::Relaxed),
-                s.queued.load(Ordering::Relaxed),
-            ),
-            None => return,
-        };
-        if hungry <= queued {
-            return;
-        }
-        for d in self.task_base..depth.min(MAX_SPLIT_DEPTH) {
-            let pos = self.frame_pos[d];
-            let hi = self.frame_hi[d];
-            // Candidates after the one whose subtree is currently being explored.
-            let rest = hi.saturating_sub(pos + 1);
-            if rest < MIN_SPLIT_CANDIDATES {
-                continue;
-            }
-            let give = rest - rest / 2;
-            let new_hi = hi - give;
-            let candidates: Vec<u32> = if d == self.task_base {
-                self.task_candidates[new_hi..hi].to_vec()
-            } else {
-                let level = self.cand_stack[d].len() - 1;
-                self.cand_stack[d][level][new_hi..hi].to_vec()
-            };
-            let prefix: Vec<u32> = self.assignment[..d].to_vec();
-            self.frame_hi[d] = new_hi;
-            self.frame_donated[d] = true;
-            self.stats.frames_split += 1;
-            // gup-lint: allow(panic_freedom) the match at the top of this method already returned when split is None
-            let split = self.split.as_ref().expect("checked above");
-            split.queued.fetch_add(1, Ordering::SeqCst);
-            split
-                .sink
-                .lock()
-                .push_back(SearchTask { prefix, candidates });
-            return;
-        }
     }
 
     /// Conflict checks performed before extending with candidate `cv` / data vertex
@@ -551,100 +510,50 @@ impl<'a, const W: usize> SearchEngine<'a, W> {
     }
 
     /// Refines the local candidate sets of the forward neighbors of `u_k` after
-    /// assigning it candidate `cv` (Definition 3.18), pushing one new level per forward
-    /// neighbor. On success returns the list of pushed query vertices; on a
-    /// no-candidate conflict returns the bounding set of the emptied vertex
-    /// (Definition 3.23 case 4), having already undone its own pushes.
-    fn refine_forward(&mut self, k: usize, cv: u32) -> Result<Vec<usize>, QVSet<W>> {
-        let forward_count = self.gcs.query().forward_neighbors(k).len();
-        let mut pushed: Vec<usize> = Vec::with_capacity(forward_count);
-        for fi in 0..forward_count {
-            let f = self.gcs.query().forward_neighbors(k)[fi];
-            let eid = self
-                .gcs
-                .space()
+    /// assigning it candidate `cv` (Definition 3.18), pushing one frame per forward
+    /// neighbor that carries its bounding set. On a no-candidate conflict returns
+    /// the bounding set of the emptied vertex (Definition 3.23 case 4); the frames
+    /// pushed for earlier forward neighbors stay for the caller's restore.
+    fn refine_forward(&mut self, k: usize, cv: u32) -> Result<(), QVSet<W>> {
+        let space = self.gcs.space();
+        let use_ne = self.features.nogood_edge_guards;
+        for &f in self.gcs.query().forward_neighbors(k) {
+            let eid = space
                 .edge_id(k, f)
                 // gup-lint: allow(panic_freedom) f comes from forward_neighbors(k), so the query edge (k, f) exists by construction
                 .expect("forward neighbors are adjacent in the query");
-            let adjacency = self.gcs.space().adjacent_candidates(k, cv as usize, f);
-            // Edge-guard slot of `adjacency[0]`; `k < f`, so this is the forward list.
-            let slot0 = self.gcs.space().forward_start(eid, cv as usize);
-            // gup-lint: allow(panic_freedom) candidate stacks are seeded with one level at construction and never emptied
-            let parent_list = self.cand_stack[f].last().expect("stack never empty");
-            // gup-lint: allow(panic_freedom) bound stacks are seeded with one level at construction and never emptied
-            let parent_bound = *self.bound_stack[f].last().expect("stack never empty");
-            let use_ne = self.features.nogood_edge_guards;
-
-            let mut new_list: Vec<u32> = Vec::with_capacity(parent_list.len().min(adjacency.len()));
-            let mut new_bound = parent_bound;
-            let mut removed_any = parent_list.len() != adjacency.len();
+            // `k < f`, so the candidate edges from `cv` are `eid`'s forward list,
+            // and `adjacency[pos]` has edge-guard slot `slot0 + pos`.
+            let adjacency = space.forward_adjacency(eid, cv as usize);
+            let slot0 = space.forward_start(eid, cv as usize);
+            let parent_len = self.stack.top(f).len();
+            let mut bound = self.stack.payload(f);
             let mut pruned_by_edge_guard = 0u64;
-
-            // Merge-intersect the (sorted) parent list with the (sorted) adjacency
-            // list; `pos` tracks the position within the adjacency list so that the
-            // matching edge-guard slot can be consulted.
-            let mut pi = 0usize;
-            let mut pos = 0usize;
-            while pi < parent_list.len() && pos < adjacency.len() {
-                let a = parent_list[pi];
-                let b = adjacency[pos];
-                match a.cmp(&b) {
-                    std::cmp::Ordering::Less => {
-                        // Candidate not adjacent to v: removed by the adjacency
-                        // constraint.
-                        removed_any = true;
-                        pi += 1;
-                    }
-                    std::cmp::Ordering::Greater => {
-                        pos += 1;
-                    }
-                    std::cmp::Ordering::Equal => {
-                        let keep = if use_ne {
-                            let guard = self.ne.get(eid, slot0 + pos);
-                            if guard.matches(&self.anc[..k + 2]) {
-                                new_bound |= guard.dom;
-                                pruned_by_edge_guard += 1;
-                                false
-                            } else {
-                                true
-                            }
-                        } else {
-                            true
-                        };
-                        if keep {
-                            new_list.push(a);
-                        } else {
-                            removed_any = true;
-                        }
-                        pi += 1;
-                        pos += 1;
+            let (ne, anc) = (&self.ne, &self.anc[..k + 2]);
+            let kept = self.stack.push_intersection(f, adjacency, |pos| {
+                if use_ne {
+                    let guard = ne.get(eid, slot0 + pos);
+                    if guard.matches(anc) {
+                        bound |= guard.dom;
+                        pruned_by_edge_guard += 1;
+                        return false;
                     }
                 }
-            }
-            if pi < parent_list.len() {
-                removed_any = true;
-            }
+                true
+            });
             self.stats.pruned_by_nogood_edge += pruned_by_edge_guard;
-            if removed_any {
-                new_bound.insert(k);
+            // `k` stays out of the bound only when `top(f)` and the adjacency list
+            // have one length and every entry was kept: the lists were equal, so
+            // assigning `u_k` narrowed nothing.
+            if parent_len != adjacency.len() || kept < parent_len {
+                bound.insert(k);
             }
-            if new_list.is_empty() {
-                // Undo the refinements already pushed for earlier forward neighbors.
-                self.pop_refinements(&pushed);
-                return Err(new_bound);
+            if kept == 0 {
+                return Err(bound);
             }
-            self.cand_stack[f].push(new_list);
-            self.bound_stack[f].push(new_bound);
-            pushed.push(f);
+            self.stack.set_payload(f, bound);
         }
-        Ok(pushed)
-    }
-
-    fn pop_refinements(&mut self, pushed: &[usize]) {
-        for &f in pushed {
-            self.cand_stack[f].pop();
-            self.bound_stack[f].pop();
-        }
+        Ok(())
     }
 
     /// Records the nogood `(M ⊕ v)[mask]` as a nogood guard on a candidate vertex and,
@@ -713,10 +622,6 @@ impl<'a, const W: usize> SearchEngine<'a, W> {
     /// counter is shared across workers, so the limit can never be overshot and no
     /// post-hoc truncation is needed) and reports the embedding to the sink. Returns
     /// `false` when no slot is left or the sink asked the search to stop.
-    // These two run once per recursion / per embedding — the innermost hot
-    // path. Statically pinned allocation-free; the counting-sink variant is
-    // also pinned dynamically by `tests/sink_alloc.rs`.
-    // gup-lint: region(no_alloc)
     fn try_record_embedding(&mut self, sink: &mut dyn EmbeddingSink) -> bool {
         if !self.reservation.try_reserve(self.stats.embeddings) {
             self.stats.hit_embedding_limit = true;
@@ -747,6 +652,55 @@ impl<'a, const W: usize> SearchEngine<'a, W> {
         false
     }
     // gup-lint: end_region
+
+    /// When idle workers outnumber queued tasks, splits the shallowest splittable
+    /// active frame (depth `task_base..min(depth, MAX_SPLIT_DEPTH)`) and donates the
+    /// unexplored half of its sibling range as a new task (allocating once per
+    /// donation, so it sits outside the `no_alloc` region).
+    fn maybe_donate(&mut self, depth: usize) {
+        let (hungry, queued) = match &self.split {
+            Some(s) => (
+                // Relaxed: scheduling hints only. A stale read can at worst delay
+                // or skip one donation; task hand-off itself is published by the
+                // queue mutex, and `queued` updates use SeqCst where the count
+                // gates worker shutdown.
+                s.hungry.load(Ordering::Relaxed),
+                s.queued.load(Ordering::Relaxed),
+            ),
+            None => return,
+        };
+        if hungry <= queued {
+            return;
+        }
+        for d in self.task_base..depth.min(MAX_SPLIT_DEPTH) {
+            let pos = self.frame_pos[d];
+            let hi = self.frame_hi[d];
+            // Candidates after the one whose subtree is currently being explored.
+            let rest = hi.saturating_sub(pos + 1);
+            if rest < MIN_SPLIT_CANDIDATES {
+                continue;
+            }
+            let give = rest - rest / 2;
+            let new_hi = hi - give;
+            let candidates: Vec<u32> = if d == self.task_base {
+                self.task_candidates[new_hi..hi].to_vec()
+            } else {
+                self.stack.top(d)[new_hi..hi].to_vec()
+            };
+            let prefix: Vec<u32> = self.assignment[..d].to_vec();
+            self.frame_hi[d] = new_hi;
+            self.frame_donated[d] = true;
+            self.stats.frames_split += 1;
+            // gup-lint: allow(panic_freedom) the match at the top of this method already returned when split is None
+            let split = self.split.as_ref().expect("checked above");
+            split.queued.fetch_add(1, Ordering::SeqCst);
+            split
+                .sink
+                .lock()
+                .push_back(SearchTask { prefix, candidates });
+            return;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -906,6 +860,25 @@ mod tests {
         );
         assert_eq!(baseline.embeddings, full.embeddings);
         assert!(full.recursions <= baseline.recursions);
+    }
+
+    #[test]
+    fn unguarded_runs_shape_no_nogood_store() {
+        let (q, d) = fixtures::paper_example();
+        let unguarded = GupConfig {
+            features: PruningFeatures::NONE,
+            limits: SearchLimits::UNLIMITED,
+            ..GupConfig::default()
+        };
+        let gcs = build(&q, &d, &unguarded);
+        let (stats, nv, ne) =
+            SearchEngine::new(&gcs, &unguarded).run_with_guards(&mut CountOnly::new());
+        assert_eq!(stats.embeddings, 4);
+        assert_eq!((nv.heap_bytes(), ne.heap_bytes()), (0, 0));
+        // With the features on, the same space gets both stores.
+        let (_, nv, ne) =
+            SearchEngine::new(&gcs, &GupConfig::default()).run_with_guards(&mut CountOnly::new());
+        assert!(nv.heap_bytes() > 0 && ne.heap_bytes() > 0);
     }
 
     #[test]

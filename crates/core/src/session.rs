@@ -10,9 +10,10 @@
 //!   built **once** — and hands out query requests that reuse it. Sessions are cheap
 //!   to clone and [`Session::from_prepared`] lets many threads share one index.
 //! * [`QueryRequest`] is a builder over one query: pick the engine
-//!   ([`Engine`] covers GuP sequential/parallel, the three backtracking baselines,
-//!   the join baseline, and the brute-force oracle), set limits, then [`run`],
-//!   [`count`], or stream into any [`EmbeddingSink`] via [`run_with_sink`].
+//!   ([`Engine`] covers GuP sequential/parallel, GuP with every guard off, the three
+//!   backtracking baselines, the join baseline, and the brute-force oracle), set
+//!   limits, then [`run`], [`count`], or stream into any [`EmbeddingSink`] via
+//!   [`run_with_sink`].
 //! * [`Session::run_batch`] executes a whole query set under one shared deadline
 //!   with per-query stats and amortized preparation time in its [`BatchReport`].
 //! * [`Session::with_result_cache`] opts into a bounded, engine-agnostic memo for
@@ -66,7 +67,7 @@
 //! assert_eq!(report.total_embeddings(), 8);
 //! ```
 
-use crate::config::{GupConfig, SearchLimits};
+use crate::config::{GupConfig, PruningFeatures, SearchLimits};
 use crate::matcher::GupMatcher;
 use crate::stats::SearchStats;
 use gup_baselines::{brute_force, BacktrackingBaseline, BaselineKind, JoinBaseline};
@@ -92,7 +93,8 @@ pub enum Engine {
     ///
     /// [`PruningFeatures`]: crate::PruningFeatures
     Gup,
-    /// Plain candidate-space backtracking (no guards, VC-style order).
+    /// Plain candidate-space backtracking: GuP with every guard and backjumping off
+    /// (`PruningFeatures::NONE`, Fig. 9's "Baseline"), whatever the configuration.
     Plain,
     /// DAF-style failing-set backtracking.
     Daf,
@@ -124,7 +126,7 @@ impl Engine {
     pub fn name(self) -> &'static str {
         match self {
             Engine::Gup => "GuP",
-            Engine::Plain => "Plain-BT",
+            Engine::Plain => "GuP[Baseline]",
             Engine::Daf => "DAF-FS",
             Engine::Gql => "GQL-G",
             Engine::Ri => "GQL-R",
@@ -535,8 +537,9 @@ impl<'s, 'q> QueryRequest<'s, 'q> {
         self
     }
 
-    /// Number of worker threads for [`Engine::Gup`] (the work-stealing driver;
-    /// other engines are sequential and ignore this). Default: 1.
+    /// Number of worker threads for [`Engine::Gup`] and [`Engine::Plain`] (the
+    /// work-stealing driver; other engines are sequential and ignore this).
+    /// Default: 1.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
@@ -721,7 +724,7 @@ fn dispatch_inner(
     session: &Session,
     query: &Graph,
     engine: Engine,
-    config: GupConfig,
+    mut config: GupConfig,
     threads: usize,
     sink: &mut dyn EmbeddingSink,
 ) -> Result<SearchStats, SessionError> {
@@ -733,18 +736,22 @@ fn dispatch_inner(
         return Ok(timed_out_stats());
     }
     let run: Result<SearchStats, BuildError> = match engine {
-        Engine::Gup => crate::with_qv_width!(query.vertex_count(), W, {
-            GupMatcher::<W>::with_prepared(query, prepared, config)
-                .map(|matcher| matcher.run_parallel_with_sink(threads, sink))
-        }),
-        Engine::Plain | Engine::Daf | Engine::Gql | Engine::Ri => {
+        Engine::Gup | Engine::Plain => {
+            if engine == Engine::Plain {
+                config.features = PruningFeatures::NONE;
+            }
+            crate::with_qv_width!(query.vertex_count(), W, {
+                GupMatcher::<W>::with_prepared(query, prepared, config)
+                    .map(|matcher| matcher.run_parallel_with_sink(threads, sink))
+            })
+        }
+        Engine::Daf | Engine::Gql | Engine::Ri => {
             // This arm is exactly the backtracking-baseline engines, so the kind
             // can be matched directly — no Option, nothing to unwrap.
             let kind = match engine {
-                Engine::Daf => BaselineKind::DafFailingSet,
                 Engine::Gql => BaselineKind::GqlStyle,
                 Engine::Ri => BaselineKind::RiStyle,
-                _ => BaselineKind::Plain,
+                _ => BaselineKind::DafFailingSet,
             };
             crate::with_qv_width!(query.vertex_count(), W, {
                 BacktrackingBaseline::<W>::with_prepared(query, prepared, kind, limits)
@@ -808,7 +815,7 @@ impl<'s> BatchRequest<'s> {
         self
     }
 
-    /// Number of worker threads for [`Engine::Gup`].
+    /// Number of worker threads for [`Engine::Gup`] and [`Engine::Plain`].
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self

@@ -24,9 +24,8 @@
 //! parsing and preparing a text graph — warm starts skip the whole preparation
 //! pass, which dominates process startup on large data graphs.
 //!
-//! Methods: every engine by its wire name — `gup` (default), `plain`, `daf`,
-//! `gql`, `ri`, `join`, `bruteforce` — plus `gup-noguards`, GuP with every
-//! guard off.
+//! Methods: every engine by its wire name — `gup` (default), `plain` (GuP with
+//! every guard off), `daf`, `gql`, `ri`, `join`, `bruteforce`.
 //!
 //! Output modes (all methods): the default prints the per-query summary line;
 //! `--count-only` streams through a counting sink (no embedding is ever
@@ -37,7 +36,7 @@
 
 use gup::session::{Engine, Session};
 use gup::sink::{CountOnly, EmbeddingSink, FirstK};
-use gup::{GupConfig, PruningFeatures, SearchLimits, SearchStats};
+use gup::{GupConfig, SearchLimits, SearchStats};
 use gup_graph::deadline::Stopwatch;
 use gup_graph::io::load_graph;
 use gup_graph::VertexId;
@@ -220,29 +219,18 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     Ok(opts)
 }
 
-/// The one method name that is not an engine's wire name: GuP with every
-/// guard off.
-const NOGUARDS_METHOD: &str = "gup-noguards";
-
-/// Every accepted `--method` value, joined by `sep`.
+/// Every accepted `--method` value (the engines' wire names), joined by `sep`.
 fn method_names(sep: &str) -> String {
-    let mut names: Vec<&str> = Engine::ALL.iter().map(|e| e.wire_name()).collect();
-    names.push(NOGUARDS_METHOD);
-    names.join(sep)
+    Engine::ALL.map(Engine::wire_name).join(sep)
 }
 
-fn parse_method(method: &str) -> Result<(Engine, PruningFeatures), String> {
-    if method == NOGUARDS_METHOD {
-        return Ok((Engine::Gup, PruningFeatures::NONE));
-    }
-    Engine::from_wire_name(method)
-        .map(|engine| (engine, PruningFeatures::ALL))
-        .ok_or_else(|| {
-            format!(
-                "unknown method '{method}' (expected {})",
-                method_names(", ")
-            )
-        })
+fn parse_method(method: &str) -> Result<Engine, String> {
+    Engine::from_wire_name(method).ok_or_else(|| {
+        format!(
+            "unknown method '{method}' (expected {})",
+            method_names(", ")
+        )
+    })
 }
 
 fn print_embeddings(embeddings: &[Vec<VertexId>]) {
@@ -325,12 +313,10 @@ fn run_query(
     session: &Session,
     query: &gup_graph::Graph,
     engine: Engine,
-    features: PruningFeatures,
     opts: &Options,
 ) -> Result<(String, SearchStats, Duration), String> {
     let watch = Stopwatch::started();
     let config = GupConfig {
-        features,
         limits: SearchLimits {
             max_embeddings: opts.limit,
             ..SearchLimits::UNLIMITED
@@ -371,7 +357,7 @@ fn main() -> ExitCode {
             };
         }
     };
-    let (engine, features) = match parse_method(&opts.method) {
+    let engine = match parse_method(&opts.method) {
         Ok(m) => m,
         Err(msg) => {
             eprintln!("error: {msg}");
@@ -421,7 +407,7 @@ fn main() -> ExitCode {
     let mut rows: Vec<TimingRow> = Vec::new();
     for path in &opts.queries {
         match load_graph(path) {
-            Ok(query) => match run_query(&session, &query, engine, features, &opts) {
+            Ok(query) => match run_query(&session, &query, engine, &opts) {
                 Ok((line, stats, elapsed)) => {
                     println!("{path}\tmethod={}\t{line}", opts.method);
                     rows.push(TimingRow {

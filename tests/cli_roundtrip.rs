@@ -3,6 +3,7 @@
 //! family on the loaded copies. (The CLI binary itself is a thin argument parser over
 //! exactly this path.)
 
+use gup::session::Engine;
 use gup::sink::CountOnly;
 use gup::{GupConfig, GupMatcher, SearchLimits};
 use gup_baselines::{brute_force, BacktrackingBaseline, BaselineKind, JoinBaseline};
@@ -30,17 +31,8 @@ fn gup_match_binary_reports_oracle_counts() {
         "fixture must have embeddings for the test to be meaningful"
     );
 
-    // Every engine's wire name, plus the one CLI-only alias.
-    for method in [
-        "gup",
-        "plain",
-        "daf",
-        "gql",
-        "ri",
-        "join",
-        "bruteforce",
-        "gup-noguards",
-    ] {
+    // `--method` takes exactly the engines' wire names.
+    for method in Engine::ALL.map(Engine::wire_name) {
         let output = std::process::Command::new(env!("CARGO_BIN_EXE_gup-match"))
             .args([
                 "--data",
@@ -70,6 +62,20 @@ fn gup_match_binary_reports_oracle_counts() {
             "gup-match --method {method} reported {reported}, oracle says {expected}"
         );
     }
+
+    // Any other name is a usage error, `gup-noguards` included.
+    let output = std::process::Command::new(env!("CARGO_BIN_EXE_gup-match"))
+        .args([
+            "--data",
+            data_path.to_str().unwrap(),
+            "--query",
+            query_path.to_str().unwrap(),
+            "--method",
+            "gup-noguards",
+        ])
+        .output()
+        .expect("failed to spawn gup-match");
+    assert_eq!(output.status.code(), Some(2), "--method gup-noguards");
 
     // A multi-threaded run through the CLI must agree as well.
     let output = std::process::Command::new(env!("CARGO_BIN_EXE_gup-match"))

@@ -17,14 +17,19 @@
 //! output); and a query over a data graph padded to 16× the vertices allocates
 //! exactly the bytes it allocates over the unpadded one. A guarded candidate space
 //! with ten times the candidates and candidate edges, built, given a search engine
-//! and dropped, costs only the geometric growth of its arrays. This file holds
-//! exactly these tests so the allocator hook cannot interfere with unrelated suites.
+//! and dropped, costs only the geometric growth of its arrays. A search that makes
+//! ten times the recursions makes exactly the allocations of the smaller one, for
+//! GuP and every backtracking baseline: the local candidate sets live on a stack
+//! reserved when the engine is built. This file holds exactly these tests so the
+//! allocator hook cannot interfere with unrelated suites.
 
 use gup::session::{Engine, Session};
-use gup::{Gcs, GupConfig, SearchEngine};
+use gup::{Gcs, GupConfig, PruningFeatures, SearchEngine, SearchLimits, SearchTask};
+use gup_baselines::{BacktrackingBaseline, BaselineKind};
 use gup_candidate::filters::nlf_candidates_prepared;
 use gup_graph::builder::graph_from_edges;
 use gup_graph::generate::{power_law_graph, random_walk_query, PowerLawConfig};
+use gup_graph::sink::CountOnly;
 use gup_graph::{Graph, Label, PreparedData};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -335,4 +340,104 @@ fn gcs_allocations_do_not_grow_with_the_candidate_space() {
          made {small_allocs} allocations, over {large_candidates} and {large_edges} \
          {large_allocs}"
     );
+}
+
+/// The wheel over `rim` vertices, one label: hub 0 joined to every vertex of the
+/// cycle `1..=rim`. Against a one-label triangle every vertex is a candidate of
+/// every query vertex, and candidate 0, the hub, roots a subtree of `rim + 1`
+/// recursions.
+fn wheel(rim: u32) -> Graph {
+    let mut edges: Vec<(u32, u32)> = (1..=rim).map(|r| (0, r)).collect();
+    edges.extend((1..=rim).map(|r| (r, r % rim + 1)));
+    graph_from_edges(&vec![0; rim as usize + 1], &edges)
+}
+
+/// One search a test measures.
+#[derive(Clone, Copy, Debug)]
+enum Search {
+    /// A whole GuP search with these features.
+    Gup(PruningFeatures),
+    /// GuP's `run_task_with_sink` on the task that replays root candidate 0 and
+    /// then explores every candidate of query vertex 1 adjacent to it.
+    GupTask,
+    /// A whole baseline search.
+    Baseline(BaselineKind),
+}
+
+/// Allocations made by one search phase of `query` over `prepared` on this
+/// thread — an engine built on a prebuilt GCS or baseline, its run and its drop —
+/// with the recursions the run made.
+fn search_phase(search: Search, query: &Graph, prepared: &PreparedData) -> (u64, u64) {
+    let limits = SearchLimits::UNLIMITED;
+    match search {
+        Search::Gup(features) => {
+            let config = GupConfig {
+                features,
+                limits,
+                ..GupConfig::default()
+            };
+            let gcs = Gcs::<1>::build_prepared(query, prepared, &config).expect("valid query");
+            let before = allocations();
+            let stats = SearchEngine::new(&gcs, &config).run_with_sink(&mut CountOnly::new());
+            (allocations() - before, stats.recursions)
+        }
+        Search::GupTask => {
+            let config = GupConfig {
+                limits,
+                ..GupConfig::default()
+            };
+            let gcs = Gcs::<1>::build_prepared(query, prepared, &config).expect("valid query");
+            let task = SearchTask {
+                prefix: vec![0],
+                candidates: gcs.space().adjacent_candidates(0, 0, 1).to_vec(),
+            };
+            let before = allocations();
+            let mut engine = SearchEngine::new(&gcs, &config);
+            engine.run_task_with_sink(task, &mut CountOnly::new());
+            let recursions = engine.stats().recursions;
+            drop(engine);
+            (allocations() - before, recursions)
+        }
+        Search::Baseline(kind) => {
+            let baseline = BacktrackingBaseline::<1>::with_prepared(query, prepared, kind, limits)
+                .expect("valid query");
+            let before = allocations();
+            let stats = baseline.run_with_sink(&mut CountOnly::new());
+            (allocations() - before, stats.recursions)
+        }
+    }
+}
+
+/// A search's allocations do not grow with its recursions: on a warm thread, a
+/// search of the same query that recurses ten times as often makes exactly as
+/// many allocations, for GuP with every feature and with none, for a task with a
+/// replayed prefix, and for every backtracking baseline. Extending a partial
+/// embedding narrows its forward neighbors' candidate sets on the engine's
+/// candidate stack, never into a fresh list.
+#[test]
+fn search_allocations_do_not_grow_with_recursions() {
+    let query = graph_from_edges(&[0; 3], &[(0, 1), (1, 2), (2, 0)]);
+    let small = PreparedData::new(wheel(10));
+    let large = PreparedData::new(wheel(120));
+    let mut searches = vec![
+        Search::Gup(PruningFeatures::ALL),
+        Search::Gup(PruningFeatures::NONE),
+        Search::GupTask,
+    ];
+    searches.extend(BaselineKind::ALL.map(Search::Baseline));
+    for search in searches {
+        // Warm the thread's scratch pool at the larger data graph.
+        let _ = search_phase(search, &query, &large);
+        let (small_allocs, small_recursions) = search_phase(search, &query, &small);
+        let (large_allocs, large_recursions) = search_phase(search, &query, &large);
+        assert!(
+            large_recursions >= 10 * small_recursions,
+            "{search:?}: {small_recursions} and {large_recursions} recursions"
+        );
+        assert_eq!(
+            small_allocs, large_allocs,
+            "{search:?}: {small_recursions} recursions made {small_allocs} allocations, \
+             {large_recursions} made {large_allocs}"
+        );
+    }
 }

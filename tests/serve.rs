@@ -4,6 +4,7 @@
 //! backpressure (`busy`), graceful reload under in-flight queries, and the
 //! `healthz`/`stats` endpoints.
 
+use gup::session::Engine;
 use gup_baselines::brute_force;
 use gup_graph::builder::graph_from_edges;
 use gup_graph::fixtures;
@@ -144,7 +145,7 @@ fn counts_match_the_oracle_for_every_engine_over_the_wire() {
     let expected = brute_force::count(&query, &data);
     let server = ServerHandle::spawn("engines", &data, &[]);
     let mut client = Client::connect(server.addr);
-    for engine in ["gup", "plain", "daf", "gql", "ri", "join", "bruteforce"] {
+    for engine in Engine::ALL.map(Engine::wire_name) {
         let line = client.query(&format!("query count engine {engine} limit 0"), &query);
         assert!(line.starts_with("ok "), "engine {engine}: {line}");
         assert_eq!(field(&line, "embeddings"), expected, "engine {engine}");

@@ -2,7 +2,8 @@
 //!
 //! RapidMatch treats subgraph matching as a relational join over the query's edge
 //! relations. This baseline reproduces that execution style in its simplest form:
-//! query edges are processed in a connected order; a table of partial bindings is
+//! query edges are processed in a connected order (always the GraphQL-style
+//! order, [`OrderingStrategy::GqlStyle`]); a table of partial bindings is
 //! extended edge by edge (a hash-free nested-loop join over the candidate space's
 //! adjacency lists), with injectivity enforced at each step. The number of
 //! intermediate bindings plays the role that recursion counts play for the
@@ -13,7 +14,7 @@ use gup_graph::budget::{BuildError, SearchLimits, SearchStats};
 use gup_graph::deadline::DeadlineSampler;
 use gup_graph::sink::{min_limit, EmbeddingSink, SinkControl};
 use gup_graph::{Graph, PreparedData, QueryGraph, VertexId};
-use gup_order::OrderingStrategy;
+use gup_order::{compute_order, OrderingStrategy};
 
 /// The join-based baseline matcher.
 pub struct JoinBaseline {
@@ -34,9 +35,9 @@ impl JoinBaseline {
     /// Builds the join baseline for `query` against `data` with no limits:
     /// prepares a private index of `data` and builds through
     /// [`JoinBaseline::with_prepared`].
-    pub fn new(query: &Graph, data: &Graph, order: OrderingStrategy) -> Result<Self, BuildError> {
+    pub fn new(query: &Graph, data: &Graph) -> Result<Self, BuildError> {
         let prepared = PreparedData::from_graph(data);
-        Self::with_prepared(query, &prepared, order, SearchLimits::UNLIMITED)
+        Self::with_prepared(query, &prepared, SearchLimits::UNLIMITED)
     }
 
     /// Builds the join baseline for `query` against a prepared data graph under
@@ -46,7 +47,6 @@ impl JoinBaseline {
     pub fn with_prepared(
         query: &Graph,
         prepared: &PreparedData,
-        order: OrderingStrategy,
         limits: SearchLimits,
     ) -> Result<Self, BuildError> {
         let validated = QueryGraph::new(query.clone())?;
@@ -57,7 +57,7 @@ impl JoinBaseline {
             limits.deadline,
         )
         .map_err(|_| BuildError::FilterTimeout)?;
-        let order = gup_order::compute_order(query, &space.candidate_sizes(), order)
+        let order = compute_order(query, &space.candidate_sizes(), OrderingStrategy::GqlStyle)
             .expect("validated queries are connected, so an order always exists");
         // The join enumerator never touches the bitset views, so it always uses the
         // widest `OrderedQuery` instantiation and thereby accepts every query size
@@ -223,7 +223,7 @@ mod tests {
 
     fn check(query: &Graph, data: &Graph) {
         let expected = brute_force::count(query, data);
-        let join = JoinBaseline::new(query, data, OrderingStrategy::GqlStyle).unwrap();
+        let join = JoinBaseline::new(query, data).unwrap();
         assert_eq!(
             join.run_with_sink(&mut CountOnly::new()).embeddings,
             expected
@@ -264,7 +264,7 @@ mod tests {
     #[test]
     fn join_counts_intermediate_results() {
         let (q, d) = fixtures::paper_example();
-        let join = JoinBaseline::new(&q, &d, OrderingStrategy::GqlStyle).unwrap();
+        let join = JoinBaseline::new(&q, &d).unwrap();
         let r = join.run_with_sink(&mut CountOnly::new());
         assert!(r.recursions >= r.embeddings);
         assert!(r.recursions > 0);
@@ -291,8 +291,7 @@ mod tests {
             ..SearchLimits::UNLIMITED
         };
         let prepared = PreparedData::from_graph(&d);
-        let join =
-            JoinBaseline::with_prepared(&q, &prepared, OrderingStrategy::GqlStyle, limits).unwrap();
+        let join = JoinBaseline::with_prepared(&q, &prepared, limits).unwrap();
         let r = join.run_with_sink(&mut CountOnly::new());
         assert_eq!(r.embeddings, 5);
         assert!(r.hit_embedding_limit);
@@ -303,7 +302,7 @@ mod tests {
         let disconnected = graph_from_edges(&[0, 0, 0, 0], &[(0, 1), (2, 3)]);
         let d = fixtures::square_with_diagonal();
         assert!(matches!(
-            JoinBaseline::new(&disconnected, &d, OrderingStrategy::GqlStyle),
+            JoinBaseline::new(&disconnected, &d),
             Err(BuildError::InvalidQuery(_))
         ));
     }
@@ -312,7 +311,7 @@ mod tests {
     fn join_handles_empty_candidates() {
         let q = graph_from_edges(&[9, 9], &[(0, 1)]);
         let d = fixtures::square_with_diagonal();
-        let join = JoinBaseline::new(&q, &d, OrderingStrategy::GqlStyle).unwrap();
+        let join = JoinBaseline::new(&q, &d).unwrap();
         assert_eq!(join.run_with_sink(&mut CountOnly::new()).embeddings, 0);
     }
 }

@@ -44,7 +44,6 @@ mod tests {
     use super::*;
     use gup_graph::budget::{SearchLimits, SearchStats};
     use gup_graph::{fixtures, PreparedData};
-    use gup_order::OrderingStrategy;
 
     /// Every baseline engine's record for the Fig. 1 pair (4 embeddings) under
     /// `limits`: each backtracking kind, the join, and brute force.
@@ -60,7 +59,7 @@ mod tests {
             })
             .collect();
         records.push(
-            JoinBaseline::with_prepared(&q, &prepared, OrderingStrategy::GqlStyle, limits)
+            JoinBaseline::with_prepared(&q, &prepared, limits)
                 .unwrap()
                 .run_with_sink(&mut CountOnly::new()),
         );

@@ -8,7 +8,6 @@ use gup::sink::{CollectAll, CountOnly};
 use gup::{GupConfig, GupMatcher, PreparedData, SearchLimits};
 use gup_baselines::{BacktrackingBaseline, BaselineKind, JoinBaseline};
 use gup_graph::deadline::deadline_after;
-use gup_order::OrderingStrategy;
 use gup_workloads::{generate_query_set, Dataset, QueryClass, QuerySetSpec};
 use std::time::Duration;
 
@@ -83,7 +82,7 @@ fn bench_end_to_end(c: &mut Criterion) {
         }
         group.bench_with_input(BenchmarkId::new("RM-join", qi), query, |b, q| {
             b.iter(|| {
-                JoinBaseline::with_prepared(q, &prepared, OrderingStrategy::GqlStyle, limits())
+                JoinBaseline::with_prepared(q, &prepared, limits())
                     .unwrap()
                     .run_with_sink(&mut CountOnly::new())
                     .embeddings

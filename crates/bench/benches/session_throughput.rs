@@ -2,7 +2,8 @@
 //! query sets — the criterion-grade counterpart of the batch-mode numbers in
 //! EXPERIMENTS.md ("Prepared-session reference numbers"). The signature index is
 //! built once outside the measured region; each iteration (`prepared`) runs the
-//! whole query set through `Session::run_batch`.
+//! whole query set as a loop of `Session::query` requests counted into one reused
+//! `CountOnly` sink.
 //!
 //! Three instances: the plain Yeast analogue (71 labels — filtering is cheap), a
 //! **hard-mode** variant with labels coarsened to 4
@@ -26,6 +27,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gup::session::Session;
+use gup::sink::CountOnly;
 use gup::{GupConfig, SearchLimits};
 use gup_graph::generate::{power_law_graph, random_walk_query, PowerLawConfig};
 use gup_graph::Graph;
@@ -40,9 +42,8 @@ use std::time::Duration;
 fn query_set_config(embedding_limit: u64) -> GupConfig {
     GupConfig {
         limits: SearchLimits {
-            // Embedding caps alone bound the work: a batch time budget is ONE
-            // deadline shared by the whole batch, so on a slow machine truncation
-            // could masquerade as throughput.
+            // Embedding caps alone bound the work: with a time budget, a slow
+            // machine's truncated queries could masquerade as throughput.
             max_embeddings: Some(embedding_limit),
             ..SearchLimits::UNLIMITED
         },
@@ -61,9 +62,19 @@ fn bench_instance(
     group.sample_size(10);
     group.measurement_time(Duration::from_secs(5));
 
-    let session = Session::new(data.clone()).with_defaults(query_set_config(embedding_limit));
+    let session = Session::new(data.clone());
+    let config = query_set_config(embedding_limit);
+    let mut sink = CountOnly::new();
     group.bench_function(BenchmarkId::from_parameter("prepared"), |b| {
-        b.iter(|| session.run_batch(queries).total_embeddings());
+        b.iter(|| {
+            queries
+                .iter()
+                .map(|q| {
+                    let request = session.query(q).config(config.clone());
+                    request.run_with_sink(&mut sink).map_or(0, |s| s.embeddings)
+                })
+                .sum::<u64>()
+        });
     });
 
     group.finish();

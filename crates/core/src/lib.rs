@@ -114,8 +114,8 @@ pub use gup_graph::{PreparedData, QVSet, Qv128, Qv256, Qv64, MAX_QUERY_VERTICES}
 pub use matcher::GupMatcher;
 pub use search::{SearchEngine, SearchTask, SplitHandle};
 pub use session::{
-    count_embeddings, find_embeddings, BatchReport, BatchRequest, CounterSnapshot, Engine,
-    QueryOutcome, QueryRequest, Session, SessionCounters, SessionError,
+    count_embeddings, find_embeddings, CounterSnapshot, Engine, QueryOutcome, QueryRequest,
+    Session, SessionCounters, SessionError,
 };
 pub use sink::{
     CallbackSink, CollectAll, CountOnly, EmbeddingReservation, EmbeddingSink, FirstK, SinkControl,

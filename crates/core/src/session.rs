@@ -9,13 +9,13 @@
 //!   its label inverted index, the NLF signature arena, and degree/label bounds,
 //!   built **once** — and hands out query requests that reuse it. Sessions are cheap
 //!   to clone and [`Session::from_prepared`] lets many threads share one index.
-//! * [`QueryRequest`] is a builder over one query: pick the engine
-//!   ([`Engine`] covers GuP sequential/parallel, GuP with every guard off, the three
-//!   backtracking baselines, the join baseline, and the brute-force oracle), set
-//!   limits, then [`run`], [`count`], or stream into any [`EmbeddingSink`] via
-//!   [`run_with_sink`].
-//! * [`Session::run_batch`] executes a whole query set under one shared deadline
-//!   with per-query stats and amortized preparation time in its [`BatchReport`].
+//! * [`QueryRequest`] is the one request path: a builder over one query that picks
+//!   the engine ([`Engine`] covers GuP sequential/parallel, GuP with every guard off,
+//!   the three backtracking baselines, the join baseline, and the brute-force
+//!   oracle), sets limits, then finishes with [`run`], [`count`], or streams into any
+//!   [`EmbeddingSink`] via [`run_with_sink`]. A query set is a loop of requests that
+//!   share one absolute [`deadline`]: once it has passed, every later request comes
+//!   back as a zero-work `hit_time_limit` without building a candidate space.
 //! * [`Session::with_result_cache`] opts into a bounded, engine-agnostic memo for
 //!   the `count`/`first_k` finishers (hit/miss counters on [`SessionCounters`],
 //!   timed-out results bypassed, [`Session::invalidate_cache`] on data change) —
@@ -41,10 +41,13 @@
 //! [`run`]: QueryRequest::run
 //! [`count`]: QueryRequest::count
 //! [`run_with_sink`]: QueryRequest::run_with_sink
+//! [`deadline`]: QueryRequest::deadline
 //!
 //! ```
 //! use gup::session::{Engine, Session};
+//! use gup_graph::deadline::deadline_after;
 //! use gup_graph::fixtures::paper_example;
+//! use std::time::Duration;
 //!
 //! let (query, data) = paper_example();
 //! let session = Session::new(data); // prepare once
@@ -62,9 +65,13 @@
 //!     .unwrap();
 //! assert_eq!(outcome.embeddings.len(), 2);
 //!
-//! // A query set through one shared index: prep time is reported once.
-//! let report = session.run_batch(&[query.clone(), query]);
-//! assert_eq!(report.total_embeddings(), 8);
+//! // A query set through one shared index, under one shared deadline.
+//! let deadline = deadline_after(Duration::from_secs(60));
+//! let total: u64 = [&query, &query]
+//!     .into_iter()
+//!     .map(|q| session.query(q).unlimited().deadline(deadline).count().unwrap())
+//!     .sum();
+//! assert_eq!(total, 8);
 //! ```
 
 use crate::config::{GupConfig, PruningFeatures, SearchLimits};
@@ -72,12 +79,11 @@ use crate::matcher::GupMatcher;
 use crate::stats::SearchStats;
 use gup_baselines::{brute_force, BacktrackingBaseline, BaselineKind, JoinBaseline};
 use gup_graph::budget::BuildError;
-use gup_graph::deadline::{deadline_after, deadline_passed, Stopwatch};
+use gup_graph::deadline::{deadline_after, deadline_passed};
 use gup_graph::delta::{DeltaEffects, DeltaError, GraphDelta};
 use gup_graph::query::QueryGraphError;
 use gup_graph::sink::{min_limit, CollectAll, CountOnly, EmbeddingSink, FirstK};
 use gup_graph::{Graph, Label, PreparedData, QueryGraph, VertexId};
-use gup_order::OrderingStrategy;
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -104,9 +110,9 @@ pub enum Engine {
     Ri,
     /// Edge-at-a-time join enumeration (RapidMatch stand-in).
     Join,
-    /// The brute-force oracle (small instances only). Time limits and the batch
-    /// deadline are sampled periodically *inside* the enumeration, so even a
-    /// zero-match query observes them.
+    /// The brute-force oracle (small instances only). Time limits and deadlines are
+    /// sampled periodically *inside* the enumeration, so even a zero-match query
+    /// observes them.
     BruteForce,
 }
 
@@ -342,12 +348,12 @@ impl ResultCache {
     }
 }
 
-/// A prepared-data session: one shared, immutable data-graph index plus default
-/// query configuration. See the [module docs](self) for the workflow.
+/// A prepared-data session: one shared, immutable data-graph index, the counters
+/// of the queries run against it, and an optional result cache. See the
+/// [module docs](self) for the workflow.
 #[derive(Clone)]
 pub struct Session {
     prepared: Arc<PreparedData>,
-    defaults: GupConfig,
     counters: Arc<SessionCounters>,
     /// Result memo shared by every clone of this session (like the counters).
     /// Capacity 0 — the default — disables caching entirely.
@@ -356,17 +362,16 @@ pub struct Session {
 
 impl Session {
     /// Prepares `data` (one pass building the signature arena and statistics) and
-    /// opens a session over it with the default [`GupConfig`].
+    /// opens a session over it.
     pub fn new(data: Graph) -> Self {
         Session::from_prepared(Arc::new(PreparedData::new(data)))
     }
 
-    /// Opens a session over an already-prepared index. This is how multiple threads
-    /// (or multiple sessions with different defaults) share one `PreparedData`.
+    /// Opens a session over an already-prepared index. This is how many threads,
+    /// each with its own session or a clone of one, share one `PreparedData`.
     pub fn from_prepared(prepared: Arc<PreparedData>) -> Self {
         Session {
             prepared,
-            defaults: GupConfig::default(),
             counters: Arc::new(SessionCounters::new()),
             cache: Arc::new(Mutex::new(ResultCache::default())),
         }
@@ -409,8 +414,8 @@ impl Session {
     /// Applies a batch of [`GraphDelta`]s, returning a new session over the
     /// incrementally-updated index plus the batch's net [`DeltaEffects`].
     ///
-    /// The new session shares this session's defaults and counters (running
-    /// totals survive the mutation, like a `gup-serve` reload) and gets a fresh
+    /// The new session shares this session's counters (running totals survive
+    /// the mutation, like a `gup-serve` reload) and gets a fresh
     /// result cache of the same capacity; this session's cache is invalidated
     /// through [`Session::invalidate_cache`], since clones holding the old
     /// `Arc` would otherwise serve answers for a graph the caller considers
@@ -423,7 +428,6 @@ impl Session {
         self.invalidate_cache();
         self.counters.deltas_applied.fetch_add(1, Ordering::Relaxed); // Relaxed: stats only
         let next = Session::from_prepared(Arc::new(prepared))
-            .with_defaults(self.defaults.clone())
             .with_counters(Arc::clone(&self.counters))
             .with_result_cache(self.cache_capacity());
         Ok((next, effects))
@@ -432,13 +436,6 @@ impl Session {
     /// Number of results currently memoized (0 when caching is disabled).
     pub fn cached_results(&self) -> usize {
         self.cache.lock().map.len()
-    }
-
-    /// Replaces the session's default configuration (each request clones it and may
-    /// override knobs per query).
-    pub fn with_defaults(mut self, defaults: GupConfig) -> Self {
-        self.defaults = defaults;
-        self
     }
 
     /// Shares an existing counter set instead of this session's own — how a serving
@@ -469,34 +466,17 @@ impl Session {
         self.prepared.prep_time()
     }
 
-    /// Starts a request for one query against this session's prepared data.
+    /// Starts a request for one query against this session's prepared data, under
+    /// [`GupConfig::default`] until the request's knobs say otherwise.
     pub fn query<'s, 'q>(&'s self, query: &'q Graph) -> QueryRequest<'s, 'q> {
         QueryRequest {
             session: self,
             query,
             engine: Engine::Gup,
-            config: self.defaults.clone(),
+            config: GupConfig::default(),
             threads: 1,
             first_k: None,
         }
-    }
-
-    /// Starts a batch request (one configuration applied to a whole query set).
-    pub fn batch(&self) -> BatchRequest<'_> {
-        BatchRequest {
-            session: self,
-            engine: Engine::Gup,
-            config: self.defaults.clone(),
-            threads: 1,
-            timeout: None,
-        }
-    }
-
-    /// Runs a query set under the session defaults: every query through the shared
-    /// prepared index, one shared deadline (when the defaults carry one),
-    /// per-query stats and timing. Equivalent to `self.batch().run(queries)`.
-    pub fn run_batch(&self, queries: &[Graph]) -> BatchReport {
-        self.batch().run(queries)
     }
 }
 
@@ -565,9 +545,11 @@ impl<'s, 'q> QueryRequest<'s, 'q> {
 
     /// Absolute per-query deadline — the knob for callers that fix the budget
     /// *before* the query runs (a serving front-end stamps the deadline at
-    /// admission, so time spent queued counts against the request's budget). When
-    /// a request sets more than one deadline (this, [`QueryRequest::timeout`], or
-    /// one in the configuration), the earliest wins.
+    /// admission, so time spent queued counts against the request's budget; a
+    /// query set gives every request one shared deadline, so the queries after
+    /// the one that spends it fail fast). When a request sets more than one
+    /// deadline (this, [`QueryRequest::timeout`], or one in the configuration),
+    /// the earliest wins.
     pub fn deadline(mut self, deadline: Instant) -> Self {
         self.config.limits.tighten_deadline(deadline);
         self
@@ -686,49 +668,39 @@ impl<'s, 'q> QueryRequest<'s, 'q> {
             self.config.limits.max_embeddings =
                 min_limit(self.config.limits.max_embeddings, Some(k));
         }
-        dispatch(
-            self.session,
+        let session = self.session;
+        let result = dispatch(
+            &session.prepared,
             self.query,
             self.engine,
             self.config,
             self.threads,
             sink,
-        )
+        );
+        session.counters.record(&result);
+        result
     }
 }
 
 /// Routes one query to its engine family, all against the session's shared
-/// [`PreparedData`] and under the one [`SearchLimits`] every engine takes. The
+/// `prepared` index and under the one [`SearchLimits`] every engine takes. The
 /// engine is monomorphized over the narrowest query-vertex bitset width that fits
 /// the query (≤64 vertices compile to exactly the one-word fast path). A deadline
-/// that has already passed — e.g. spent by an earlier query of a batch — fails
-/// fast with `hit_time_limit` before any filter pass runs. The filter pass itself
-/// samples the deadline at a work-bounded cadence, so a budget smaller than the
-/// candidate-space build also comes back as `hit_time_limit` (within roughly one
-/// sampling interval) instead of blowing through the budget: every engine family
-/// builds to a `Result<SearchStats, BuildError>`, and the error is mapped once.
+/// that has already passed — e.g. spent by an earlier query of a set that shares
+/// it — fails fast with `hit_time_limit` before any filter pass runs. The filter
+/// pass itself samples the deadline at a work-bounded cadence, so a budget smaller
+/// than the candidate-space build also comes back as `hit_time_limit` (within
+/// roughly one sampling interval) instead of blowing through the budget: every
+/// engine family builds to a `Result<SearchStats, BuildError>`, and the error is
+/// mapped once.
 fn dispatch(
-    session: &Session,
-    query: &Graph,
-    engine: Engine,
-    config: GupConfig,
-    threads: usize,
-    sink: &mut dyn EmbeddingSink,
-) -> Result<SearchStats, SessionError> {
-    let result = dispatch_inner(session, query, engine, config, threads, sink);
-    session.counters.record(&result);
-    result
-}
-
-fn dispatch_inner(
-    session: &Session,
+    prepared: &PreparedData,
     query: &Graph,
     engine: Engine,
     mut config: GupConfig,
     threads: usize,
     sink: &mut dyn EmbeddingSink,
 ) -> Result<SearchStats, SessionError> {
-    let prepared: &PreparedData = &session.prepared;
     let limits = config.limits;
     // An expired deadline must not buy a candidate-space build, a filter pass, or
     // an unlimited run.
@@ -758,11 +730,8 @@ fn dispatch_inner(
                     .map(|matcher| matcher.run_with_sink(sink))
             })
         }
-        Engine::Join => {
-            let order = OrderingStrategy::GqlStyle;
-            JoinBaseline::with_prepared(query, prepared, order, limits)
-                .map(|matcher| matcher.run_with_sink(sink))
-        }
+        Engine::Join => JoinBaseline::with_prepared(query, prepared, limits)
+            .map(|matcher| matcher.run_with_sink(sink)),
         // Validate up front so the oracle rejects exactly the queries every other
         // engine rejects (it could otherwise enumerate disconnected ones).
         Engine::BruteForce => QueryGraph::new(query.clone())
@@ -795,150 +764,6 @@ pub fn find_embeddings(query: &Graph, data: &Graph) -> Result<QueryOutcome, Sess
 /// nothing materialized), through a session like [`find_embeddings`].
 pub fn count_embeddings(query: &Graph, data: &Graph) -> Result<u64, SessionError> {
     Session::new(data.clone()).query(query).unlimited().count()
-}
-
-/// Builder for a batch run: one engine + configuration applied to a whole query
-/// set. Obtained from [`Session::batch`].
-pub struct BatchRequest<'s> {
-    session: &'s Session,
-    engine: Engine,
-    config: GupConfig,
-    threads: usize,
-    /// Budget of the whole batch; its clock starts when [`BatchRequest::run`] does.
-    timeout: Option<Duration>,
-}
-
-impl<'s> BatchRequest<'s> {
-    /// Selects the engine family (default: [`Engine::Gup`]).
-    pub fn method(mut self, engine: Engine) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// Number of worker threads for [`Engine::Gup`] and [`Engine::Plain`].
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// Per-query embedding cap.
-    pub fn limit(mut self, n: u64) -> Self {
-        self.config.limits.max_embeddings = Some(n);
-        self
-    }
-
-    /// Removes the embedding and time limits.
-    pub fn unlimited(mut self) -> Self {
-        self.config.limits = SearchLimits::UNLIMITED;
-        self.timeout = None;
-        self
-    }
-
-    /// Wall-clock budget for the **whole batch**: turned into one absolute deadline
-    /// when [`BatchRequest::run`] starts, shared by every query (and every parallel
-    /// worker).
-    pub fn timeout(mut self, limit: Duration) -> Self {
-        self.timeout = Some(limit);
-        self
-    }
-
-    /// Pruning features for [`Engine::Gup`].
-    pub fn features(mut self, features: crate::config::PruningFeatures) -> Self {
-        self.config.features = features;
-        self
-    }
-
-    /// Runs the whole query set through the shared prepared index, counting each
-    /// query's embeddings through one reused counting sink. Invalid queries are
-    /// reported per entry instead of aborting the batch.
-    pub fn run(&self, queries: &[Graph]) -> BatchReport {
-        let mut config = self.config.clone();
-        // One shared deadline: the batch's time budget starts now and is observed by
-        // every query of the batch.
-        if let Some(limit) = self.timeout {
-            config.limits.tighten_deadline(deadline_after(limit));
-        }
-        let prep_time = self.session.prep_time();
-        let prep_amortized = if queries.is_empty() {
-            Duration::ZERO
-        } else {
-            prep_time / queries.len() as u32
-        };
-        let batch_watch = Stopwatch::started();
-        let mut sink = CountOnly::new();
-        let mut reports = Vec::with_capacity(queries.len());
-        for (index, query) in queries.iter().enumerate() {
-            let watch = Stopwatch::started();
-            let result = dispatch(
-                self.session,
-                query,
-                self.engine,
-                config.clone(),
-                self.threads,
-                &mut sink,
-            );
-            reports.push(QueryReport {
-                index,
-                result,
-                elapsed: watch.elapsed(),
-                prep_amortized,
-            });
-        }
-        BatchReport {
-            prep_time,
-            prepared_index_bytes: self.session.prepared.index_bytes(),
-            total_elapsed: batch_watch.elapsed(),
-            queries: reports,
-        }
-    }
-}
-
-/// Per-query entry of a [`BatchReport`].
-#[derive(Debug)]
-pub struct QueryReport {
-    /// Position of the query in the batch.
-    pub index: usize,
-    /// The query's unified stats, or why it could not run.
-    pub result: Result<SearchStats, SessionError>,
-    /// Wall-clock time of this query alone (preparation excluded — that is the
-    /// point of the session model).
-    pub elapsed: Duration,
-    /// The session's one-time preparation cost divided by the batch size: add it to
-    /// `elapsed` to compare against a one-shot `(query, data)` run honestly.
-    pub prep_amortized: Duration,
-}
-
-impl QueryReport {
-    /// Embeddings found (0 for failed queries).
-    pub fn embeddings(&self) -> u64 {
-        self.result.as_ref().map_or(0, |s| s.embeddings)
-    }
-}
-
-/// Result of a batch run: per-query reports plus the once-per-session costs.
-#[derive(Debug)]
-pub struct BatchReport {
-    /// Time the session spent preparing the shared index (paid once, **not** per
-    /// query; also available as [`Session::prep_time`]).
-    pub prep_time: Duration,
-    /// Heap bytes of the shared prepared index.
-    pub prepared_index_bytes: usize,
-    /// Wall-clock time of the whole batch (preparation excluded).
-    pub total_elapsed: Duration,
-    /// One report per query, in input order.
-    pub queries: Vec<QueryReport>,
-}
-
-impl BatchReport {
-    /// Total embeddings found across the batch.
-    pub fn total_embeddings(&self) -> u64 {
-        self.queries.iter().map(QueryReport::embeddings).sum()
-    }
-
-    /// Number of queries that ran without error.
-    pub fn succeeded(&self) -> usize {
-        self.queries.iter().filter(|q| q.result.is_ok()).count()
-    }
 }
 
 #[cfg(test)]
@@ -996,40 +821,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_reports_prep_once_and_per_query_stats() {
-        let (query, data) = fixtures::paper_example();
-        let session = Session::new(data);
-        let queries = vec![query.clone(), fixtures::triangle_query(), query];
-        let report = session.batch().unlimited().run(&queries);
-        assert_eq!(report.queries.len(), 3);
-        assert_eq!(report.succeeded(), 3);
-        // Paper query twice (4 each) + the triangle in the paper data graph (2).
-        assert_eq!(report.total_embeddings(), 10);
-        for q in &report.queries {
-            assert_eq!(q.prep_amortized, report.prep_time / 3);
-        }
-        assert_eq!(
-            report.prepared_index_bytes,
-            session.prepared().index_bytes()
-        );
-    }
-
-    #[test]
-    fn batch_isolates_invalid_queries() {
-        let (query, data) = fixtures::paper_example();
-        let disconnected = gup_graph::builder::graph_from_edges(&[0, 0, 0, 0], &[(0, 1), (2, 3)]);
-        let session = Session::new(data);
-        let report = session
-            .batch()
-            .method(Engine::Daf)
-            .unlimited()
-            .run(&[query, disconnected]);
-        assert_eq!(report.succeeded(), 1);
-        assert_eq!(report.total_embeddings(), 4);
-        assert!(report.queries[1].result.is_err());
-    }
-
-    #[test]
     fn sessions_share_one_prepared_index() {
         let (query, data) = fixtures::paper_example();
         let prepared = Arc::new(PreparedData::new(data));
@@ -1054,14 +845,6 @@ mod tests {
             .unwrap();
         assert_eq!(stats.embeddings, 0);
         assert!(stats.hit_time_limit);
-        // And the same through a batch's shared deadline.
-        let report = session
-            .batch()
-            .method(Engine::BruteForce)
-            .unlimited()
-            .timeout(Duration::ZERO)
-            .run(&[query]);
-        assert!(report.queries[0].result.as_ref().unwrap().hit_time_limit);
     }
 
     #[test]

@@ -113,8 +113,9 @@ impl DeadlineSampler {
 /// The absolute deadline of a budget starting now: the only place the workspace
 /// converts a relative budget to a wall-clock deadline. Each budget is converted
 /// once, where its clock starts — serve admission, `QueryRequest::timeout`, and the
-/// start of a batch all route through here (the `clock_discipline` lint keeps it
-/// that way), and nothing converts a deadline back into a duration.
+/// start of a query set that shares one deadline all route through here (the
+/// `clock_discipline` lint keeps it that way), and nothing converts a deadline back
+/// into a duration.
 pub fn deadline_after(budget: Duration) -> Instant {
     Instant::now() + budget
 }

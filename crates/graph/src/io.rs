@@ -9,8 +9,9 @@
 //! e <src> <dst> [<edge-label>]
 //! ```
 //!
-//! Vertex ids must be `0..num-vertices`; the optional degree / edge-label columns are
-//! ignored. `#`-prefixed lines and blank lines are skipped.
+//! Vertex ids must be `0..num-vertices`, and a vertex without a `v` line keeps label
+//! 0; the optional degree / edge-label columns are ignored. `#`-prefixed lines and
+//! blank lines are skipped.
 //!
 //! The parser is strict about the simple-graph contract the matcher relies on
 //! (and that a persisted index would otherwise bake in):
@@ -21,7 +22,10 @@
 //!   edges than a simple graph on the declared vertices has (`n(n−1)/2`) is a
 //!   [`GraphParseError::TooManyEdges`], and [`parse_query_graph`] rejects more
 //!   than [`MAX_QUERY_VERTICES`] vertices as a
-//!   [`GraphParseError::TooManyVertices`], since no engine accepts such a query;
+//!   [`GraphParseError::TooManyVertices`], since no engine accepts such a query.
+//!   Only the vertex count sizes an allocation: edges are stored as their `e`
+//!   lines arrive, so a header that declares more edges than the file lists
+//!   reserves nothing for them;
 //! * the declared edge count must match the number of `e` lines
 //!   ([`GraphParseError::EdgeCountMismatch`]);
 //! * each undirected edge must be listed exactly once, in either orientation
@@ -180,7 +184,6 @@ fn read_graph_bounded<R: Read>(reader: R, max_vertices: usize) -> Result<Graph, 
     let mut edges_listed = 0usize;
     let mut seen_edges: std::collections::HashSet<(VertexId, VertexId)> =
         std::collections::HashSet::new();
-    let mut labels_seen = 0usize;
     for (idx, line) in reader.lines().enumerate() {
         let lineno = idx + 1;
         let line = line?;
@@ -219,7 +222,9 @@ fn read_graph_bounded<R: Read>(reader: R, max_vertices: usize) -> Result<Graph, 
                         edges: ne,
                     });
                 }
-                let mut b = GraphBuilder::with_capacity(nv, ne);
+                // No edge capacity from the header: `ne` may be as large as
+                // n(n−1)/2 while the file lists far fewer `e` lines.
+                let mut b = GraphBuilder::new();
                 b.add_vertices(nv, 0);
                 declared_vertices = nv;
                 declared_edges = ne;
@@ -246,7 +251,6 @@ fn read_graph_bounded<R: Read>(reader: R, max_vertices: usize) -> Result<Graph, 
                     ));
                 }
                 b.set_label(id as VertexId, label);
-                labels_seen += 1;
             }
             Some("e") => {
                 let b = builder
@@ -295,7 +299,6 @@ fn read_graph_bounded<R: Read>(reader: R, max_vertices: usize) -> Result<Graph, 
             found: edges_listed,
         });
     }
-    let _ = labels_seen; // vertices without an explicit 'v' line keep label 0
     Ok(builder.build())
 }
 
@@ -504,6 +507,17 @@ e 2 0
         assert!(matches!(
             parse_graph("t 0 1\n").unwrap_err(),
             GraphParseError::TooManyEdges { .. }
+        ));
+        // A header within the n(n-1)/2 bound reserves no edges: 4,999,950,000
+        // declared edges (40 GB of edge pairs) with none listed is a mismatch,
+        // not an allocation.
+        let err = parse_graph("t 100000 4999950000\n").unwrap_err();
+        assert!(matches!(
+            err,
+            GraphParseError::EdgeCountMismatch {
+                declared: 4_999_950_000,
+                found: 0
+            }
         ));
 
         // A query has at most MAX_QUERY_VERTICES vertices.

@@ -8,10 +8,13 @@
 //! (the index is built once), enumerates every embedding of the 5-vertex query, and
 //! prints them together with the search statistics the paper reports (recursions,
 //! futile recursions, guard usage). Also demonstrates the builder-style request
-//! knobs (count-only, first-k, another engine) and a batch run.
+//! knobs (count-only, first-k, another engine) and a query set under one shared
+//! deadline.
 
 use gup::session::{Engine, Session};
+use gup_graph::deadline::deadline_after;
 use gup_graph::fixtures::paper_example;
+use std::time::Duration;
 
 fn main() {
     let (query, data) = paper_example();
@@ -80,12 +83,24 @@ fn main() {
         .unwrap();
     println!("DAF-style baseline     : {daf} embeddings (same prepared data)");
 
-    // A query set through the same session: per-query stats, prep paid once.
-    let report = session.run_batch(&[query.clone(), query]);
+    // A query set through the same session: one request per query, all under one
+    // shared deadline (a query that starts after it has passed does no work).
+    let queries = [&query, &query];
+    let deadline = deadline_after(Duration::from_secs(10));
+    let total: u64 = queries
+        .iter()
+        .map(|q| {
+            session
+                .query(q)
+                .unlimited()
+                .deadline(deadline)
+                .count()
+                .unwrap()
+        })
+        .sum();
     println!(
-        "batch of {}             : {} embeddings total, prep amortized {:?}/query",
-        report.queries.len(),
-        report.total_embeddings(),
-        report.queries[0].prep_amortized
+        "query set ({} queries)  : {total} embeddings total, prep paid once ({:?})",
+        queries.len(),
+        session.prep_time()
     );
 }

@@ -1,4 +1,4 @@
-//! Deadline-enforcement regressions for the session/batch layer.
+//! Deadline-enforcement regressions for the session layer and query sets.
 //!
 //! Two holes are pinned closed here:
 //!
@@ -6,19 +6,19 @@
 //!    embeddings**, so a zero-match adversarial query (whose sink is never called)
 //!    ran to completion no matter the timeout. The deadline is now sampled
 //!    periodically inside the enumeration.
-//! 2. A batch shares one absolute deadline across its queries; once it has passed,
-//!    every engine must "fail fast with `hit_time_limit`" — not run unlimited, and
-//!    not pay a full filter pass first.
+//! 2. A query set is a loop of requests that share one absolute `.deadline(d)`;
+//!    once it has passed, every engine must "fail fast with `hit_time_limit`" —
+//!    not run unlimited, and not pay a full filter pass first.
 
 use gup::session::{Engine, Session};
 use gup::sink::CountOnly;
-use gup::{BuildError, Gcs, GupConfig, GupMatcher, SearchLimits};
+use gup::{BuildError, Gcs, GupConfig, GupMatcher, SearchLimits, SearchStats};
 use gup_baselines::{BacktrackingBaseline, BaselineKind, JoinBaseline};
 use gup_graph::builder::graph_from_edges;
+use gup_graph::deadline::deadline_after;
 use gup_graph::fixtures;
 use gup_graph::generate::{power_law_graph, PowerLawConfig};
 use gup_graph::{Graph, PreparedData};
-use gup_order::OrderingStrategy;
 use std::time::{Duration, Instant};
 
 /// A data graph and query engineered so that brute force grinds for a long time
@@ -41,6 +41,32 @@ fn zero_match_grinder() -> (Graph, Graph) {
         &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7)],
     );
     (query, data)
+}
+
+/// Runs `queries` on `engine` as one query set: a loop of unlimited requests that
+/// share the one absolute `deadline`. Returns each query's stats with its own
+/// wall-clock time.
+fn run_set(
+    session: &Session,
+    engine: Engine,
+    queries: &[Graph],
+    deadline: Instant,
+) -> Vec<(SearchStats, Duration)> {
+    let mut sink = CountOnly::new();
+    queries
+        .iter()
+        .map(|query| {
+            let start = Instant::now();
+            let stats = session
+                .query(query)
+                .method(engine)
+                .unlimited()
+                .deadline(deadline)
+                .run_with_sink(&mut sink)
+                .unwrap();
+            (stats, start.elapsed())
+        })
+        .collect()
 }
 
 /// Acceptance criterion: a zero-match brute-force query with a 50 ms timeout
@@ -66,10 +92,10 @@ fn zero_match_brute_force_observes_a_50ms_timeout() {
     );
 }
 
-/// A batch whose first query exhausts the shared budget: the remaining queries
-/// must fail fast with `hit_time_limit = true` — zero work (no recursions, no
-/// embeddings) and near-zero latency, instead of running unlimited or paying a
-/// filter pass per query.
+/// A query set whose first query exhausts the shared budget: the remaining
+/// queries must fail fast with `hit_time_limit = true` — zero work (no
+/// recursions, no embeddings) and near-zero latency, instead of running
+/// unlimited or paying a filter pass per query.
 #[test]
 fn batch_remainder_fails_fast_once_the_budget_is_exhausted() {
     let (grinder_query, data) = zero_match_grinder();
@@ -88,37 +114,29 @@ fn batch_remainder_fails_fast_once_the_budget_is_exhausted() {
 
     let session = Session::new(data);
     let start = Instant::now();
-    let report = session
-        .batch()
-        .method(Engine::BruteForce)
-        .unlimited()
-        .timeout(Duration::from_millis(40))
-        .run(&queries);
+    let deadline = deadline_after(Duration::from_millis(40));
+    let runs = run_set(&session, Engine::BruteForce, &queries, deadline);
     let elapsed = start.elapsed();
 
     // Query 0 burned the whole budget and reports the timeout.
-    let first = report.queries[0].result.as_ref().unwrap();
+    let (first, _) = &runs[0];
     assert!(first.hit_time_limit, "first query must report the timeout");
     // Every later query failed fast: timeout flag set, nothing executed.
-    for q in &report.queries[1..] {
-        let stats = q.result.as_ref().unwrap();
+    for (index, (stats, took)) in runs.iter().enumerate().skip(1) {
         assert!(
             stats.hit_time_limit,
-            "query {} must inherit the exhausted budget",
-            q.index
+            "query {index} must inherit the exhausted budget"
         );
-        assert_eq!(stats.embeddings, 0, "query {}", q.index);
-        assert_eq!(stats.recursions, 0, "query {}", q.index);
+        assert_eq!(stats.embeddings, 0, "query {index}");
+        assert_eq!(stats.recursions, 0, "query {index}");
         assert!(
-            q.elapsed < Duration::from_millis(250),
-            "query {} took {:?} after the budget was spent",
-            q.index,
-            q.elapsed
+            *took < Duration::from_millis(250),
+            "query {index} took {took:?} after the budget was spent"
         );
     }
     assert!(
         elapsed < Duration::from_secs(2),
-        "whole 40 ms-budget batch took {elapsed:?}"
+        "whole 40 ms-budget query set took {elapsed:?}"
     );
 }
 
@@ -130,26 +148,20 @@ fn every_engine_fails_fast_on_an_expired_shared_deadline() {
     let session = Session::new(data);
     for engine in Engine::ALL {
         let start = Instant::now();
-        let report = session
-            .batch()
-            .method(engine)
-            .unlimited()
-            .timeout(Duration::ZERO)
-            .run(&[query.clone(), query.clone()]);
+        let deadline = deadline_after(Duration::ZERO);
+        let runs = run_set(&session, engine, &[query.clone(), query.clone()], deadline);
         let elapsed = start.elapsed();
-        for q in &report.queries {
-            let stats = q.result.as_ref().unwrap();
+        for (index, (stats, _)) in runs.iter().enumerate() {
             assert!(
                 stats.hit_time_limit,
-                "engine {}: query {} ignored the expired deadline",
-                engine.name(),
-                q.index
+                "engine {}: query {index} ignored the expired deadline",
+                engine.name()
             );
             assert_eq!(stats.embeddings, 0, "engine {}", engine.name());
         }
         assert!(
             elapsed < Duration::from_secs(1),
-            "engine {}: expired-deadline batch took {elapsed:?}",
+            "engine {}: expired-deadline query set took {elapsed:?}",
             engine.name()
         );
     }
@@ -221,7 +233,7 @@ fn gcs_build_aborts_when_the_deadline_expires_mid_filter() {
         });
     }
     assert_aborts_mid_filter("RM-join", |limits| {
-        JoinBaseline::with_prepared(&query, &prepared, OrderingStrategy::GqlStyle, limits)
+        JoinBaseline::with_prepared(&query, &prepared, limits)
     });
 }
 
@@ -258,8 +270,8 @@ fn every_engine_observes_a_50ms_budget_dominated_by_the_filter_pass() {
     }
 }
 
-/// GuP flavor of the exhausted-budget batch: a heavy *many*-match query burns the
-/// budget through the engine's periodic in-search deadline sampling, and the
+/// GuP flavor of the exhausted-budget query set: a heavy *many*-match query burns
+/// the budget through the engine's periodic in-search deadline sampling, and the
 /// remaining queries fail fast.
 #[test]
 fn gup_batch_remainder_fails_fast_too() {
@@ -279,28 +291,22 @@ fn gup_batch_remainder_fails_fast_too() {
 
     let session = Session::new(data);
     let start = Instant::now();
-    let report = session
-        .batch()
-        .unlimited()
-        .timeout(Duration::from_millis(30))
-        .run(&queries);
+    let deadline = deadline_after(Duration::from_millis(30));
+    let runs = run_set(&session, Engine::Gup, &queries, deadline);
     let elapsed = start.elapsed();
 
-    let first = report.queries[0].result.as_ref().unwrap();
+    let (first, _) = &runs[0];
     assert!(first.hit_time_limit, "heavy GuP query must hit the budget");
-    for q in &report.queries[1..] {
-        let stats = q.result.as_ref().unwrap();
-        assert!(stats.hit_time_limit, "query {}", q.index);
-        assert_eq!(stats.recursions, 0, "query {}", q.index);
+    for (index, (stats, took)) in runs.iter().enumerate().skip(1) {
+        assert!(stats.hit_time_limit, "query {index}");
+        assert_eq!(stats.recursions, 0, "query {index}");
         assert!(
-            q.elapsed < Duration::from_millis(250),
-            "query {} took {:?}",
-            q.index,
-            q.elapsed
+            *took < Duration::from_millis(250),
+            "query {index} took {took:?}"
         );
     }
     assert!(
         elapsed < Duration::from_secs(2),
-        "whole 30 ms-budget GuP batch took {elapsed:?}"
+        "whole 30 ms-budget GuP query set took {elapsed:?}"
     );
 }

@@ -8,7 +8,6 @@ use gup::sink::CountOnly;
 use gup::{GupConfig, GupMatcher, SearchLimits};
 use gup_baselines::{brute_force, BacktrackingBaseline, BaselineKind, JoinBaseline};
 use gup_graph::io::{load_graph, save_graph};
-use gup_order::OrderingStrategy;
 use gup_workloads::{generate_query_set, Dataset, QueryClass, QuerySetSpec};
 
 /// Spawns the actual `gup-match` binary on fixture graphs written to disk and
@@ -427,7 +426,7 @@ fn matchers_work_on_graphs_loaded_from_disk() {
         .embeddings;
         assert_eq!(daf, expected);
 
-        let join = JoinBaseline::new(&loaded_query, &loaded_data, OrderingStrategy::GqlStyle)
+        let join = JoinBaseline::new(&loaded_query, &loaded_data)
             .unwrap()
             .run_with_sink(&mut CountOnly::new())
             .embeddings;

@@ -11,7 +11,6 @@ use gup_graph::generate::{
     erdos_renyi_graph, power_law_graph, random_walk_query, ErdosRenyiConfig, PowerLawConfig,
 };
 use gup_graph::{fixtures, Graph};
-use gup_order::OrderingStrategy;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -55,7 +54,7 @@ fn check_all_engines(query: &Graph, data: &Graph) {
             kind.name()
         );
     }
-    let join = JoinBaseline::new(query, data, OrderingStrategy::GqlStyle)
+    let join = JoinBaseline::new(query, data)
         .expect("query accepted")
         .run_with_sink(&mut CountOnly::new())
         .embeddings;

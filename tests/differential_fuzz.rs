@@ -22,7 +22,6 @@ use gup_graph::generate::{
     erdos_renyi_graph, power_law_graph, random_walk_query, ErdosRenyiConfig, PowerLawConfig,
 };
 use gup_graph::{Graph, VertexId};
-use gup_order::OrderingStrategy;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -175,7 +174,7 @@ fn check_baseline_sinks(name: &str, query: &Graph, data: &Graph, expected: u64) 
         }
     }
 
-    let join = JoinBaseline::new(query, data, OrderingStrategy::GqlStyle).expect("valid query");
+    let join = JoinBaseline::new(query, data).expect("valid query");
     let mut all = CollectAll::new();
     join.run_with_sink(&mut all);
     assert_eq!(all.len() as u64, expected, "{name}: join CollectAll");

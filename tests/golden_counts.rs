@@ -10,7 +10,6 @@ use gup::{GupConfig, GupMatcher, PruningFeatures, SearchLimits};
 use gup_baselines::{brute_force, BacktrackingBaseline, BaselineKind, JoinBaseline};
 use gup_graph::fixtures::{clique4, paper_example, path, square_with_diagonal, triangle_query};
 use gup_graph::Graph;
-use gup_order::OrderingStrategy;
 
 /// The fixture instances and their hand-verified embedding counts.
 ///
@@ -138,7 +137,7 @@ fn backtracking_baselines_match_goldens() {
 #[test]
 fn join_baseline_matches_goldens() {
     for (name, query, data, expected) in golden_instances() {
-        let count = JoinBaseline::new(&query, &data, OrderingStrategy::GqlStyle)
+        let count = JoinBaseline::new(&query, &data)
             .unwrap()
             .run_with_sink(&mut CountOnly::new())
             .embeddings;

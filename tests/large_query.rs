@@ -44,7 +44,7 @@ fn all_engines_match_brute_force_on_large_queries() {
             expected >= 1,
             "{name}: host must contain the query by construction"
         );
-        let session = Session::new(host).with_defaults(unlimited());
+        let session = Session::new(host);
 
         // GuP, sequential, across the whole pruning ablation ladder.
         for features in FEATURE_LADDER {
@@ -93,7 +93,7 @@ fn large_queries_support_the_full_request_surface() {
         if n != 96 && n != 130 {
             continue;
         }
-        let session = Session::new(host).with_defaults(unlimited());
+        let session = Session::new(host);
         let expected = session.query(&query).unlimited().count().unwrap();
         assert!(expected >= 1, "{name}");
 
@@ -123,7 +123,7 @@ fn large_queries_support_the_full_request_surface() {
         }
 
         // first_k stops early and keeps exactly one.
-        let first = session.query(&query).first_k(1).run().unwrap();
+        let first = session.query(&query).unlimited().first_k(1).run().unwrap();
         assert_eq!(first.embeddings.len(), 1, "{name}");
     }
 }
@@ -141,7 +141,7 @@ fn one_word_engines_still_reject_what_they_cannot_hold() {
     };
     assert!(format!("{err}").contains("at most 64"), "{err}");
 
-    let session = Session::new(fixture.host.clone()).with_defaults(unlimited());
+    let session = Session::new(fixture.host.clone());
     assert!(session.query(&fixture.query).unlimited().count().unwrap() >= 1);
 }
 
@@ -183,7 +183,7 @@ fn too_large_boundary_sits_at_256() {
         b.add_edge(i, i + 1);
     }
     let path256 = b.build();
-    let session = Session::new(path256.clone()).with_defaults(unlimited());
+    let session = Session::new(path256.clone());
     for engine in [Engine::Gup, Engine::Daf, Engine::BruteForce] {
         assert_eq!(
             session

@@ -25,7 +25,6 @@ use gup_baselines::{brute_force, BacktrackingBaseline, BaselineKind, JoinBaselin
 use gup_graph::builder::graph_from_edges;
 use gup_graph::generate::{erdos_renyi_graph, random_walk_query, ErdosRenyiConfig};
 use gup_graph::{fixtures, Graph, Label, VertexId};
-use gup_order::OrderingStrategy;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -107,7 +106,7 @@ fn engine_counts(query: &Graph, data: &Graph) -> Vec<(String, u64)> {
         counts.push((kind.name().to_string(), sink.count()));
     }
     let mut sink = CountOnly::new();
-    JoinBaseline::new(query, data, OrderingStrategy::GqlStyle)
+    JoinBaseline::new(query, data)
         .expect("valid query")
         .run_with_sink(&mut sink);
     counts.push(("join".to_string(), sink.count()));

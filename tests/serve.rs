@@ -337,13 +337,16 @@ fn oversized_graph_headers_are_rejected_before_allocating() {
     let (_query, data) = fixtures::paper_example();
     let server = ServerHandle::spawn("oversized", &data, &[]);
     let mut client = Client::connect(server.addr);
-    // Sized by their headers, these bodies would ask for hundreds of gigabytes,
-    // an allocation failure that aborts the process. Each header is rejected
-    // before anything is allocated, and the same connection keeps answering.
+    // Sized by their headers, these bodies would ask for 40 to hundreds of
+    // gigabytes, an allocation failure that aborts the process. Each header is
+    // rejected before anything is sized by its edge count (the last one passes
+    // the n(n-1)/2 bound and lists no edge), and the same connection keeps
+    // answering.
     for (command, header) in [
         ("query count", "t 40000000000 1"),
         ("watch", "t 40000000000 1"),
         ("reload", "t 2 100000000000"),
+        ("reload", "t 100000 4999950000"),
     ] {
         client.send(&format!("{command}\n{header}\nend\n"));
         let reply = client.read_line();

@@ -7,12 +7,14 @@ use gup::session::{Engine, Session};
 use gup::sink::{CountOnly, EmbeddingSink, FirstK, SinkControl};
 use gup::{GupConfig, GupMatcher, PreparedData, PruningFeatures, SearchLimits};
 use gup_graph::builder::graph_from_edges;
+use gup_graph::deadline::deadline_after;
 use gup_graph::fixtures::{clique4, paper_example, path, square_with_diagonal, triangle_query};
 use gup_graph::generate::{power_law_graph, PowerLawConfig};
 use gup_graph::{Graph, GraphDelta, VertexId};
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// The golden fixture instances (same counts as `tests/golden_counts.rs`).
 fn golden_instances() -> Vec<(&'static str, Graph, Graph, u64)> {
@@ -160,45 +162,9 @@ fn arc_prepared_data_serves_concurrent_queries() {
     }
 }
 
-/// `run_batch` must agree query-by-query with individual runs, amortize the prep
-/// time over the batch, and keep working when some queries are invalid.
-#[test]
-fn run_batch_matches_individual_queries() {
-    let (paper_query, paper_data) = paper_example();
-    let session = Session::new(paper_data);
-    let queries = vec![paper_query.clone(), triangle_query(), paper_query];
-    let report = session.batch().unlimited().run(&queries);
-    assert_eq!(report.queries.len(), 3);
-    assert_eq!(report.succeeded(), 3);
-    for (i, q) in queries.iter().enumerate() {
-        let individual = session.query(q).unlimited().count().unwrap();
-        let stats = report.queries[i].result.as_ref().unwrap();
-        assert_eq!(stats.embeddings, individual, "query {i}");
-        assert_eq!(report.queries[i].prep_amortized, report.prep_time / 3);
-    }
-    assert_eq!(report.total_embeddings(), 10);
-    assert_eq!(
-        report.prepared_index_bytes,
-        session.prepared().index_bytes()
-    );
-
-    // Batches tolerate (and report) unusable queries without aborting.
-    let disconnected = gup_graph::builder::graph_from_edges(&[0, 0, 0, 0], &[(0, 1), (2, 3)]);
-    for engine in Engine::ALL {
-        let mixed = session
-            .batch()
-            .method(engine)
-            .unlimited()
-            .run(&[triangle_query(), disconnected.clone()]);
-        assert_eq!(mixed.succeeded(), 1, "engine {}", engine.name());
-        assert_eq!(mixed.total_embeddings(), 2, "engine {}", engine.name());
-        assert!(mixed.queries[1].result.is_err());
-    }
-}
-
 /// The sink surface works identically through the session front door: `first_k`
-/// stops the search, counting sinks materialize nothing, and a generous batch
-/// deadline does not fire.
+/// stops the search, counting sinks materialize nothing, and a generous deadline
+/// shared by a query set does not fire.
 #[test]
 fn session_sinks_and_deadlines() {
     let (query, data) = paper_example();
@@ -229,13 +195,14 @@ fn session_sinks_and_deadlines() {
 
     // A one-hour shared deadline never fires on the fixtures; counts stay exact and
     // no query reports a timeout.
-    let report = session
-        .batch()
-        .timeout(std::time::Duration::from_secs(3600))
-        .run(&[query.clone(), query]);
-    assert_eq!(report.total_embeddings(), 8);
-    for q in &report.queries {
-        assert!(!q.result.as_ref().unwrap().hit_time_limit);
+    let deadline = deadline_after(Duration::from_secs(3600));
+    let runs: Vec<_> = [&query, &query]
+        .into_iter()
+        .map(|q| session.query(q).deadline(deadline).count_stats().unwrap())
+        .collect();
+    assert_eq!(runs.iter().map(|stats| stats.embeddings).sum::<u64>(), 8);
+    for stats in &runs {
+        assert!(!stats.hit_time_limit);
     }
 }
 

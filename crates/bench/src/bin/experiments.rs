@@ -7,6 +7,7 @@
 //!
 //! Available experiments: `table2`, `fig4`, `fig5`, `fig6`, `fig7`, `fig8`, `fig9`,
 //! `table3`, `fig10`, `persist` (index save/load vs. cold preparation, not part of
+//! `all`), `phases` (gupbench serve-stream's per-query time by phase, not part of
 //! `all`), `all`. Options: `--scale <f64>` (multiplies every dataset scale),
 //! `--queries <n>` (queries per set), `--timeout-ms <n>` (per-query limit),
 //! `--threads <n>` (cap for the Figure-10 sweep), `--smoke` (tiny CI configuration).
@@ -20,6 +21,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut which: Vec<String> = Vec::new();
     let mut config = SuiteConfig::default();
+    let mut smoke = false;
     let mut max_threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4);
@@ -27,7 +29,10 @@ fn main() {
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--smoke" => config = SuiteConfig::smoke(),
+            "--smoke" => {
+                config = SuiteConfig::smoke();
+                smoke = true;
+            }
             "--scale" => {
                 i += 1;
                 let f: f64 = parse(&args, i, "--scale");
@@ -72,7 +77,7 @@ fn main() {
     }
 
     for name in which {
-        let report = run_one(&name, &config, max_threads);
+        let report = run_one(&name, &config, max_threads, smoke);
         println!("{report}");
         if let Err(e) = save_report(&name, &report) {
             eprintln!("warning: could not save report for {name}: {e}");
@@ -80,7 +85,7 @@ fn main() {
     }
 }
 
-fn run_one(name: &str, config: &SuiteConfig, max_threads: usize) -> String {
+fn run_one(name: &str, config: &SuiteConfig, max_threads: usize, smoke: bool) -> String {
     match name {
         "all" => experiments::run_all(config, max_threads),
         "table2" | "fig4" | "fig5" | "fig6" => {
@@ -98,6 +103,7 @@ fn run_one(name: &str, config: &SuiteConfig, max_threads: usize) -> String {
         "table3" => experiments::table3(config),
         "fig10" => experiments::fig10(config, max_threads),
         "persist" => experiments::persist(config),
+        "phases" => experiments::phases(smoke),
         other => {
             eprintln!("unknown experiment '{other}'");
             print_usage();
@@ -121,7 +127,7 @@ fn save_report(name: &str, report: &str) -> std::io::Result<()> {
 
 fn print_usage() {
     eprintln!(
-        "usage: experiments [table2|fig4|fig5|fig6|fig7|fig8|fig9|table3|fig10|persist|all]...\n\
+        "usage: experiments [table2|fig4|fig5|fig6|fig7|fig8|fig9|table3|fig10|persist|phases|all]...\n\
          options: --smoke --scale <f> --queries <n> --timeout-ms <n> --set-budget-ms <n> --threads <n>"
     );
 }

@@ -679,6 +679,178 @@ pub fn persist(config: &SuiteConfig) -> String {
     out
 }
 
+/// The phases of one query's run, in the order the engine runs them.
+const PHASES: [&str; 5] = ["build", "order", "reservation", "engine new", "search"];
+
+/// One query's time in each of [`PHASES`] (best of the timed rounds) and the
+/// search's counts.
+struct QueryPhases {
+    micros: [f64; 5],
+    recursions: u64,
+    candidates: usize,
+}
+
+/// Where gupbench's serve-stream queries spend their time, phase by phase: the
+/// candidate-space build (filter, refinement and candidate edges), ordering with
+/// the space's re-indexing, reservation-guard generation, `SearchEngine::new`
+/// (the candidate stack and the nogood-guard stores) and the search run, each
+/// timed on its own, on one thread, for every query of serve-stream's fixed
+/// pool: its 30k-vertex, 15-label power-law graph and 512 distinct 8-vertex
+/// random-walk queries (pool seed 30) under limit 1000, or with `smoke` that
+/// graph at 5k vertices with 32 queries, as gupbench's smoke size. Each query
+/// runs once untimed and then [`PHASE_ROUNDS`] timed rounds; each phase keeps
+/// its best round. The report gives the mean per query over the whole pool,
+/// over its heaviest 5% by total time and over the next 20%, with the search's
+/// recursions and the space's candidates. The search's counts are checked
+/// against the session's.
+pub fn phases(smoke: bool) -> String {
+    use gup::reservation::generate_reservation_guards;
+    use gup::session::Session;
+    use gup::Gcs;
+    use gup_candidate::CandidateSpace;
+    use gup_graph::generate::{power_law_graph, random_walk_query, PowerLawConfig};
+    use gup_graph::io::graph_to_string;
+    use gup_graph::QueryGraph;
+    use rand::rngs::SmallRng;
+    use rand::SeedableRng;
+    use std::collections::HashSet;
+    use std::hint::black_box;
+
+    const LIMIT: u64 = 1000;
+    let (vertices, pool) = if smoke { (5_000, 32) } else { (30_000, 512) };
+    let graph = power_law_graph(&PowerLawConfig {
+        vertices,
+        edges_per_vertex: 4,
+        labels: 15,
+        seed: 2023,
+        ..PowerLawConfig::default()
+    });
+    let mut rng = SmallRng::seed_from_u64(30);
+    let mut seen = HashSet::new();
+    let mut queries = Vec::with_capacity(pool);
+    while queries.len() < pool {
+        if let Some(q) = random_walk_query(&graph, 8, &mut rng) {
+            if seen.insert(graph_to_string(&q)) {
+                queries.push(q);
+            }
+        }
+    }
+    let session = Session::new(graph);
+    let prepared = session.prepared();
+    let config = GupConfig::with_embedding_limit(LIMIT);
+
+    let measured: Vec<QueryPhases> = queries
+        .iter()
+        .map(|q| {
+            let mut best = [f64::INFINITY; 5];
+            let mut counts = (0, 0);
+            for round in 0..=PHASE_ROUNDS {
+                let mut micros = [0.0; 5];
+                let mut timed = |phase: usize, t: Instant| {
+                    micros[phase] = t.elapsed().as_secs_f64() * 1e6;
+                };
+                let t = Instant::now();
+                let space = CandidateSpace::build_prepared(q, prepared, &config.filter);
+                timed(0, t);
+                let t = Instant::now();
+                let order = gup_order::compute_order(q, &space.candidate_sizes(), config.ordering)
+                    .expect("random-walk queries are connected");
+                let ordered = QueryGraph::new(q.clone())
+                    .expect("random-walk queries are valid")
+                    .with_order::<1>(&order)
+                    .expect("the order is connected");
+                let space = space.permuted(&order);
+                timed(1, t);
+                let t = Instant::now();
+                black_box(generate_reservation_guards(
+                    &ordered,
+                    &space,
+                    prepared.graph().vertex_count(),
+                    config.reservation_size_limit,
+                ));
+                timed(2, t);
+                // The engine runs on the GCS, which only `build_prepared` makes:
+                // built again, untimed.
+                let gcs = Gcs::<1>::build_prepared(q, prepared, &config)
+                    .expect("random-walk queries are valid");
+                let t = Instant::now();
+                let engine = SearchEngine::new(&gcs, &config);
+                timed(3, t);
+                let t = Instant::now();
+                let stats = engine.run_with_sink(&mut CountOnly::new());
+                timed(4, t);
+                if round == 0 {
+                    let expected = session.query(q).limit(LIMIT).count();
+                    let expected = expected.expect("random-walk queries are valid");
+                    assert_eq!(stats.embeddings, expected, "engine and session disagree");
+                    counts = (stats.recursions, space.total_candidates());
+                    continue;
+                }
+                for (b, m) in best.iter_mut().zip(micros) {
+                    *b = b.min(m);
+                }
+            }
+            QueryPhases {
+                micros: best,
+                recursions: counts.0,
+                candidates: counts.1,
+            }
+        })
+        .collect();
+
+    let mut by_total: Vec<&QueryPhases> = measured.iter().collect();
+    by_total.sort_by(|a, b| {
+        let total = |p: &QueryPhases| p.micros.iter().sum::<f64>();
+        total(b).total_cmp(&total(a))
+    });
+    let heaviest = by_total.len().div_ceil(20);
+    let next = by_total.len().div_ceil(5);
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "## phases — serve-stream's query pool, per query and phase\n\n\
+         data graph: {vertices} vertices, 15 labels; {} distinct 8-vertex queries, \
+         limit {LIMIT}; mean µs per query, each phase its best of {PHASE_ROUNDS} rounds\n",
+        queries.len()
+    );
+    let _ = writeln!(
+        out,
+        "| queries | count | {} | total | recursions | candidates |",
+        PHASES.join(" | ")
+    );
+    let _ = writeln!(
+        out,
+        "|---|---:|{}---:|---:|---:|",
+        "---:|".repeat(PHASES.len())
+    );
+    for (name, group) in [
+        ("all", &by_total[..]),
+        ("heaviest 5%", &by_total[..heaviest]),
+        (
+            "next 20%",
+            &by_total[heaviest..(heaviest + next).min(by_total.len())],
+        ),
+    ] {
+        let n = group.len().max(1) as f64;
+        let mean = |f: &dyn Fn(&QueryPhases) -> f64| group.iter().map(|p| f(p)).sum::<f64>() / n;
+        let _ = write!(out, "| {name} | {} |", group.len());
+        for phase in 0..PHASES.len() {
+            let _ = write!(out, " {:.1} |", mean(&|p| p.micros[phase]));
+        }
+        let _ = writeln!(
+            out,
+            " {:.1} | {:.1} | {:.0} |",
+            mean(&|p| p.micros.iter().sum()),
+            mean(&|p| p.recursions as f64),
+            mean(&|p| p.candidates as f64),
+        );
+    }
+    out
+}
+
+/// Timed rounds per query of [`phases`].
+const PHASE_ROUNDS: usize = 3;
+
 /// Utility used by the binary: very rough upper bound on a full run's duration, to
 /// warn users that larger scales take correspondingly longer.
 pub fn estimated_budget(config: &SuiteConfig) -> Duration {
@@ -727,6 +899,13 @@ mod tests {
         let config = tiny_config();
         let t3 = table3(&config);
         assert!(t3.contains("Table 3"));
+    }
+
+    #[test]
+    fn phases_report_runs() {
+        let report = phases(true);
+        assert!(report.contains("| all | 32 |"), "{report}");
+        assert!(report.contains("heaviest 5%"), "{report}");
     }
 
     #[test]

@@ -67,7 +67,7 @@ impl Default for FilterConfig {
 
 /// Adjacency lists in compressed sparse row form: list `i` is
 /// `targets[offsets[i]..offsets[i + 1]]`.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 struct Csr {
     offsets: Vec<usize>,
     targets: Vec<u32>,
@@ -112,7 +112,7 @@ impl Csr {
 /// The candidate edges of one query edge `(a, b)`, `a < b`: `forward` lists, per
 /// candidate of `a`, the ascending indices into `C(b)` of its adjacent candidates,
 /// and `backward` is its transpose over `C(b)`.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 struct EdgeAdjacency {
     forward: Csr,
     backward: Csr,
@@ -179,6 +179,7 @@ impl CandidateSpace {
         if refine {
             let sizes: Vec<usize> = candidates.iter().map(Vec::len).collect();
             let dag = QueryDag::with_selective_root(query, &sizes);
+            let mut tests = TestHistory::new(n);
             for _ in 0..config.refinement_passes {
                 let changed_up = refine_pass(
                     data,
@@ -186,6 +187,7 @@ impl CandidateSpace {
                     &mut candidates,
                     &mut scratch,
                     Direction::BottomUp,
+                    &mut tests,
                     &mut sampler,
                 )?;
                 let changed_down = refine_pass(
@@ -194,6 +196,7 @@ impl CandidateSpace {
                     &mut candidates,
                     &mut scratch,
                     Direction::TopDown,
+                    &mut tests,
                     &mut sampler,
                 )?;
                 if !changed_up && !changed_down {
@@ -201,8 +204,19 @@ impl CandidateSpace {
                 }
             }
         }
+        Self::with_candidate_edges(query, data, candidates, &mut scratch, &mut sampler)
+    }
 
-        // Step 3: candidate edges.
+    /// Step 3 of a build: the space over `candidates` (indexed by the query's
+    /// vertex ids, each ascending) with every candidate edge materialized.
+    fn with_candidate_edges(
+        query: &Graph,
+        data: &Graph,
+        candidates: Vec<Vec<VertexId>>,
+        scratch: &mut VertexMap,
+        sampler: &mut DeadlineSampler,
+    ) -> Result<Self, DeadlineExceeded> {
+        let n = query.vertex_count();
         sampler.check()?;
         let edges: Vec<(usize, usize)> = query
             .edges()
@@ -458,6 +472,38 @@ enum Direction {
     TopDown,
 }
 
+/// What the refinement tests of one build last saw. A test of `C(u)` against
+/// `C(c)` keeps the candidates of `u` with a data neighbor in `C(c)`; run again
+/// while `C(c)` has not shrunk, it would keep every candidate left in `C(u)`, so
+/// it is skipped.
+struct TestHistory {
+    n: usize,
+    /// `shrinks[c]`: how many tests have removed candidates from `C(c)`.
+    shrinks: Vec<u32>,
+    /// `seen[u * n + c]`: `shrinks[c]` when `C(u)` was last tested against
+    /// `C(c)`, or `u32::MAX` before the first test.
+    seen: Vec<u32>,
+}
+
+impl TestHistory {
+    fn new(n: usize) -> Self {
+        TestHistory {
+            n,
+            shrinks: vec![0; n],
+            seen: vec![u32::MAX; n * n],
+        }
+    }
+
+    /// `true`, recording the test, when testing `C(u)` against `C(c)` can remove
+    /// something: `C(c)` has shrunk since that test last ran, or it never ran.
+    fn due(&mut self, u: usize, c: usize) -> bool {
+        let seen = &mut self.seen[u * self.n + c];
+        let due = *seen != self.shrinks[c];
+        *seen = self.shrinks[c];
+        due
+    }
+}
+
 /// One refinement sweep. In a bottom-up sweep, vertices are processed in reverse
 /// topological order and each candidate must have a neighbor among the candidates of
 /// every DAG *child*; a top-down sweep is symmetric with parents. Returns whether any
@@ -465,8 +511,9 @@ enum Direction {
 ///
 /// Each constraint `c` of `u` marks `C(c)` in `marks` once, then filters `C(u)` in
 /// place. `C(c)` does not change while `u` is processed, so this keeps exactly the
-/// candidates a per-candidate test against every constraint would. `sampler` ticks
-/// once per (candidate, constraint) pair — each pair scans one neighbor list — so a
+/// candidates a per-candidate test against every constraint would. A constraint
+/// that `tests` shows cannot remove anything is skipped. `sampler` ticks once per
+/// (candidate, constraint) pair tested — each pair scans one neighbor list — so a
 /// refinement pass over a large candidate set observes a tight deadline mid-sweep.
 fn refine_pass(
     data: &Graph,
@@ -474,6 +521,7 @@ fn refine_pass(
     candidates: &mut [Vec<VertexId>],
     marks: &mut VertexMap,
     direction: Direction,
+    tests: &mut TestHistory,
     sampler: &mut DeadlineSampler,
 ) -> Result<bool, DeadlineExceeded> {
     let mut changed = false;
@@ -488,6 +536,9 @@ fn refine_pass(
         };
         let u = u as usize;
         for &c in constraining {
+            if !tests.due(u, c as usize) {
+                continue;
+            }
             marks.clear();
             for &w in &candidates[c as usize] {
                 marks.insert(w, 0);
@@ -504,6 +555,7 @@ fn refine_pass(
             }
             if kept != list.len() {
                 list.truncate(kept);
+                tests.shrinks[u] += 1;
                 changed = true;
             }
         }
@@ -708,5 +760,117 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Step 2 with no skipped test, the reference for [`TestHistory`]'s skip:
+    /// every sweep tests every vertex against each of its constraints.
+    fn unconditional_refinement(
+        data: &Graph,
+        dag: &QueryDag,
+        candidates: &mut [Vec<VertexId>],
+        marks: &mut VertexMap,
+        passes: usize,
+    ) {
+        for _ in 0..passes {
+            let mut changed = false;
+            for direction in [Direction::BottomUp, Direction::TopDown] {
+                let order: Vec<VertexId> = match direction {
+                    Direction::BottomUp => dag.topological_order().iter().rev().copied().collect(),
+                    Direction::TopDown => dag.topological_order().to_vec(),
+                };
+                for &u in &order {
+                    let constraining: &[VertexId] = match direction {
+                        Direction::BottomUp => dag.children(u),
+                        Direction::TopDown => dag.parents(u),
+                    };
+                    let u = u as usize;
+                    for &c in constraining {
+                        marks.clear();
+                        for &w in &candidates[c as usize] {
+                            marks.insert(w, 0);
+                        }
+                        let list = &mut candidates[u];
+                        let before = list.len();
+                        list.retain(|&v| data.neighbors(v).iter().any(|&w| marks.contains(w)));
+                        changed |= list.len() != before;
+                    }
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+    }
+
+    /// The space [`CandidateSpace::build_prepared`] builds with `passes`
+    /// refinement passes, with step 2 run by [`unconditional_refinement`].
+    fn reference_space(query: &Graph, prepared: &PreparedData, passes: usize) -> CandidateSpace {
+        let data = prepared.graph();
+        let mut sampler = DeadlineSampler::new(None);
+        let mut scratch = VertexMap::take(data.vertex_count());
+        let mut candidates =
+            generated_candidates(query, prepared, &mut scratch, &mut sampler).unwrap();
+        let sizes: Vec<usize> = candidates.iter().map(Vec::len).collect();
+        let dag = QueryDag::with_selective_root(query, &sizes);
+        unconditional_refinement(data, &dag, &mut candidates, &mut scratch, passes);
+        CandidateSpace::with_candidate_edges(query, data, candidates, &mut scratch, &mut sampler)
+            .unwrap()
+    }
+
+    /// Skipping the refinement tests whose constraint has not shrunk changes no
+    /// candidate set and no candidate edge, at every pass count the skip can act
+    /// on, on seed-pinned power-law instances with 200 labels (short candidate
+    /// sets) and with 4–15 labels (long ones). The skip can act only from the
+    /// second pass, so some query must be left short of convergence by one pass:
+    /// the 200-label queries converge in one, so the few-label ones carry that.
+    #[test]
+    fn skipped_refinement_tests_change_nothing() {
+        use gup_graph::generate::{power_law_graph, random_walk_query, PowerLawConfig};
+        use rand::rngs::SmallRng;
+        use rand::SeedableRng;
+
+        let mut unconverged = 0;
+        for (vertices, labels, size, count, seed) in [
+            (20_000, 200, 8, 12, 3),
+            (20_000, 200, 8, 12, 4),
+            (800, 4, 6, 8, 5),
+            (800, 9, 6, 8, 6),
+            (800, 15, 6, 8, 7),
+        ] {
+            let data = power_law_graph(&PowerLawConfig {
+                vertices,
+                edges_per_vertex: 4,
+                labels,
+                label_skew: 0.0,
+                seed,
+                ..PowerLawConfig::default()
+            });
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let queries: Vec<Graph> = (0..1000)
+                .filter_map(|_| random_walk_query(&data, size, &mut rng))
+                .take(count)
+                .collect();
+            assert_eq!(queries.len(), count, "the walk generator fell short");
+            let prepared = PreparedData::new(data);
+            for (i, query) in queries.iter().enumerate() {
+                for passes in 1..=3 {
+                    let config = FilterConfig {
+                        refinement_passes: passes,
+                    };
+                    let built = CandidateSpace::build_prepared(query, &prepared, &config);
+                    let reference = reference_space(query, &prepared, passes);
+                    let context =
+                        format!("{labels} labels, seed {seed}, query {i}, {passes} passes");
+                    assert_eq!(built.candidates, reference.candidates, "{context}");
+                    assert_eq!(built.edges, reference.edges, "{context}");
+                    assert!(built.adjacency == reference.adjacency, "{context}");
+                }
+                let converged = reference_space(query, &prepared, 64);
+                if reference_space(query, &prepared, 1).candidates != converged.candidates {
+                    unconverged += 1;
+                }
+            }
+        }
+        assert!(unconverged > 0, "one pass converges on every query");
     }
 }

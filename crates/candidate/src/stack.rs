@@ -91,8 +91,12 @@ impl<P: Copy> CandidateStack<P> {
     /// Narrows the local candidate set of `f`: pushes, as `f`'s new top carrying
     /// the payload of its old one, the entries of [`CandidateStack::top`]`(f)` that
     /// also occur in `adjacency` and pass `keep(pos)`, where `pos` is the entry's
-    /// position in `adjacency`. Both lists ascend, so this is one merge. Returns
-    /// the new top's length; an empty result pushes nothing.
+    /// position in `adjacency`; `keep` sees the common entries in ascending order.
+    /// Both lists ascend. When `adjacency` is more than `GALLOP_RATIO` times
+    /// shorter than the top, each of its entries gallops forward through the top
+    /// (Demaine, López-Ortiz and Munro's adaptive intersection), so the cost
+    /// follows the short list; otherwise this is one merge. Returns the new
+    /// top's length; an empty result pushes nothing.
     pub fn push_intersection(
         &mut self,
         f: usize,
@@ -101,18 +105,34 @@ impl<P: Copy> CandidateStack<P> {
     ) -> usize {
         let parent = self.frames[self.top[f] as usize];
         let start = self.arena.len();
-        let (mut i, mut pos) = (parent.start, 0);
-        while i < parent.start + parent.len as usize && pos < adjacency.len() {
-            let a = self.arena[i];
-            match a.cmp(&adjacency[pos]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => pos += 1,
-                std::cmp::Ordering::Equal => {
+        let (mut i, end) = (parent.start, parent.start + parent.len as usize);
+        if adjacency.len() * GALLOP_RATIO < parent.len as usize {
+            for (pos, &b) in adjacency.iter().enumerate() {
+                i = gallop(&self.arena[..end], i, b);
+                if i == end {
+                    break;
+                }
+                if self.arena[i] == b {
                     if keep(pos) {
-                        self.arena.push(a);
+                        self.arena.push(b);
                     }
                     i += 1;
-                    pos += 1;
+                }
+            }
+        } else {
+            let mut pos = 0;
+            while i < end && pos < adjacency.len() {
+                let a = self.arena[i];
+                match a.cmp(&adjacency[pos]) {
+                    std::cmp::Ordering::Less => i += 1,
+                    std::cmp::Ordering::Greater => pos += 1,
+                    std::cmp::Ordering::Equal => {
+                        if keep(pos) {
+                            self.arena.push(a);
+                        }
+                        i += 1;
+                        pos += 1;
+                    }
                 }
             }
         }
@@ -136,12 +156,38 @@ impl<P: Copy> CandidateStack<P> {
     }
 }
 
+/// How many times shorter than the top frame an adjacency list must be for
+/// [`CandidateStack::push_intersection`] to gallop instead of merging. A
+/// gallop spends about `2·log2(gap)` comparisons per adjacency entry where a
+/// merge spends `gap`; on lists of similar length the merge's one comparison
+/// per step is cheaper.
+const GALLOP_RATIO: usize = 8;
+
+/// The first position at or after `from` whose entry of the ascending `list`
+/// is not below `x`, or `list.len()`: probes forward in doubling steps until an
+/// entry reaches `x`, then binary-searches the last step, so the cost is
+/// logarithmic in the distance moved.
+#[inline]
+fn gallop(list: &[u32], from: usize, x: u32) -> usize {
+    let (mut lo, mut step) = (from, 1);
+    // Every entry in `list[from..lo]` is below `x`.
+    let mut hi = (lo + 1).min(list.len());
+    while hi < list.len() && list[hi - 1] < x {
+        lo = hi;
+        step *= 2;
+        hi = (lo + step).min(list.len());
+    }
+    lo + list[lo..hi].partition_point(|&a| a < x)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::FilterConfig;
     use gup_graph::builder::graph_from_edges;
     use gup_graph::PreparedData;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     /// A labeled triangle in a square with a diagonal: two candidates per query
     /// vertex, three query edges.
@@ -211,5 +257,136 @@ mod tests {
         }
         assert_eq!(stack.arena.len(), 6 + 3 * 2);
         assert_eq!(stack.arena.capacity(), capacity);
+    }
+
+    /// A stack whose vertex 0 has `top` as its only frame, with room reserved
+    /// for one more frame as long.
+    fn stack_with_top(top: &[u32]) -> CandidateStack<()> {
+        let mut arena = Vec::with_capacity(2 * top.len());
+        arena.extend_from_slice(top);
+        let base = Frame {
+            vertex: 0,
+            len: top.len() as u32,
+            prev_top: 0,
+            start: 0,
+            payload: (),
+        };
+        CandidateStack {
+            arena,
+            frames: vec![base],
+            top: vec![0],
+        }
+    }
+
+    /// About `len` distinct ascending values below `bound`, about half of them
+    /// drawn from `common` when it is not empty.
+    fn ascending(rng: &mut SmallRng, len: usize, bound: u32, common: &[u32]) -> Vec<u32> {
+        let mut list: Vec<u32> = (0..len)
+            .map(|_| {
+                if !common.is_empty() && rng.gen_bool(0.5) {
+                    common[rng.gen_range(0..common.len())]
+                } else {
+                    rng.gen_range(0..bound)
+                }
+            })
+            .collect();
+        list.sort_unstable();
+        list.dedup();
+        list
+    }
+
+    /// What `push_intersection(f, adjacency, keep)` must do, by definition: the
+    /// positions `keep` is asked about (those of the common entries, ascending)
+    /// and the entries it keeps.
+    fn reference(
+        top: &[u32],
+        adjacency: &[u32],
+        keep: impl Fn(usize) -> bool,
+    ) -> (Vec<usize>, Vec<u32>) {
+        let asked: Vec<usize> = (0..adjacency.len())
+            .filter(|&pos| top.binary_search(&adjacency[pos]).is_ok())
+            .collect();
+        let kept = asked
+            .iter()
+            .filter(|&&pos| keep(pos))
+            .map(|&pos| adjacency[pos])
+            .collect();
+        (asked, kept)
+    }
+
+    /// Seeded random top frames against adjacency lists far shorter than the top
+    /// (the galloping path) and about as long (the merge), each with a `keep`
+    /// that rejects some positions, and lists with nothing in common.
+    #[test]
+    fn intersection_matches_its_definition_on_both_paths() {
+        let mut rng = SmallRng::seed_from_u64(28);
+        let (mut galloped, mut merged, mut empty) = (0, 0, 0);
+        for case in 0..3000 {
+            let bound = rng.gen_range(1..5000u32);
+            let top_len = rng.gen_range(0..(bound as usize).min(800) + 1);
+            let top = ascending(&mut rng, top_len, bound, &[]);
+            let adjacency = match case % 3 {
+                // Far shorter than the top, values around and beyond its range.
+                0 => {
+                    let len = rng.gen_range(0..top.len() / GALLOP_RATIO + 1);
+                    ascending(&mut rng, len, bound + 50, &top)
+                }
+                // About as long as the top.
+                1 => ascending(&mut rng, top.len(), bound, &top),
+                // Nothing in common: values the top does not hold.
+                _ => {
+                    let outside: Vec<u32> = (0..bound + 50)
+                        .filter(|v| top.binary_search(v).is_err())
+                        .collect();
+                    let len = rng.gen_range(0..top.len() + 2);
+                    let picked = ascending(&mut rng, len, outside.len() as u32, &[]);
+                    picked.iter().map(|&i| outside[i as usize]).collect()
+                }
+            };
+            let salt = rng.gen_range(0..5usize);
+            let keep = |pos: usize| (pos + salt) % 5 != 0;
+            let (asked, kept) = reference(&top, &adjacency, keep);
+            if adjacency.len() * GALLOP_RATIO < top.len() {
+                galloped += 1;
+            } else {
+                merged += 1;
+            }
+            let mut stack = stack_with_top(&top);
+            let capacity = stack.arena.capacity();
+            let mut seen = Vec::new();
+            let len = stack.push_intersection(0, &adjacency, |pos| {
+                seen.push(pos);
+                keep(pos)
+            });
+            let context = format!("case {case}: top {top:?}, adjacency {adjacency:?}");
+            assert_eq!(seen, asked, "{context}: positions asked");
+            assert_eq!(len, kept.len(), "{context}");
+            assert_eq!(stack.arena.capacity(), capacity, "{context}: reallocated");
+            if kept.is_empty() {
+                empty += 1;
+                // An empty result pushes nothing.
+                assert_eq!(stack.frames.len(), 1, "{context}");
+                assert_eq!(stack.arena.len(), top.len(), "{context}");
+                assert_eq!(stack.top(0), top.as_slice(), "{context}");
+            } else {
+                assert_eq!(stack.frames.len(), 2, "{context}");
+                assert_eq!(stack.top(0), kept.as_slice(), "{context}");
+            }
+        }
+        assert!(galloped >= 800 && merged >= 1600 && empty >= 1000);
+    }
+
+    #[test]
+    fn gallop_finds_the_first_entry_not_below_the_target() {
+        let list = [2, 4, 4, 8, 16, 32, 64, 128];
+        for from in 0..=list.len() {
+            for x in 0..140 {
+                let expected = (from..list.len())
+                    .find(|&i| list[i] >= x)
+                    .unwrap_or(list.len());
+                assert_eq!(gallop(&list, from, x), expected, "from {from}, x {x}");
+            }
+        }
+        assert_eq!(gallop(&[], 0, 7), 0);
     }
 }

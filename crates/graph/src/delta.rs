@@ -63,7 +63,7 @@
 //! ```
 
 use crate::deadline::Stopwatch;
-use crate::types::{Label, VertexId};
+use crate::types::{Label, VertexId, MAX_DATA_LABEL};
 use crate::{Graph, PreparedData};
 use std::collections::HashMap;
 
@@ -145,6 +145,14 @@ pub enum DeltaError {
         /// Number of `(label, count)` entries the arena would need.
         entries: usize,
     },
+    /// An `AddVertex` carried a label above [`MAX_DATA_LABEL`] — the bound
+    /// [`crate::prepared::PrepareError::LabelTooLarge`] enforces on a cold build.
+    LabelTooLarge {
+        /// The label.
+        label: Label,
+        /// Position of the delta in the batch.
+        index: usize,
+    },
 }
 
 impl std::fmt::Display for DeltaError {
@@ -170,6 +178,10 @@ impl std::fmt::Display for DeltaError {
             DeltaError::IndexOverflow { entries } => write!(
                 f,
                 "signature arena would need {entries} entries, which exceeds the u32 offset range"
+            ),
+            DeltaError::LabelTooLarge { label, index } => write!(
+                f,
+                "delta {index}: label {label} is above the largest data label {MAX_DATA_LABEL}"
             ),
         }
     }
@@ -223,6 +235,12 @@ fn validate(graph: &Graph, deltas: &[GraphDelta]) -> Result<ValidatedBatch, Delt
     for (index, delta) in deltas.iter().enumerate() {
         let (&a, &b, adding) = match delta {
             GraphDelta::AddVertex { label } => {
+                if *label > MAX_DATA_LABEL {
+                    return Err(DeltaError::LabelTooLarge {
+                        label: *label,
+                        index,
+                    });
+                }
                 new_labels.push(*label);
                 continue;
             }
@@ -725,6 +743,29 @@ mod tests {
             .unwrap();
         assert_eq!(ok.graph().edge_count(), 1);
         assert_eq!(ok.graph().label(1), 5);
+        assert_eq!(ok, rebuild(&ok));
+    }
+
+    #[test]
+    fn labels_above_the_data_label_bound_are_rejected() {
+        let base = PreparedData::new(graph_from_edges(&[0, 1], &[(0, 1)]));
+        for label in [MAX_DATA_LABEL + 1, u32::MAX] {
+            let err = base
+                .apply(&[
+                    GraphDelta::AddVertex { label: 1 },
+                    GraphDelta::AddVertex { label },
+                    GraphDelta::AddEdge { a: 0, b: 2 },
+                ])
+                .unwrap_err();
+            assert_eq!(err, DeltaError::LabelTooLarge { label, index: 1 });
+            assert!(format!("{err}").contains("delta 1"));
+        }
+        let ok = base
+            .apply(&[GraphDelta::AddVertex {
+                label: MAX_DATA_LABEL,
+            }])
+            .unwrap();
+        assert_eq!(ok.graph().label(2), MAX_DATA_LABEL);
         assert_eq!(ok, rebuild(&ok));
     }
 }

@@ -43,7 +43,8 @@
 //!   [`IndexIoError::ChecksumMismatch`] before any parsing happens.
 //! * After the checksum, the loader still validates every structural invariant
 //!   the matcher relies on (monotonic offsets, sorted loop-free symmetric
-//!   adjacency, consistent section lengths), so even a hand-crafted file with a
+//!   adjacency, consistent section lengths, labels at most
+//!   [`crate::MAX_DATA_LABEL`]), so even a hand-crafted file with a
 //!   valid checksum cannot produce an index that would panic or mis-match.
 //!   Semantic agreement between the signature arena and the graph is *not*
 //!   re-derived (that would re-do the prepare work the format exists to skip);
@@ -66,7 +67,7 @@
 
 use crate::deadline::Stopwatch;
 use crate::prepared::{LabelIndex, PreparedData};
-use crate::types::{Label, VertexId};
+use crate::types::{Label, VertexId, MAX_DATA_LABEL};
 use crate::Graph;
 use std::path::Path;
 
@@ -390,6 +391,15 @@ pub fn load_index_bytes(bytes: &[u8]) -> Result<PreparedData, IndexIoError> {
         return Err(invalid(
             "labels",
             format!("{} labels for {n} vertices", labels.len()),
+        ));
+    }
+    if let Some(v) = labels.iter().position(|&l| l > MAX_DATA_LABEL) {
+        return Err(invalid(
+            "labels",
+            format!(
+                "vertex {v} has label {}, above the largest data label {MAX_DATA_LABEL}",
+                labels[v]
+            ),
         ));
     }
     if offsets_raw.len() != n + 1 {
@@ -798,6 +808,36 @@ mod tests {
                 ),
                 "{swapped:?}: {err}"
             );
+        }
+    }
+
+    /// A resealed file with a label above [`MAX_DATA_LABEL`] is rejected before
+    /// anything is sized by the label.
+    #[test]
+    fn rejects_labels_above_the_data_label_bound() {
+        let g = graph_from_edges(&[0, 1, 2], &[(0, 1), (0, 2)]);
+        let bytes = write_index_bytes(&PreparedData::new(g));
+        // Payload layout: 3 u64s, offsets (u64 count + 4 u64), neighbors (u64
+        // count + 4 u32), then the labels count and vertex 0's label.
+        let labels = HEADER_BYTES + 3 * 8 + (8 + 4 * 8) + (8 + 4 * 4) + 8;
+        for label in [MAX_DATA_LABEL + 1, u32::MAX] {
+            let mut corrupt = bytes.clone();
+            let at = labels + 2 * 4;
+            corrupt[at..at + 4].copy_from_slice(&label.to_le_bytes());
+            let fixed = checksum(&corrupt[HEADER_BYTES..]);
+            corrupt[8..16].copy_from_slice(&fixed.to_le_bytes());
+            let err = load_index_bytes(&corrupt).expect_err("label above the bound");
+            assert!(
+                matches!(
+                    err,
+                    IndexIoError::Invalid {
+                        section: "labels",
+                        ..
+                    }
+                ),
+                "{label}: {err}"
+            );
+            assert!(format!("{err}").contains(&format!("vertex 2 has label {label}")));
         }
     }
 

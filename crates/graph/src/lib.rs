@@ -91,4 +91,6 @@ pub use query::{QueryGraph, QueryGraphError};
 pub use sink::{
     CallbackSink, CollectAll, CountOnly, EmbeddingReservation, EmbeddingSink, FirstK, SinkControl,
 };
-pub use types::{words_for, Label, QVSet, Qv128, Qv256, Qv64, VertexId, MAX_QUERY_VERTICES};
+pub use types::{
+    words_for, Label, QVSet, Qv128, Qv256, Qv64, VertexId, MAX_DATA_LABEL, MAX_QUERY_VERTICES,
+};

@@ -44,7 +44,7 @@
 //! ```
 
 use crate::deadline::Stopwatch;
-use crate::types::{Label, VertexId};
+use crate::types::{Label, VertexId, MAX_DATA_LABEL};
 use crate::Graph;
 use std::ops::Range;
 use std::time::Duration;
@@ -61,6 +61,14 @@ pub enum PrepareError {
         /// Number of `(label, count)` entries the arena would need.
         entries: usize,
     },
+    /// A vertex carries a label above [`MAX_DATA_LABEL`], which would size the
+    /// index's per-label arrays.
+    LabelTooLarge {
+        /// The first vertex with such a label.
+        vertex: VertexId,
+        /// Its label.
+        label: Label,
+    },
 }
 
 impl std::fmt::Display for PrepareError {
@@ -69,6 +77,10 @@ impl std::fmt::Display for PrepareError {
             PrepareError::SignatureArenaTooLarge { entries } => write!(
                 f,
                 "signature arena needs {entries} entries, which exceeds the u32 offset range"
+            ),
+            PrepareError::LabelTooLarge { vertex, label } => write!(
+                f,
+                "vertex {vertex} has label {label}, above the largest data label {MAX_DATA_LABEL}"
             ),
         }
     }
@@ -127,9 +139,10 @@ impl PreparedData {
     ///
     /// # Panics
     ///
-    /// Panics if the signature arena would overflow its `u32` offsets (more than
-    /// `u32::MAX` distinct `(vertex, neighbor-label)` pairs); use
-    /// [`PreparedData::try_new`] to get a [`PrepareError`] instead.
+    /// Panics if a vertex carries a label above [`MAX_DATA_LABEL`], or if the
+    /// signature arena would overflow its `u32` offsets (more than `u32::MAX`
+    /// distinct `(vertex, neighbor-label)` pairs); use [`PreparedData::try_new`]
+    /// to get a [`PrepareError`] instead.
     pub fn new(graph: Graph) -> Self {
         match Self::try_new(graph) {
             Ok(prepared) => prepared,
@@ -138,10 +151,17 @@ impl PreparedData {
     }
 
     /// Fallible variant of [`PreparedData::new`]: surfaces a typed [`PrepareError`]
-    /// instead of panicking when the graph cannot be indexed (e.g. the signature
-    /// arena would overflow its `u32` offsets).
+    /// instead of panicking when the graph cannot be indexed (a label above
+    /// [`MAX_DATA_LABEL`], or a signature arena that would overflow its `u32`
+    /// offsets). Graphs from outside the program are prepared with this.
     pub fn try_new(graph: Graph) -> Result<Self, PrepareError> {
         let watch = Stopwatch::started();
+        if let Some(vertex) = graph.labels().iter().position(|&l| l > MAX_DATA_LABEL) {
+            return Err(PrepareError::LabelTooLarge {
+                vertex: vertex as VertexId,
+                label: graph.labels()[vertex],
+            });
+        }
         let n = graph.vertex_count();
         let label_count = graph.label_count();
         let mut sig_offsets = Vec::with_capacity(n + 1);
@@ -664,6 +684,20 @@ mod tests {
         let a = PreparedData::new(data.clone());
         let b = PreparedData::try_new(data).expect("paper example prepares");
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn labels_above_the_data_label_bound_are_a_typed_error() {
+        for label in [MAX_DATA_LABEL + 1, u32::MAX] {
+            let g = graph_from_edges(&[0, 1, label, 2], &[(0, 1), (1, 2), (2, 3)]);
+            let err = PreparedData::try_new(g).unwrap_err();
+            assert_eq!(err, PrepareError::LabelTooLarge { vertex: 2, label });
+            assert!(format!("{err}").contains("vertex 2 has label"));
+        }
+        let g = graph_from_edges(&[0, MAX_DATA_LABEL], &[(0, 1)]);
+        let prepared = PreparedData::try_new(g).expect("the largest data label prepares");
+        assert_eq!(prepared.label_bucket(MAX_DATA_LABEL).0, &[1]);
+        assert_eq!(prepared.max_nlf(MAX_DATA_LABEL), 1);
     }
 
     #[test]

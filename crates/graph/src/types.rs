@@ -22,6 +22,21 @@ pub type Label = u32;
 /// (ROADMAP "Open items").
 pub const MAX_QUERY_VERTICES: usize = 256;
 
+/// The largest label a data-graph vertex may carry: 2^16 − 1. A prepared
+/// index keeps two arrays indexed by label, the max-NLF bounds and the label
+/// buckets' offsets (12 bytes per label); preparing adds a per-label count
+/// scratch, and applying a delta batch copies both arrays, allocates its own
+/// count scratch and walks every label to rebuild the buckets. So the largest
+/// data label, not the number of labels in use, sets that memory and that
+/// walk: at this bound about 768 KiB per index and 1.3 MiB and 65,536 bucket
+/// steps per batch, where label `u32::MAX` would ask for 16 to 32 GiB per
+/// array. Data graphs are rejected where they enter: preparing
+/// ([`crate::PrepareError::LabelTooLarge`]), loading an index file (an
+/// [`crate::IndexIoError::Invalid`] `labels` section) and validating a delta
+/// batch ([`crate::DeltaError::LabelTooLarge`]). Query labels stay unbounded:
+/// none sizes an allocation.
+pub const MAX_DATA_LABEL: Label = 65_535;
+
 /// Number of 64-bit words needed to hold a set of `n` query vertices (at least 1).
 #[inline]
 pub const fn words_for(n: usize) -> usize {

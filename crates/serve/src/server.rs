@@ -24,7 +24,7 @@ use gup_graph::deadline::{deadline_after, Stopwatch};
 use gup_graph::delta::GraphDelta;
 use gup_graph::io::{graph_to_string, parse_graph, parse_query_graph, GraphParseError};
 use gup_graph::sink::CollectAll;
-use gup_graph::Graph;
+use gup_graph::{Graph, PreparedData};
 use gup_stream::{collect_new_matches, QueryPlan};
 use parking_lot::{Mutex as PlMutex, RwLock};
 use std::io::{BufRead, BufReader, BufWriter, Write};
@@ -658,7 +658,11 @@ fn handle_reload(graph: Graph, shared: &Shared, writer: &SharedWriter) -> std::i
     // Prepare the new index *outside* the lock; queries keep admitting against
     // the old graph while this builds. Standing queries survive a reload: from
     // here on their deltas match against the replacement graph.
-    let session = Session::new(graph)
+    let prepared = match PreparedData::try_new(graph) {
+        Ok(prepared) => prepared,
+        Err(e) => return reply_line(writer, format_args!("err bad graph: {e}")),
+    };
+    let session = Session::from_prepared(Arc::new(prepared))
         .with_counters(Arc::clone(&shared.counters))
         .with_result_cache(shared.config.result_cache);
     let prep = session.prep_time();

@@ -39,7 +39,7 @@ use gup::sink::{CountOnly, EmbeddingSink, FirstK};
 use gup::{GupConfig, SearchLimits, SearchStats};
 use gup_graph::deadline::Stopwatch;
 use gup_graph::io::load_graph;
-use gup_graph::VertexId;
+use gup_graph::{PreparedData, VertexId};
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -379,8 +379,15 @@ fn main() -> ExitCode {
             }
         }
     } else {
-        match load_graph(&opts.data) {
-            Ok(g) => (Session::new(g), "prepared in"),
+        match load_graph(&opts.data).map(PreparedData::try_new) {
+            Ok(Ok(prepared)) => (
+                Session::from_prepared(std::sync::Arc::new(prepared)),
+                "prepared in",
+            ),
+            Ok(Err(e)) => {
+                eprintln!("error: cannot prepare data graph {}: {e}", opts.data);
+                return ExitCode::from(1);
+            }
             Err(e) => {
                 eprintln!("error: cannot load data graph {}: {e}", opts.data);
                 return ExitCode::from(1);

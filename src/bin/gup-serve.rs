@@ -16,6 +16,7 @@
 
 use gup::session::Session;
 use gup_graph::io::load_graph;
+use gup_graph::PreparedData;
 use gup_serve::{Server, ServerConfig};
 use std::io::Write;
 use std::process::ExitCode;
@@ -137,14 +138,18 @@ fn main() -> ExitCode {
             };
         }
     };
-    let data = match load_graph(&opts.data) {
-        Ok(g) => g,
+    let prepared = match load_graph(&opts.data).map(PreparedData::try_new) {
+        Ok(Ok(prepared)) => prepared,
+        Ok(Err(e)) => {
+            eprintln!("error: cannot prepare data graph {}: {e}", opts.data);
+            return ExitCode::from(1);
+        }
         Err(e) => {
             eprintln!("error: cannot load data graph {}: {e}", opts.data);
             return ExitCode::from(1);
         }
     };
-    let session = Session::new(data);
+    let session = Session::from_prepared(std::sync::Arc::new(prepared));
     eprintln!(
         "data graph: {} vertices, {} edges, {} labels; prepared in {:?} ({} index bytes)",
         session.data().vertex_count(),

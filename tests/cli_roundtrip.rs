@@ -341,6 +341,30 @@ fn gup_match_binary_saves_and_loads_prepared_indexes() {
         String::from_utf8_lossy(&output.stderr)
     );
 
+    // A data label above the bound is a typed prepare error, exit 1, where an
+    // index sized by label 4294967295 would abort on a 16 GiB allocation.
+    let huge_label_path = dir.join("huge_label.graph");
+    std::fs::write(&huge_label_path, "t 2 1\nv 0 0\nv 1 4294967295\ne 0 1\n").unwrap();
+    let output = std::process::Command::new(env!("CARGO_BIN_EXE_gup-match"))
+        .args([
+            "--data",
+            huge_label_path.to_str().unwrap(),
+            "--query",
+            query_path.to_str().unwrap(),
+        ])
+        .output()
+        .expect("failed to spawn gup-match");
+    assert_eq!(
+        output.status.code(),
+        Some(1),
+        "a huge data label must exit 1"
+    );
+    assert!(
+        String::from_utf8_lossy(&output.stderr).contains("above the largest data label"),
+        "stderr: {}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+
     // Usage errors: --data with --index, and --save-index from a loaded index.
     for bad in [
         vec![

@@ -390,6 +390,40 @@ fn query_labels_near_u32_max_allocate_nothing_by_label() {
 }
 
 #[test]
+fn data_labels_above_the_bound_are_rejected_without_allocating() {
+    let (query, data) = fixtures::paper_example();
+    let server = ServerHandle::spawn("data_label", &data, &[]);
+    let mut client = Client::connect(server.addr);
+    // Index arrays sized by data label 4294967295 would ask for 16 to 32 GiB,
+    // an allocation failure that aborts the process. A new vertex and a
+    // reloaded graph with such a label are each rejected, the index in use is
+    // kept, and the same connection keeps answering.
+    let expected = brute_force::count(&query, &data);
+    for (command, body) in [
+        ("delta", "av 4294967295\n"),
+        ("delta", "av 0\nav 65536\nae 0 1\n"),
+        ("reload", "t 1 0\nv 0 4294967295\n"),
+        ("reload", "t 2 1\nv 0 0\nv 1 65536\ne 0 1\n"),
+    ] {
+        client.send(&format!("{command}\n{body}end\n"));
+        let reply = client.read_line();
+        let expected_err = if command == "delta" {
+            "err bad delta"
+        } else {
+            "err bad graph"
+        };
+        assert!(
+            reply.starts_with(expected_err),
+            "{command} {body:?}: {reply}"
+        );
+        assert!(reply.contains("largest data label 65535"), "{reply}");
+        let count = client.query("query count", &query);
+        assert_eq!(field(&count, "embeddings"), expected, "{command}: {count}");
+    }
+    server.shutdown();
+}
+
+#[test]
 fn result_cache_serves_repeats_and_reload_invalidates_it() {
     // One label-0–label-1 edge query; the two data graphs give different counts,
     // so a stale cache entry surviving `reload` would be caught immediately.

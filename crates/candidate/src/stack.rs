@@ -160,7 +160,8 @@ impl<P: Copy> CandidateStack<P> {
 /// [`CandidateStack::push_intersection`] to gallop instead of merging. A
 /// gallop spends about `2·log2(gap)` comparisons per adjacency entry where a
 /// merge spends `gap`; on lists of similar length the merge's one comparison
-/// per step is cheaper.
+/// per step is cheaper. Measured, the two break even near a length ratio of 8
+/// (EXPERIMENTS.md).
 const GALLOP_RATIO: usize = 8;
 
 /// The first position at or after `from` whose entry of the ascending `list`

@@ -682,6 +682,9 @@ pub fn persist(config: &SuiteConfig) -> String {
 /// The phases of one query's run, in the order the engine runs them.
 const PHASES: [&str; 5] = ["build", "order", "reservation", "engine new", "search"];
 
+/// Timed rounds per query of [`phases`].
+const PHASE_ROUNDS: usize = 3;
+
 /// One query's time in each of [`PHASES`] (best of the timed rounds) and the
 /// search's counts.
 struct QueryPhases {
@@ -691,7 +694,7 @@ struct QueryPhases {
 }
 
 /// Where gupbench's serve-stream queries spend their time, phase by phase: the
-/// candidate-space build (filter, refinement and candidate edges), ordering with
+/// candidate-space build (generation, refinement and candidate edges), ordering with
 /// the space's re-indexing, reservation-guard generation, `SearchEngine::new`
 /// (the candidate stack and the nogood-guard stores) and the search run, each
 /// timed on its own, on one thread, for every query of serve-stream's fixed
@@ -701,8 +704,8 @@ struct QueryPhases {
 /// runs once untimed and then [`PHASE_ROUNDS`] timed rounds; each phase keeps
 /// its best round. The report gives the mean per query over the whole pool,
 /// over its heaviest 5% by total time and over the next 20%, with the search's
-/// recursions and the space's candidates. The search's counts are checked
-/// against the session's.
+/// recursions and the space's candidates. Each search's embedding count is
+/// checked against the session's.
 pub fn phases(smoke: bool) -> String {
     use gup::reservation::generate_reservation_guards;
     use gup::session::Session;
@@ -847,9 +850,6 @@ pub fn phases(smoke: bool) -> String {
     }
     out
 }
-
-/// Timed rounds per query of [`phases`].
-const PHASE_ROUNDS: usize = 3;
 
 /// Utility used by the binary: very rough upper bound on a full run's duration, to
 /// warn users that larger scales take correspondingly longer.

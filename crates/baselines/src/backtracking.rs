@@ -102,6 +102,11 @@ impl<const W: usize> BacktrackingBaseline<W> {
     /// Builds the baseline matcher for `query` against `data` with no limits:
     /// prepares a private index of `data` and builds through
     /// [`BacktrackingBaseline::with_prepared`].
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`PreparedData::new`] does: on a data label above
+    /// [`gup_graph::MAX_DATA_LABEL`].
     pub fn new(query: &Graph, data: &Graph, kind: BaselineKind) -> Result<Self, BuildError> {
         let prepared = PreparedData::from_graph(data);
         Self::with_prepared(query, &prepared, kind, SearchLimits::UNLIMITED)

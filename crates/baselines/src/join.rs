@@ -35,6 +35,11 @@ impl JoinBaseline {
     /// Builds the join baseline for `query` against `data` with no limits:
     /// prepares a private index of `data` and builds through
     /// [`JoinBaseline::with_prepared`].
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`PreparedData::new`] does: on a data label above
+    /// [`gup_graph::MAX_DATA_LABEL`].
     pub fn new(query: &Graph, data: &Graph) -> Result<Self, BuildError> {
         let prepared = PreparedData::from_graph(data);
         Self::with_prepared(query, &prepared, SearchLimits::UNLIMITED)

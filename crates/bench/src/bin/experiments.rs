@@ -21,7 +21,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut which: Vec<String> = Vec::new();
     let mut config = SuiteConfig::default();
-    let mut smoke = false;
     let mut max_threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4);
@@ -29,10 +28,7 @@ fn main() {
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--smoke" => {
-                config = SuiteConfig::smoke();
-                smoke = true;
-            }
+            "--smoke" => config = SuiteConfig::smoke(),
             "--scale" => {
                 i += 1;
                 let f: f64 = parse(&args, i, "--scale");
@@ -77,7 +73,7 @@ fn main() {
     }
 
     for name in which {
-        let report = run_one(&name, &config, max_threads, smoke);
+        let report = run_one(&name, &config, max_threads);
         println!("{report}");
         if let Err(e) = save_report(&name, &report) {
             eprintln!("warning: could not save report for {name}: {e}");
@@ -85,7 +81,7 @@ fn main() {
     }
 }
 
-fn run_one(name: &str, config: &SuiteConfig, max_threads: usize, smoke: bool) -> String {
+fn run_one(name: &str, config: &SuiteConfig, max_threads: usize) -> String {
     match name {
         "all" => experiments::run_all(config, max_threads),
         "table2" | "fig4" | "fig5" | "fig6" => {
@@ -103,7 +99,7 @@ fn run_one(name: &str, config: &SuiteConfig, max_threads: usize, smoke: bool) ->
         "table3" => experiments::table3(config),
         "fig10" => experiments::fig10(config, max_threads),
         "persist" => experiments::persist(config),
-        "phases" => experiments::phases(smoke),
+        "phases" => experiments::phases(config),
         other => {
             eprintln!("unknown experiment '{other}'");
             print_usage();

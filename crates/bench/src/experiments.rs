@@ -697,16 +697,19 @@ struct QueryPhases {
 /// candidate-space build (generation, refinement and candidate edges), ordering with
 /// the space's re-indexing, reservation-guard generation, `SearchEngine::new`
 /// (the candidate stack and the nogood-guard stores) and the search run, each
-/// timed on its own, on one thread, for every query of serve-stream's fixed
-/// pool: its 30k-vertex, 15-label power-law graph and 512 distinct 8-vertex
-/// random-walk queries (pool seed 30) under limit 1000, or with `smoke` that
-/// graph at 5k vertices with 32 queries, as gupbench's smoke size. Each query
-/// runs once untimed and then [`PHASE_ROUNDS`] timed rounds; each phase keeps
-/// its best round. The report gives the mean per query over the whole pool,
-/// over its heaviest 5% by total time and over the next 20%, with the search's
-/// recursions and the space's candidates. Each search's embedding count is
-/// checked against the session's.
-pub fn phases(smoke: bool) -> String {
+/// timed on its own, on one thread, for every query of a pool of distinct
+/// 8-vertex random-walk queries (pool seed 30) under limit 1000 on a 15-label
+/// power-law graph generated with `config.seed`. The graph's 30,000 vertices
+/// and the pool's 512 queries are multiplied by `config`'s Yeast scale over the
+/// default one, so the default configuration (seed 2023, scale 1) rebuilds
+/// serve-stream's graph and pool as `gupbench/src/inputs.rs` generates them;
+/// a change to either copy must be made to both. Each query runs once untimed
+/// and then `PHASE_ROUNDS` (3) timed rounds; each phase keeps its best round. The
+/// report gives the mean per query over the whole pool, over its heaviest 5% by
+/// total time and over the next 20%, with the search's recursions and the
+/// space's candidates. Each search's embedding count is checked against the
+/// session's.
+pub fn phases(config: &SuiteConfig) -> String {
     use gup::reservation::generate_reservation_guards;
     use gup::session::Session;
     use gup::Gcs;
@@ -720,12 +723,14 @@ pub fn phases(smoke: bool) -> String {
     use std::hint::black_box;
 
     const LIMIT: u64 = 1000;
-    let (vertices, pool) = if smoke { (5_000, 32) } else { (30_000, 512) };
+    let scale = config.yeast_scale / SuiteConfig::default().yeast_scale;
+    let vertices = (30_000.0 * scale).round() as usize;
+    let pool = (512.0 * scale).round() as usize;
     let graph = power_law_graph(&PowerLawConfig {
         vertices,
         edges_per_vertex: 4,
         labels: 15,
-        seed: 2023,
+        seed: config.seed,
         ..PowerLawConfig::default()
     });
     let mut rng = SmallRng::seed_from_u64(30);
@@ -740,7 +745,7 @@ pub fn phases(smoke: bool) -> String {
     }
     let session = Session::new(graph);
     let prepared = session.prepared();
-    let config = GupConfig::with_embedding_limit(LIMIT);
+    let engine_config = GupConfig::with_embedding_limit(LIMIT);
 
     let measured: Vec<QueryPhases> = queries
         .iter()
@@ -753,11 +758,12 @@ pub fn phases(smoke: bool) -> String {
                     micros[phase] = t.elapsed().as_secs_f64() * 1e6;
                 };
                 let t = Instant::now();
-                let space = CandidateSpace::build_prepared(q, prepared, &config.filter);
+                let space = CandidateSpace::build_prepared(q, prepared, &engine_config.filter);
                 timed(0, t);
                 let t = Instant::now();
-                let order = gup_order::compute_order(q, &space.candidate_sizes(), config.ordering)
-                    .expect("random-walk queries are connected");
+                let order =
+                    gup_order::compute_order(q, &space.candidate_sizes(), engine_config.ordering)
+                        .expect("random-walk queries are connected");
                 let ordered = QueryGraph::new(q.clone())
                     .expect("random-walk queries are valid")
                     .with_order::<1>(&order)
@@ -769,15 +775,15 @@ pub fn phases(smoke: bool) -> String {
                     &ordered,
                     &space,
                     prepared.graph().vertex_count(),
-                    config.reservation_size_limit,
+                    engine_config.reservation_size_limit,
                 ));
                 timed(2, t);
                 // The engine runs on the GCS, which only `build_prepared` makes:
                 // built again, untimed.
-                let gcs = Gcs::<1>::build_prepared(q, prepared, &config)
+                let gcs = Gcs::<1>::build_prepared(q, prepared, &engine_config)
                     .expect("random-walk queries are valid");
                 let t = Instant::now();
-                let engine = SearchEngine::new(&gcs, &config);
+                let engine = SearchEngine::new(&gcs, &engine_config);
                 timed(3, t);
                 let t = Instant::now();
                 let stats = engine.run_with_sink(&mut CountOnly::new());
@@ -812,8 +818,10 @@ pub fn phases(smoke: bool) -> String {
     let _ = writeln!(
         out,
         "## phases — serve-stream's query pool, per query and phase\n\n\
-         data graph: {vertices} vertices, 15 labels; {} distinct 8-vertex queries, \
-         limit {LIMIT}; mean µs per query, each phase its best of {PHASE_ROUNDS} rounds\n",
+         data graph: {vertices} vertices, 15 labels, seed {}; {} distinct 8-vertex \
+         queries, limit {LIMIT}; mean µs per query, each phase its best of {PHASE_ROUNDS} \
+         rounds\n",
+        config.seed,
         queries.len()
     );
     let _ = writeln!(
@@ -903,7 +911,10 @@ mod tests {
 
     #[test]
     fn phases_report_runs() {
-        let report = phases(true);
+        let report = phases(&SuiteConfig {
+            yeast_scale: SuiteConfig::default().yeast_scale / 16.0,
+            ..SuiteConfig::smoke()
+        });
         assert!(report.contains("| all | 32 |"), "{report}");
         assert!(report.contains("heaviest 5%"), "{report}");
     }

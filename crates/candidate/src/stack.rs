@@ -92,11 +92,11 @@ impl<P: Copy> CandidateStack<P> {
     /// the payload of its old one, the entries of [`CandidateStack::top`]`(f)` that
     /// also occur in `adjacency` and pass `keep(pos)`, where `pos` is the entry's
     /// position in `adjacency`; `keep` sees the common entries in ascending order.
-    /// Both lists ascend. When `adjacency` is more than `GALLOP_RATIO` times
-    /// shorter than the top, each of its entries gallops forward through the top
-    /// (Demaine, López-Ortiz and Munro's adaptive intersection), so the cost
-    /// follows the short list; otherwise this is one merge. Returns the new
-    /// top's length; an empty result pushes nothing.
+    /// Both lists ascend. Each entry of `adjacency` gallops forward through the
+    /// top (Demaine, López-Ortiz and Munro's adaptive intersection), so an
+    /// adjacency list far shorter than the top costs about `log` of the gap per
+    /// entry, and one about as long costs a comparison or two per entry, like a
+    /// merge. Returns the new top's length; an empty result pushes nothing.
     pub fn push_intersection(
         &mut self,
         f: usize,
@@ -106,34 +106,16 @@ impl<P: Copy> CandidateStack<P> {
         let parent = self.frames[self.top[f] as usize];
         let start = self.arena.len();
         let (mut i, end) = (parent.start, parent.start + parent.len as usize);
-        if adjacency.len() * GALLOP_RATIO < parent.len as usize {
-            for (pos, &b) in adjacency.iter().enumerate() {
-                i = gallop(&self.arena[..end], i, b);
-                if i == end {
-                    break;
-                }
-                if self.arena[i] == b {
-                    if keep(pos) {
-                        self.arena.push(b);
-                    }
-                    i += 1;
-                }
+        for (pos, &b) in adjacency.iter().enumerate() {
+            i = gallop(&self.arena[..end], i, b);
+            if i == end {
+                break;
             }
-        } else {
-            let mut pos = 0;
-            while i < end && pos < adjacency.len() {
-                let a = self.arena[i];
-                match a.cmp(&adjacency[pos]) {
-                    std::cmp::Ordering::Less => i += 1,
-                    std::cmp::Ordering::Greater => pos += 1,
-                    std::cmp::Ordering::Equal => {
-                        if keep(pos) {
-                            self.arena.push(a);
-                        }
-                        i += 1;
-                        pos += 1;
-                    }
+            if self.arena[i] == b {
+                if keep(pos) {
+                    self.arena.push(b);
                 }
+                i += 1;
             }
         }
         let len = self.arena.len() - start;
@@ -156,29 +138,24 @@ impl<P: Copy> CandidateStack<P> {
     }
 }
 
-/// How many times shorter than the top frame an adjacency list must be for
-/// [`CandidateStack::push_intersection`] to gallop instead of merging. A
-/// gallop spends about `2·log2(gap)` comparisons per adjacency entry where a
-/// merge spends `gap`; on lists of similar length the merge's one comparison
-/// per step is cheaper. Measured, the two break even near a length ratio of 8
-/// (EXPERIMENTS.md).
-const GALLOP_RATIO: usize = 8;
-
 /// The first position at or after `from` whose entry of the ascending `list`
-/// is not below `x`, or `list.len()`: probes forward in doubling steps until an
-/// entry reaches `x`, then binary-searches the last step, so the cost is
-/// logarithmic in the distance moved.
+/// is not below `x`, or `list.len()`: tests `list[from]`, then probes forward
+/// in doubling steps until an entry reaches `x` and binary-searches the last
+/// step, so the cost is logarithmic in the distance moved and one comparison
+/// when there is none.
 #[inline]
 fn gallop(list: &[u32], from: usize, x: u32) -> usize {
-    let (mut lo, mut step) = (from, 1);
-    // Every entry in `list[from..lo]` is below `x`.
-    let mut hi = (lo + 1).min(list.len());
-    while hi < list.len() && list[hi - 1] < x {
-        lo = hi;
-        step *= 2;
-        hi = (lo + step).min(list.len());
+    if from >= list.len() || list[from] >= x {
+        return from;
     }
-    lo + list[lo..hi].partition_point(|&a| a < x)
+    // `list[lo] < x`, and so is every entry before it.
+    let (mut lo, mut step) = (from, 1);
+    while lo + step < list.len() && list[lo + step] < x {
+        lo += step;
+        step *= 2;
+    }
+    let hi = (lo + step).min(list.len());
+    lo + 1 + list[lo + 1..hi].partition_point(|&a| a < x)
 }
 
 #[cfg(test)]
@@ -315,25 +292,30 @@ mod tests {
         (asked, kept)
     }
 
-    /// Seeded random top frames against adjacency lists far shorter than the top
-    /// (the galloping path) and about as long (the merge), each with a `keep`
-    /// that rejects some positions, and lists with nothing in common.
+    /// Seeded random top frames against adjacency lists far shorter than the
+    /// top, about as long and longer, each with a `keep` that rejects some
+    /// positions, and lists with nothing in common.
     #[test]
-    fn intersection_matches_its_definition_on_both_paths() {
+    fn intersection_matches_its_definition() {
         let mut rng = SmallRng::seed_from_u64(28);
-        let (mut galloped, mut merged, mut empty) = (0, 0, 0);
-        for case in 0..3000 {
+        let (mut far_shorter, mut comparable, mut empty) = (0, 0, 0);
+        for case in 0..4000 {
             let bound = rng.gen_range(1..5000u32);
             let top_len = rng.gen_range(0..(bound as usize).min(800) + 1);
             let top = ascending(&mut rng, top_len, bound, &[]);
-            let adjacency = match case % 3 {
+            let adjacency = match case % 4 {
                 // Far shorter than the top, values around and beyond its range.
                 0 => {
-                    let len = rng.gen_range(0..top.len() / GALLOP_RATIO + 1);
+                    let len = rng.gen_range(0..top.len() / 8 + 1);
                     ascending(&mut rng, len, bound + 50, &top)
                 }
                 // About as long as the top.
                 1 => ascending(&mut rng, top.len(), bound, &top),
+                // Up to four times longer.
+                2 => {
+                    let len = rng.gen_range(top.len()..4 * top.len() + 2);
+                    ascending(&mut rng, len, bound + 50, &top)
+                }
                 // Nothing in common: values the top does not hold.
                 _ => {
                     let outside: Vec<u32> = (0..bound + 50)
@@ -347,10 +329,10 @@ mod tests {
             let salt = rng.gen_range(0..5usize);
             let keep = |pos: usize| (pos + salt) % 5 != 0;
             let (asked, kept) = reference(&top, &adjacency, keep);
-            if adjacency.len() * GALLOP_RATIO < top.len() {
-                galloped += 1;
-            } else {
-                merged += 1;
+            if adjacency.len() * 8 < top.len() {
+                far_shorter += 1;
+            } else if adjacency.len() * 2 >= top.len() {
+                comparable += 1;
             }
             let mut stack = stack_with_top(&top);
             let capacity = stack.arena.capacity();
@@ -374,7 +356,7 @@ mod tests {
                 assert_eq!(stack.top(0), kept.as_slice(), "{context}");
             }
         }
-        assert!(galloped >= 800 && merged >= 1600 && empty >= 1000);
+        assert!(far_shorter >= 1000 && comparable >= 2000 && empty >= 1000);
     }
 
     #[test]

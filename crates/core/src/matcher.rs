@@ -35,6 +35,11 @@ impl<const W: usize> GupMatcher<W> {
     /// Builds the matcher for `query` against `data`: prepares a private index of
     /// `data` and builds through [`GupMatcher::with_prepared`]. Batched workloads
     /// should prepare once — see [`crate::session`].
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`PreparedData::new`] does: on a data label above
+    /// [`gup_graph::MAX_DATA_LABEL`].
     pub fn new(query: &Graph, data: &Graph, config: GupConfig) -> Result<Self, BuildError> {
         Self::with_prepared(query, &PreparedData::from_graph(data), config)
     }

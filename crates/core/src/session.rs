@@ -83,7 +83,7 @@ use gup_graph::deadline::{deadline_after, deadline_passed};
 use gup_graph::delta::{DeltaEffects, DeltaError, GraphDelta};
 use gup_graph::query::QueryGraphError;
 use gup_graph::sink::{min_limit, CollectAll, CountOnly, EmbeddingSink, FirstK};
-use gup_graph::{Graph, Label, PreparedData, QueryGraph, VertexId};
+use gup_graph::{Graph, Label, PrepareError, PreparedData, QueryGraph, VertexId};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -168,12 +168,17 @@ impl Engine {
 pub enum SessionError {
     /// The query graph is unusable (empty, disconnected, or too large).
     InvalidQuery(QueryGraphError),
+    /// The one-shot helpers ([`find_embeddings`], [`count_embeddings`]) could not
+    /// prepare the data graph, e.g. because a label is above
+    /// [`gup_graph::MAX_DATA_LABEL`].
+    InvalidData(PrepareError),
 }
 
 impl std::fmt::Display for SessionError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SessionError::InvalidQuery(e) => write!(f, "invalid query graph: {e}"),
+            SessionError::InvalidData(e) => write!(f, "cannot prepare data graph: {e}"),
         }
     }
 }
@@ -363,6 +368,12 @@ pub struct Session {
 impl Session {
     /// Prepares `data` (one pass building the signature arena and statistics) and
     /// opens a session over it.
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`PreparedData::new`] does: on a label above
+    /// [`gup_graph::MAX_DATA_LABEL`]. Prepare a graph from outside the program
+    /// with [`PreparedData::try_new`] and open it with [`Session::from_prepared`].
     pub fn new(data: Graph) -> Self {
         Session::from_prepared(Arc::new(PreparedData::new(data)))
     }
@@ -755,15 +766,22 @@ fn timed_out_stats() -> SearchStats {
 }
 
 /// One-shot convenience: finds (and materializes) all embeddings of `query` in
-/// `data`, with no cap, through a session over a private index of `data`.
+/// `data`, with no cap, through a session over a private index of `data`. A
+/// data graph that cannot be prepared is a [`SessionError::InvalidData`].
 pub fn find_embeddings(query: &Graph, data: &Graph) -> Result<QueryOutcome, SessionError> {
-    Session::new(data.clone()).query(query).unlimited().run()
+    one_shot_session(data)?.query(query).unlimited().run()
 }
 
 /// One-shot convenience: counts all embeddings of `query` in `data` (no cap,
 /// nothing materialized), through a session like [`find_embeddings`].
 pub fn count_embeddings(query: &Graph, data: &Graph) -> Result<u64, SessionError> {
-    Session::new(data.clone()).query(query).unlimited().count()
+    one_shot_session(data)?.query(query).unlimited().count()
+}
+
+/// A session over a private index of `data`.
+fn one_shot_session(data: &Graph) -> Result<Session, SessionError> {
+    let prepared = PreparedData::try_new(data.clone()).map_err(SessionError::InvalidData)?;
+    Ok(Session::from_prepared(Arc::new(prepared)))
 }
 
 #[cfg(test)]
@@ -798,6 +816,19 @@ mod tests {
         let first = session.query(&query).first_k(2).run().unwrap();
         assert_eq!(first.embeddings.len(), 2);
         assert!(first.stats.terminated_early());
+    }
+
+    #[test]
+    fn one_shot_helpers_report_data_labels_above_the_bound() {
+        let (query, _) = fixtures::paper_example();
+        let label = gup_graph::MAX_DATA_LABEL + 1;
+        let data = gup_graph::builder::graph_from_edges(&[0, label], &[(0, 1)]);
+        let expected = PrepareError::LabelTooLarge { vertex: 1, label };
+        let err = count_embeddings(&query, &data).unwrap_err();
+        assert!(matches!(&err, SessionError::InvalidData(e) if *e == expected));
+        assert!(format!("{err}").contains("cannot prepare data graph"));
+        let err = find_embeddings(&query, &data).unwrap_err();
+        assert!(matches!(&err, SessionError::InvalidData(e) if *e == expected));
     }
 
     #[test]

@@ -259,6 +259,10 @@ impl PreparedData {
     /// Convenience for the one-shot `(query, data)` entry points: clones `graph`
     /// and prepares it. One-shot callers pay the clone; batched callers should
     /// build a `PreparedData` once and share it.
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`PreparedData::new`] does.
     pub fn from_graph(graph: &Graph) -> Self {
         PreparedData::new(graph.clone())
     }

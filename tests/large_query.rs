@@ -163,7 +163,9 @@ fn too_large_boundary_sits_at_256() {
     let data = b.build();
     let session = Session::new(data);
     let err = session.query(&query).count().unwrap_err();
-    let SessionError::InvalidQuery(inner) = err;
+    let SessionError::InvalidQuery(inner) = err else {
+        panic!("expected an invalid query, got {err}");
+    };
     assert_eq!(
         inner,
         QueryGraphError::TooLarge {

@@ -27,7 +27,8 @@
 //! private index and call it. Every one of those constructors fails with the one
 //! [`BuildError`], which the dispatcher maps in one place: a filter-pass timeout is
 //! a timed-out run, an unusable query a [`SessionError`]. The one-shot helpers
-//! [`find_embeddings`] and [`count_embeddings`] open a private session per call.
+//! [`find_embeddings`] and [`count_embeddings`] open a private session per call,
+//! and report a data graph they cannot prepare as [`SessionError::InvalidData`].
 //!
 //! Queries of up to 256 vertices are accepted: each request is dispatched to the
 //! narrowest monomorphized query-vertex bitset width that fits

@@ -99,19 +99,6 @@ pub struct BacktrackingBaseline<const W: usize = 1> {
 }
 
 impl<const W: usize> BacktrackingBaseline<W> {
-    /// Builds the baseline matcher for `query` against `data` with no limits:
-    /// prepares a private index of `data` and builds through
-    /// [`BacktrackingBaseline::with_prepared`].
-    ///
-    /// # Panics
-    ///
-    /// Panics where [`PreparedData::new`] does: on a data label above
-    /// [`gup_graph::MAX_DATA_LABEL`].
-    pub fn new(query: &Graph, data: &Graph, kind: BaselineKind) -> Result<Self, BuildError> {
-        let prepared = PreparedData::from_graph(data);
-        Self::with_prepared(query, &prepared, kind, SearchLimits::UNLIMITED)
-    }
-
     /// Builds the baseline matcher for `query` against a prepared data graph (the
     /// candidate space's NLF pass runs against the precomputed signature arena)
     /// under `limits`, which also bound every later run. The candidate filter pass
@@ -329,10 +316,20 @@ mod tests {
     use gup_graph::fixtures;
     use gup_graph::sink::CountOnly;
 
+    /// The baseline of `kind` for `query` over `prepared`, with no limits.
+    fn unlimited(
+        query: &Graph,
+        prepared: &PreparedData,
+        kind: BaselineKind,
+    ) -> BacktrackingBaseline<1> {
+        BacktrackingBaseline::with_prepared(query, prepared, kind, SearchLimits::UNLIMITED).unwrap()
+    }
+
     fn check_against_brute_force(query: &Graph, data: &Graph) {
         let expected = brute_force::count(query, data);
+        let prepared = PreparedData::new(data.clone());
         for kind in BaselineKind::ALL {
-            let m = BacktrackingBaseline::<1>::new(query, data, kind).unwrap();
+            let m = unlimited(query, &prepared, kind);
             let r = m.run_with_sink(&mut CountOnly::new());
             assert_eq!(
                 r.embeddings, expected,
@@ -375,11 +372,10 @@ mod tests {
     #[test]
     fn failing_sets_never_change_the_count_but_can_reduce_recursions() {
         let (q, d) = fixtures::paper_example();
-        let ri = BacktrackingBaseline::<1>::new(&q, &d, BaselineKind::RiStyle)
-            .unwrap()
-            .run_with_sink(&mut CountOnly::new());
-        let daf = BacktrackingBaseline::<1>::new(&q, &d, BaselineKind::DafFailingSet)
-            .unwrap()
+        let prepared = PreparedData::new(d);
+        let ri =
+            unlimited(&q, &prepared, BaselineKind::RiStyle).run_with_sink(&mut CountOnly::new());
+        let daf = unlimited(&q, &prepared, BaselineKind::DafFailingSet)
             .run_with_sink(&mut CountOnly::new());
         assert_eq!(ri.embeddings, daf.embeddings);
         assert!(daf.recursions > 0);
@@ -405,7 +401,7 @@ mod tests {
             max_embeddings: Some(3),
             ..SearchLimits::UNLIMITED
         };
-        let prepared = PreparedData::from_graph(&d);
+        let prepared = PreparedData::new(d);
         let m =
             BacktrackingBaseline::<1>::with_prepared(&q, &prepared, BaselineKind::RiStyle, limits);
         let r = m.unwrap().run_with_sink(&mut CountOnly::new());
@@ -417,9 +413,14 @@ mod tests {
     #[test]
     fn invalid_query_rejected() {
         let disconnected = graph_from_edges(&[0, 0, 0, 0], &[(0, 1), (2, 3)]);
-        let d = fixtures::square_with_diagonal();
-        let err =
-            BacktrackingBaseline::<1>::new(&disconnected, &d, BaselineKind::RiStyle).unwrap_err();
+        let prepared = PreparedData::new(fixtures::square_with_diagonal());
+        let err = BacktrackingBaseline::<1>::with_prepared(
+            &disconnected,
+            &prepared,
+            BaselineKind::RiStyle,
+            SearchLimits::UNLIMITED,
+        )
+        .unwrap_err();
         assert!(format!("{err}").contains("invalid query"));
     }
 
@@ -434,8 +435,9 @@ mod tests {
     fn no_embeddings_when_cycle_cannot_close() {
         let q = fixtures::triangle_query();
         let d = graph_from_edges(&[0, 1, 0, 1, 0], &[(0, 1), (1, 2), (2, 3), (3, 4)]);
+        let prepared = PreparedData::new(d);
         for kind in BaselineKind::ALL {
-            let m = BacktrackingBaseline::<1>::new(&q, &d, kind).unwrap();
+            let m = unlimited(&q, &prepared, kind);
             assert_eq!(m.run_with_sink(&mut CountOnly::new()).embeddings, 0);
         }
     }

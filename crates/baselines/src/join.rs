@@ -12,6 +12,7 @@
 use gup_candidate::{CandidateSpace, FilterConfig};
 use gup_graph::budget::{BuildError, SearchLimits, SearchStats};
 use gup_graph::deadline::DeadlineSampler;
+use gup_graph::query::OrderedQuery;
 use gup_graph::sink::{min_limit, EmbeddingSink, SinkControl};
 use gup_graph::{Graph, PreparedData, QueryGraph, VertexId};
 use gup_order::{compute_order, OrderingStrategy};
@@ -21,30 +22,16 @@ pub struct JoinBaseline {
     /// The budget of the filter pass and of every run (one shared deadline).
     limits: SearchLimits,
     space: CandidateSpace,
-    /// Query vertices in join (matching) order; vertex `i` of the permuted space.
-    query_vertices: usize,
-    /// For vertex `i` (i ≥ 1): its backward neighbors (all already bound when `i` is
-    /// joined in).
-    backward: Vec<Vec<usize>>,
-    /// Original query-vertex id at each join-order position (sinks receive
-    /// embeddings in the original numbering).
-    original_id: Vec<VertexId>,
+    /// The query in join (matching) order: vertex `i` of the permuted space, its
+    /// backward neighbors (all already bound when `i` is joined in), and its
+    /// original id, in which embeddings are reported to sinks. The join never
+    /// touches the bitset views, so it always uses the widest instantiation and
+    /// thereby accepts every query size the workspace supports without width
+    /// dispatch.
+    query: OrderedQuery<4>,
 }
 
 impl JoinBaseline {
-    /// Builds the join baseline for `query` against `data` with no limits:
-    /// prepares a private index of `data` and builds through
-    /// [`JoinBaseline::with_prepared`].
-    ///
-    /// # Panics
-    ///
-    /// Panics where [`PreparedData::new`] does: on a data label above
-    /// [`gup_graph::MAX_DATA_LABEL`].
-    pub fn new(query: &Graph, data: &Graph) -> Result<Self, BuildError> {
-        let prepared = PreparedData::from_graph(data);
-        Self::with_prepared(query, &prepared, SearchLimits::UNLIMITED)
-    }
-
     /// Builds the join baseline for `query` against a prepared data graph under
     /// `limits`, which also bound every later run. The candidate filter pass honors
     /// `limits.deadline`: once it expires, construction aborts with
@@ -64,23 +51,13 @@ impl JoinBaseline {
         .map_err(|_| BuildError::FilterTimeout)?;
         let order = compute_order(query, &space.candidate_sizes(), OrderingStrategy::GqlStyle)
             .expect("validated queries are connected, so an order always exists");
-        // The join enumerator never touches the bitset views, so it always uses the
-        // widest `OrderedQuery` instantiation and thereby accepts every query size
-        // the workspace supports without width dispatch.
         let ordered = validated
             .with_order::<4>(&order)
             .expect("ordering strategies produce connected orders");
-        let space = space.permuted(&order);
-        let n = ordered.vertex_count();
-        let backward = (0..n)
-            .map(|i| ordered.backward_neighbors(i).to_vec())
-            .collect();
         Ok(JoinBaseline {
             limits,
-            space,
-            query_vertices: n,
-            backward,
-            original_id: order,
+            space: space.permuted(&order),
+            query: ordered,
         })
     }
 
@@ -100,7 +77,7 @@ impl JoinBaseline {
     fn join(&self, cap: Option<u64>, sink: &mut dyn EmbeddingSink) -> SearchStats {
         let mut result = SearchStats::default();
         let mut sampler = DeadlineSampler::new(self.limits.deadline);
-        let n = self.query_vertices;
+        let n = self.query.vertex_count();
         if n == 0 || self.space.any_empty() || cap == Some(0) {
             return result;
         }
@@ -127,7 +104,7 @@ impl JoinBaseline {
         }
         for i in 1..n {
             let mut next: Vec<Vec<u32>> = Vec::new();
-            let anchors = &self.backward[i];
+            let anchors = self.query.backward_neighbors(i);
             let first_anchor = anchors[0];
             'bindings: for binding in &table {
                 if sampler.tick().is_err() {
@@ -197,11 +174,11 @@ impl JoinBaseline {
     ) -> SinkControl {
         if sink.wants_embeddings() {
             for (j, &cj) in binding.iter().enumerate() {
-                scratch[self.original_id[j] as usize] = self.space.candidates(j)[cj as usize];
+                scratch[self.query.original_id(j) as usize] = self.space.candidates(j)[cj as usize];
             }
             if let Some(ci) = last {
                 let j = binding.len();
-                scratch[self.original_id[j] as usize] = self.space.candidates(j)[ci as usize];
+                scratch[self.query.original_id(j) as usize] = self.space.candidates(j)[ci as usize];
             }
         }
         sink.report(scratch)
@@ -209,7 +186,7 @@ impl JoinBaseline {
 
     /// Number of query vertices.
     pub fn query_vertex_count(&self) -> usize {
-        self.query_vertices
+        self.query.vertex_count()
     }
 
     /// The candidate space the join runs over (for inspection in tests).
@@ -226,9 +203,15 @@ mod tests {
     use gup_graph::fixtures;
     use gup_graph::sink::CountOnly;
 
+    /// The join for `query` over a fresh index of `data`, with no limits.
+    fn unlimited(query: &Graph, data: &Graph) -> Result<JoinBaseline, BuildError> {
+        let prepared = PreparedData::new(data.clone());
+        JoinBaseline::with_prepared(query, &prepared, SearchLimits::UNLIMITED)
+    }
+
     fn check(query: &Graph, data: &Graph) {
         let expected = brute_force::count(query, data);
-        let join = JoinBaseline::new(query, data).unwrap();
+        let join = unlimited(query, data).unwrap();
         assert_eq!(
             join.run_with_sink(&mut CountOnly::new()).embeddings,
             expected
@@ -269,7 +252,7 @@ mod tests {
     #[test]
     fn join_counts_intermediate_results() {
         let (q, d) = fixtures::paper_example();
-        let join = JoinBaseline::new(&q, &d).unwrap();
+        let join = unlimited(&q, &d).unwrap();
         let r = join.run_with_sink(&mut CountOnly::new());
         assert!(r.recursions >= r.embeddings);
         assert!(r.recursions > 0);
@@ -295,7 +278,7 @@ mod tests {
             max_embeddings: Some(5),
             ..SearchLimits::UNLIMITED
         };
-        let prepared = PreparedData::from_graph(&d);
+        let prepared = PreparedData::new(d);
         let join = JoinBaseline::with_prepared(&q, &prepared, limits).unwrap();
         let r = join.run_with_sink(&mut CountOnly::new());
         assert_eq!(r.embeddings, 5);
@@ -307,7 +290,7 @@ mod tests {
         let disconnected = graph_from_edges(&[0, 0, 0, 0], &[(0, 1), (2, 3)]);
         let d = fixtures::square_with_diagonal();
         assert!(matches!(
-            JoinBaseline::new(&disconnected, &d),
+            unlimited(&disconnected, &d),
             Err(BuildError::InvalidQuery(_))
         ));
     }
@@ -316,7 +299,7 @@ mod tests {
     fn join_handles_empty_candidates() {
         let q = graph_from_edges(&[9, 9], &[(0, 1)]);
         let d = fixtures::square_with_diagonal();
-        let join = JoinBaseline::new(&q, &d).unwrap();
+        let join = unlimited(&q, &d).unwrap();
         assert_eq!(join.run_with_sink(&mut CountOnly::new()).embeddings, 0);
     }
 }

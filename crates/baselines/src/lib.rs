@@ -49,7 +49,7 @@ mod tests {
     /// `limits`: each backtracking kind, the join, and brute force.
     fn run_every_engine(limits: SearchLimits) -> Vec<SearchStats> {
         let (q, d) = fixtures::paper_example();
-        let prepared = PreparedData::from_graph(&d);
+        let prepared = PreparedData::new(d);
         let mut records: Vec<SearchStats> = BaselineKind::ALL
             .into_iter()
             .map(|kind| {
@@ -65,7 +65,7 @@ mod tests {
         );
         records.push(brute_force::run_with_sink(
             &q,
-            &d,
+            prepared.graph(),
             limits,
             &mut CountOnly::new(),
         ));

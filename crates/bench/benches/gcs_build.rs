@@ -9,10 +9,9 @@ use gup_candidate::{CandidateSpace, FilterConfig};
 use gup_workloads::{generate_query_set, Dataset, QueryClass, QuerySetSpec};
 
 fn bench_construction(c: &mut Criterion) {
-    let data = Dataset::Yeast.generate(0.15).graph;
     // Prepared once, outside the measured region: the benches time the per-query
     // construction only.
-    let prepared = PreparedData::from_graph(&data);
+    let prepared = PreparedData::new(Dataset::Yeast.generate(0.15).graph);
     let mut group = c.benchmark_group("construction");
     group.sample_size(20);
     for &size in &[8usize, 16, 24] {
@@ -20,7 +19,7 @@ fn bench_construction(c: &mut Criterion) {
             vertices: size,
             class: QueryClass::Sparse,
         };
-        let queries = generate_query_set(&data, spec, 3, 42);
+        let queries = generate_query_set(prepared.graph(), spec, 3, 42);
         let Some(query) = queries.first() else {
             continue;
         };

@@ -419,7 +419,7 @@ pub fn fig10(config: &SuiteConfig, max_threads: usize) -> String {
     )
     .unwrap();
     // One shared prepared index for every (query, scheduler, thread count) run.
-    let prepared = gup_graph::PreparedData::from_graph(&data);
+    let prepared = gup_graph::PreparedData::new(data);
     // Every run gets its own time budget: a matcher built with a deadline that
     // starts right before the run (the GCS build stays outside the timed window).
     let matcher = |query: &gup_graph::Graph| {

@@ -139,11 +139,6 @@ mod tests {
         gup_graph::fixtures::paper_example()
     }
 
-    /// LDF+NLF candidates of `u`, with `data` prepared on the spot.
-    fn nlf(query: &Graph, data: &Graph, u: VertexId) -> Vec<VertexId> {
-        nlf_candidates_prepared(query, &PreparedData::from_graph(data), u)
-    }
-
     /// NLF by definition: for every label, `v` has at least as many neighbors with
     /// that label as `u` does. Counts neighbor labels directly.
     fn nlf_by_definition(query: &Graph, data: &Graph, u: VertexId, v: VertexId) -> bool {
@@ -180,8 +175,9 @@ mod tests {
     #[test]
     fn nlf_removes_vertices_missing_neighbor_labels() {
         let (query, data) = figure1();
+        let prepared = PreparedData::new(data);
         // Paper §2.1: v13 is removed from C(u0) because it has no label-B neighbor.
-        let with_nlf = nlf(&query, &data, 0);
+        let with_nlf = nlf_candidates_prepared(&query, &prepared, 0);
         assert!(!with_nlf.contains(&13));
         assert!(with_nlf.contains(&0));
         assert!(with_nlf.contains(&1));
@@ -190,7 +186,7 @@ mod tests {
     #[test]
     fn nlf_filter_individual() {
         let (query, data) = figure1();
-        let prepared = PreparedData::from_graph(&data);
+        let prepared = PreparedData::new(data);
         let profile = NlfProfile::of(&query, 0);
         assert!(nlf_filter_prepared(&profile, &prepared, 0));
         assert!(!nlf_filter_prepared(&profile, &prepared, 13));
@@ -199,9 +195,9 @@ mod tests {
     #[test]
     fn nlf_handles_isolated_query_vertex() {
         let query = graph_from_edges(&[4], &[]);
-        let data = graph_from_edges(&[4, 4], &[(0, 1)]);
+        let data = PreparedData::new(graph_from_edges(&[4, 4], &[(0, 1)]));
         // No neighbor requirements at all.
-        assert_eq!(nlf(&query, &data, 0), vec![0, 1]);
+        assert_eq!(nlf_candidates_prepared(&query, &data, 0), vec![0, 1]);
     }
 
     #[test]
@@ -210,20 +206,21 @@ mod tests {
         let query = graph_from_edges(&[0, 1, 1], &[(0, 1), (0, 2)]);
         // v0 has two label-1 neighbors, v3 has only one (v4).
         let data = graph_from_edges(&[0, 1, 1, 0, 1], &[(0, 1), (0, 2), (3, 4), (3, 1)]);
-        let c = nlf(&query, &data, 0);
+        let c = nlf_candidates_prepared(&query, &PreparedData::new(data), 0);
         assert_eq!(c, vec![0, 3]); // v3 has neighbors v4(label1) and v1(label1): passes
 
         // Remove one of v3's label-1 neighbors and it must fail.
         let data2 = graph_from_edges(&[0, 1, 1, 0, 1], &[(0, 1), (0, 2), (3, 4)]);
-        let c2 = nlf(&query, &data2, 0);
+        let c2 = nlf_candidates_prepared(&query, &PreparedData::new(data2), 0);
         assert_eq!(c2, vec![0]);
     }
 
     #[test]
     fn candidates_are_sorted() {
         let (query, data) = figure1();
+        let prepared = PreparedData::new(data);
         for u in query.vertices() {
-            let c = nlf(&query, &data, u);
+            let c = nlf_candidates_prepared(&query, &prepared, u);
             let mut sorted = c.clone();
             sorted.sort_unstable();
             assert_eq!(c, sorted);
@@ -235,13 +232,13 @@ mod tests {
         let query = graph_from_edges(&[9], &[]);
         let data = graph_from_edges(&[0, 1], &[(0, 1)]);
         assert!(ldf_candidates(&query, &data, 0).is_empty());
-        assert!(nlf(&query, &data, 0).is_empty());
+        assert!(nlf_candidates_prepared(&query, &PreparedData::new(data), 0).is_empty());
     }
 
     #[test]
     fn signature_filter_agrees_with_the_nlf_definition() {
         let (query, data) = figure1();
-        let prepared = PreparedData::from_graph(&data);
+        let prepared = PreparedData::new(data.clone());
         for u in query.vertices() {
             let profile = NlfProfile::of(&query, u);
             for v in data.vertices() {
@@ -329,7 +326,7 @@ mod tests {
         // the bound proves emptiness without scanning any candidate.
         let query = graph_from_edges(&[0, 1, 1, 1], &[(0, 1), (0, 2), (0, 3)]);
         let data = graph_from_edges(&[0, 1, 1, 0, 1], &[(0, 1), (0, 2), (3, 4)]);
-        let prepared = gup_graph::PreparedData::from_graph(&data);
+        let prepared = PreparedData::new(data.clone());
         let profile = NlfProfile::of(&query, 0);
         assert!(profile.unsatisfiable_in(&prepared));
         assert!(nlf_candidates_prepared(&query, &prepared, 0).is_empty());

@@ -578,14 +578,14 @@ mod tests {
         graph_from_edges(&[0, 1, 0, 1, 1], &[(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
     }
 
-    /// Builds the candidate space with `data` prepared on the spot.
-    fn build(query: &Graph, data: &Graph, config: &FilterConfig) -> CandidateSpace {
-        CandidateSpace::build_prepared(query, &PreparedData::from_graph(data), config)
+    /// Builds the candidate space over a fresh index of `data`.
+    fn build(query: &Graph, data: Graph, config: &FilterConfig) -> CandidateSpace {
+        CandidateSpace::build_prepared(query, &PreparedData::new(data), config)
     }
 
     #[test]
     fn build_produces_expected_candidates() {
-        let cs = build(&triangle_query(), &square_data(), &FilterConfig::default());
+        let cs = build(&triangle_query(), square_data(), &FilterConfig::default());
         assert_eq!(cs.query_vertex_count(), 3);
         assert_eq!(cs.candidates(0), &[0, 2]);
         assert_eq!(cs.candidates(2), &[0, 2]);
@@ -606,15 +606,16 @@ mod tests {
     #[test]
     fn adjacency_lists_are_consistent_with_data_edges() {
         let q = triangle_query();
-        let d = square_data();
-        let cs = build(&q, &d, &FilterConfig::default());
+        let prepared = PreparedData::new(square_data());
+        let d = prepared.graph();
+        let cs = CandidateSpace::build_prepared(&q, &prepared, &FilterConfig::default());
         let mut pairs = 0;
         for (eid, &(a, b)) in cs.edge_list().iter().enumerate() {
             // Each forward list is exactly the ascending indices of the adjacent
             // candidates of `b`, and the lists lie back to back.
             let mut start = 0;
             for (ia, &va) in cs.candidates(a).iter().enumerate() {
-                let expected = adjacent_indices(&cs, &d, va, b);
+                let expected = adjacent_indices(&cs, d, va, b);
                 assert_eq!(cs.adjacent_candidates(a, ia, b), expected);
                 assert_eq!(cs.forward_adjacency(eid, ia), expected);
                 assert_eq!(cs.forward_start(eid, ia), start);
@@ -626,7 +627,7 @@ mod tests {
             for (ib, &vb) in cs.candidates(b).iter().enumerate() {
                 assert_eq!(
                     cs.adjacent_candidates(b, ib, a),
-                    adjacent_indices(&cs, &d, vb, a)
+                    adjacent_indices(&cs, d, vb, a)
                 );
             }
         }
@@ -641,8 +642,7 @@ mod tests {
     fn adjacent_candidates_requires_query_edge() {
         // Path query 0-1-2: vertices 0 and 2 are not adjacent.
         let q = graph_from_edges(&[0, 1, 0], &[(0, 1), (1, 2)]);
-        let d = square_data();
-        let cs = build(&q, &d, &FilterConfig::default());
+        let cs = build(&q, square_data(), &FilterConfig::default());
         let _ = cs.adjacent_candidates(0, 0, 2);
     }
 
@@ -650,7 +650,7 @@ mod tests {
     fn empty_candidate_set_detected() {
         // Query label 9 does not exist in the data.
         let q = graph_from_edges(&[9, 1], &[(0, 1)]);
-        let cs = build(&q, &square_data(), &FilterConfig::default());
+        let cs = build(&q, square_data(), &FilterConfig::default());
         assert!(cs.any_empty());
         assert_eq!(cs.candidates(0), &[] as &[u32]);
     }
@@ -662,11 +662,11 @@ mod tests {
         // a candidate of the B query vertex (it has an A and a C neighbor) but drops
         // v6; DAG refinement then removes v5, which has no surviving C neighbor.
         let q = graph_from_edges(&[0, 1, 2, 3], &[(0, 1), (1, 2), (2, 3)]);
-        let d = graph_from_edges(
+        let d = PreparedData::new(graph_from_edges(
             &[0, 1, 2, 3, 0, 1, 2],
             &[(0, 1), (1, 2), (2, 3), (4, 5), (5, 6)],
-        );
-        let unrefined = build(
+        ));
+        let unrefined = CandidateSpace::build_prepared(
             &q,
             &d,
             &FilterConfig {
@@ -675,7 +675,7 @@ mod tests {
         );
         assert_eq!(unrefined.candidates(1), &[1, 5]);
         assert_eq!(unrefined.candidates(2), &[2]);
-        let refined = build(
+        let refined = CandidateSpace::build_prepared(
             &q,
             &d,
             &FilterConfig {
@@ -691,8 +691,7 @@ mod tests {
     #[test]
     fn permuted_space_reindexes_consistently() {
         let q = triangle_query();
-        let d = square_data();
-        let cs = build(&q, &d, &FilterConfig::default());
+        let cs = build(&q, square_data(), &FilterConfig::default());
         let order = [2u32, 0, 1];
         let p = cs.clone().permuted(&order);
         // New vertex 0 is old vertex 2.
@@ -717,7 +716,7 @@ mod tests {
         let q = triangle_query();
         let cfg = FilterConfig::default();
         let past = Some(Instant::now() - std::time::Duration::from_millis(1));
-        let prepared = PreparedData::from_graph(&square_data());
+        let prepared = PreparedData::new(square_data());
         assert!(CandidateSpace::build_prepared_deadline(&q, &prepared, &cfg, past).is_err());
     }
 
@@ -726,7 +725,7 @@ mod tests {
         let q = triangle_query();
         let cfg = FilterConfig::default();
         let future = Some(Instant::now() + std::time::Duration::from_secs(3600));
-        let prepared = PreparedData::from_graph(&square_data());
+        let prepared = PreparedData::new(square_data());
         let a = CandidateSpace::build_prepared(&q, &prepared, &cfg);
         let b = CandidateSpace::build_prepared_deadline(&q, &prepared, &cfg, future).unwrap();
         for u in 0..a.query_vertex_count() {
@@ -737,14 +736,16 @@ mod tests {
 
     #[test]
     fn heap_bytes_positive() {
-        let cs = build(&triangle_query(), &square_data(), &FilterConfig::default());
+        let cs = build(&triangle_query(), square_data(), &FilterConfig::default());
         assert!(cs.heap_bytes() > 0);
     }
 
     #[test]
     fn paper_figure1_candidate_space() {
         let (q, d) = gup_graph::fixtures::paper_example();
-        let cs = build(&q, &d, &FilterConfig::default());
+        let prepared = PreparedData::new(d);
+        let d = prepared.graph();
+        let cs = CandidateSpace::build_prepared(&q, &prepared, &FilterConfig::default());
         // v13 must not be a candidate of u0 (NLF, §2.1 of the paper).
         assert!(!cs.candidates(0).contains(&13));
         assert!(!cs.any_empty());

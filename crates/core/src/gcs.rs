@@ -181,13 +181,13 @@ mod tests {
     use gup_graph::fixtures;
     use gup_graph::query::QueryGraphError;
 
-    fn build(query: &Graph, data: &Graph, config: &GupConfig) -> Result<Gcs, BuildError> {
-        Gcs::<1>::build_prepared(query, &PreparedData::from_graph(data), config)
+    fn build(query: &Graph, data: Graph, config: &GupConfig) -> Result<Gcs, BuildError> {
+        Gcs::<1>::build_prepared(query, &PreparedData::new(data), config)
     }
 
     fn paper_gcs(config: &GupConfig) -> Gcs {
         let (q, d) = fixtures::paper_example();
-        build(&q, &d, config).unwrap()
+        build(&q, d, config).unwrap()
     }
 
     #[test]
@@ -209,7 +209,7 @@ mod tests {
     fn build_rejects_invalid_queries() {
         let (_q, d) = fixtures::paper_example();
         let disconnected = gup_graph::builder::graph_from_edges(&[0, 0, 0, 0], &[(0, 1), (2, 3)]);
-        let err = build(&disconnected, &d, &GupConfig::default()).unwrap_err();
+        let err = build(&disconnected, d, &GupConfig::default()).unwrap_err();
         assert!(matches!(
             err,
             BuildError::InvalidQuery(QueryGraphError::Disconnected)
@@ -262,7 +262,7 @@ mod tests {
         let (_q, d) = fixtures::paper_example();
         // A query label that the data graph does not contain.
         let q = gup_graph::builder::graph_from_edges(&[9, 9], &[(0, 1)]);
-        let gcs = build(&q, &d, &GupConfig::default()).unwrap();
+        let gcs = build(&q, d, &GupConfig::default()).unwrap();
         assert!(gcs.is_empty());
     }
 

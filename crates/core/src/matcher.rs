@@ -1,10 +1,12 @@
 //! High-level matcher API.
 //!
 //! [`GupMatcher`] ties the pipeline together: build the GCS once, then run one or more
-//! searches over it (sequentially or in parallel). Every run streams its embeddings,
-//! over the original query-vertex ids, into an [`EmbeddingSink`] — a count is a
-//! [`CountOnly`] sink, all embeddings a [`CollectAll`] — and returns the one
-//! [`SearchStats`] record. The one-shot helpers
+//! searches over it (sequentially or in parallel). Like every engine, it has one
+//! constructor, [`GupMatcher::with_prepared`], and it takes a `&PreparedData`:
+//! prepare the data graph once and build every matcher on that index. Every run
+//! streams its embeddings, over the original query-vertex ids, into an
+//! [`EmbeddingSink`] — a count is a [`CountOnly`] sink, all embeddings a
+//! [`CollectAll`] — and returns the one [`SearchStats`] record. The one-shot helpers
 //! [`find_embeddings`](crate::session::find_embeddings) and
 //! [`count_embeddings`](crate::session::count_embeddings) run through a
 //! [`Session`](crate::session::Session).
@@ -32,18 +34,6 @@ pub struct GupMatcher<const W: usize = 1> {
 }
 
 impl<const W: usize> GupMatcher<W> {
-    /// Builds the matcher for `query` against `data`: prepares a private index of
-    /// `data` and builds through [`GupMatcher::with_prepared`]. Batched workloads
-    /// should prepare once — see [`crate::session`].
-    ///
-    /// # Panics
-    ///
-    /// Panics where [`PreparedData::new`] does: on a data label above
-    /// [`gup_graph::MAX_DATA_LABEL`].
-    pub fn new(query: &Graph, data: &Graph, config: GupConfig) -> Result<Self, BuildError> {
-        Self::with_prepared(query, &PreparedData::from_graph(data), config)
-    }
-
     /// Builds the matcher (GCS construction + reservation-guard generation) for
     /// `query` against a prepared data graph: candidate filtering runs against the
     /// precomputed signature arena, and nothing per-data-graph is rebuilt.
@@ -81,9 +71,12 @@ impl<const W: usize> GupMatcher<W> {
     /// use gup::{GupConfig, GupMatcher};
     /// use gup::sink::{CountOnly, FirstK};
     /// use gup_graph::fixtures::paper_example;
+    /// use gup_graph::PreparedData;
     ///
     /// let (query, data) = paper_example();
-    /// let matcher = GupMatcher::<1>::new(&query, &data, GupConfig::default()).unwrap();
+    /// let prepared = PreparedData::new(data);
+    /// let matcher =
+    ///     GupMatcher::<1>::with_prepared(&query, &prepared, GupConfig::default()).unwrap();
     ///
     /// let mut count = CountOnly::new();
     /// let stats = matcher.run_with_sink(&mut count);
@@ -216,7 +209,9 @@ mod tests {
     #[test]
     fn matcher_reuse_is_deterministic() {
         let (q, d) = fixtures::paper_example();
-        let matcher = GupMatcher::<1>::new(&q, &d, GupConfig::default()).unwrap();
+        let matcher =
+            GupMatcher::<1>::with_prepared(&q, &PreparedData::new(d), GupConfig::default())
+                .unwrap();
         let a = matcher.run_with_sink(&mut CountOnly::new());
         let b = matcher.run_with_sink(&mut CountOnly::new());
         assert_eq!(a.embeddings, b.embeddings);
@@ -230,7 +225,7 @@ mod tests {
             limits: SearchLimits::UNLIMITED,
             ..GupConfig::default()
         };
-        let matcher = GupMatcher::<1>::new(&q, &d, cfg).unwrap();
+        let matcher = GupMatcher::<1>::with_prepared(&q, &PreparedData::new(d), cfg).unwrap();
         let (stats, report) = matcher.run_with_memory_report();
         assert!(stats.embeddings >= 1);
         assert!(report.candidate_space_bytes > 0);
@@ -243,7 +238,10 @@ mod tests {
     fn invalid_query_is_reported() {
         let (_q, d) = fixtures::paper_example();
         let disconnected = gup_graph::builder::graph_from_edges(&[0, 0, 0, 0], &[(0, 1), (2, 3)]);
-        assert!(GupMatcher::<1>::new(&disconnected, &d, GupConfig::default()).is_err());
+        let prepared = PreparedData::new(d);
+        assert!(
+            GupMatcher::<1>::with_prepared(&disconnected, &prepared, GupConfig::default()).is_err()
+        );
     }
 
     #[test]
@@ -253,7 +251,7 @@ mod tests {
             limits: SearchLimits::UNLIMITED,
             ..GupConfig::default()
         };
-        let matcher = GupMatcher::<1>::new(&q, &d, cfg).unwrap();
+        let matcher = GupMatcher::<1>::with_prepared(&q, &PreparedData::new(d), cfg).unwrap();
         assert_eq!(
             matcher.run_with_sink(&mut CountOnly::new()).embeddings,
             matcher

@@ -339,9 +339,8 @@ mod tests {
     use gup_graph::fixtures;
     use gup_graph::generate::{power_law_graph, PowerLawConfig};
 
-    fn build(query: &gup_graph::Graph, data: &gup_graph::Graph, cfg: &GupConfig) -> Gcs {
-        let prepared = gup_graph::PreparedData::from_graph(data);
-        Gcs::<1>::build_prepared(query, &prepared, cfg).unwrap()
+    fn build(query: &gup_graph::Graph, data: gup_graph::Graph, cfg: &GupConfig) -> Gcs {
+        Gcs::<1>::build_prepared(query, &gup_graph::PreparedData::new(data), cfg).unwrap()
     }
 
     #[test]
@@ -358,7 +357,7 @@ mod tests {
             limits: SearchLimits::UNLIMITED,
             ..GupConfig::default()
         };
-        let gcs = build(&query, &data, &cfg);
+        let gcs = build(&query, data, &cfg);
         let sequential = SearchEngine::new(&gcs, &cfg).run_with_sink(&mut CountOnly::new());
         for threads in [2, 4, 8] {
             let parallel = run_parallel_with_sink(&gcs, &cfg, threads, &mut CountOnly::new());
@@ -375,7 +374,7 @@ mod tests {
             limits: SearchLimits::UNLIMITED,
             ..GupConfig::default()
         };
-        let gcs = build(&query, &data, &cfg);
+        let gcs = build(&query, data, &cfg);
         let mut sink = CollectAll::new();
         let stats = run_parallel_with_sink(&gcs, &cfg, 3, &mut sink);
         assert_eq!(stats.embeddings, 4);
@@ -399,7 +398,7 @@ mod tests {
             },
             ..GupConfig::default()
         };
-        let gcs = build(&query, &data, &cfg);
+        let gcs = build(&query, data, &cfg);
         for _ in 0..8 {
             let mut sink = CollectAll::new();
             let stats = run_parallel_with_sink(&gcs, &cfg, 4, &mut sink);
@@ -416,7 +415,7 @@ mod tests {
         let (_q, d) = fixtures::paper_example();
         let q = gup_graph::builder::graph_from_edges(&[9, 9], &[(0, 1)]);
         let cfg = GupConfig::default();
-        let gcs = build(&q, &d, &cfg);
+        let gcs = build(&q, d, &cfg);
         let stats = run_parallel_with_sink(&gcs, &cfg, 4, &mut CountOnly::new());
         assert_eq!(stats.embeddings, 0);
         assert_eq!(stats.recursions, 0);
@@ -436,7 +435,7 @@ mod tests {
             limits: SearchLimits::UNLIMITED,
             ..GupConfig::default()
         };
-        let gcs = build(&query, &data, &unlimited);
+        let gcs = build(&query, data, &unlimited);
         let full = SearchEngine::new(&gcs, &unlimited).run_with_sink(&mut CountOnly::new());
         // Precondition for the deadline sampling (every 1024 recursions) to trigger.
         assert!(

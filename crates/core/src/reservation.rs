@@ -245,13 +245,13 @@ mod tests {
 
     fn paper_setup() -> (OrderedQuery, CandidateSpace, usize) {
         let (q, d) = paper_example();
-        let prepared = PreparedData::from_graph(&d);
+        let prepared = PreparedData::new(d);
         let cs = CandidateSpace::build_prepared(&q, &prepared, &FilterConfig::default());
         let query = QueryGraph::new(q).unwrap();
         // Identity order: the paper's own numbering u0..u4 is already connected.
         let order: Vec<u32> = (0..query.vertex_count() as u32).collect();
         let oq = query.with_order(&order).unwrap();
-        (oq, cs, d.vertex_count())
+        (oq, cs, prepared.graph().vertex_count())
     }
 
     #[test]

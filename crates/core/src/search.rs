@@ -710,13 +710,13 @@ mod tests {
     use gup_graph::builder::graph_from_edges;
     use gup_graph::fixtures;
     use gup_graph::sink::{CollectAll, CountOnly};
+    use gup_graph::PreparedData;
 
-    fn build(query: &gup_graph::Graph, data: &gup_graph::Graph, config: &GupConfig) -> Gcs {
-        let prepared = gup_graph::PreparedData::from_graph(data);
-        Gcs::<1>::build_prepared(query, &prepared, config).unwrap()
+    fn build(query: &gup_graph::Graph, data: &PreparedData, config: &GupConfig) -> Gcs {
+        Gcs::<1>::build_prepared(query, data, config).unwrap()
     }
 
-    fn run(query: &gup_graph::Graph, data: &gup_graph::Graph, config: &GupConfig) -> SearchStats {
+    fn run(query: &gup_graph::Graph, data: &PreparedData, config: &GupConfig) -> SearchStats {
         let gcs = build(query, data, config);
         SearchEngine::new(&gcs, config).run_with_sink(&mut CountOnly::new())
     }
@@ -724,6 +724,7 @@ mod tests {
     #[test]
     fn paper_example_has_exactly_the_described_embeddings() {
         let (q, d) = fixtures::paper_example();
+        let d = PreparedData::new(d);
         let cfg = GupConfig {
             limits: SearchLimits::UNLIMITED,
             ..GupConfig::default()
@@ -743,7 +744,7 @@ mod tests {
             .collect();
         // Every reported embedding must satisfy all three isomorphism constraints.
         for original in &found {
-            verify_embedding(&q, &d, original);
+            verify_embedding(&q, d.graph(), original);
         }
         // The specific embedding named in the paper's introduction is among them.
         let expected = vec![1u32, 4, 7, 10, 0];
@@ -773,7 +774,7 @@ mod tests {
     #[test]
     fn triangle_in_square_found_in_both_orientations() {
         let q = fixtures::triangle_query();
-        let d = fixtures::square_with_diagonal();
+        let d = PreparedData::new(fixtures::square_with_diagonal());
         let cfg = GupConfig {
             limits: SearchLimits::UNLIMITED,
             ..GupConfig::default()
@@ -819,7 +820,8 @@ mod tests {
             PruningFeatures::RESERVATION_NV_NE,
             PruningFeatures::ALL,
         ];
-        for (q, d) in &cases {
+        for (q, d) in cases {
+            let d = PreparedData::new(d);
             let mut counts = Vec::new();
             for features in feature_sets {
                 let cfg = GupConfig {
@@ -827,7 +829,7 @@ mod tests {
                     limits: SearchLimits::UNLIMITED,
                     ..GupConfig::default()
                 };
-                let stats = run(q, d, &cfg);
+                let stats = run(&q, &d, &cfg);
                 counts.push(stats.embeddings);
             }
             assert!(
@@ -840,6 +842,7 @@ mod tests {
     #[test]
     fn guards_never_increase_recursions() {
         let (q, d) = fixtures::paper_example();
+        let d = PreparedData::new(d);
         let baseline = run(
             &q,
             &d,
@@ -865,6 +868,7 @@ mod tests {
     #[test]
     fn unguarded_runs_shape_no_nogood_store() {
         let (q, d) = fixtures::paper_example();
+        let d = PreparedData::new(d);
         let unguarded = GupConfig {
             features: PruningFeatures::NONE,
             limits: SearchLimits::UNLIMITED,
@@ -885,7 +889,7 @@ mod tests {
     fn embedding_limit_stops_the_search() {
         // A query with a single vertex matches every same-label data vertex; cap at 3.
         let q = graph_from_edges(&[0, 0], &[(0, 1)]);
-        let d = graph_from_edges(
+        let d = PreparedData::new(graph_from_edges(
             &[0; 8],
             &[
                 (0, 1),
@@ -897,7 +901,7 @@ mod tests {
                 (6, 7),
                 (7, 0),
             ],
-        );
+        ));
         let cfg = GupConfig {
             limits: SearchLimits {
                 max_embeddings: Some(3),
@@ -915,7 +919,7 @@ mod tests {
     fn no_embeddings_when_labels_do_not_match() {
         let q = graph_from_edges(&[7, 7], &[(0, 1)]);
         let (_pq, d) = fixtures::paper_example();
-        let stats = run(&q, &d, &GupConfig::default());
+        let stats = run(&q, &PreparedData::new(d), &GupConfig::default());
         assert_eq!(stats.embeddings, 0);
         assert_eq!(stats.recursions, 0);
     }
@@ -924,7 +928,10 @@ mod tests {
     fn no_embeddings_when_cycle_cannot_close() {
         // Query: labeled triangle. Data: a labeled path (no cycle at all).
         let q = fixtures::triangle_query();
-        let d = graph_from_edges(&[0, 1, 0, 1, 0], &[(0, 1), (1, 2), (2, 3), (3, 4)]);
+        let d = PreparedData::new(graph_from_edges(
+            &[0, 1, 0, 1, 0],
+            &[(0, 1), (1, 2), (2, 3), (3, 4)],
+        ));
         let stats = run(
             &q,
             &d,
@@ -939,7 +946,7 @@ mod tests {
     #[test]
     fn root_tasks_partition_the_work() {
         let q = fixtures::triangle_query();
-        let d = fixtures::square_with_diagonal();
+        let d = PreparedData::new(fixtures::square_with_diagonal());
         let cfg = GupConfig {
             limits: SearchLimits::UNLIMITED,
             ..GupConfig::default()
@@ -982,7 +989,7 @@ mod tests {
             }
             // One genuine 4-cycle.
             edges.push((0, 3));
-            graph_from_edges(&labels, &edges)
+            PreparedData::new(graph_from_edges(&labels, &edges))
         };
         let cfg = GupConfig {
             limits: SearchLimits::UNLIMITED,

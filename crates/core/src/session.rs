@@ -21,10 +21,8 @@
 //!   timed-out results bypassed, [`Session::invalidate_cache`] on data change) —
 //!   the serving front-end's answer to the same query arriving twice.
 //!
-//! Every engine family runs against the same shared `PreparedData`. Each engine has
-//! one constructor that runs the candidate filter, and it takes a `PreparedData`;
-//! the `(query, data)` constructors elsewhere in the workspace only prepare a
-//! private index and call it. Every one of those constructors fails with the one
+//! Every engine family runs against the same shared `PreparedData`: every engine
+//! has one constructor, and it takes a `&PreparedData`. Each fails with the one
 //! [`BuildError`], which the dispatcher maps in one place: a filter-pass timeout is
 //! a timed-out run, an unusable query a [`SessionError`]. The one-shot helpers
 //! [`find_embeddings`] and [`count_embeddings`] open a private session per call,

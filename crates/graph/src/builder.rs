@@ -60,8 +60,9 @@ impl GraphBuilder {
         self.labels.len()
     }
 
-    /// Adds an undirected edge. Self loops and out-of-range endpoints are rejected by
-    /// `debug_assert` and silently dropped in release builds at `build` time.
+    /// Adds an undirected edge. An out-of-range endpoint fails a `debug_assert`;
+    /// [`GraphBuilder::build`] drops such edges in release builds, and drops self
+    /// loops in every build.
     pub fn add_edge(&mut self, a: VertexId, b: VertexId) {
         debug_assert!(
             (a as usize) < self.labels.len() && (b as usize) < self.labels.len(),

@@ -20,12 +20,12 @@
 //!   [`GraphParseError::DuplicateHeader`] (it used to silently reset the builder);
 //! * the header's counts are checked before anything is sized by them: more
 //!   edges than a simple graph on the declared vertices has (`n(n−1)/2`) is a
-//!   [`GraphParseError::TooManyEdges`], and [`parse_query_graph`] rejects more
-//!   than [`MAX_QUERY_VERTICES`] vertices as a
-//!   [`GraphParseError::TooManyVertices`], since no engine accepts such a query.
-//!   Only the vertex count sizes an allocation: edges are stored as their `e`
-//!   lines arrive, so a header that declares more edges than the file lists
-//!   reserves nothing for them;
+//!   [`GraphParseError::TooManyEdges`], and more vertices than
+//!   [`MAX_QUERY_VERTICES`] for a query or `VertexId::MAX` for any graph (ids
+//!   are [`VertexId`]s; `VertexId::MAX` is the stream's unmapped sentinel) a
+//!   [`GraphParseError::TooManyVertices`]. Only the vertex count sizes an
+//!   allocation: edges are stored as their `e` lines arrive, so a header that
+//!   declares more edges than the file lists reserves nothing for them;
 //! * the declared edge count must match the number of `e` lines
 //!   ([`GraphParseError::EdgeCountMismatch`]);
 //! * each undirected edge must be listed exactly once, in either orientation
@@ -70,14 +70,16 @@ pub enum GraphParseError {
         /// Declared edge count.
         edges: usize,
     },
-    /// The `t` header of a query ([`parse_query_graph`]) declares more vertices
-    /// than any engine accepts. Checked before the builder is sized by the header.
+    /// The `t` header declares more vertices than the graph may have: a query
+    /// ([`parse_query_graph`]) more than [`MAX_QUERY_VERTICES`], any graph
+    /// ([`read_graph`]) more than `VertexId::MAX`. Checked before the builder is
+    /// sized by the header.
     TooManyVertices {
         /// 1-based line number of the header.
         line: usize,
         /// Declared vertex count.
         vertices: usize,
-        /// The bound, [`MAX_QUERY_VERTICES`].
+        /// The bound that was exceeded.
         limit: usize,
     },
     /// The number of `e` lines does not match the count declared on the `t` header.
@@ -130,7 +132,8 @@ impl std::fmt::Display for GraphParseError {
                 limit,
             } => write!(
                 f,
-                "header at line {line} declares {vertices} vertices; a query has at most {limit}"
+                "header at line {line} declares {vertices} vertices; this graph may have at most \
+                 {limit}"
             ),
             GraphParseError::EdgeCountMismatch { declared, found } => write!(
                 f,
@@ -161,9 +164,10 @@ fn malformed(line: usize, message: impl Into<String>) -> GraphParseError {
     }
 }
 
-/// Parses a graph from any reader in the `t/v/e` format.
+/// Parses a graph from any reader in the `t/v/e` format. A header declaring more
+/// than `VertexId::MAX` vertices is rejected before anything is allocated.
 pub fn read_graph<R: Read>(reader: R) -> Result<Graph, GraphParseError> {
-    read_graph_bounded(reader, usize::MAX)
+    read_graph_bounded(reader, VertexId::MAX as usize)
 }
 
 /// Parses a query graph from a string in the `t/v/e` format: [`parse_graph`],
@@ -537,7 +541,18 @@ e 2 0
             err,
             GraphParseError::TooManyVertices { line: 2, .. }
         ));
-        // parse_graph has no vertex bound.
+        // A data graph's bound is the vertex-id range: 40 billion vertices would
+        // size a 160 GB builder.
+        let err = parse_graph("t 40000000000 0\n").unwrap_err();
+        assert!(matches!(
+            err,
+            GraphParseError::TooManyVertices {
+                line: 1,
+                vertices: 40_000_000_000,
+                limit
+            } if limit == VertexId::MAX as usize
+        ));
+        assert!(format!("{err}").contains("at most 4294967295"), "{err}");
         assert_eq!(parse_graph("t 257 0\n").unwrap().vertex_count(), 257);
     }
 

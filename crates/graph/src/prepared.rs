@@ -256,17 +256,6 @@ impl PreparedData {
         &self.label_index
     }
 
-    /// Convenience for the one-shot `(query, data)` entry points: clones `graph`
-    /// and prepares it. One-shot callers pay the clone; batched callers should
-    /// build a `PreparedData` once and share it.
-    ///
-    /// # Panics
-    ///
-    /// Panics where [`PreparedData::new`] does.
-    pub fn from_graph(graph: &Graph) -> Self {
-        PreparedData::new(graph.clone())
-    }
-
     /// The underlying data graph.
     #[inline]
     pub fn graph(&self) -> &Graph {
@@ -662,7 +651,7 @@ mod tests {
     #[test]
     fn stats_and_bytes() {
         let g = graph_from_edges(&[0, 1, 1, 2], &[(0, 1), (0, 2), (0, 3)]);
-        let prepared = PreparedData::from_graph(&g);
+        let prepared = PreparedData::new(g);
         assert_eq!(prepared.max_degree(), 3);
         assert!(prepared.index_bytes() > 0);
         assert!(prepared.heap_bytes() > prepared.index_bytes());

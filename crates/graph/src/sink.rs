@@ -306,9 +306,10 @@ impl<F: FnMut(&[VertexId]) -> SinkControl> EmbeddingSink for CallbackSink<F> {
     }
 }
 
-/// Reserves slots under an embedding limit — the single implementation of the
-/// "check before record" rule shared by the sequential engines and the parallel
-/// driver.
+/// Reserves slots under an embedding limit — the "check before record" rule of
+/// GuP's search engine and its parallel driver. (The backtracking baseline, the
+/// join baseline and the brute-force oracle compare their count with the folded
+/// cap inline.)
 ///
 /// In *local* mode the caller's own count is checked against the limit. In *shared*
 /// mode the reservation holds the one atomic counter of a parallel run and reserves

@@ -22,14 +22,14 @@ fn main() {
         gup_graph::stats::GraphStats::compute(&data, false)
     );
     // Index the data graph once; every query of every set reuses it.
-    let prepared = PreparedData::from_graph(&data);
+    let prepared = PreparedData::new(data);
     println!(
         "\n{:<6} {:>8} {:>12} {:>14} {:>12} {:>12}",
         "set", "queries", "avg ms", "recursions", "futile", "pruned %"
     );
 
     for spec in QuerySetSpec::PAPER_SETS {
-        let queries = generate_query_set(&data, spec, 10, 1);
+        let queries = generate_query_set(prepared.graph(), spec, 10, 1);
         if queries.is_empty() {
             println!("{:<6} {:>8}", spec.name(), "n/a");
             continue;

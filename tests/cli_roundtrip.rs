@@ -8,6 +8,7 @@ use gup::sink::CountOnly;
 use gup::{GupConfig, GupMatcher, SearchLimits};
 use gup_baselines::{brute_force, BacktrackingBaseline, BaselineKind, JoinBaseline};
 use gup_graph::io::{load_graph, save_graph};
+use gup_graph::PreparedData;
 use gup_workloads::{generate_query_set, Dataset, QueryClass, QuerySetSpec};
 
 /// Spawns the actual `gup-match` binary on fixture graphs written to disk and
@@ -365,6 +366,30 @@ fn gup_match_binary_saves_and_loads_prepared_indexes() {
         String::from_utf8_lossy(&output.stderr)
     );
 
+    // A data header above the vertex-id range is a typed parse error, exit 1,
+    // where a builder sized by it would abort on a 160 GB allocation.
+    let huge_header_path = dir.join("huge_header.graph");
+    std::fs::write(&huge_header_path, "t 40000000000 0\n").unwrap();
+    let output = std::process::Command::new(env!("CARGO_BIN_EXE_gup-match"))
+        .args([
+            "--data",
+            huge_header_path.to_str().unwrap(),
+            "--query",
+            query_path.to_str().unwrap(),
+        ])
+        .output()
+        .expect("failed to spawn gup-match");
+    assert_eq!(
+        output.status.code(),
+        Some(1),
+        "a header above the vertex-id range must exit 1"
+    );
+    assert!(
+        String::from_utf8_lossy(&output.stderr).contains("declares 40000000000 vertices"),
+        "stderr: {}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+
     // Usage errors: --data with --index, and --save-index from a loaded index.
     for bad in [
         vec![
@@ -418,6 +443,7 @@ fn matchers_work_on_graphs_loaded_from_disk() {
     save_graph(&data, &data_path).unwrap();
     let loaded_data = load_graph(&data_path).unwrap();
     assert_eq!(loaded_data, data);
+    let prepared = PreparedData::new(loaded_data);
 
     for (i, query) in queries.iter().enumerate() {
         let query_path = dir.join(format!("query_{i}.graph"));
@@ -425,11 +451,11 @@ fn matchers_work_on_graphs_loaded_from_disk() {
         let loaded_query = load_graph(&query_path).unwrap();
         assert_eq!(&loaded_query, query);
 
-        let expected = brute_force::count(&loaded_query, &loaded_data);
+        let expected = brute_force::count(&loaded_query, prepared.graph());
 
-        let gup_count = GupMatcher::<1>::new(
+        let gup_count = GupMatcher::<1>::with_prepared(
             &loaded_query,
-            &loaded_data,
+            &prepared,
             GupConfig {
                 limits: SearchLimits::UNLIMITED,
                 ..GupConfig::default()
@@ -440,17 +466,18 @@ fn matchers_work_on_graphs_loaded_from_disk() {
         .embeddings;
         assert_eq!(gup_count, expected);
 
-        let daf = BacktrackingBaseline::<1>::new(
+        let daf = BacktrackingBaseline::<1>::with_prepared(
             &loaded_query,
-            &loaded_data,
+            &prepared,
             BaselineKind::DafFailingSet,
+            SearchLimits::UNLIMITED,
         )
         .unwrap()
         .run_with_sink(&mut CountOnly::new())
         .embeddings;
         assert_eq!(daf, expected);
 
-        let join = JoinBaseline::new(&loaded_query, &loaded_data)
+        let join = JoinBaseline::with_prepared(&loaded_query, &prepared, SearchLimits::UNLIMITED)
             .unwrap()
             .run_with_sink(&mut CountOnly::new())
             .embeddings;

@@ -10,24 +10,25 @@ use gup_graph::builder::graph_from_edges;
 use gup_graph::generate::{
     erdos_renyi_graph, power_law_graph, random_walk_query, ErdosRenyiConfig, PowerLawConfig,
 };
-use gup_graph::{fixtures, Graph};
+use gup_graph::{fixtures, Graph, PreparedData};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-fn gup_count(query: &Graph, data: &Graph, features: PruningFeatures) -> u64 {
+fn gup_count(query: &Graph, data: &PreparedData, features: PruningFeatures) -> u64 {
     let cfg = GupConfig {
         features,
         limits: SearchLimits::UNLIMITED,
         ..GupConfig::default()
     };
-    GupMatcher::<1>::new(query, data, cfg)
+    GupMatcher::<1>::with_prepared(query, data, cfg)
         .expect("query accepted")
         .run_with_sink(&mut CountOnly::new())
         .embeddings
 }
 
-fn check_all_engines(query: &Graph, data: &Graph) {
-    let expected = brute_force::count(query, data);
+/// Runs every engine on the one shared index `prepared`.
+fn check_all_engines(query: &Graph, prepared: &PreparedData) {
+    let expected = brute_force::count(query, prepared.graph());
     for features in [
         PruningFeatures::NONE,
         PruningFeatures::RESERVATION_ONLY,
@@ -36,17 +37,22 @@ fn check_all_engines(query: &Graph, data: &Graph) {
         PruningFeatures::ALL,
     ] {
         assert_eq!(
-            gup_count(query, data, features),
+            gup_count(query, prepared, features),
             expected,
             "GuP[{}] disagrees with brute force",
             features.label()
         );
     }
     for kind in BaselineKind::ALL {
-        let count = BacktrackingBaseline::<1>::new(query, data, kind)
-            .expect("query accepted")
-            .run_with_sink(&mut CountOnly::new())
-            .embeddings;
+        let count = BacktrackingBaseline::<1>::with_prepared(
+            query,
+            prepared,
+            kind,
+            SearchLimits::UNLIMITED,
+        )
+        .expect("query accepted")
+        .run_with_sink(&mut CountOnly::new())
+        .embeddings;
         assert_eq!(
             count,
             expected,
@@ -54,7 +60,7 @@ fn check_all_engines(query: &Graph, data: &Graph) {
             kind.name()
         );
     }
-    let join = JoinBaseline::new(query, data)
+    let join = JoinBaseline::with_prepared(query, prepared, SearchLimits::UNLIMITED)
         .expect("query accepted")
         .run_with_sink(&mut CountOnly::new())
         .embeddings;
@@ -64,14 +70,14 @@ fn check_all_engines(query: &Graph, data: &Graph) {
 #[test]
 fn fixed_instances_agree() {
     let (q, d) = fixtures::paper_example();
-    check_all_engines(&q, &d);
+    check_all_engines(&q, &PreparedData::new(d));
     check_all_engines(
         &fixtures::triangle_query(),
-        &fixtures::square_with_diagonal(),
+        &PreparedData::new(fixtures::square_with_diagonal()),
     );
     check_all_engines(
         &fixtures::path(5, 0),
-        &graph_from_edges(
+        &PreparedData::new(graph_from_edges(
             &[0; 7],
             &[
                 (0, 1),
@@ -83,11 +89,11 @@ fn fixed_instances_agree() {
                 (6, 0),
                 (1, 4),
             ],
-        ),
+        )),
     );
     check_all_engines(
         &fixtures::clique4(0),
-        &graph_from_edges(
+        &PreparedData::new(graph_from_edges(
             &[0; 7],
             &[
                 (0, 1),
@@ -103,7 +109,7 @@ fn fixed_instances_agree() {
                 (4, 5),
                 (5, 6),
             ],
-        ),
+        )),
     );
 }
 
@@ -124,7 +130,7 @@ fn randomized_erdos_renyi_instances_agree() {
         if !gup_graph::algo::is_connected(&query) {
             continue;
         }
-        check_all_engines(&query, &data);
+        check_all_engines(&query, &PreparedData::new(data));
         tested += 1;
     }
     assert!(
@@ -144,12 +150,13 @@ fn randomized_power_law_instances_agree() {
         extra_edge_fraction: 0.1,
         seed: 3,
     });
+    let prepared = PreparedData::new(data);
     let mut tested = 0;
     for _ in 0..20 {
-        let Some(query) = random_walk_query(&data, 5, &mut rng) else {
+        let Some(query) = random_walk_query(prepared.graph(), 5, &mut rng) else {
             continue;
         };
-        check_all_engines(&query, &data);
+        check_all_engines(&query, &prepared);
         tested += 1;
     }
     assert!(tested >= 8);
@@ -175,16 +182,17 @@ fn parallel_run_agrees_with_sequential_on_random_graphs() {
         seed: 9,
     });
     let mut rng = SmallRng::seed_from_u64(5);
+    let prepared = PreparedData::new(data);
     let mut tested = 0;
     for _ in 0..8 {
-        let Some(query) = random_walk_query(&data, 5, &mut rng) else {
+        let Some(query) = random_walk_query(prepared.graph(), 5, &mut rng) else {
             continue;
         };
         let cfg = GupConfig {
             limits: SearchLimits::UNLIMITED,
             ..GupConfig::default()
         };
-        let matcher = GupMatcher::<1>::new(&query, &data, cfg).unwrap();
+        let matcher = GupMatcher::<1>::with_prepared(&query, &prepared, cfg).unwrap();
         let sequential = matcher.run_with_sink(&mut CountOnly::new()).embeddings;
         let parallel = matcher
             .run_parallel_with_sink(4, &mut CountOnly::new())

@@ -21,7 +21,7 @@ use gup_baselines::{brute_force, BacktrackingBaseline, BaselineKind, JoinBaselin
 use gup_graph::generate::{
     erdos_renyi_graph, power_law_graph, random_walk_query, ErdosRenyiConfig, PowerLawConfig,
 };
-use gup_graph::{Graph, VertexId};
+use gup_graph::{Graph, PreparedData, VertexId};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -36,17 +36,18 @@ fn first_k_probes(total: u64) -> Vec<u64> {
     ks
 }
 
-fn matcher(query: &Graph, data: &Graph) -> GupMatcher {
+fn matcher(query: &Graph, prepared: &PreparedData) -> GupMatcher {
     let cfg = GupConfig {
         limits: SearchLimits::UNLIMITED,
         ..GupConfig::default()
     };
-    GupMatcher::<1>::new(query, data, cfg).expect("valid query")
+    GupMatcher::<1>::with_prepared(query, prepared, cfg).expect("valid query")
 }
 
 /// Drives one engine family's sink surface and cross-checks it against `expected`.
-fn check_gup_sinks(name: &str, query: &Graph, data: &Graph, expected: u64) {
-    let m = matcher(query, data);
+fn check_gup_sinks(name: &str, query: &Graph, prepared: &PreparedData, expected: u64) {
+    let data = prepared.graph();
+    let m = matcher(query, prepared);
 
     let mut count = CountOnly::new();
     m.run_with_sink(&mut count);
@@ -127,9 +128,16 @@ fn check_gup_sinks(name: &str, query: &Graph, data: &Graph, expected: u64) {
     }
 }
 
-fn check_baseline_sinks(name: &str, query: &Graph, data: &Graph, expected: u64) {
+fn check_baseline_sinks(name: &str, query: &Graph, prepared: &PreparedData, expected: u64) {
+    let data = prepared.graph();
     for kind in BaselineKind::ALL {
-        let engine = BacktrackingBaseline::<1>::new(query, data, kind).expect("valid query");
+        let engine = BacktrackingBaseline::<1>::with_prepared(
+            query,
+            prepared,
+            kind,
+            SearchLimits::UNLIMITED,
+        )
+        .expect("valid query");
 
         let mut count = CountOnly::new();
         engine.run_with_sink(&mut count);
@@ -174,7 +182,8 @@ fn check_baseline_sinks(name: &str, query: &Graph, data: &Graph, expected: u64) 
         }
     }
 
-    let join = JoinBaseline::new(query, data).expect("valid query");
+    let join =
+        JoinBaseline::with_prepared(query, prepared, SearchLimits::UNLIMITED).expect("valid query");
     let mut all = CollectAll::new();
     join.run_with_sink(&mut all);
     assert_eq!(all.len() as u64, expected, "{name}: join CollectAll");
@@ -212,11 +221,12 @@ fn check_oracle_sinks(name: &str, query: &Graph, data: &Graph, expected: u64) {
     }
 }
 
-fn check_instance(name: &str, query: &Graph, data: &Graph) -> u64 {
-    let expected = brute_force::count(query, data);
-    check_oracle_sinks(name, query, data, expected);
-    check_gup_sinks(name, query, data, expected);
-    check_baseline_sinks(name, query, data, expected);
+/// Checks every engine on the one shared index `prepared`.
+fn check_instance(name: &str, query: &Graph, prepared: &PreparedData) -> u64 {
+    let expected = brute_force::count(query, prepared.graph());
+    check_oracle_sinks(name, query, prepared.graph(), expected);
+    check_gup_sinks(name, query, prepared, expected);
+    check_baseline_sinks(name, query, prepared, expected);
     expected
 }
 
@@ -236,7 +246,7 @@ fn erdos_renyi_pairs_agree_through_every_sink() {
         let Some(query) = random_walk_query(&data, size, &mut rng) else {
             continue;
         };
-        let count = check_instance(&format!("er seed {seed}"), &query, &data);
+        let count = check_instance(&format!("er seed {seed}"), &query, &PreparedData::new(data));
         tested += 1;
         if count > 0 {
             with_embeddings += 1;
@@ -262,11 +272,12 @@ fn power_law_pairs_agree_through_every_sink() {
             extra_edge_fraction: 0.08,
             seed,
         });
+        let prepared = PreparedData::new(data);
         for _ in 0..3 {
-            let Some(query) = random_walk_query(&data, 4, &mut rng) else {
+            let Some(query) = random_walk_query(prepared.graph(), 4, &mut rng) else {
                 continue;
             };
-            check_instance(&format!("pl seed {seed}"), &query, &data);
+            check_instance(&format!("pl seed {seed}"), &query, &prepared);
             tested += 1;
         }
     }
@@ -283,9 +294,10 @@ fn single_vertex_queries_agree_across_engines() {
         labels: 3,
         seed: 77,
     });
+    let prepared = PreparedData::new(data);
     for label in 0..3u32 {
         let query = gup_graph::builder::graph_from_edges(&[label], &[]);
         let name = format!("single-vertex label {label}");
-        check_instance(&name, &query, &data);
+        check_instance(&name, &query, &prepared);
     }
 }

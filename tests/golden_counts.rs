@@ -9,7 +9,7 @@ use gup::sink::{CollectAll, CountOnly};
 use gup::{GupConfig, GupMatcher, PruningFeatures, SearchLimits};
 use gup_baselines::{brute_force, BacktrackingBaseline, BaselineKind, JoinBaseline};
 use gup_graph::fixtures::{clique4, paper_example, path, square_with_diagonal, triangle_query};
-use gup_graph::Graph;
+use gup_graph::{Graph, PreparedData};
 
 /// The fixture instances and their hand-verified embedding counts.
 ///
@@ -26,9 +26,11 @@ use gup_graph::Graph;
 /// * `path(3)` and `path(4)` on label 1 in `square_with_diagonal` — the three
 ///   label-1 vertices induce no edge, so no embedding exists; pinned to prove that
 ///   the engines agree on zero instead of erroring.
-fn golden_instances() -> Vec<(&'static str, Graph, Graph, u64)> {
+///
+/// Each data graph comes prepared: every engine of an instance shares its index.
+fn golden_instances() -> Vec<(&'static str, Graph, PreparedData, u64)> {
     let (paper_query, paper_data) = paper_example();
-    vec![
+    let instances: Vec<(&'static str, Graph, Graph, u64)> = vec![
         ("paper_example", paper_query, paper_data.clone(), 4),
         (
             "triangle_in_square",
@@ -41,7 +43,11 @@ fn golden_instances() -> Vec<(&'static str, Graph, Graph, u64)> {
         ("path2_on_diagonal", path(2, 0), square_with_diagonal(), 2),
         ("path3_no_match", path(3, 1), square_with_diagonal(), 0),
         ("path4_no_match", path(4, 1), square_with_diagonal(), 0),
-    ]
+    ];
+    instances
+        .into_iter()
+        .map(|(name, query, data, expected)| (name, query, PreparedData::new(data), expected))
+        .collect()
 }
 
 /// Every combination of the four pruning toggles, not just the five named ones from
@@ -72,7 +78,7 @@ fn gup_config(features: PruningFeatures) -> GupConfig {
 fn brute_force_oracle_matches_goldens() {
     for (name, query, data, expected) in golden_instances() {
         assert_eq!(
-            brute_force::count(&query, &data),
+            brute_force::count(&query, data.graph()),
             expected,
             "brute force disagrees on {name}"
         );
@@ -83,7 +89,7 @@ fn brute_force_oracle_matches_goldens() {
 fn gup_matches_goldens_under_every_feature_combination() {
     for (name, query, data, expected) in golden_instances() {
         for features in all_feature_combinations() {
-            let count = GupMatcher::<1>::new(&query, &data, gup_config(features))
+            let count = GupMatcher::<1>::with_prepared(&query, &data, gup_config(features))
                 .unwrap()
                 .run_with_sink(&mut CountOnly::new())
                 .embeddings;
@@ -102,7 +108,7 @@ fn parallel_gup_matches_goldens() {
     for (name, query, data, expected) in golden_instances() {
         for threads in [2, 4, 8] {
             for features in [PruningFeatures::ALL, PruningFeatures::NONE] {
-                let count = GupMatcher::<1>::new(&query, &data, gup_config(features))
+                let count = GupMatcher::<1>::with_prepared(&query, &data, gup_config(features))
                     .unwrap()
                     .run_parallel_with_sink(threads, &mut CountOnly::new())
                     .embeddings;
@@ -125,10 +131,15 @@ fn backtracking_baselines_match_goldens() {
             BaselineKind::GqlStyle,
             BaselineKind::RiStyle,
         ] {
-            let count = BacktrackingBaseline::<1>::new(&query, &data, kind)
-                .unwrap()
-                .run_with_sink(&mut CountOnly::new())
-                .embeddings;
+            let count = BacktrackingBaseline::<1>::with_prepared(
+                &query,
+                &data,
+                kind,
+                SearchLimits::UNLIMITED,
+            )
+            .unwrap()
+            .run_with_sink(&mut CountOnly::new())
+            .embeddings;
             assert_eq!(count, expected, "{} disagrees on {name}", kind.name());
         }
     }
@@ -137,7 +148,7 @@ fn backtracking_baselines_match_goldens() {
 #[test]
 fn join_baseline_matches_goldens() {
     for (name, query, data, expected) in golden_instances() {
-        let count = JoinBaseline::new(&query, &data)
+        let count = JoinBaseline::with_prepared(&query, &data, SearchLimits::UNLIMITED)
             .unwrap()
             .run_with_sink(&mut CountOnly::new())
             .embeddings;
@@ -153,7 +164,7 @@ fn collected_embeddings_agree_with_counts() {
             ..GupConfig::default()
         };
         let mut sink = CollectAll::new();
-        let stats = GupMatcher::<1>::new(&query, &data, cfg)
+        let stats = GupMatcher::<1>::with_prepared(&query, &data, cfg)
             .unwrap()
             .run_with_sink(&mut sink);
         assert_eq!(
@@ -170,10 +181,10 @@ fn collected_embeddings_agree_with_counts() {
             seen.dedup();
             assert_eq!(seen.len(), emb.len(), "non-injective embedding on {name}");
             for u in query.vertices() {
-                assert_eq!(query.label(u), data.label(emb[u as usize]));
+                assert_eq!(query.label(u), data.graph().label(emb[u as usize]));
             }
             for (a, b) in query.edges() {
-                assert!(data.has_edge(emb[a as usize], emb[b as usize]));
+                assert!(data.graph().has_edge(emb[a as usize], emb[b as usize]));
             }
         }
     }

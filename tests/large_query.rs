@@ -16,8 +16,9 @@
 use gup::session::{Engine, Session};
 use gup::{GupConfig, GupMatcher, PruningFeatures, SearchLimits, SessionError};
 use gup_baselines::brute_force;
-use gup_graph::{GraphBuilder, QueryGraphError};
+use gup_graph::{GraphBuilder, PreparedData, QueryGraphError};
 use gup_workloads::large::{large_query_fixtures, LargeQueryFixture};
+use std::sync::Arc;
 
 fn unlimited() -> GupConfig {
     GupConfig {
@@ -136,12 +137,13 @@ fn one_word_engines_still_reject_what_they_cannot_hold() {
     let fixture = &large_query_fixtures()[0]; // large-65
     assert_eq!(fixture.query.vertex_count(), 65);
 
-    let Err(err) = GupMatcher::<1>::new(&fixture.query, &fixture.host, unlimited()) else {
+    let prepared = Arc::new(PreparedData::new(fixture.host.clone()));
+    let Err(err) = GupMatcher::<1>::with_prepared(&fixture.query, &prepared, unlimited()) else {
         panic!("one-word matcher must reject a 65-vertex query");
     };
     assert!(format!("{err}").contains("at most 64"), "{err}");
 
-    let session = Session::new(fixture.host.clone());
+    let session = Session::from_prepared(prepared);
     assert!(session.query(&fixture.query).unlimited().count().unwrap() >= 1);
 }
 

@@ -24,7 +24,7 @@ use gup::{GupConfig, GupMatcher, PruningFeatures, SearchLimits};
 use gup_baselines::{brute_force, BacktrackingBaseline, BaselineKind, JoinBaseline};
 use gup_graph::builder::graph_from_edges;
 use gup_graph::generate::{erdos_renyi_graph, random_walk_query, ErdosRenyiConfig};
-use gup_graph::{fixtures, Graph, Label, VertexId};
+use gup_graph::{fixtures, Graph, Label, PreparedData, VertexId};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -68,17 +68,19 @@ fn all_feature_combinations() -> Vec<PruningFeatures> {
 }
 
 /// Runs the entire engine matrix on one instance and returns the labeled counts.
-/// Every engine goes through the shared sink layer (counting sinks everywhere).
+/// Every engine goes through the shared sink layer (counting sinks everywhere) and
+/// runs on one shared index of `data`.
 fn engine_counts(query: &Graph, data: &Graph) -> Vec<(String, u64)> {
     let mut counts = Vec::new();
     counts.push(("brute-force".to_string(), brute_force::count(query, data)));
+    let prepared = PreparedData::new(data.clone());
     for features in all_feature_combinations() {
         let cfg = GupConfig {
             features,
             limits: SearchLimits::UNLIMITED,
             ..GupConfig::default()
         };
-        let matcher = GupMatcher::<1>::new(query, data, cfg).expect("valid query");
+        let matcher = GupMatcher::<1>::with_prepared(query, &prepared, cfg).expect("valid query");
         let mut sink = CountOnly::new();
         matcher.run_with_sink(&mut sink);
         counts.push((format!("GuP[bits={:?}]", features), sink.count()));
@@ -88,15 +90,20 @@ fn engine_counts(query: &Graph, data: &Graph) -> Vec<(String, u64)> {
         limits: SearchLimits::UNLIMITED,
         ..GupConfig::default()
     };
-    let matcher = GupMatcher::<1>::new(query, data, cfg).expect("valid query");
+    let matcher = GupMatcher::<1>::with_prepared(query, &prepared, cfg).expect("valid query");
     let mut sink = CountOnly::new();
     matcher.run_parallel_with_sink(4, &mut sink);
     counts.push(("GuP-parallel(4)".to_string(), sink.count()));
     for kind in BaselineKind::ALL {
         let mut sink = CountOnly::new();
-        let result = BacktrackingBaseline::<1>::new(query, data, kind)
-            .expect("valid query")
-            .run_with_sink(&mut sink);
+        let result = BacktrackingBaseline::<1>::with_prepared(
+            query,
+            &prepared,
+            kind,
+            SearchLimits::UNLIMITED,
+        )
+        .expect("valid query")
+        .run_with_sink(&mut sink);
         assert_eq!(
             result.embeddings,
             sink.count(),
@@ -106,7 +113,7 @@ fn engine_counts(query: &Graph, data: &Graph) -> Vec<(String, u64)> {
         counts.push((kind.name().to_string(), sink.count()));
     }
     let mut sink = CountOnly::new();
-    JoinBaseline::new(query, data)
+    JoinBaseline::with_prepared(query, &prepared, SearchLimits::UNLIMITED)
         .expect("valid query")
         .run_with_sink(&mut sink);
     counts.push(("join".to_string(), sink.count()));

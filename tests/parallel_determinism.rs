@@ -14,7 +14,7 @@ use gup::sink::{CountOnly, FirstK};
 use gup::{GupConfig, GupMatcher, SearchLimits};
 use gup_graph::fixtures::{clique4, paper_example, path, square_with_diagonal, triangle_query};
 use gup_graph::query::{QueryGraph, QueryGraphError};
-use gup_graph::{Graph, GraphBuilder};
+use gup_graph::{Graph, GraphBuilder, PreparedData};
 use gup_workloads::{generate_query_set, Dataset, QueryClass, QuerySetSpec};
 
 mod common;
@@ -23,9 +23,10 @@ use common::assert_valid_embedding;
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 const REPEATS: usize = 3;
 
-fn fixtures() -> Vec<(&'static str, Graph, Graph)> {
+/// The golden fixtures, each data graph prepared once for all its runs.
+fn fixtures() -> Vec<(&'static str, Graph, PreparedData)> {
     let (paper_query, paper_data) = paper_example();
-    vec![
+    let fixtures: Vec<(&'static str, Graph, Graph)> = vec![
         ("paper_example", paper_query, paper_data.clone()),
         (
             "triangle_in_square",
@@ -36,15 +37,19 @@ fn fixtures() -> Vec<(&'static str, Graph, Graph)> {
         ("clique4_in_clique4", clique4(2), clique4(2)),
         ("path2_on_diagonal", path(2, 0), square_with_diagonal()),
         ("path3_no_match", path(3, 1), square_with_diagonal()),
-    ]
+    ];
+    fixtures
+        .into_iter()
+        .map(|(name, query, data)| (name, query, PreparedData::new(data)))
+        .collect()
 }
 
-fn count(query: &Graph, data: &Graph, limits: SearchLimits, threads: usize) -> u64 {
+fn count(query: &Graph, data: &PreparedData, limits: SearchLimits, threads: usize) -> u64 {
     let cfg = GupConfig {
         limits,
         ..GupConfig::default()
     };
-    let matcher = GupMatcher::<1>::new(query, data, cfg).unwrap();
+    let matcher = GupMatcher::<1>::with_prepared(query, data, cfg).unwrap();
     if threads == 1 {
         matcher.run_with_sink(&mut CountOnly::new()).embeddings
     } else {
@@ -100,7 +105,7 @@ fn thread_counts_agree_under_embedding_limits() {
 /// and frame splitting actually occur.
 #[test]
 fn yeast_analogue_stress_is_schedule_independent() {
-    let data = Dataset::Yeast.generate(0.10).graph;
+    let data = PreparedData::new(Dataset::Yeast.generate(0.10).graph);
     let mut queries = Vec::new();
     for (vertices, class) in [
         (8, QueryClass::Sparse),
@@ -108,7 +113,7 @@ fn yeast_analogue_stress_is_schedule_independent() {
         (16, QueryClass::Sparse),
     ] {
         queries.extend(generate_query_set(
-            &data,
+            data.graph(),
             QuerySetSpec { vertices, class },
             2,
             0xC0FFEE,
@@ -126,7 +131,7 @@ fn yeast_analogue_stress_is_schedule_independent() {
                 limits: SearchLimits::UNLIMITED,
                 ..GupConfig::default()
             };
-            let stats = GupMatcher::<1>::new(query, &data, cfg)
+            let stats = GupMatcher::<1>::with_prepared(query, &data, cfg)
                 .unwrap()
                 .run_parallel_with_sink(threads, &mut CountOnly::new());
             assert_eq!(
@@ -165,7 +170,7 @@ fn counting_sinks_agree_across_thread_counts() {
                     limits: SearchLimits::UNLIMITED,
                     ..GupConfig::default()
                 };
-                let matcher = GupMatcher::<1>::new(&query, &data, cfg).unwrap();
+                let matcher = GupMatcher::<1>::with_prepared(&query, &data, cfg).unwrap();
                 let mut sink = CountOnly::new();
                 let stats = matcher.run_parallel_with_sink(threads, &mut sink);
                 assert_eq!(
@@ -198,7 +203,7 @@ fn first_k_is_exact_under_every_thread_count() {
                         limits: SearchLimits::UNLIMITED,
                         ..GupConfig::default()
                     };
-                    let matcher = GupMatcher::<1>::new(&query, &data, cfg).unwrap();
+                    let matcher = GupMatcher::<1>::with_prepared(&query, &data, cfg).unwrap();
                     let mut sink = FirstK::new(k);
                     let stats = matcher.run_parallel_with_sink(threads, &mut sink);
                     let expected = k.min(total);
@@ -226,7 +231,7 @@ fn first_k_is_exact_under_every_thread_count() {
                         "{name}: FirstK({k}) threads={threads} stopped_by_sink flag"
                     );
                     for emb in sink.embeddings() {
-                        assert_valid_embedding(name, &query, &data, emb);
+                        assert_valid_embedding(name, &query, data.graph(), emb);
                     }
                 }
             }
@@ -241,6 +246,7 @@ fn first_k_is_exact_under_every_thread_count() {
 #[test]
 fn capacity_equal_to_limit_attributes_to_the_sink_on_every_thread_count() {
     let (query, data) = paper_example(); // 4 embeddings
+    let data = PreparedData::new(data);
     for threads in THREAD_COUNTS {
         for round in 0..REPEATS {
             let cfg = GupConfig {
@@ -250,7 +256,7 @@ fn capacity_equal_to_limit_attributes_to_the_sink_on_every_thread_count() {
                 },
                 ..GupConfig::default()
             };
-            let matcher = GupMatcher::<1>::new(&query, &data, cfg).unwrap();
+            let matcher = GupMatcher::<1>::with_prepared(&query, &data, cfg).unwrap();
             let mut sink = FirstK::new(2);
             let stats = matcher.run_parallel_with_sink(threads, &mut sink);
             assert_eq!(
@@ -274,9 +280,9 @@ fn capacity_equal_to_limit_attributes_to_the_sink_on_every_thread_count() {
 /// and stealing actually occur, `FirstK` still exact.
 #[test]
 fn first_k_is_exact_on_yeast_analogue_stress() {
-    let data = Dataset::Yeast.generate(0.10).graph;
+    let data = PreparedData::new(Dataset::Yeast.generate(0.10).graph);
     let queries = generate_query_set(
-        &data,
+        data.graph(),
         QuerySetSpec {
             vertices: 8,
             class: QueryClass::Sparse,
@@ -296,7 +302,7 @@ fn first_k_is_exact_on_yeast_analogue_stress() {
                 limits: SearchLimits::UNLIMITED,
                 ..GupConfig::default()
             };
-            let matcher = GupMatcher::<1>::new(query, &data, cfg).unwrap();
+            let matcher = GupMatcher::<1>::with_prepared(query, &data, cfg).unwrap();
             let mut sink = FirstK::new(k);
             matcher.run_parallel_with_sink(threads, &mut sink);
             assert_eq!(
@@ -326,7 +332,9 @@ fn oversized_query_is_a_typed_error_in_every_profile() {
     // 65 vertices: fine globally, a typed error for the one-word engine.
     assert!(QueryGraph::new(beyond_one_word.clone()).is_ok());
     let (_q, data) = paper_example();
-    let Err(err) = GupMatcher::<1>::new(&beyond_one_word, &data, GupConfig::default()) else {
+    let data = PreparedData::new(data);
+    let Err(err) = GupMatcher::<1>::with_prepared(&beyond_one_word, &data, GupConfig::default())
+    else {
         panic!("65-vertex query must be rejected by an explicitly one-word matcher");
     };
     assert!(format!("{err}").contains("at most 64"));
@@ -346,7 +354,7 @@ fn oversized_query_is_a_typed_error_in_every_profile() {
             limit: 256
         }
     ));
-    let Err(err) = GupMatcher::<4>::new(&oversized, &data, GupConfig::default()) else {
+    let Err(err) = GupMatcher::<4>::with_prepared(&oversized, &data, GupConfig::default()) else {
         panic!("257-vertex query must be rejected by the widest matcher too");
     };
     assert!(format!("{err}").contains("at most 256"));

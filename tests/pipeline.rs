@@ -20,7 +20,7 @@ fn limits() -> SearchLimits {
 
 #[test]
 fn yeast_analogue_query_sets_run_under_gup() {
-    let data = Dataset::Yeast.generate(0.08).graph;
+    let data = PreparedData::new(Dataset::Yeast.generate(0.08).graph);
     let mut ran = 0;
     for spec in [
         QuerySetSpec {
@@ -36,13 +36,14 @@ fn yeast_analogue_query_sets_run_under_gup() {
             class: QueryClass::Sparse,
         },
     ] {
-        let queries = generate_query_set(&data, spec, 3, 21);
+        let queries = generate_query_set(data.graph(), spec, 3, 21);
         for q in &queries {
             let cfg = GupConfig {
                 limits: limits(),
                 ..GupConfig::default()
             };
-            let matcher = GupMatcher::<1>::new(q, &data, cfg).expect("generated queries are valid");
+            let matcher =
+                GupMatcher::<1>::with_prepared(q, &data, cfg).expect("generated queries are valid");
             let stats = matcher.run_with_sink(&mut CountOnly::new());
             // The query was extracted from the data graph, so at least one embedding
             // must exist (the extraction site itself) unless the search was cut short.
@@ -73,10 +74,10 @@ fn candidate_space_contains_every_embedding() {
         2,
         5,
     );
-    let prepared = PreparedData::from_graph(&data);
+    let prepared = PreparedData::new(data);
     for q in &queries {
         let cs = CandidateSpace::build_prepared(q, &prepared, &FilterConfig::default());
-        let found = gup::find_embeddings(q, &data).unwrap();
+        let found = gup::find_embeddings(q, prepared.graph()).unwrap();
         for emb in &found.embeddings {
             for (u, &v) in emb.iter().enumerate() {
                 assert!(
@@ -102,9 +103,9 @@ fn graphs_survive_text_roundtrip_and_still_match() {
 
 #[test]
 fn guard_statistics_reported_on_workload_queries() {
-    let data = Dataset::Human.generate(0.02).graph;
+    let data = PreparedData::new(Dataset::Human.generate(0.02).graph);
     let queries = generate_query_set(
-        &data,
+        data.graph(),
         QuerySetSpec {
             vertices: 8,
             class: QueryClass::Dense,
@@ -117,7 +118,7 @@ fn guard_statistics_reported_on_workload_queries() {
             limits: limits(),
             ..GupConfig::default()
         };
-        let matcher = GupMatcher::<1>::new(q, &data, cfg).unwrap();
+        let matcher = GupMatcher::<1>::with_prepared(q, &data, cfg).unwrap();
         let (stats, memory) = matcher.run_with_memory_report();
         assert!(stats.recursions > 0);
         assert!(memory.candidate_space_bytes > 0);
@@ -149,7 +150,7 @@ fn dataset_catalog_supports_all_query_classes() {
                 ..GupConfig::default()
             };
             assert!(
-                GupMatcher::<1>::new(q, &data, cfg).is_ok(),
+                GupMatcher::<1>::with_prepared(q, &PreparedData::new(data), cfg).is_ok(),
                 "{}",
                 dataset.name()
             );

@@ -16,7 +16,7 @@ use gup::{GupConfig, GupMatcher, PruningFeatures, SearchLimits};
 use gup_baselines::brute_force;
 use gup_graph::builder::GraphBuilder;
 use gup_graph::generate::random_walk_query;
-use gup_graph::{algo, Graph};
+use gup_graph::{algo, Graph, PreparedData};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -48,13 +48,13 @@ fn arb_graph(max_vertices: usize, labels: u32, density: f64) -> impl Strategy<Va
     })
 }
 
-fn gup_count(query: &Graph, data: &Graph, features: PruningFeatures) -> u64 {
+fn gup_count(query: &Graph, data: &PreparedData, features: PruningFeatures) -> u64 {
     let cfg = GupConfig {
         features,
         limits: SearchLimits::UNLIMITED,
         ..GupConfig::default()
     };
-    GupMatcher::<1>::new(query, data, cfg)
+    GupMatcher::<1>::with_prepared(query, data, cfg)
         .unwrap()
         .run_with_sink(&mut CountOnly::new())
         .embeddings
@@ -80,6 +80,7 @@ proptest! {
         };
         prop_assume!(algo::is_connected(&query));
         let expected = brute_force::count(&query, &data);
+        let data = PreparedData::new(data);
         prop_assert_eq!(gup_count(&query, &data, PruningFeatures::ALL), expected);
         prop_assert_eq!(gup_count(&query, &data, PruningFeatures::NONE), expected);
         prop_assert_eq!(gup_count(&query, &data, PruningFeatures::RESERVATION_AND_NV), expected);
@@ -123,6 +124,7 @@ proptest! {
             return Ok(());
         };
         prop_assume!(algo::is_connected(&query));
+        let data = PreparedData::new(data);
         let guarded = gup_count(&query, &data, PruningFeatures::ALL);
         let unguarded = gup_count(&query, &data, PruningFeatures::NONE);
         prop_assert_eq!(guarded, unguarded);

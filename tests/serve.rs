@@ -339,12 +339,14 @@ fn oversized_graph_headers_are_rejected_before_allocating() {
     let mut client = Client::connect(server.addr);
     // Sized by their headers, these bodies would ask for 40 to hundreds of
     // gigabytes, an allocation failure that aborts the process. Each header is
-    // rejected before anything is sized by its edge count (the last one passes
-    // the n(n-1)/2 bound and lists no edge), and the same connection keeps
-    // answering.
+    // rejected before anything is sized by it: a data graph's vertex count by
+    // the vertex-id range, its edge count by the listed edges (the last one
+    // passes the n(n-1)/2 bound and lists no edge), and the same connection
+    // keeps answering.
     for (command, header) in [
         ("query count", "t 40000000000 1"),
         ("watch", "t 40000000000 1"),
+        ("reload", "t 40000000000 0"),
         ("reload", "t 2 100000000000"),
         ("reload", "t 100000 4999950000"),
     ] {

@@ -15,7 +15,7 @@
 use gup::sink::{CollectAll, CountOnly, FirstK};
 use gup::{GupConfig, GupMatcher, SearchLimits};
 use gup_graph::builder::graph_from_edges;
-use gup_graph::Graph;
+use gup_graph::{Graph, PreparedData};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -69,7 +69,7 @@ fn count_run_allocations(n: usize) -> (u64, u64) {
         limits: SearchLimits::UNLIMITED,
         ..GupConfig::default()
     };
-    let matcher = GupMatcher::<1>::new(&query, &data, cfg).unwrap();
+    let matcher = GupMatcher::<1>::with_prepared(&query, &PreparedData::new(data), cfg).unwrap();
     let mut sink = CountOnly::new();
     let before = allocations();
     matcher.run_with_sink(&mut sink);
@@ -140,7 +140,7 @@ fn collecting_sinks_pay_exactly_for_what_they_keep() {
         limits: SearchLimits::UNLIMITED,
         ..GupConfig::default()
     };
-    let matcher = GupMatcher::<1>::new(&query, &data, cfg).unwrap();
+    let matcher = GupMatcher::<1>::with_prepared(&query, &PreparedData::new(data), cfg).unwrap();
 
     // CollectAll clones each of the 1000 embeddings: at least one allocation each.
     let mut all = CollectAll::new();
